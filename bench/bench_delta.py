@@ -8,8 +8,7 @@ side by side with the relative change.
 
 By default the exit code is 0 — the CI perf-smoke job is explicitly
 non-gating (shared runners are far too noisy to fail a build on), the
-point is a readable trend line next to the committed BENCH_6.json
-baseline. With --fail-above PCT the script becomes a regression gate: it
+point is a readable trend line between two runs. With --fail-above PCT the script becomes a regression gate: it
 exits 1 if any benchmark present in both files slowed down by more than
 PCT percent (real_time). Use that locally or on a quiet dedicated runner,
 where the noise argument does not apply.
@@ -74,8 +73,8 @@ def main():
         print(f"\nOK: no benchmark regressed beyond +{args.fail_above:.1f}%")
         return 0
 
-    print("\n(non-gating: deltas on shared runners are indicative only; "
-          "the committed baseline is BENCH_6.json — see EXPERIMENTS.md)")
+    print("\n(non-gating: deltas on shared runners are indicative only — "
+          "see EXPERIMENTS.md)")
     return 0
 
 

@@ -8,8 +8,8 @@
 // 32768 such cores.
 //
 // ChunkingSpeedup measures what the engine adds on top of the paper: with
-// K = chunks_per_pe > 1, the K·P logical chunks are work-stealing-scheduled
-// over the persistent pool, so stragglers (the skewed chunks of a
+// K = chunks_per_pe > 1, the K·P logical chunks are claimed one at a time
+// from the persistent pool's shared cursor, so stragglers (the skewed chunks of a
 // power-law RHG instance) stop dominating the makespan. It reports the
 // 1-chunk-per-PE makespan, the K-chunk makespan, and their ratio — on a
 // multicore host speedup_vs_1chunk > 1 for the skewed workload.
@@ -405,7 +405,7 @@ KAGEN_BENCH_MAIN(
     "32768 cores, from per-PE throughput measured through the chunked "
     "engine (CountingSink: zero edges materialized); the paper reports "
     "< 22 minutes and the projection should land in the same order of "
-    "magnitude. (2) Work-stealing chunk speedup: K·P logical chunks vs "
+    "magnitude. (2) Dynamic chunk-scheduling speedup: K·P logical chunks vs "
     "one chunk per PE on a skewed RHG instance; speedup_vs_1chunk > 1 "
     "on multicore hosts. (3) Ownership-filter overhead: exact_once vs "
     "as_generated makespans side by side on duplicate-carrying models — "
@@ -420,5 +420,4 @@ KAGEN_BENCH_MAIN(
     "speedup_v2_over_v1 >= 2 is the tentpole claim. (7) Allocation churn: "
     "heap-allocation calls per hot-path run via interposed operator new — "
     "the arena PR's zero-steady-state-malloc claim as a tracked number "
-    "(allocs_per_Medge). EXPERIMENTS.md records the before/after and "
-    "BENCH_6.json pins the baseline CI diffs against.")
+    "(allocs_per_Medge). EXPERIMENTS.md records the before/after.")

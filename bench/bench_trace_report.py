@@ -9,7 +9,7 @@ Usage:
 The trace is the cross-rank merge written by the fork/TCP coordinators
 (DESIGN.md §13): one Chrome `trace_event` process per rank plus one for
 the coordinator, `ph:"X"` complete spans for the engine phases and
-`ph:"i"` instants for steals and budget parks, timestamps in
+`ph:"i"` instants for budget parks, timestamps in
 microseconds on the coordinator's clock.
 
 Default mode prints a per-rank, per-phase utilization table: span count,
@@ -35,6 +35,7 @@ SPAN_PHASES = {
     "generate", "deliver", "spill_park", "spill_replay",
     "sink_write", "em_sort", "merge",
 }
+# "steal" is retired (the pool no longer steals) but stays a valid name.
 INSTANT_PHASES = {"steal", "budget_park"}
 PHASES = SPAN_PHASES | INSTANT_PHASES
 

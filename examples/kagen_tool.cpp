@@ -5,7 +5,7 @@
 //    demonstrating that any rank's output can be produced in isolation —
 //    the paper's whole point.
 //  * chunked engine (-sink ...): generates the WHOLE graph as K·P logical
-//    chunks over the persistent work-stealing pool, streaming into an edge
+//    chunks over the persistent thread pool, streaming into an edge
 //    sink — so huge instances can be counted, measured, or written to disk
 //    without materializing the edge list (count/stats sinks stream with
 //    O(buffer) memory; the ordered file sink holds completed-but-not-yet-
@@ -73,7 +73,7 @@ std::string engine_stats_str(u64 peak_buffered, u64 spilled_chunks,
     return buf;
 }
 
-// -v: per-worker pool utilization (busy ns, tasks, steal counters) straight
+// -v: per-worker pool utilization (busy ns, tasks) straight
 // from the metrics registry. In-process pools only — forked/TCP workers
 // count in their own address space; use -metrics for the merged view.
 void print_verbose_metrics() {
@@ -126,7 +126,7 @@ void print_help(std::FILE* out, const char* argv0) {
         "              streaming sinks (default 4096); batches reach the file\n"
         "              sink as single bulk writes of this many edges\n"
         "  -pin-threads 1   pin pool worker threads to distinct CPUs\n"
-        "              (affinity-aware scheduling; sticky for the process)\n"
+        "              (CPU affinity; sticky for the process)\n"
         "\n"
         "Ordered delivery / spill window:\n"
         "  -max-buffered-bytes B   byte budget for chunks completing ahead of\n"

@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
     }
 
     // Streaming path: the same generators emit into an edge sink through the
-    // chunked engine — K·P logical chunks, work-stealing-scheduled — so
+    // chunked engine — K·P logical chunks, dynamically scheduled — so
     // statistics of arbitrarily large instances never materialize an edge
     // list. (Counts include the intentional cross-chunk duplicates of the
     // incident-edge output models, exactly like the per-PE lists above

@@ -241,7 +241,6 @@ RankReport execute_rank_job(const Config& cfg, const RankJob& job) {
         copt.max_buffered_bytes = cfg.max_buffered_bytes;
         copt.arena_slab_bytes   = cfg.arena_slab_bytes;
         copt.pin_threads        = cfg.pin_threads;
-        copt.deal_granularity   = chunk_deal_granularity(cfg);
         if (!cfg.spill_path.empty()) {
             // Each rank needs its own scratch file, not a shared name.
             copt.spill_path = cfg.spill_path + ".rank" + std::to_string(job.rank);

@@ -25,7 +25,7 @@
 /// on MPI processes, threads, or sequentially — outputs are bit-identical.
 /// The chunked engine reuses the same rank-splitting math with chunk ids in
 /// the rank role: `chunks_per_pe` (K) schedules K·P logical chunks over a
-/// work-stealing pool for load balancing, and pinning `total_chunks` makes
+/// self-balancing thread pool, and pinning `total_chunks` makes
 /// the generated graph independent of both P and K. See DESIGN.md for the
 /// model-by-model algorithm map (paper sections), the PE-simulation
 /// argument, and the sink/chunk architecture; the per-model headers under
@@ -115,8 +115,7 @@ struct Config {
 
     /// Pin pool worker threads to distinct CPUs for chunked/distributed
     /// runs (pe::ThreadPool::pin_workers; tool: -pin-threads). Opt-in:
-    /// pinning is sticky for the pool's lifetime and helps once
-    /// chunk→worker affinity matters (see ChunkOptions::deal_granularity).
+    /// pinning is sticky for the pool's lifetime.
     bool pin_threads = false;
 
     /// Worker processes of the distributed backend (dist/runner.hpp):
@@ -139,7 +138,7 @@ struct Config {
 
     /// Runtime telemetry (src/obs/, DESIGN.md §13; tool: -trace/-metrics).
     /// Non-empty `trace_path`: the run records chunk-lifecycle spans and
-    /// steal/park instants and writes a Chrome trace_event JSON timeline
+    /// budget-park instants and writes a Chrome trace_event JSON timeline
     /// there at the end; non-empty `metrics_path`: the run's metrics-
     /// registry delta is written there as JSON. Observation never perturbs
     /// output (byte-identity is test-pinned), and neither field enters
@@ -347,26 +346,6 @@ inline IdIntervals owned_vertex_intervals(const Config& cfg, u64 rank, u64 size)
     }
 }
 
-/// Affinity-group size for the chunk→worker deal of `cfg`'s model
-/// (pe::ChunkOptions::deal_granularity). The geometric point_grid models
-/// map consecutive chunk ids to contiguous Morton cell ranges, so dealing
-/// chunks in groups of K = chunks_per_pe keeps each simulated PE's
-/// spatially compact block on one worker — adjacent chunks share split-tree
-/// ancestry and halo cells, so the worker's caches stay warm across the
-/// block. Non-spatial models gain nothing from grouping and keep the plain
-/// equal-count deal. Scheduling only; output is identical either way.
-inline u64 chunk_deal_granularity(const Config& cfg) {
-    switch (cfg.model) {
-        case Model::Rgg2D:
-        case Model::Rgg3D:
-        case Model::Rdg2D:
-        case Model::Rdg3D:
-            return std::max<u64>(cfg.chunks_per_pe, 1);
-        default:
-            return 1;
-    }
-}
-
 namespace detail {
 
 /// The raw per-model dispatch: streams chunk `rank` of `size` exactly as
@@ -476,8 +455,8 @@ struct ChunkStats {
 
 /// Whole-graph chunked engine: runs every canonical chunk (total_chunks,
 /// or chunks_per_pe·num_pes when unset) of the graph through the generator
-/// and streams the edges into `sink`, work-stealing-scheduled over the
-/// persistent thread pool with at most `threads` workers (0 = one per
+/// and streams the edges into `sink`, claimed in canonical order from the
+/// persistent thread pool by at most `threads` workers (0 = one per
 /// simulated PE, capped by the hardware). A chunk id plays exactly the rank
 /// role of the per-PE API, so the edge stream equals the concatenation of
 /// generate(cfg, c, C) for c = 0..C-1 — bit-identical for every thread
@@ -530,7 +509,6 @@ inline ChunkStats generate_chunked(const Config& cfg, u64 num_pes, EdgeSink& sin
     opt.spill_path         = cfg.spill_path;
     opt.arena_slab_bytes   = cfg.arena_slab_bytes;
     opt.pin_threads        = cfg.pin_threads;
-    opt.deal_granularity   = chunk_deal_granularity(cfg);
     const auto stats       = pe::run_chunked(
         opt,
         [&cfg](u64 chunk, u64 num_chunks, EdgeSink& chunk_sink) {

@@ -1,5 +1,6 @@
 #include "net/socket.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -246,6 +247,11 @@ Socket connect_to(const Endpoint& ep, int timeout_ms) {
     }
     const long long deadline = deadline_at(timeout_ms);
     std::string last_error   = "unknown error";
+    // Exponential retry back-off, 1 ms doubling up to 50 ms: a worker that
+    // dials just before the coordinator listens connects within a few ms
+    // instead of paying a full fixed interval.
+    constexpr long kMaxBackoffMs = 50;
+    long backoff_ms              = 1;
     for (;;) {
         AddrInfoGuard addrs = resolve(ep, /*for_bind=*/false);
         for (struct addrinfo* ai = addrs.info; ai != nullptr; ai = ai->ai_next) {
@@ -282,8 +288,9 @@ Socket connect_to(const Endpoint& ep, int timeout_ms) {
                 std::to_string(ep.port) + " within " + std::to_string(timeout_ms) +
                 " ms: " + last_error);
         }
-        struct timespec backoff{0, 50 * 1000 * 1000}; // 50 ms between attempts
+        struct timespec backoff{0, backoff_ms * 1000 * 1000};
         ::nanosleep(&backoff, nullptr);
+        backoff_ms = std::min(backoff_ms * 2, kMaxBackoffMs);
     }
 }
 

@@ -32,7 +32,7 @@ namespace kagen::obs {
 
 /// How a counter combines across ranks in `Snapshot::merge`.
 enum class MergeKind : u8 {
-    sum = 0, ///< monotonic totals (edges written, bytes spilled, steals)
+    sum = 0, ///< monotonic totals (edges written, bytes spilled, tasks)
     max = 1, ///< peak gauges (peak buffered bytes): ranks don't coexist in
              ///< one address space, so the fleet peak is the max, not a sum
 };

@@ -3,8 +3,8 @@
 ///        JSON, plus the process's single monotonic clock entry point.
 ///
 /// Spans cover the chunk lifecycle (`generate`, `deliver`, `spill_park`,
-/// `spill_replay`, `sink_write`, `em_sort`, `merge`); instants mark steals
-/// and budget-parks. The hot path is two `monotonic_now()` reads and one
+/// `spill_replay`, `sink_write`, `em_sort`, `merge`); instants mark
+/// budget-parks. The hot path is two `monotonic_now()` reads and one
 /// store into a thread-local ring — recording threads never share a cache
 /// line, never take a lock, and when tracing is disabled a span is a single
 /// relaxed flag load. Buffers are bounded (events past capacity are counted
@@ -50,7 +50,8 @@ enum class Phase : u8 {
     sink_write,   ///< sink flush of one batch (arg = bytes)
     em_sort,      ///< external-memory sort/dedup pass (arg = input bytes)
     merge,        ///< coordinator merging one rank file (arg = rank)
-    steal,        ///< instant: successful steal (arg = tasks taken)
+    steal,        ///< retired instant (the pool no longer steals); kept so
+                  ///< the phase ids of the telemetry frame do not move
     budget_park,  ///< instant: chunk parked to disk by the byte budget (arg = chunk)
 };
 
@@ -146,7 +147,7 @@ private:
 #endif
 };
 
-/// Records an instant event (steal, budget-park) if tracing is enabled.
+/// Records an instant event (budget-park) if tracing is enabled.
 inline void instant(Phase phase, u64 arg = 0) {
 #if !KAGEN_OBS_OFF
     TraceRecorder& rec = TraceRecorder::global();

@@ -16,7 +16,6 @@
 #include <sched.h>
 #endif
 
-#include "common/math.hpp"
 #include "obs/trace.hpp"
 #include "pe/arena.hpp"
 #include "pe/chunk_pool.hpp"
@@ -29,31 +28,20 @@ namespace {
 /// parallel_for calls then run inline instead of deadlocking on the pool.
 thread_local bool t_inside_pool = false;
 
-constexpr u64 kNoTask = ~u64{0};
-
-/// One participant's task range. `next`/`end` are guarded by `m`; thieves
-/// take the upper half of the remainder under the same lock, so every task
-/// index is claimed exactly once.
-struct StealRange {
-    std::mutex m;
-    u64 next = 0;
-    u64 end  = 0;
-};
-
 struct Job {
     const std::function<void(u64)>* fn = nullptr;
-    std::vector<std::unique_ptr<StealRange>> ranges;
-    /// Affinity group size: steal split points prefer multiples of it, so
-    /// groups of adjacent tasks migrate between workers as a unit.
-    u64 granularity = 1;
-    /// Task index of the first full group boundary: group starts sit at
-    /// task == phase (mod granularity). Nonzero when the caller's task 0
-    /// maps to an absolute id that is not group-aligned — a distributed
-    /// rank whose chunk_begin is not a multiple of the group size.
-    u64 grain_phase = 0;
+    u64 num_tasks                      = 0;
+    /// Shared task cursor: every participant claims its next task with one
+    /// fetch_add, so tasks *start* in canonical order and each index is
+    /// claimed exactly once. Ordered delivery depends on that start order:
+    /// the delivery cursor trails the claim frontier by about one task per
+    /// participant, so completed chunks wait for at most that many
+    /// predecessors instead of for a whole per-participant block.
+    std::atomic<u64> next{0};
     /// Participants that have left run_participant. The job owner may only
     /// reclaim the (stack-allocated) job once every participant has exited —
-    /// "all tasks done" is not enough, late thieves still scan the ranges.
+    /// "all tasks done" is not enough, a late participant still touches
+    /// the cursor.
     std::atomic<u64> exited{0};
     /// First exception thrown by any task; rethrown on the submitting
     /// thread once the section has fully joined (a worker must never let an
@@ -70,56 +58,16 @@ struct InsidePoolGuard {
     ~InsidePoolGuard() { t_inside_pool = false; }
 };
 
-u64 pop_own(StealRange& r) {
-    std::lock_guard<std::mutex> lock(r.m);
-    if (r.next >= r.end) return kNoTask;
-    return r.next++;
-}
-
-/// Steals the upper half of the victim's remaining range into `self`
-/// (which must be empty). Returns false if the victim had nothing.
-bool steal_from(StealRange& victim, StealRange& self, u64 granularity,
-                u64 grain_phase) {
-    // Lock order by address: both directions of stealing may race.
-    StealRange* first  = &victim < &self ? &victim : &self;
-    StealRange* second = &victim < &self ? &self : &victim;
-    std::lock_guard<std::mutex> l1(first->m);
-    std::lock_guard<std::mutex> l2(second->m);
-    if (self.next < self.end) return true; // someone refilled us meanwhile
-    const u64 remaining = victim.end - victim.next;
-    if (remaining == 0) return false;
-    u64 take = (remaining + 1) / 2;
-    if (granularity > 1) {
-        // Affinity-aware split: move the cut up to the next group boundary
-        // (group starts sit at phase mod granularity in task space, i.e.
-        // at absolute-id multiples of the group size) so whole groups of
-        // adjacent tasks change hands; keep the raw half when the victim's
-        // tail is sub-group.
-        const u64 cut  = victim.end - take;
-        const u64 past = (cut + granularity - grain_phase) % granularity;
-        const u64 aligned = past == 0 ? cut : cut + (granularity - past);
-        if (aligned > victim.next && aligned < victim.end) {
-            take = victim.end - aligned;
-        }
-    }
-    self.next  = victim.end - take;
-    self.end   = victim.end;
-    victim.end = victim.end - take;
-    return true;
-}
-
 /// Per-participant utilization, accumulated locally during the section and
 /// flushed to the metrics registry once on exit — the hot loop never takes
 /// the registry mutex, and per-worker counters survive as named
 /// instruments (`pool.w007.busy_ns`) for the tool's `-v` report.
 struct ParticipantStats {
-    u64 busy_ns         = 0;
-    u64 tasks           = 0;
-    u64 steal_attempts  = 0;
-    u64 steal_successes = 0;
+    u64 busy_ns = 0;
+    u64 tasks   = 0;
 
     void flush(u64 self) {
-        if (tasks == 0 && steal_attempts == 0) return;
+        if (tasks == 0) return;
         obs::Registry& reg = obs::Registry::global();
         char name[48];
         std::snprintf(name, sizeof(name), "pool.w%03llu.",
@@ -127,47 +75,16 @@ struct ParticipantStats {
         const std::string prefix(name);
         reg.counter(prefix + "busy_ns").add(busy_ns);
         reg.counter(prefix + "tasks").add(tasks);
-        reg.counter(prefix + "steal_attempts").add(steal_attempts);
-        reg.counter(prefix + "steal_successes").add(steal_successes);
         reg.counter("pool.busy_ns").add(busy_ns);
         reg.counter("pool.tasks").add(tasks);
-        reg.counter("pool.steal_attempts").add(steal_attempts);
-        reg.counter("pool.steal_successes").add(steal_successes);
     }
 };
 
 void run_participant(Job& job, u64 self) {
-    auto& mine = *job.ranges[self];
     ParticipantStats pstats;
     for (;;) {
-        u64 task = pop_own(mine);
-        if (task == kNoTask) {
-            // Steal from the participant with the most remaining work.
-            u64 best = kNoTask, best_remaining = 0;
-            for (u64 v = 0; v < job.ranges.size(); ++v) {
-                if (v == self) continue;
-                auto& r = *job.ranges[v];
-                std::lock_guard<std::mutex> lock(r.m);
-                const u64 remaining = r.end - r.next;
-                if (remaining > best_remaining) {
-                    best_remaining = remaining;
-                    best           = v;
-                }
-            }
-            if (best == kNoTask) break; // no work anywhere: done
-            ++pstats.steal_attempts;
-            if (!steal_from(*job.ranges[best], mine, job.granularity,
-                            job.grain_phase)) {
-                continue;
-            }
-            ++pstats.steal_successes;
-            {
-                std::lock_guard<std::mutex> lock(mine.m);
-                obs::instant(obs::Phase::steal, mine.end - mine.next);
-            }
-            task = pop_own(mine);
-            if (task == kNoTask) continue;
-        }
+        const u64 task = job.next.fetch_add(1, std::memory_order_relaxed);
+        if (task >= job.num_tasks) break;
         if (job.cancelled.load(std::memory_order_acquire)) break;
         const u64 t0 = obs::monotonic_now();
         try {
@@ -263,8 +180,7 @@ ThreadPool::~ThreadPool() {
 u64 ThreadPool::num_threads() const { return impl_->workers.size() + 1; }
 
 void ThreadPool::parallel_for(u64 num_tasks, u64 max_workers,
-                              const std::function<void(u64)>& fn,
-                              u64 deal_granularity, u64 deal_phase) {
+                              const std::function<void(u64)>& fn) {
     if (num_tasks == 0) return;
     u64 participants = num_threads();
     if (max_workers != 0) participants = std::min(participants, max_workers);
@@ -277,29 +193,8 @@ void ThreadPool::parallel_for(u64 num_tasks, u64 max_workers,
     std::lock_guard<std::mutex> submit_lock(impl_->submit_m);
 
     Job job;
-    job.fn          = &fn;
-    job.granularity = std::max<u64>(deal_granularity, 1);
-    job.grain_phase = job.granularity > 1 ? deal_phase % job.granularity : 0;
-    job.ranges.reserve(participants);
-    // Initial deal: contiguous equal-count blocks, with interior boundaries
-    // rounded down to the previous affinity-group start (task == phase mod
-    // granularity) so a group of adjacent tasks never starts split across
-    // two participants. Rounding down is monotone, so the boundaries still
-    // partition [0, num_tasks); any imbalance it introduces (at most one
-    // group per boundary) is repaid by stealing.
-    auto boundary = [&](u64 p) {
-        const u64 b = block_begin(num_tasks, participants, p);
-        if (p == 0 || p == participants || job.granularity <= 1) return b;
-        const u64 past =
-            (b + job.granularity - job.grain_phase) % job.granularity;
-        return b >= past ? b - past : b; // keep b when no group start precedes
-    };
-    for (u64 p = 0; p < participants; ++p) {
-        auto range  = std::make_unique<StealRange>();
-        range->next = boundary(p);
-        range->end  = boundary(p + 1);
-        job.ranges.push_back(std::move(range));
-    }
+    job.fn        = &fn;
+    job.num_tasks = num_tasks;
 
     {
         std::lock_guard<std::mutex> lock(impl_->m);
@@ -687,14 +582,6 @@ ChunkRunStats run_chunked(const ChunkOptions& opt, const ChunkFn& fn, EdgeSink& 
     ThreadPool& pool = opt.pool != nullptr ? *opt.pool : ThreadPool::global();
 
     if (opt.pin_threads) pool.pin_workers();
-    const u64 granularity = std::max<u64>(opt.deal_granularity, 1);
-    // Group boundaries live at *absolute* chunk-id multiples of the group
-    // size (that is where the geometric models' Morton blocks start); a
-    // subrange run whose `begin` is mid-group (a distributed rank with
-    // chunk_begin % granularity != 0) must shift the task-space alignment
-    // accordingly or every "group" would straddle two real blocks.
-    const u64 grain_phase =
-        granularity > 1 ? (granularity - begin % granularity) % granularity : 0;
 
     ChunkRunStats stats;
     stats.num_chunks = span;
@@ -717,7 +604,7 @@ ChunkRunStats run_chunked(const ChunkOptions& opt, const ChunkFn& fn, EdgeSink& 
                 forward.flush();
             }
             edge_hist.observe(forward.edges_forwarded());
-        }, granularity, grain_phase);
+        });
     } else if (stats.workers <= 1) {
         // Direct streaming (DESIGN.md §9): a single participant visits the
         // chunks in canonical order, so ordered delivery is automatic and
@@ -737,7 +624,9 @@ ChunkRunStats run_chunked(const ChunkOptions& opt, const ChunkFn& fn, EdgeSink& 
         // every emitted edge lands at its final resting place) and a single
         // designated drainer hands them over in canonical chunk order — the
         // output stream is bit-identical to a sequential run, for any
-        // worker count and any steal schedule. Chunks completing more than
+        // worker count and any schedule. The pool claims chunks in
+        // canonical order, so the cursor trails the claim frontier by about
+        // one chunk per worker; chunks completing more than
         // `max_buffered_bytes` ahead of the cursor park on disk, so peak
         // memory is budget + one chunk instead of O(completion skew).
         // Recycling stays on in bounded mode too: released slabs decommit
@@ -764,7 +653,7 @@ ChunkRunStats run_chunked(const ChunkOptions& opt, const ChunkFn& fn, EdgeSink& 
             }
             edge_hist.observe(buf.size());
             delivery.complete(task, std::move(buf));
-        }, granularity, grain_phase);
+        });
         assert(delivery.delivered_chunks() == span);
         stats.peak_buffered_bytes = delivery.peak_buffered_bytes();
         stats.spilled_chunks      = delivery.spilled_chunks();

@@ -4,7 +4,7 @@
 /// The paper's generators are communication-free: each MPI rank computes its
 /// part of the graph as a pure function of (rank, P, seed, parameters). This
 /// harness substitutes MPI with logical PEs executed on a persistent
-/// work-stealing thread pool (or sequentially for deterministic debugging).
+/// thread pool (or sequentially for deterministic debugging).
 /// DESIGN.md §1 documents why this preserves the paper's behaviour: the
 /// per-PE code path is identical, and the harness additionally lets tests
 /// check cross-PE invariants exactly.
@@ -48,15 +48,15 @@ EdgeList union_undirected(const std::vector<EdgeList>& per_pe);
 EdgeList union_directed(const std::vector<EdgeList>& per_pe);
 
 // ---------------------------------------------------------------------------
-// Persistent work-stealing thread pool
+// Persistent thread pool
 // ---------------------------------------------------------------------------
 
 /// Fixed-size pool whose workers persist across parallel sections (thread
-/// spin-up would otherwise dominate chunk-granular scheduling). Tasks are
-/// dealt as contiguous per-participant index ranges; a participant that
-/// drains its range steals the upper half of the largest remaining range —
-/// the textbook lazy-splitting scheme. `parallel_for` is not reentrant from
-/// worker threads; nested calls degrade to inline sequential execution.
+/// spin-up would otherwise dominate chunk-granular scheduling). Participants
+/// claim tasks one at a time from a single shared atomic cursor, so tasks
+/// start in canonical index order and the load balances itself: whoever
+/// finishes first takes the next index. `parallel_for` is not reentrant
+/// from worker threads; nested calls degrade to inline sequential execution.
 class ThreadPool {
 public:
     /// \param num_threads worker threads in addition to the caller;
@@ -72,27 +72,16 @@ public:
 
     /// Executes fn(task) for every task in [0, num_tasks), using at most
     /// `max_workers` participants (0 = all). Returns when every task has
-    /// completed. Deterministic per task; completion order is not.
-    ///
-    /// `deal_granularity` > 1 aligns the initial per-participant range
-    /// boundaries (and steal split points, where possible) to groups of
-    /// that many consecutive tasks, so groups of adjacent tasks stay on one
-    /// participant — the affinity knob the chunked engine uses to keep a
-    /// simulated PE's Morton-contiguous chunk block on one worker (see
-    /// ChunkOptions::deal_granularity). `deal_phase` shifts the group grid:
-    /// group starts sit at task == deal_phase (mod deal_granularity), for
-    /// callers whose task 0 maps to a mid-group absolute id (a distributed
-    /// rank's chunk subrange). Work stealing still rebalances, so the
-    /// alignment never costs makespan beyond one group.
-    void parallel_for(u64 num_tasks, u64 max_workers, const std::function<void(u64)>& fn,
-                      u64 deal_granularity = 1, u64 deal_phase = 0);
+    /// completed. Deterministic per task; tasks start in ascending index
+    /// order, completion order is not fixed.
+    void parallel_for(u64 num_tasks, u64 max_workers, const std::function<void(u64)>& fn);
 
     /// Pins each worker thread to a distinct CPU (round-robin over the
     /// hardware set, leaving CPU 0 to the calling participant). Idempotent;
     /// returns the number of workers pinned (0 when unsupported). Opt-in
-    /// via ChunkOptions::pin_threads — pinning helps once chunk→worker
-    /// affinity matters (stolen ranges stop migrating between cores) and is
-    /// a no-op burden otherwise, so it is never the default.
+    /// via ChunkOptions::pin_threads — pinning stops workers migrating
+    /// between cores, which pays off only where the OS scheduler migrates
+    /// them often, so it is never the default.
     u64 pin_workers();
 
     /// Lazily constructed process-wide pool (hardware_concurrency threads).
@@ -155,17 +144,6 @@ struct ChunkOptions {
     /// zero-allocation property then spans runs, not just chunks) — the
     /// future daemon's mode, and what the allocation-gate test drives.
     ChunkBufferPool* arena = nullptr;
-
-    /// Affinity-aware deal: align the initial chunk→worker ranges (and
-    /// steal splits) to groups of this many consecutive chunks. The
-    /// geometric models map consecutive chunk ids to contiguous Morton cell
-    /// ranges, so a granularity of K = chunks_per_pe keeps each simulated
-    /// PE's spatially compact chunk block on one worker — adjacent chunks
-    /// share split-tree ancestry and halo cells, so the worker's caches
-    /// stay warm across its whole block (ROADMAP "NUMA / affinity"). 0/1 =
-    /// plain equal-count deal. Scheduling only: the output stream is
-    /// byte-identical for every value.
-    u64 deal_granularity = 1;
 };
 
 /// Generator body of one logical chunk: stream chunk `chunk` of

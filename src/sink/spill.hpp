@@ -2,7 +2,8 @@
 /// \brief Disk-spill layer for bounded-memory ordered delivery.
 ///
 /// The chunked engine's ordered path must hand chunk results to the sink in
-/// canonical order, but chunks complete in steal-schedule order. Holding
+/// canonical order, but chunks complete in whatever order their workers
+/// finish them. Holding
 /// every out-of-order chunk in RAM makes peak memory proportional to the
 /// completion skew — unbounded in the worst case. This layer lets the
 /// engine park chunks that complete too far ahead of the delivery cursor on

@@ -12,7 +12,7 @@
 // with a small fixed schedule slack: the one legitimate per-run variance is
 // `ParticipantStats::flush` (pe.cpp), which builds a handful of heap string
 // temporaries per *flushing participant*, and which of the 3 participants
-// flush depends on the steal schedule — at most ~7 allocations × 3
+// flush depends on the schedule — at most ~7 allocations × 3
 // participants of jitter, independent of chunk and edge counts. The slack
 // (kScheduleSlack) covers that full span; a real per-chunk leak costs at
 // least one allocation per added chunk (84 across the 12→96 sweep), an

@@ -143,7 +143,7 @@ obs::RankTelemetry sample_telemetry() {
     ev.phase    = obs::Phase::spill_replay;
     ev.is_span  = 1;
     t.events.push_back(ev);
-    ev.phase   = obs::Phase::steal;
+    ev.phase   = obs::Phase::budget_park;
     ev.is_span = 0;
     ev.dur_ns  = 0;
     t.events.push_back(ev);
@@ -161,7 +161,7 @@ TEST(ObsTelemetry, RoundTrips) {
     ASSERT_EQ(back.events.size(), 2u);
     EXPECT_EQ(back.events[0].phase, obs::Phase::spill_replay);
     EXPECT_EQ(back.events[0].is_span, 1);
-    EXPECT_EQ(back.events[1].phase, obs::Phase::steal);
+    EXPECT_EQ(back.events[1].phase, obs::Phase::budget_park);
     EXPECT_EQ(back.events[1].is_span, 0);
     EXPECT_EQ(back.events[1].tid, 2u);
     EXPECT_EQ(back.metrics.counter_or("edges"), 42u);
@@ -244,7 +244,7 @@ TEST(ObsRecorder, DisabledRecorderRecordsNothing) {
     {
         const obs::Span span(obs::Phase::generate, 1);
     }
-    obs::instant(obs::Phase::steal);
+    obs::instant(obs::Phase::budget_park);
     std::vector<obs::TraceEvent> events;
     rec.drain(events);
     EXPECT_TRUE(events.empty());
@@ -271,7 +271,7 @@ TEST(ObsTrace, ChromeJsonCarriesRankProcessesSpansAndInstants) {
     r1.offset_ns = -5000; // clamps the early event to ts 0
     ev.begin_ns  = 1000;
     ev.dur_ns    = 0;
-    ev.phase     = obs::Phase::steal;
+    ev.phase     = obs::Phase::budget_park;
     ev.is_span   = 0;
     r1.events.push_back(ev);
 

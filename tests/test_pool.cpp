@@ -2,8 +2,8 @@
 // ChunkBufferPool units, recycled multi-worker ordered delivery
 // (byte-identical to sequential, recycling engaged — including in
 // bounded-memory mode, where released slabs decommit instead of the pool
-// switching off), affinity-aware deal granularity (every task exactly
-// once, group-aligned initial deal, identical output), and worker pinning.
+// switching off), canonical-order claiming (exact subrange slices, a
+// resident window of a few chunks), and worker pinning.
 // ctest label: pool (re-run under ASan in CI).
 #include <gtest/gtest.h>
 
@@ -134,7 +134,7 @@ TEST(RecycledDelivery, MultiWorkerOutputMatchesSequentialAndRecycles) {
 
     // Whoever delivers chunk 0 releases its slab before acquiring one for
     // its next chunk, so a run recycles unless that participant happened to
-    // execute no further chunk — a steal schedule so extreme that three
+    // execute no further chunk — a schedule so extreme that three
     // attempts hitting it in a row indicates a real regression.
     u64 recycled = 0;
     for (int attempt = 0; attempt < 3 && recycled == 0; ++attempt) {
@@ -218,34 +218,12 @@ TEST(RecycledDelivery, SingleWorkerStreamsWithoutChunkBuffers) {
 }
 
 // ---------------------------------------------------------------------------
-// Affinity-aware deal granularity
+// Canonical-order claiming
 // ---------------------------------------------------------------------------
 
-TEST(AffinityDeal, EveryTaskRunsExactlyOnceForAnyGranularityAndPhase) {
-    pe::ThreadPool pool(3);
-    for (const u64 tasks : {u64{1}, u64{7}, u64{24}, u64{100}}) {
-        for (const u64 granularity : {u64{0}, u64{1}, u64{3}, u64{4}, u64{64}}) {
-            for (const u64 phase : {u64{0}, u64{1}, u64{2}}) {
-                std::vector<std::atomic<u64>> hits(tasks);
-                for (auto& h : hits) h.store(0);
-                pool.parallel_for(
-                    tasks, 0, [&](u64 t) { hits[t].fetch_add(1); }, granularity,
-                    phase);
-                for (u64 t = 0; t < tasks; ++t) {
-                    EXPECT_EQ(hits[t].load(), 1u)
-                        << "task " << t << " tasks=" << tasks
-                        << " granularity=" << granularity << " phase=" << phase;
-                }
-            }
-        }
-    }
-}
-
-TEST(AffinityDeal, SubrangeRunsAnchorGroupsToAbsoluteChunkIds) {
-    // A distributed rank's chunk subrange may start mid-group; the engine
-    // must shift the task-space group grid so groups still align to
-    // absolute chunk-id multiples of the granularity — and the output is
-    // the exact slice either way.
+TEST(CanonicalClaim, SubrangeRunIsTheExactSlice) {
+    // A distributed rank's chunk subrange starts mid-decomposition; the
+    // multi-worker run must still emit exactly that slice of the stream.
     constexpr u64 kChunks = 30;
     pe::ThreadPool pool(3);
 
@@ -255,54 +233,56 @@ TEST(AffinityDeal, SubrangeRunsAnchorGroupsToAbsoluteChunkIds) {
     seq.total_chunks = kChunks;
     seq.threads      = 1;
     seq.pool         = &pool;
-    seq.chunk_begin  = 5; // not a multiple of the granularity below
+    seq.chunk_begin  = 5;
     seq.chunk_end    = 29;
     pe::run_chunked(seq, chunk_fn(), ref_sink);
 
     pe::ChunkOptions opt = seq;
     opt.threads          = 4;
-    opt.deal_granularity = 4;
     MemorySink sink;
     pe::run_chunked(opt, chunk_fn(), sink);
     EXPECT_EQ(sink.take(), ref_sink.take());
 }
 
-TEST(AffinityDeal, GranularityPreservesOrderedOutput) {
-    constexpr u64 kChunks = 30;
+/// Ordered sink that only counts: delivery costs next to nothing, so the
+/// resident window measures the schedule, not the sink.
+class OrderedCountSink final : public EdgeSink {
+public:
+    u64 edges = 0;
+
+protected:
+    void consume(const Edge*, std::size_t count) override { edges += count; }
+};
+
+TEST(CanonicalClaim, OrderedDeliveryKeepsAFewChunksResident) {
+    // Regression for the contiguous per-participant deal this cursor
+    // replaced: with 4 participants each owning a block of 8 of 32 chunks,
+    // chunks 8-31 finished and waited for participant 0's block, so about
+    // three quarters of the output sat in chunk buffers at peak. Claiming
+    // in canonical order keeps the delivery cursor about one chunk per
+    // worker behind the frontier. A descheduled worker can still stall the
+    // cursor for a while, so a run gets three attempts to stay under half
+    // the output.
+    Config cfg;
+    cfg.model        = Model::GnmDirected;
+    cfg.n            = u64{1} << 18;
+    cfg.m            = u64{1} << 22; // chunks of a few ms: longer than a time slice
+    cfg.seed         = 3;
+    cfg.total_chunks = 32;
+    const u64 output_bytes = cfg.m * sizeof(Edge);
     pe::ThreadPool pool(3);
 
-    MemorySink ref_sink;
-    pe::ChunkOptions seq;
-    seq.num_pes      = kChunks;
-    seq.total_chunks = kChunks;
-    seq.threads      = 1;
-    seq.pool         = &pool;
-    pe::run_chunked(seq, chunk_fn(), ref_sink);
-    const EdgeList reference = ref_sink.take();
-
-    for (const u64 granularity : {u64{2}, u64{5}, u64{30}}) {
-        pe::ChunkOptions opt  = seq;
-        opt.threads           = 4;
-        opt.deal_granularity  = granularity;
-        MemorySink sink;
-        pe::run_chunked(opt, chunk_fn(), sink);
-        EXPECT_EQ(sink.take(), reference) << "granularity=" << granularity;
+    u64 peak = output_bytes;
+    for (int attempt = 0; attempt < 3 && 2 * peak > output_bytes; ++attempt) {
+        OrderedCountSink sink;
+        const ChunkStats stats = generate_chunked(cfg, 4, sink, /*threads=*/4, &pool);
+        sink.finish();
+        ASSERT_EQ(sink.edges, cfg.m);
+        ASSERT_EQ(stats.workers, 4u);
+        peak = stats.peak_buffered_bytes;
     }
-}
-
-TEST(AffinityDeal, GeometricModelsRequestChunkGroupDeal) {
-    Config cfg;
-    cfg.model         = Model::Rgg2D;
-    cfg.chunks_per_pe = 4;
-    EXPECT_EQ(chunk_deal_granularity(cfg), 4u);
-    cfg.model = Model::Rdg3D;
-    EXPECT_EQ(chunk_deal_granularity(cfg), 4u);
-    cfg.model = Model::GnmDirected;
-    EXPECT_EQ(chunk_deal_granularity(cfg), 1u)
-        << "non-spatial models keep the plain deal";
-    cfg.model         = Model::Rgg3D;
-    cfg.chunks_per_pe = 0;
-    EXPECT_EQ(chunk_deal_granularity(cfg), 1u);
+    EXPECT_LE(2 * peak, output_bytes)
+        << "peak resident chunk bytes " << peak << " of " << output_bytes;
 }
 
 // ---------------------------------------------------------------------------

@@ -164,22 +164,23 @@ TEST_F(SinkFileTest, StreamingReaderReplaysFileThroughSinks) {
 }
 
 // ---------------------------------------------------------------------------
-// Work-stealing thread pool
+// Thread pool
 // ---------------------------------------------------------------------------
 
 TEST(ThreadPool, EveryTaskRunsExactlyOnce) {
     pe::ThreadPool pool(3);
-    constexpr u64 kTasks = 5000;
-    std::vector<std::atomic<u32>> hits(kTasks);
-    pool.parallel_for(kTasks, 0, [&](u64 t) { hits[t].fetch_add(1); });
-    for (u64 t = 0; t < kTasks; ++t) {
-        ASSERT_EQ(hits[t].load(), 1u) << "task " << t;
+    for (const u64 tasks : {u64{1}, u64{7}, u64{24}, u64{100}, u64{5000}}) {
+        std::vector<std::atomic<u32>> hits(tasks);
+        pool.parallel_for(tasks, 0, [&](u64 t) { hits[t].fetch_add(1); });
+        for (u64 t = 0; t < tasks; ++t) {
+            ASSERT_EQ(hits[t].load(), 1u) << "task " << t << " of " << tasks;
+        }
     }
 }
 
-TEST(ThreadPool, StealsFromImbalancedRanges) {
-    // A heavy prefix forces the other participants to steal: every task must
-    // still run exactly once afterwards.
+TEST(ThreadPool, ImbalancedTasksRunExactlyOnce) {
+    // A heavy prefix keeps some participants busy while the others claim
+    // the cheap tail: every task must still run exactly once.
     pe::ThreadPool pool(3);
     constexpr u64 kTasks = 64;
     std::vector<std::atomic<u32>> hits(kTasks);
@@ -265,7 +266,7 @@ TEST_P(ChunkedEngine, MatchesPerRankSequentialPath) {
 
 TEST_P(ChunkedEngine, ThreadedRunIsBitIdenticalToSequential) {
     // Ordered delivery makes the engine's edge stream independent of the
-    // worker count and steal schedule. The local 4-participant pool
+    // worker count and schedule. The local 4-participant pool
     // exercises true concurrency even on single-core CI machines.
     Config cfg        = engine_config(GetParam(), 400);
     cfg.chunks_per_pe = 4;
