@@ -3,7 +3,7 @@
 // multi-process backend at 1/2/4 ranks. Because workers are real processes
 // with private address spaces, this is the repo's closest stand-in for the
 // paper's multi-node setting: per-rank generation is embarrassingly
-// parallel, and everything the coordinator adds — fork, stats pipes, rank
+// parallel, and everything the coordinator adds — fork, rank channels, rank
 // files, the rank-order merge — is the measured "distribution tax". The
 // merged output is byte-identical to the in-process run (tests/test_dist),
 // so the comparison is strictly like for like. Recorded outcomes live in
@@ -90,7 +90,7 @@ KAGEN_BENCH_MAIN(
     "(n=2^17, m=2^21, 16 pinned chunks) through the in-process engine "
     "(ranks=0) and the multi-process backend at 1/2/4 forked ranks. "
     "generation_s is the slowest rank's makespan, coordinator_s the full "
-    "wall time; their difference is the fork + stats-pipe + rank-file-merge "
+    "wall time; their difference is the fork + rank-channel + rank-file-merge "
     "tax. Outputs are byte-identical across all rows, so rates compare "
     "like for like. On multi-core hosts ranks>1 should beat ranks=1 on "
     "generation_s; recorded outcomes in EXPERIMENTS.md.")

@@ -15,14 +15,13 @@
 //    each generating a contiguous share of the same chunk decomposition in
 //    its own address space with zero inter-worker communication; the
 //    coordinator merges per-rank files/stats. Output is byte-identical to
-//    the single-process -sink run with the same -pes/-chunks-per-pe
-//    (DESIGN.md §8).
+//    the single-process -sink run with the same -pes/-chunks-per-pe.
 //  * multi-node TCP backend (-listen/-connect ... -sink ..., workers run
-//    `kagen_tool -worker host:port`): the same decomposition and merge over
-//    sockets instead of fork+pipes, so the workers can live on other
+//    `kagen_tool -worker host:port`): the same coordinator and worker loop
+//    over TCP instead of socketpairs, so the workers can live on other
 //    machines. Output is byte-identical to both paths above; `-manifest`
 //    instead of `-o` leaves each rank file on its worker's machine and
-//    writes a text manifest naming every piece (DESIGN.md §11).
+//    writes a text manifest naming every piece (DESIGN.md §8).
 //
 // Every flag value is parsed strictly: non-numeric, trailing-garbage,
 // out-of-range, and valueless flags all exit 2 with a diagnostic instead of
@@ -51,27 +50,6 @@ using namespace kagen;
 namespace {
 
 u64 g_verbose = 0; // -v LEVEL
-
-// Engine-stats tail shared by every file-producing backend. The TCP
-// summary used to print only merged_bytes, silently dropping the
-// spill/recycle/zero-copy accounting the fork backend reported — one
-// formatter keeps the backends honest about the same fields.
-std::string engine_stats_str(u64 peak_buffered, u64 spilled_chunks,
-                             u64 spilled_bytes, u64 buffers_recycled,
-                             u64 merged_bytes, u64 cfr_bytes) {
-    char buf[320];
-    std::snprintf(buf, sizeof(buf),
-                  "peak_buffered_bytes=%llu spilled_chunks=%llu "
-                  "spilled_bytes=%llu buffers_recycled=%llu merged_bytes=%llu "
-                  "copy_file_range_bytes=%llu",
-                  static_cast<unsigned long long>(peak_buffered),
-                  static_cast<unsigned long long>(spilled_chunks),
-                  static_cast<unsigned long long>(spilled_bytes),
-                  static_cast<unsigned long long>(buffers_recycled),
-                  static_cast<unsigned long long>(merged_bytes),
-                  static_cast<unsigned long long>(cfr_bytes));
-    return buf;
-}
 
 // -v: per-worker pool utilization (busy ns, tasks) straight
 // from the metrics registry. In-process pools only — forked/TCP workers
@@ -260,73 +238,15 @@ std::vector<std::string> split_commas(const std::string& list) {
     return out;
 }
 
-int run_distributed_sink(const Config& cfg, const std::string& kind, u64 ranks,
-                         u64 pes, u64 threads_per_rank, bool keep_rank_files,
-                         const char* out_path, const char* dedup_out,
-                         u64 sort_memory) {
-    dist::DistOptions opts;
-    opts.num_ranks        = ranks;
-    opts.num_pes          = pes;
-    opts.threads_per_rank = threads_per_rank;
-    opts.keep_rank_files  = keep_rank_files;
-    if (kind == "file") {
-        if (out_path == nullptr) {
-            std::fprintf(stderr, "-ranks with -sink file requires -o FILE\n");
-            return 2;
-        }
-        opts.output_path = out_path;
-        if (dedup_out != nullptr) {
-            opts.dedup_path  = dedup_out;
-            opts.sort_memory = sort_memory;
-        }
-    } else if (kind == "stats") {
-        opts.degree_stats = true;
-    } else if (kind != "count") {
-        std::fprintf(stderr, "-ranks requires -sink count|stats|file, got '%s'\n",
-                     kind.c_str());
-        return 2;
-    }
-    const dist::DistResult res = generate_distributed(cfg, opts);
-    if (kind == "count") {
-        std::printf("model=%s n=%llu %s ranks=%llu chunks=%llu seconds=%.6f\n",
-                    model_name(cfg.model), static_cast<unsigned long long>(res.n),
-                    res.count.str().c_str(),
-                    static_cast<unsigned long long>(res.num_ranks),
-                    static_cast<unsigned long long>(res.num_chunks), res.seconds);
-        return 0;
-    }
-    if (kind == "stats") {
-        std::printf("model=%s n=%llu %s ranks=%llu chunks=%llu seconds=%.6f\n",
-                    model_name(cfg.model), static_cast<unsigned long long>(res.n),
-                    res.degrees.str().c_str(),
-                    static_cast<unsigned long long>(res.num_ranks),
-                    static_cast<unsigned long long>(res.num_chunks), res.seconds);
-        return 0;
-    }
-    std::printf("model=%s n=%llu edges[%s]=%llu -> %s (binary) ranks=%llu "
-                "chunks=%llu seconds=%.6f %s copy_file_range_used=%d\n",
-                model_name(cfg.model), static_cast<unsigned long long>(res.n),
-                semantics_name(cfg.edge_semantics),
-                static_cast<unsigned long long>(res.edges_written), out_path,
-                static_cast<unsigned long long>(res.num_ranks),
-                static_cast<unsigned long long>(res.num_chunks), res.seconds,
-                engine_stats_str(res.peak_buffered_bytes, res.spilled_chunks,
-                                 res.spilled_bytes, res.buffers_recycled,
-                                 res.merged_bytes, res.copy_file_range_bytes)
-                    .c_str(),
-                res.copy_file_range_used() ? 1 : 0);
-    if (dedup_out != nullptr) {
-        std::printf("dedup -> %s unique_edges=%llu sort_memory_bytes=%llu\n",
-                    dedup_out, static_cast<unsigned long long>(res.dedup_edges),
-                    static_cast<unsigned long long>(sort_memory));
-    }
-    return 0;
-}
-
-int run_net_sink(const Config& cfg, const std::string& kind,
-                 net::NetOptions opts, const char* out_path,
-                 const char* manifest_path, const char* dedup_out,
-                 u64 sort_memory) {
+// The forked (-ranks N, ranks != 0) and TCP (-listen/-connect) backends
+// share one coordinator and this one printer. Scripts parse its tokens:
+// edges[<sem>]= and unique_edges= (perfbench/run.py), ranks= (forked) and
+// workers= (TCP) in the CI smokes.
+int run_coordinated_sink(const Config& cfg, const std::string& kind, u64 ranks,
+                         bool keep_rank_files, net::NetOptions opts,
+                         const char* out_path, const char* manifest_path,
+                         const char* dedup_out, u64 sort_memory) {
+    const bool forked = ranks != 0;
     if (kind == "file") {
         if (manifest_path != nullptr) {
             opts.manifest_path = manifest_path;
@@ -337,53 +257,70 @@ int run_net_sink(const Config& cfg, const std::string& kind,
                 opts.sort_memory = sort_memory;
             }
         } else {
-            std::fprintf(
-                stderr,
-                "multi-node -sink file requires -o FILE (gather) or "
-                "-manifest FILE (partitioned)\n");
+            std::fprintf(stderr, "%s\n",
+                         forked ? "-ranks with -sink file requires -o FILE"
+                                : "multi-node -sink file requires -o FILE (gather) or "
+                                  "-manifest FILE (partitioned)");
             return 2;
         }
     } else if (kind == "stats") {
         opts.degree_stats = true;
     } else if (kind != "count") {
-        std::fprintf(stderr,
-                     "-listen/-connect requires -sink count|stats|file, got '%s'\n",
-                     kind.c_str());
+        std::fprintf(stderr, "%s requires -sink count|stats|file, got '%s'\n",
+                     forked ? "-ranks" : "-listen/-connect", kind.c_str());
         return 2;
     }
-    const net::NetResult res = net::run_net_coordinator(cfg, opts);
+    net::RunResult res;
+    if (forked) {
+        dist::DistOptions dopt;
+        dopt.num_ranks        = ranks;
+        dopt.num_pes          = opts.num_pes;
+        dopt.threads_per_rank = opts.threads_per_worker;
+        dopt.keep_rank_files  = keep_rank_files;
+        dopt.output_path      = opts.output_path;
+        dopt.degree_stats     = opts.degree_stats;
+        dopt.dedup_path       = opts.dedup_path;
+        dopt.sort_memory      = opts.sort_memory;
+        res = generate_distributed(cfg, dopt);
+    } else {
+        res = net::run_net_coordinator(cfg, opts);
+    }
+    const char* unit = forked ? "ranks" : "workers";
     if (kind == "count" || kind == "stats") {
-        std::printf("model=%s n=%llu %s workers=%llu chunks=%llu seconds=%.6f\n",
+        std::printf("model=%s n=%llu %s %s=%llu chunks=%llu seconds=%.6f\n",
                     model_name(cfg.model), static_cast<unsigned long long>(res.n),
-                    kind == "count" ? res.count.str().c_str()
-                                    : res.degrees.str().c_str(),
-                    static_cast<unsigned long long>(res.num_workers),
+                    kind == "count" ? res.count.str().c_str() : res.degrees.str().c_str(),
+                    unit, static_cast<unsigned long long>(res.num_ranks),
                     static_cast<unsigned long long>(res.num_chunks), res.seconds);
         return 0;
     }
     if (manifest_path != nullptr) {
-        u64 total_edges = 0;
-        for (const auto& entry : res.manifest) total_edges += entry.edges;
         std::printf("model=%s n=%llu edges[%s]=%llu partitioned across %zu "
                     "workers -> %s (manifest) chunks=%llu seconds=%.6f\n",
                     model_name(cfg.model), static_cast<unsigned long long>(res.n),
                     semantics_name(cfg.edge_semantics),
-                    static_cast<unsigned long long>(total_edges),
+                    static_cast<unsigned long long>(res.count.num_edges),
                     res.manifest.size(), manifest_path,
                     static_cast<unsigned long long>(res.num_chunks), res.seconds);
         return 0;
     }
-    std::printf("model=%s n=%llu edges[%s]=%llu -> %s (binary) workers=%llu "
-                "chunks=%llu seconds=%.6f %s\n",
+    std::printf("model=%s n=%llu edges[%s]=%llu -> %s (binary) %s=%llu "
+                "chunks=%llu seconds=%.6f peak_buffered_bytes=%llu "
+                "spilled_chunks=%llu spilled_bytes=%llu buffers_recycled=%llu "
+                "merged_bytes=%llu copy_file_range_bytes=%llu "
+                "copy_file_range_used=%d\n",
                 model_name(cfg.model), static_cast<unsigned long long>(res.n),
                 semantics_name(cfg.edge_semantics),
-                static_cast<unsigned long long>(res.edges_written), out_path,
-                static_cast<unsigned long long>(res.num_workers),
+                static_cast<unsigned long long>(res.edges_written), out_path, unit,
+                static_cast<unsigned long long>(res.num_ranks),
                 static_cast<unsigned long long>(res.num_chunks), res.seconds,
-                engine_stats_str(res.peak_buffered_bytes, res.spilled_chunks,
-                                 res.spilled_bytes, res.buffers_recycled,
-                                 res.merged_bytes, 0)
-                    .c_str());
+                static_cast<unsigned long long>(res.peak_buffered_bytes),
+                static_cast<unsigned long long>(res.spilled_chunks),
+                static_cast<unsigned long long>(res.spilled_bytes),
+                static_cast<unsigned long long>(res.buffers_recycled),
+                static_cast<unsigned long long>(res.merged_bytes),
+                static_cast<unsigned long long>(res.copy_file_range_bytes),
+                res.copy_file_range_used() ? 1 : 0);
     if (dedup_out != nullptr) {
         std::printf("dedup -> %s unique_edges=%llu sort_memory_bytes=%llu\n",
                     dedup_out, static_cast<unsigned long long>(res.dedup_edges),
@@ -709,15 +646,11 @@ int main(int argc, char** argv) {
 
     try {
         int rc;
-        if (net_mode) {
+        if (net_mode || ranks != 0) {
             net_opts.num_pes            = pes;
             net_opts.threads_per_worker = threads_per_rank;
-            rc = run_net_sink(cfg, sink_kind, net_opts, out_path,
-                              manifest_path, dedup_out, sort_memory);
-        } else if (ranks != 0) {
-            rc = run_distributed_sink(cfg, sink_kind, ranks, pes,
-                                      threads_per_rank, keep_rank_files,
-                                      out_path, dedup_out, sort_memory);
+            rc = run_coordinated_sink(cfg, sink_kind, ranks, keep_rank_files, net_opts,
+                                      out_path, manifest_path, dedup_out, sort_memory);
         } else if (!sink_kind.empty()) {
             rc = run_chunked_sink(cfg, sink_kind, pes, out_path, dedup_out,
                                   sort_memory);

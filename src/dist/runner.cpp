@@ -1,42 +1,20 @@
 #include "dist/runner.hpp"
 
-#include <atomic>
 #include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
 
 #include <fcntl.h>
-#include <signal.h>
 #include <sys/stat.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
+#include "common/bytes.hpp"
 #include "common/fileio.hpp"
-#include "common/math.hpp"
-#include "graph/em_sort.hpp"
 #include "kagen.hpp"
-#include "obs/trace.hpp"
 
 namespace kagen::dist {
 namespace {
-
-[[noreturn]] void throw_errno(const std::string& what) {
-    throw std::runtime_error("generate_distributed: " + what + ": " +
-                             std::strerror(errno));
-}
-
-std::string scratch_base(const DistOptions& opt) {
-    if (!opt.scratch_dir.empty()) return opt.scratch_dir;
-    const char* tmpdir = std::getenv("TMPDIR");
-    return tmpdir && *tmpdir ? tmpdir : "/tmp";
-}
-
-/// Distinguishes concurrent distributed runs of one coordinator process in
-/// the rank-file names (the pid alone covers concurrent processes).
-std::atomic<u64> g_run_counter{0};
 
 /// Worker-side fan-out sink: forwards every batch to the rank's binary file
 /// (when writing one) and to the local statistics sinks. With a file the
@@ -64,153 +42,70 @@ private:
     DegreeStatsSink* degrees_;
 };
 
-/// Everything a worker process does after the fork. Never returns: the
-/// child must leave via _exit so it cannot run the coordinator's atexit
-/// handlers or flush inherited stdio buffers twice.
-[[noreturn]] void worker_main(const Config& cfg, const DistOptions& opt, u64 rank,
-                              u64 num_chunks, u64 chunk_begin, u64 chunk_end,
-                              const std::string& rank_path, int write_fd) {
-    // A coordinator that died (or closed its read end after a decode
-    // failure) must surface as EPIPE from the frame write — not kill the
-    // worker with SIGPIPE before the error path can run.
-    ::signal(SIGPIPE, SIG_IGN);
-    RankReport report;
-    report.rank        = rank;
-    report.chunk_begin = chunk_begin;
-    report.chunk_end   = chunk_end;
-    int exit_code      = 0;
-    // Telemetry request rides the inherited Config (fork shares the memory
-    // image; the TCP twin gets the same bit via JobSpec::want_trace).
-    const bool want_telemetry =
-        !cfg.trace_path.empty() || !cfg.metrics_path.empty();
-    obs::Snapshot obs_base;
-    if (want_telemetry) obs_base = obs::begin_rank_telemetry();
-    try {
-        if (opt.rank_hook) opt.rank_hook(rank);
-
-        RankJob job;
-        job.rank         = rank;
-        job.num_chunks   = num_chunks;
-        job.chunk_begin  = chunk_begin;
-        job.chunk_end    = chunk_end;
-        job.threads      = opt.threads_per_rank;
-        job.degree_stats = opt.degree_stats;
-        job.rank_path    = rank_path;
-        report           = execute_rank_job(cfg, job);
-    } catch (const std::exception& e) {
-        report.ok    = false;
-        report.error = e.what();
-        exit_code    = 1;
-    } catch (...) {
-        report.ok    = false;
-        report.error = "unknown exception";
-        exit_code    = 1;
-    }
-    try {
-        write_frame(write_fd, serialize_report(report));
-        if (want_telemetry) {
-            // Second frame on the same pipe, version-free: the coordinator
-            // reads it exactly when it asked for it. clock_base stays 0 —
-            // fork workers share the machine's CLOCK_MONOTONIC, so their
-            // timelines land on the coordinator clock with no offset.
-            obs::RankTelemetry telemetry =
-                obs::end_rank_telemetry(rank, obs_base);
-            write_frame(write_fd, obs::serialize_telemetry(telemetry));
-        }
-    } catch (...) {
-        exit_code = 1; // coordinator gone; nothing left to report to
-    }
-    // The process is about to _exit; the pipe fd dies with it either way.
-    fileio::close_or_warn(write_fd, "stats pipe");
-    ::_exit(exit_code);
+void put_chunk_run_stats(std::vector<u8>& out, const pe::ChunkRunStats& s) {
+    bytes::put_u64(out, s.num_chunks);
+    bytes::put_u64(out, s.workers);
+    bytes::put_f64(out, s.seconds);
+    bytes::put_u64(out, s.peak_buffered_bytes);
+    bytes::put_u64(out, s.spilled_chunks);
+    bytes::put_u64(out, s.spilled_bytes);
+    bytes::put_u64(out, s.buffers_recycled);
+    bytes::put_u64(out, s.buffers_allocated);
 }
 
-struct Worker {
-    pid_t pid = -1;
-    std::unique_ptr<StatsPipe> pipe;
-    std::string rank_path;
-};
-
-void remove_file(const std::string& path) {
-    // Cleanup of partial/temporary files on failure paths: best effort.
-    fileio::unlink_or_warn(path.c_str(), "partial output");
-}
-
-/// Human-readable death cause from a waitpid status.
-std::string describe_status(int status) {
-    if (WIFEXITED(status)) {
-        return "exited with status " + std::to_string(WEXITSTATUS(status));
-    }
-    if (WIFSIGNALED(status)) {
-        const int sig = WTERMSIG(status);
-        return "killed by signal " + std::to_string(sig) + " (" +
-               strsignal(sig) + ")";
-    }
-    return "ended with unrecognized wait status " + std::to_string(status);
-}
-
-int wait_for(pid_t pid) {
-    int status = 0;
-    for (;;) {
-        if (::waitpid(pid, &status, 0) >= 0) return status;
-        if (errno != EINTR) throw_errno("waitpid failed");
-    }
-}
-
-/// Test/ops escape hatch: force the coordinator merge onto the userspace
-/// read/write fallback (pins byte-identity of both paths in CI).
-bool copy_file_range_disabled() {
-    const char* v = std::getenv("KAGEN_DISABLE_COPY_FILE_RANGE");
-    return v != nullptr && *v != '\0' && *v != '0';
-}
-
-/// Validates a rank file against the worker's report (header count and
-/// exact byte size) and appends its payload to `out_fd` at its current
-/// offset. Kernel-side zero-copy via fileio::copy_bytes (copy_file_range
-/// with an EINTR-safe read/write fallback); both paths verify the full
-/// payload length arrived, so a shrinking rank file still fails loudly.
-fileio::CopyStats append_rank_file(int out_fd, const std::string& rank_path,
-                                   u64 expected_edges) {
-    const int fd = ::open(rank_path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0) throw_errno("cannot reopen rank file '" + rank_path + "'");
-    struct FdGuard {
-        int fd;
-        ~FdGuard() { fileio::close_or_warn(fd, "rank file"); }
-    } guard{fd};
-
-    u64 header = 0;
-    if (!read_exact(fd, &header, sizeof(header))) {
-        throw std::runtime_error("generate_distributed: rank file '" + rank_path +
-                                 "' has no header");
-    }
-    if (header != expected_edges) {
-        throw std::runtime_error(
-            "generate_distributed: rank file '" + rank_path + "' header claims " +
-            std::to_string(header) + " edges, worker reported " +
-            std::to_string(expected_edges));
-    }
-    struct stat st{};
-    if (::fstat(fd, &st) != 0) throw_errno("fstat '" + rank_path + "'");
-    const u64 expected_bytes = 8 + 16 * expected_edges;
-    if (static_cast<u64>(st.st_size) != expected_bytes) {
-        throw std::runtime_error(
-            "generate_distributed: rank file '" + rank_path + "' is " +
-            std::to_string(st.st_size) + " bytes, expected " +
-            std::to_string(expected_bytes));
-    }
-
-    // read_exact advanced the offset past the header; the payload copy
-    // continues from there.
-    try {
-        return fileio::copy_bytes(fd, out_fd, expected_bytes - 8,
-                                  !copy_file_range_disabled());
-    } catch (const std::exception& e) {
-        throw std::runtime_error("generate_distributed: merging '" + rank_path +
-                                 "': " + e.what());
-    }
+pe::ChunkRunStats get_chunk_run_stats(const u8*& p, const u8* end) {
+    pe::ChunkRunStats s;
+    s.num_chunks          = bytes::get_u64(p, end);
+    s.workers             = bytes::get_u64(p, end);
+    s.seconds             = bytes::get_f64(p, end);
+    s.peak_buffered_bytes = bytes::get_u64(p, end);
+    s.spilled_chunks      = bytes::get_u64(p, end);
+    s.spilled_bytes       = bytes::get_u64(p, end);
+    s.buffers_recycled    = bytes::get_u64(p, end);
+    s.buffers_allocated   = bytes::get_u64(p, end);
+    return s;
 }
 
 } // namespace
+
+std::vector<u8> serialize_report(const RankReport& report) {
+    std::vector<u8> out;
+    bytes::put_u64(out, report.rank);
+    bytes::put_u64(out, report.ok ? 1 : 0);
+    if (!report.ok) {
+        bytes::put_string(out, report.error);
+        return out;
+    }
+    put_chunk_run_stats(out, report.stats);
+    bytes::put_u64(out, report.chunk_begin);
+    bytes::put_u64(out, report.chunk_end);
+    bytes::put_u64(out, report.file_edges);
+    report.count.serialize(out);
+    bytes::put_u64(out, report.has_degrees ? 1 : 0);
+    if (report.has_degrees) report.degrees.serialize(out);
+    return out;
+}
+
+RankReport deserialize_report(const std::vector<u8>& payload) {
+    const u8* p   = payload.data();
+    const u8* end = p + payload.size();
+    RankReport report;
+    report.rank = bytes::get_u64(p, end);
+    report.ok   = bytes::get_u64(p, end) != 0;
+    if (!report.ok) {
+        report.error = bytes::get_string(p, end);
+        return report;
+    }
+    report.stats       = get_chunk_run_stats(p, end);
+    report.chunk_begin = bytes::get_u64(p, end);
+    report.chunk_end   = bytes::get_u64(p, end);
+    report.file_edges  = bytes::get_u64(p, end);
+    report.count       = CountingSummary::deserialize(p, end);
+    report.has_degrees = bytes::get_u64(p, end) != 0;
+    if (report.has_degrees) report.degrees = DegreeStatsSummary::deserialize(p, end);
+    if (p != end) throw std::runtime_error("rank report: trailing bytes");
+    return report;
+}
 
 RankReport execute_rank_job(const Config& cfg, const RankJob& job) {
     RankReport report;
@@ -278,257 +173,60 @@ RankReport execute_rank_job(const Config& cfg, const RankJob& job) {
     return report;
 }
 
+fileio::CopyStats copy_rank_file(const std::string& path, u64 edges, int out_fd,
+                                 bool allow_copy_file_range) {
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) {
+        throw std::runtime_error("cannot open rank file '" + path +
+                                 "': " + std::strerror(errno));
+    }
+    struct FdGuard {
+        int fd;
+        ~FdGuard() { fileio::close_or_warn(fd, "rank file"); }
+    } guard{fd};
+
+    struct stat st{};
+    if (::fstat(fd, &st) != 0) {
+        throw std::runtime_error("fstat '" + path + "': " + std::strerror(errno));
+    }
+    const u64 expected_bytes = 8 + 16 * edges;
+    if (static_cast<u64>(st.st_size) != expected_bytes) {
+        throw std::runtime_error("rank file '" + path + "' is " +
+                                 std::to_string(st.st_size) + " bytes, expected " +
+                                 std::to_string(expected_bytes));
+    }
+    // A regular file of at least 8 bytes returns its header in one read.
+    u64 header = 0;
+    if (::read(fd, &header, sizeof(header)) != static_cast<ssize_t>(sizeof(header))) {
+        throw std::runtime_error("cannot read the header of rank file '" + path + "'");
+    }
+    if (header != edges) {
+        throw std::runtime_error("rank file '" + path + "' header claims " +
+                                 std::to_string(header) + " edges, the rank reported " +
+                                 std::to_string(edges));
+    }
+    if (out_fd < 0) return {};
+    // The header read left the offset at the payload.
+    return fileio::copy_bytes(fd, out_fd, expected_bytes - 8, allow_copy_file_range);
+}
+
 DistResult run_distributed(const Config& cfg, const DistOptions& opts) {
-    DistOptions opt = opts;
-    if (opt.num_ranks == 0) opt.num_ranks = 1;
-    if (opt.num_pes == 0) opt.num_pes = opt.num_ranks;
-    if (opt.threads_per_rank == 0) opt.threads_per_rank = 1;
-    if (cfg.chunks_per_pe == 0) {
-        throw std::invalid_argument(
-            "generate_distributed: chunks_per_pe must be >= 1");
-    }
-    if (!opt.dedup_path.empty() && opt.output_path.empty()) {
-        throw std::invalid_argument(
-            "generate_distributed: dedup_path requires output_path");
-    }
-
-    DistResult result;
-    result.n = num_vertices(cfg); // validates the config before any fork
-    result.num_chunks =
-        cfg.total_chunks != 0 ? cfg.total_chunks : cfg.chunks_per_pe * opt.num_pes;
-    result.num_ranks = opt.num_ranks;
-
-    const bool want_file = !opt.output_path.empty();
-    const bool want_telemetry =
-        !cfg.trace_path.empty() || !cfg.metrics_path.empty();
-    const std::string scratch =
-        scratch_base(opt) + "/kagen_dist." + std::to_string(::getpid()) + "." +
-        std::to_string(g_run_counter.fetch_add(1)) + ".rank";
-
-    // Fork the fleet. Flush stdio first: the children inherit the parent's
-    // FILE buffers, and although they always leave via _exit (which does
-    // not flush), any library printf inside the worker must not re-emit
-    // buffered coordinator output.
-    std::fflush(stdout);
-    std::fflush(stderr);
-    std::vector<Worker> workers(opt.num_ranks);
-    auto cleanup_rank_files = [&] {
-        if (opt.keep_rank_files) return;
-        for (const auto& w : workers) remove_file(w.rank_path);
-    };
-    for (u64 r = 0; r < opt.num_ranks; ++r) {
-        Worker& w = workers[r];
-        if (want_file) w.rank_path = scratch + std::to_string(r) + ".bin";
-        w.pipe             = std::make_unique<StatsPipe>();
-        const u64 lo       = block_begin(result.num_chunks, opt.num_ranks, r);
-        const u64 hi       = block_begin(result.num_chunks, opt.num_ranks, r + 1);
-        const pid_t pid    = ::fork();
-        if (pid == 0) {
-            // Worker process. Only rank r's pipe write end matters; the
-            // read ends inherited from earlier ranks are harmless (the
-            // coordinator holds its own copies) and all fds are O_CLOEXEC.
-            w.pipe->close_read();
-            worker_main(cfg, opt, r, result.num_chunks, lo, hi, w.rank_path,
-                        w.pipe->write_fd()); // never returns
-        }
-        if (pid < 0) {
-            const int err = errno;
-            // Abort the ranks already running; their pipes break and they
-            // die on their own, but be prompt about it.
-            for (u64 k = 0; k < r; ++k) {
-                ::kill(workers[k].pid, SIGKILL);
-                wait_for(workers[k].pid);
-            }
-            cleanup_rank_files();
-            errno = err;
-            throw_errno("fork failed for rank " + std::to_string(r));
-        }
-        w.pid = pid;
-        w.pipe->close_write(); // worker death must read as EOF
-    }
-
-    // Arm the coordinator's own telemetry only now: events recorded before
-    // the fork loop would be duplicated into every child's inherited
-    // buffers, and the coordinator's interesting spans (merge, em_sort) all
-    // happen after this point anyway.
-    obs::Snapshot obs_base;
-    struct ObsGuard {
-        bool active = false;
-        ~ObsGuard() {
-            if (active) obs::TraceRecorder::global().enable(false);
-        }
-    } obs_guard;
-    if (want_telemetry) {
-        obs_base         = obs::begin_rank_telemetry();
-        obs_guard.active = true;
-    }
-
-    // Collect one report per rank (rank order; each worker blocks at most
-    // on its own frame write, so there is no circular wait), then reap.
-    std::vector<RankReport> reports(opt.num_ranks);
-    std::vector<obs::RankTelemetry> telemetry;
-    std::string failure;
-    for (u64 r = 0; r < opt.num_ranks; ++r) {
-        Worker& w = workers[r];
-        reports[r].rank = r;
-        try {
-            std::vector<u8> payload;
-            if (read_frame(w.pipe->read_fd(), payload)) {
-                reports[r] = deserialize_report(payload);
-                if (reports[r].rank != r) {
-                    reports[r].ok    = false;
-                    reports[r].error = "report carries wrong rank id " +
-                                       std::to_string(reports[r].rank);
-                    reports[r].rank = r;
-                }
-                if (want_telemetry) {
-                    // The optional second frame. A worker that died between
-                    // frames surfaces as a torn/absent frame; the run
-                    // continues (telemetry is best-effort), the wait status
-                    // below still attributes the death.
-                    std::vector<u8> tpayload;
-                    if (read_frame(w.pipe->read_fd(), tpayload)) {
-                        telemetry.push_back(obs::deserialize_telemetry(tpayload));
-                    }
-                }
-            } else {
-                reports[r].ok    = false;
-                reports[r].error = "died before reporting";
-            }
-        } catch (const std::exception& e) {
-            reports[r].ok    = false;
-            reports[r].error = e.what();
-        }
-        w.pipe->close_read();
-
-        const int status = wait_for(w.pid);
-        const bool clean = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-        if ((!clean || !reports[r].ok) && failure.empty()) {
-            failure = "rank " + std::to_string(r) + " " + describe_status(status);
-            if (!reports[r].ok && !reports[r].error.empty()) {
-                failure += ": " + reports[r].error;
-            }
-        }
-    }
-    if (!failure.empty()) {
-        cleanup_rank_files();
-        throw std::runtime_error("generate_distributed: " + failure);
-    }
-
-    // Merge: summaries first (pure arithmetic), then the rank files in
-    // canonical rank order. Rank 0's summaries seed the merge (they carry
-    // the semantics/n tags the checks compare against); the scalar fields
-    // fold from their zero-initialized defaults. Per-rank degree vectors
-    // are released as they are merged — keeping them would make the result
-    // O(n·ranks) where only the merged O(n) vector is wanted.
-    result.count       = reports[0].count;
-    result.has_degrees = opt.degree_stats;
-    if (opt.degree_stats) result.degrees = std::move(reports[0].degrees);
-    u64 total_edges = 0;
-    for (u64 r = 0; r < opt.num_ranks; ++r) {
-        RankReport& rep = reports[r];
-        if (r > 0) {
-            result.count.merge(rep.count);
-            if (opt.degree_stats) result.degrees.merge(rep.degrees);
-        }
-        std::vector<u64>().swap(rep.degrees.degrees);
-        total_edges += rep.file_edges;
-        result.seconds = std::max(result.seconds, rep.stats.seconds);
-        result.peak_buffered_bytes =
-            std::max(result.peak_buffered_bytes, rep.stats.peak_buffered_bytes);
-        result.spilled_chunks += rep.stats.spilled_chunks;
-        result.spilled_bytes += rep.stats.spilled_bytes;
-        result.buffers_recycled += rep.stats.buffers_recycled;
-    }
-    result.ranks = std::move(reports);
-
-    if (want_file) {
-        try {
-            // Raw descriptor end to end: the header is one checked
-            // write_all and the payload concatenation is kernel-side
-            // (fileio::copy_bytes), so there is no stdio buffer whose error
-            // state could swallow a failed write — every byte is either
-            // acknowledged by the kernel or throws here.
-            const int out_fd = ::open(opt.output_path.c_str(),
-                                      O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-            if (out_fd < 0) {
-                throw_errno("cannot open output '" + opt.output_path + "'");
-            }
-            try {
-                fileio::write_all(out_fd, &total_edges, sizeof(total_edges));
-                for (u64 r = 0; r < opt.num_ranks; ++r) {
-                    const obs::Span span(obs::Phase::merge, r);
-                    const fileio::CopyStats copied = append_rank_file(
-                        out_fd, workers[r].rank_path, result.ranks[r].file_edges);
-                    result.merged_bytes += copied.bytes_copied;
-                    result.copy_file_range_bytes += copied.cfr_bytes;
-                }
-                obs::Registry& reg = obs::Registry::global();
-                reg.counter("dist.merged_bytes").add(result.merged_bytes);
-                reg.counter("dist.copy_file_range_bytes")
-                    .add(result.copy_file_range_bytes);
-            } catch (...) {
-                fileio::close_or_warn(out_fd, "merged output (error unwind)");
-                throw;
-            }
-            // Close outside the try: close(2) releases the descriptor even
-            // when it reports an error, so the catch block above must never
-            // see an already-released (possibly recycled) fd.
-            if (::close(out_fd) != 0) {
-                throw_errno("cannot close output '" + opt.output_path + "'");
-            }
-            result.edges_written = total_edges;
-        } catch (...) {
-            remove_file(opt.output_path);
-            cleanup_rank_files();
-            throw;
-        }
-        cleanup_rank_files();
-
-        if (!opt.dedup_path.empty()) {
-            try {
-                const em::SortStats sorted = em::sort_dedup_file(
-                    opt.output_path, opt.dedup_path, opt.sort_memory);
-                result.dedup_edges = sorted.output_edges;
-            } catch (...) {
-                remove_file(opt.dedup_path);
-                throw;
-            }
-        }
-    }
-
-    if (want_telemetry) {
-        // The coordinator is one more timeline: pid num_ranks, holding the
-        // merge/em_sort spans. Fork workers share CLOCK_MONOTONIC with it,
-        // so every offset is 0 — the merged trace is already aligned.
-        obs::RankTelemetry own = obs::end_rank_telemetry(opt.num_ranks, obs_base);
-        obs_guard.active       = false;
-        if (!cfg.trace_path.empty()) {
-            std::vector<obs::RankTimeline> timelines;
-            timelines.reserve(telemetry.size() + 1);
-            for (obs::RankTelemetry& t : telemetry) {
-                obs::RankTimeline tl;
-                tl.rank   = t.rank;
-                tl.label  = "rank " + std::to_string(t.rank);
-                tl.events = std::move(t.events);
-                timelines.push_back(std::move(tl));
-            }
-            obs::RankTimeline coord;
-            coord.rank   = opt.num_ranks;
-            coord.label  = "coordinator";
-            coord.events = std::move(own.events);
-            timelines.push_back(std::move(coord));
-            obs::write_chrome_trace(cfg.trace_path, timelines);
-        }
-        if (!cfg.metrics_path.empty()) {
-            obs::Snapshot merged = own.metrics;
-            for (const obs::RankTelemetry& t : telemetry) {
-                merged.merge(t.metrics);
-            }
-            obs::write_metrics_file(cfg.metrics_path, merged);
-        }
-    }
-    return result;
+    net::NetOptions copt;
+    copt.num_pes            = opts.num_pes;
+    copt.threads_per_worker = opts.threads_per_rank;
+    copt.output_path        = opts.output_path;
+    copt.degree_stats       = opts.degree_stats;
+    copt.dedup_path         = opts.dedup_path;
+    copt.sort_memory        = opts.sort_memory;
+    net::NetWorkerOptions wopt;
+    wopt.scratch_dir = opts.scratch_dir;
+    wopt.rank_hook   = opts.rank_hook;
+    // No deadlines: a forked rank cannot vanish without its channel reading
+    // EOF, and a slow one is still working.
+    copt.connect_timeout_ms = 0;
+    wopt.connect_timeout_ms = 0;
+    return net::run_forked(cfg, copt, opts.num_ranks == 0 ? 1 : opts.num_ranks, wopt,
+                           opts.keep_rank_files);
 }
 
 } // namespace kagen::dist

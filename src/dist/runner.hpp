@@ -1,45 +1,41 @@
 /// \file runner.hpp
-/// \brief Multi-process distributed backend: communication-free generation
-///        across address spaces.
+/// \brief Forked ranks (`generate_distributed`, `kagen_tool -ranks N`) and
+///        the rank-execution core every transport runs.
 ///
 /// The paper's headline claim is that every PE generates its partition with
-/// *zero* communication. The chunked engine (pe/pe.hpp) already validates
-/// that in-process — every chunk is a pure function of (chunk, C, seed,
-/// params) — but all "PEs" shared one address space, so nothing proved the
-/// claim survives real process isolation. This runner makes it literal:
+/// *zero* communication. The chunked engine (pe/pe.hpp) validates that
+/// in-process — every chunk is a pure function of (chunk, C, seed, params)
+/// — and this backend makes it literal across address spaces:
 ///
-///  * The coordinator forks `num_ranks` worker *processes* and assigns each
-///    a contiguous range of the canonical `C = total_chunks` (or K·P)
-///    decomposition — the same `block_begin` split the in-process scheduler
-///    uses for participants.
-///  * Each worker runs `pe::run_chunked` over its chunk range into a
-///    per-rank binary edge file plus local statistics sinks. Workers share
-///    **nothing**: no memory writes, no locks, no messages — the only bytes
-///    that ever cross a process boundary are one end-of-run stats frame per
-///    worker (dist/ipc.hpp: serialized `pe::ChunkRunStats` + the mergeable
-///    sink summaries of sink/sinks.hpp).
-///  * The coordinator concatenates the per-rank files in canonical rank
-///    order and merges the summaries. Because rank r's stream is exactly
-///    the [block_begin(C,R,r), block_begin(C,R,r+1)) slice of the canonical
-///    chunk stream, the merged file is **byte-identical** to a
-///    single-process `generate_chunked` run into a `BinaryFileSink` — for
-///    every (ranks, P, K) combination and under both edge semantics
-///    (exact-once output stays exact-once: the PR-2 ownership filters are
-///    per-chunk pure functions and never cared which process runs them).
+///  * `run_distributed` forks `num_ranks` worker processes, each holding one
+///    end of a socketpair, and hands them to the one coordinator of
+///    net/coordinator.hpp — the same coordinator TCP workers talk to. Each
+///    rank runs the contiguous `block_begin` slice of the canonical
+///    `C = total_chunks` (or K·P) decomposition with nothing shared: no
+///    memory writes, no locks, no messages during generation.
+///  * `execute_rank_job` is that per-rank work, identical for forked and TCP
+///    ranks: `pe::run_chunked` over the chunk range into a per-rank binary
+///    edge file plus local statistics sinks, returning a dist::RankReport.
+///  * Forked ranks share the coordinator's filesystem, so the coordinator
+///    appends their rank files by path (copy_file_range) in canonical rank
+///    order. Because rank r's stream is exactly the
+///    [block_begin(C,R,r), block_begin(C,R,r+1)) slice of the canonical chunk
+///    stream, the merged file is **byte-identical** to a single-process
+///    `generate_chunked` run into a `BinaryFileSink` — for every
+///    (ranks, P, K) combination and under both edge semantics.
 ///
-/// Failure containment: a worker that throws reports the message through
-/// its stats pipe and exits nonzero; a worker that crashes is detected via
-/// EOF + waitpid status. Either way `generate_distributed` throws a
-/// descriptive error naming the rank, removes every partial rank/output
-/// file, and never hangs. See DESIGN.md §8 and tests/test_dist.cpp.
+/// Failure containment: any rank failure throws a descriptive error naming
+/// the rank and its waitpid cause, never hangs, and leaves no rank or
+/// output file behind. See DESIGN.md §8 and tests/test_dist.cpp.
 #pragma once
 
 #include <functional>
 #include <string>
-#include <vector>
 
+#include "common/fileio.hpp"
 #include "common/types.hpp"
-#include "dist/ipc.hpp"
+#include "dist/report.hpp"
+#include "net/coordinator.hpp"
 
 namespace kagen {
 
@@ -47,7 +43,7 @@ struct Config; // kagen.hpp (which includes this header after defining it)
 
 namespace dist {
 
-/// Execution shape of a distributed run.
+/// Execution shape of a forked run.
 struct DistOptions {
     u64 num_ranks = 0;        ///< worker processes; 0 = 1 here — the
                               ///< `kagen::generate_distributed` facade maps
@@ -65,9 +61,8 @@ struct DistOptions {
                               ///< empty = stats-only run, no files at all
     std::string scratch_dir;  ///< per-rank file location; empty = $TMPDIR
     bool keep_rank_files = false; ///< keep the per-rank files after the merge
-                                  ///< (they live in scratch_dir / $TMPDIR as
-                                  ///< kagen_dist.<pid>.<run>.rank<r>.bin; see
-                                  ///< DistResult::ranks for what each holds)
+                                  ///< (in scratch_dir / $TMPDIR; listed in
+                                  ///< RunResult::manifest)
 
     bool degree_stats = false; ///< also collect + merge per-vertex degrees
                                ///< (O(n) per worker and per frame)
@@ -77,58 +72,24 @@ struct DistOptions {
                               ///< deduplicated edge set for as_generated runs)
     u64 sort_memory = u64{64} << 20; ///< memory budget of that dedup sort
 
-    /// Test instrumentation: invoked inside each worker process right after
-    /// the fork, before any generation. Lets tests inject rank-targeted
+    /// Test instrumentation: invoked inside each worker process after its
+    /// job arrived, before any generation. Lets tests inject rank-targeted
     /// faults (throw, _exit, raise) to pin the failure-propagation contract.
     /// Inherited across fork by memory image; must not rely on threads.
     std::function<void(u64 rank)> rank_hook;
 };
 
-/// Coordinator-side view of a finished distributed run.
-struct DistResult {
-    u64 n          = 0; ///< global vertex count
-    u64 num_chunks = 0; ///< canonical chunks C of the decomposition
-    u64 num_ranks  = 0; ///< worker processes forked
-
-    double seconds          = 0.0; ///< slowest rank's makespan (the
-                                   ///< distributed job's critical path)
-    u64 peak_buffered_bytes = 0;   ///< max over ranks
-    u64 spilled_chunks      = 0;   ///< summed over ranks
-    u64 spilled_bytes       = 0;   ///< summed over ranks
-    u64 buffers_recycled    = 0;   ///< summed over ranks (chunk-buffer pool)
-
-    u64 edges_written = 0; ///< edges in the merged output file (0 = no file)
-    u64 dedup_edges   = 0; ///< unique edges after the optional dedup pass
-
-    // Coordinator merge accounting (DESIGN.md §9): how the rank files'
-    // payload bytes reached the merged output.
-    u64 merged_bytes          = 0; ///< rank-file payload bytes concatenated
-    u64 copy_file_range_bytes = 0; ///< of those, moved kernel-side via
-                                   ///< copy_file_range (the rest went
-                                   ///< through the read/write fallback)
-
-    /// Whether the kernel-side zero-copy path carried the whole merge.
-    bool copy_file_range_used() const {
-        return merged_bytes > 0 && copy_file_range_bytes == merged_bytes;
-    }
-
-    CountingSummary count;       ///< merged counting summary (all ranks)
-    bool has_degrees = false;    ///< degree summary collected and merged
-    DegreeStatsSummary degrees;
-
-    std::vector<RankReport> ranks; ///< per-rank reports, rank order
-};
+using DistResult = net::RunResult;
 
 /// Runs `cfg`'s graph across `opts.num_ranks` forked worker processes and
-/// merges their outputs; see the file comment for the protocol and the
-/// byte-identity guarantee. Throws on invalid options and on any rank
-/// failure (descriptive, no hang, no partial files left behind).
+/// merges their outputs; see the file comment for the byte-identity
+/// guarantee. Throws on invalid options and on any rank failure
+/// (descriptive, no hang, no partial files left behind).
 DistResult run_distributed(const Config& cfg, const DistOptions& opts);
 
 /// One rank's share of a distributed run, transport-agnostic: everything a
-/// worker needs to know to execute its chunk range, however the job reached
-/// it (inherited across a fork here, or decoded from a TCP job frame in
-/// net/worker.cpp).
+/// worker needs to know to execute its chunk range, decoded from its job
+/// frame (net/protocol.hpp).
 struct RankJob {
     u64 rank        = 0;
     u64 num_chunks  = 0; ///< canonical chunk count C of the decomposition
@@ -142,10 +103,19 @@ struct RankJob {
 /// Executes one rank job: runs `pe::run_chunked` over the job's chunk range
 /// into the rank file (when requested) plus local statistics sinks, and
 /// returns the finished RankReport (ok == true). The single rank-execution
-/// core shared by the forked worker and the TCP worker — byte-identity of
-/// both backends rests on them running literally this function. Throws on
-/// any failure; the caller owns turning that into a failure report.
+/// core shared by forked and TCP workers — byte-identity of both transports
+/// rests on them running literally this function. Throws on any failure;
+/// the caller owns turning that into a failure report.
 RankReport execute_rank_job(const Config& cfg, const RankJob& job);
+
+/// Checks a finished rank file against the edge count its rank reported —
+/// the size must be exactly 8 + 16·edges and the u64 header must equal
+/// `edges` — then copies its 16·edges payload bytes to `out_fd` at its
+/// current offset (fileio::copy_bytes); `out_fd < 0` only checks. Throws on
+/// any mismatch or I/O failure. Run by the rank before its file leaves it,
+/// and by the coordinator to append a forked rank's file to the output.
+fileio::CopyStats copy_rank_file(const std::string& path, u64 edges, int out_fd,
+                                 bool allow_copy_file_range);
 
 } // namespace dist
 } // namespace kagen

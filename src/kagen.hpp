@@ -548,8 +548,8 @@ inline ChunkStats generate_chunked(const Config& cfg, u64 num_pes, EdgeSink& sin
 /// Multi-process distributed run (dist/runner.hpp): forks
 /// `opts.num_ranks` (default `cfg.num_processes`) worker processes, each
 /// generating its contiguous share of the canonical chunk decomposition
-/// into a per-rank file — no inter-worker communication, only one stats
-/// frame per worker back to the coordinator — then merges the rank files in
+/// into a per-rank file — no inter-worker communication, only one report
+/// per worker back to the coordinator — then merges the rank files in
 /// canonical order. The merged output file is byte-identical to a
 /// single-process `generate_chunked` run into a `BinaryFileSink` with the
 /// same (P, K) decomposition, and the merged `CountingSummary` /

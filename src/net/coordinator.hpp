@@ -1,40 +1,45 @@
 /// \file coordinator.hpp
-/// \brief TCP coordinator of the multi-node backend: same decomposition,
-///        same merge, sockets instead of pipes.
+/// \brief The one coordinator of both multi-process transports: forked
+///        ranks over socketpairs and TCP workers.
 ///
-/// `run_net_coordinator` is the socket twin of `dist::run_distributed`
-/// (dist/runner.hpp): it assigns each of W workers the contiguous
-/// `block_begin` slice of the canonical C-chunk decomposition, lets every
-/// worker generate its share with zero worker↔worker communication, merges
-/// the per-rank summaries with exactly the arithmetic the fork coordinator
-/// uses, and assembles the output file in canonical rank order — so the
-/// merged file is byte-identical to the forked backend and to a
-/// single-process `generate_chunked` run for every (workers, P, K) ×
-/// semantics combination. The differences are all about distrust of the
-/// transport:
+/// A run assigns each of R ranks the contiguous `block_begin` slice of the
+/// canonical C-chunk decomposition, sends every rank its job over its
+/// channel (net/protocol.hpp), lets the ranks generate with zero rank↔rank
+/// communication, validates and merges their reports, and assembles the
+/// output in canonical rank order — so the merged file is byte-identical to
+/// a single-process `generate_chunked` run for every (ranks, P, K) ×
+/// semantics combination, whichever transport carried it.
 ///
-///  * workers are reached over TCP (accept W dial-ins, or dial W listening
-///    workers) with connect/accept timeouts and a two-way hello;
-///  * every report is validated: rank id, chunk-range echo against the
-///    assignment, semantics/n of the summaries, file edge counts;
-///  * per-worker deadlines bound every receive; dead sockets and torn
-///    frames surface as errors naming the rank — no hangs, and a failed run
-///    leaves no partial output file behind;
-///  * output is either *gathered* (rank files streamed back and
-///    concatenated, the pipe backend's shape) or left *partitioned*: each
-///    worker keeps its node-local rank file and the coordinator writes a
-///    manifest naming every piece — the small-cluster deployment shape of
-///    Gupta's external-memory distributed generation (PAPERS.md).
+/// `run_forked` forks R local ranks, each running `serve_rank`
+/// (net/worker.hpp) over its end of a socketpair; `run_net_coordinator`
+/// reaches R TCP workers running the same function. From then on both share
+/// every line. What differs follows from what the transport can observe:
 ///
-/// See DESIGN.md §11 for the wire format and failure semantics.
+///  * the gather strategy. Forked ranks share the coordinator's filesystem,
+///    so their rank files are appended by path (*local merge*,
+///    copy_file_range). TCP ranks stream their payload back (*stream*, -o)
+///    or keep it node-local and are named in a manifest (*manifest*) — the
+///    small-cluster deployment shape of Gupta's external-memory distributed
+///    generation (PAPERS.md);
+///  * failure attribution. A forked rank's error also carries its waitpid
+///    cause ("exited with status 7", "killed by signal 9").
+///
+/// Every report is validated (rank id, chunk-range echo, semantics/n of the
+/// summaries, file edge counts); receives carry deadlines; a dead channel or
+/// a torn frame errors naming the rank. Each rank with a file owns it until
+/// the coordinator's final verdict — keep (manifest, keep_rank_files) or
+/// discard. A failed run closes every channel instead, so every rank
+/// discards: no rank file and no partial output survive a failure. See
+/// DESIGN.md §8.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "common/types.hpp"
-#include "dist/ipc.hpp"
+#include "dist/report.hpp"
 #include "net/socket.hpp"
+#include "net/worker.hpp"
 
 namespace kagen {
 
@@ -81,49 +86,68 @@ struct NetOptions {
     Listener* listener = nullptr;
 };
 
-/// One rank file of a partitioned (manifest-mode) run.
-struct NetManifestEntry {
+/// One rank file that outlives the run: a manifest entry, or a forked rank
+/// file kept by `keep_rank_files`.
+struct ManifestEntry {
     u64 rank = 0;
-    std::string peer; ///< worker address as seen by the coordinator
-    std::string path; ///< rank-file path on the worker's machine
+    std::string peer; ///< rank address as seen by the coordinator
+    std::string path; ///< rank-file path on the rank's machine
     u64 chunk_begin = 0;
     u64 chunk_end   = 0;
     u64 edges       = 0;
     u64 bytes       = 0; ///< on-disk size (8-byte header + 16 per edge)
 };
 
-/// Coordinator-side view of a finished multi-node run.
-struct NetResult {
-    u64 n           = 0; ///< global vertex count
-    u64 num_chunks  = 0; ///< canonical chunks C of the decomposition
-    u64 num_workers = 0;
+/// Coordinator-side view of a finished run, for either transport.
+struct RunResult {
+    u64 n          = 0; ///< global vertex count
+    u64 num_chunks = 0; ///< canonical chunks C of the decomposition
+    u64 num_ranks  = 0; ///< forked ranks or TCP workers
 
-    double seconds = 0.0; ///< slowest rank's makespan (critical path)
+    double seconds          = 0.0; ///< slowest rank's makespan (the
+                                   ///< distributed job's critical path)
+    u64 peak_buffered_bytes = 0;   ///< max over ranks
+    u64 spilled_chunks      = 0;   ///< summed over ranks
+    u64 spilled_bytes       = 0;   ///< summed over ranks
+    u64 buffers_recycled    = 0;   ///< summed over ranks (chunk-buffer pool)
 
-    u64 edges_written = 0; ///< edges in the gathered output file (0 = none)
-    u64 merged_bytes  = 0; ///< rank-file payload bytes received and written
+    u64 edges_written = 0; ///< edges in the merged output file (0 = no file)
     u64 dedup_edges   = 0; ///< unique edges after the optional dedup pass
 
-    // Fleet-wide engine stats folded from the per-rank reports — the same
-    // fields dist::DistResult carries, so both backends print one summary.
-    u64 peak_buffered_bytes = 0; ///< max over ranks
-    u64 spilled_chunks      = 0; ///< summed over ranks
-    u64 spilled_bytes       = 0;
-    u64 buffers_recycled    = 0;
+    // Merge accounting (DESIGN.md §9): how the rank files' payload bytes
+    // reached the merged output.
+    u64 merged_bytes          = 0; ///< rank-file payload bytes gathered
+    u64 copy_file_range_bytes = 0; ///< of those, moved kernel-side via
+                                   ///< copy_file_range (local merge only;
+                                   ///< the rest went through read/write)
+
+    /// Whether the kernel-side zero-copy path carried the whole merge.
+    bool copy_file_range_used() const {
+        return merged_bytes > 0 && copy_file_range_bytes == merged_bytes;
+    }
 
     CountingSummary count;    ///< merged counting summary (all ranks)
     bool has_degrees = false; ///< degree summary collected and merged
     DegreeStatsSummary degrees;
 
-    std::vector<dist::RankReport> ranks;     ///< per-rank reports, rank order
-    std::vector<NetManifestEntry> manifest;  ///< partitioned mode only
+    std::vector<dist::RankReport> ranks;  ///< per-rank reports, rank order
+    std::vector<ManifestEntry> manifest;  ///< rank files kept after the run
 };
+using NetResult = RunResult;
 
-/// Runs `cfg`'s graph across the workers `opts` describes and merges their
-/// outputs; see the file comment. Throws std::invalid_argument on option
-/// conflicts and std::runtime_error naming the rank on any worker or
+/// Runs `cfg`'s graph across the TCP workers `opts` describes and merges
+/// their outputs; see the file comment. Throws std::invalid_argument on
+/// option conflicts and std::runtime_error naming the rank on any worker or
 /// transport failure (no hang, no partial output files left behind).
-NetResult run_net_coordinator(const Config& cfg, const NetOptions& opts);
+RunResult run_net_coordinator(const Config& cfg, const NetOptions& opts);
+
+/// Forks `ranks` local workers, each serving its job with `worker` over a
+/// socketpair, and coordinates them like `run_net_coordinator` does TCP
+/// workers (the listen/connect fields of `opts` are unused). Rank files
+/// merge locally into `opts.output_path`; `keep_rank_files` keeps them
+/// afterwards. A rank failure's error ends with the rank's waitpid cause.
+RunResult run_forked(const Config& cfg, const NetOptions& opts, u64 ranks,
+                     const NetWorkerOptions& worker, bool keep_rank_files);
 
 } // namespace net
 } // namespace kagen

@@ -7,6 +7,18 @@
 namespace kagen::net {
 namespace {
 
+const char* msg_name(Msg type) {
+    switch (type) {
+        case Msg::hello:     return "hello";
+        case Msg::job:       return "job";
+        case Msg::report:    return "report";
+        case Msg::file:      return "file";
+        case Msg::telemetry: return "telemetry";
+        case Msg::verdict:   return "verdict";
+    }
+    return "unknown";
+}
+
 /// Reads and checks the leading type tag.
 void expect_type(const u8*& p, const u8* end, Msg want) {
     const u64 got = bytes::get_u64(p, end);
@@ -27,24 +39,6 @@ void expect_consumed(const u8* p, const u8* end, Msg type) {
 }
 
 } // namespace
-
-Msg peek_type(const std::vector<u8>& payload) {
-    const u8* p   = payload.data();
-    const u8* end = p + payload.size();
-    return static_cast<Msg>(bytes::get_u64(p, end));
-}
-
-const char* msg_name(Msg type) {
-    switch (type) {
-        case Msg::hello:     return "hello";
-        case Msg::job:       return "job";
-        case Msg::report:    return "report";
-        case Msg::file:      return "file";
-        case Msg::file_info: return "file-info";
-        case Msg::telemetry: return "telemetry";
-    }
-    return "unknown";
-}
 
 std::vector<u8> encode_hello() {
     std::vector<u8> out;
@@ -69,15 +63,14 @@ void decode_hello(const std::vector<u8>& payload) {
 std::vector<u8> encode_job(const JobSpec& job) {
     std::vector<u8> out;
     bytes::put_u64(out, static_cast<u64>(Msg::job));
-    bytes::put_u64(out, job.rank);
-    bytes::put_u64(out, job.num_workers);
-    bytes::put_u64(out, job.num_chunks);
-    bytes::put_u64(out, job.chunk_begin);
-    bytes::put_u64(out, job.chunk_end);
-    bytes::put_u64(out, job.threads);
+    bytes::put_u64(out, job.task.rank);
+    bytes::put_u64(out, job.task.num_chunks);
+    bytes::put_u64(out, job.task.chunk_begin);
+    bytes::put_u64(out, job.task.chunk_end);
+    bytes::put_u64(out, job.task.threads);
     bytes::put_u64(out, job.want_file ? 1 : 0);
     bytes::put_u64(out, job.send_file ? 1 : 0);
-    bytes::put_u64(out, job.degree_stats ? 1 : 0);
+    bytes::put_u64(out, job.task.degree_stats ? 1 : 0);
     bytes::put_u64(out, job.want_trace ? 1 : 0);
     encode_config(out, job.cfg);
     return out;
@@ -88,30 +81,28 @@ JobSpec decode_job(const std::vector<u8>& payload) {
     const u8* end = p + payload.size();
     expect_type(p, end, Msg::job);
     JobSpec job;
-    job.rank         = bytes::get_u64(p, end);
-    job.num_workers  = bytes::get_u64(p, end);
-    job.num_chunks   = bytes::get_u64(p, end);
-    job.chunk_begin  = bytes::get_u64(p, end);
-    job.chunk_end    = bytes::get_u64(p, end);
-    job.threads      = bytes::get_u64(p, end);
-    job.want_file    = bytes::get_u64(p, end) != 0;
-    job.send_file    = bytes::get_u64(p, end) != 0;
-    job.degree_stats = bytes::get_u64(p, end) != 0;
-    job.want_trace   = bytes::get_u64(p, end) != 0;
-    job.cfg          = decode_config(p, end);
+    job.task.rank         = bytes::get_u64(p, end);
+    job.task.num_chunks   = bytes::get_u64(p, end);
+    job.task.chunk_begin  = bytes::get_u64(p, end);
+    job.task.chunk_end    = bytes::get_u64(p, end);
+    job.task.threads      = bytes::get_u64(p, end);
+    job.want_file         = bytes::get_u64(p, end) != 0;
+    job.send_file         = bytes::get_u64(p, end) != 0;
+    job.task.degree_stats = bytes::get_u64(p, end) != 0;
+    job.want_trace        = bytes::get_u64(p, end) != 0;
+    job.cfg               = decode_config(p, end);
     expect_consumed(p, end, Msg::job);
-    if (job.chunk_begin > job.chunk_end || job.chunk_end > job.num_chunks) {
+    if (job.task.chunk_begin > job.task.chunk_end ||
+        job.task.chunk_end > job.task.num_chunks) {
         throw std::runtime_error("net: job carries malformed chunk range [" +
-                                 std::to_string(job.chunk_begin) + ", " +
-                                 std::to_string(job.chunk_end) + ") of " +
-                                 std::to_string(job.num_chunks) + " chunks");
+                                 std::to_string(job.task.chunk_begin) + ", " +
+                                 std::to_string(job.task.chunk_end) + ") of " +
+                                 std::to_string(job.task.num_chunks) + " chunks");
     }
     return job;
 }
 
 std::vector<u8> encode_report(const dist::RankReport& report) {
-    // The report payload is the pipe transport's serialize_report bytes,
-    // prefixed with the type tag — one serializer, two transports.
     std::vector<u8> out;
     bytes::put_u64(out, static_cast<u64>(Msg::report));
     const std::vector<u8> body = dist::serialize_report(report);
@@ -143,44 +134,42 @@ obs::RankTelemetry decode_telemetry(const std::vector<u8>& payload) {
     return obs::deserialize_telemetry(std::vector<u8>(p, end));
 }
 
-std::vector<u8> encode_file_header(const FileHeader& header) {
+std::vector<u8> encode_file(const FileInfo& info) {
     std::vector<u8> out;
     bytes::put_u64(out, static_cast<u64>(Msg::file));
-    bytes::put_u64(out, header.edges);
-    bytes::put_u64(out, header.payload_bytes);
+    bytes::put_string(out, info.path);
+    bytes::put_u64(out, info.edges);
     return out;
 }
 
-FileHeader decode_file_header(const std::vector<u8>& payload) {
+FileInfo decode_file(const std::vector<u8>& payload) {
     const u8* p   = payload.data();
     const u8* end = p + payload.size();
     expect_type(p, end, Msg::file);
-    FileHeader header;
-    header.edges         = bytes::get_u64(p, end);
-    header.payload_bytes = bytes::get_u64(p, end);
-    expect_consumed(p, end, Msg::file);
-    return header;
-}
-
-std::vector<u8> encode_file_info(const FileInfo& info) {
-    std::vector<u8> out;
-    bytes::put_u64(out, static_cast<u64>(Msg::file_info));
-    bytes::put_string(out, info.path);
-    bytes::put_u64(out, info.edges);
-    bytes::put_u64(out, info.bytes);
-    return out;
-}
-
-FileInfo decode_file_info(const std::vector<u8>& payload) {
-    const u8* p   = payload.data();
-    const u8* end = p + payload.size();
-    expect_type(p, end, Msg::file_info);
     FileInfo info;
     info.path  = bytes::get_string(p, end);
     info.edges = bytes::get_u64(p, end);
-    info.bytes = bytes::get_u64(p, end);
-    expect_consumed(p, end, Msg::file_info);
+    expect_consumed(p, end, Msg::file);
     return info;
+}
+
+std::vector<u8> encode_verdict(bool keep) {
+    std::vector<u8> out;
+    bytes::put_u64(out, static_cast<u64>(Msg::verdict));
+    bytes::put_u64(out, keep ? 1 : 0);
+    return out;
+}
+
+bool decode_verdict(const std::vector<u8>& payload) {
+    const u8* p   = payload.data();
+    const u8* end = p + payload.size();
+    expect_type(p, end, Msg::verdict);
+    const u64 keep = bytes::get_u64(p, end);
+    expect_consumed(p, end, Msg::verdict);
+    if (keep > 1) {
+        throw std::runtime_error("net: malformed verdict " + std::to_string(keep));
+    }
+    return keep == 1;
 }
 
 } // namespace kagen::net

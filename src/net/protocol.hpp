@@ -1,58 +1,57 @@
 /// \file protocol.hpp
-/// \brief Wire messages of the multi-node TCP backend.
+/// \brief Wire messages between the coordinator and its ranks, for forked
+///        and TCP ranks alike.
 ///
-/// Every message is one frame (dist/ipc layout over net/socket.hpp) whose
-/// payload starts with a u64 message type. The conversation per worker is:
+/// Every message is one frame (net/socket.hpp) whose payload starts with a
+/// u64 message type. The conversation per rank is:
 ///
-///   worker      → coordinator   hello        {protocol version}
-///   coordinator → worker        hello        {protocol version}
-///   coordinator → worker        job          {JobSpec: canonical Config
-///                                             encode + rank/chunk range}
-///   worker      → coordinator   report       {dist::RankReport — the same
-///                                             serialize_report bytes the
-///                                             pipe transport ships}
-///   worker      → coordinator   telemetry    {obs::RankTelemetry}
-///                                            (only if the job set want_trace)
-///   worker      → coordinator   file header  {edges, payload bytes}   (gather)
-///                               …raw payload bytes, outside any frame…
-///           or                  file info    {path, edges, bytes}   (manifest)
+///   rank        → coordinator   hello      {protocol version}
+///   coordinator → rank          hello      {protocol version}
+///   coordinator → rank          job        {JobSpec: canonical Config
+///                                           encode + rank/chunk range}
+///   rank        → coordinator   report     {dist::RankReport}
+///   rank        → coordinator   telemetry  {obs::RankTelemetry}
+///                                          (only if the job set want_trace)
+///   rank        → coordinator   file       {path, edges}  (want_file)
+///                               …raw payload bytes, outside any frame
+///                                          (only if the job set send_file)
+///   coordinator → rank          verdict    {keep}  (want_file, !send_file)
+///
+/// A streamed rank file is unlinked once sent. A file that stays in place
+/// stays the rank's until the verdict: keep leaves it, discard — or EOF,
+/// because the coordinator failed or died — unlinks it. So a failed run
+/// leaves no rank file behind on any rank.
 ///
 /// The two-way hello catches a non-kagen peer (or a version skew) on both
 /// ends before any job state exists. Decoders validate the type tag, every
 /// enum, and that the payload is consumed exactly — trailing bytes are a
 /// protocol error, not padding.
 ///
-/// Version 2 added `JobSpec::want_trace` and the telemetry message; the
-/// strict hello means v1/v2 peers refuse each other up front instead of
-/// mis-framing mid-run.
+/// Version 3 added the verdict and folded the file header and file-info
+/// messages into `file`; the strict hello makes mismatched peers refuse each
+/// other up front instead of mis-framing mid-run.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "common/types.hpp"
-#include "dist/ipc.hpp"
+#include "dist/report.hpp"
 #include "kagen.hpp"
 #include "obs/trace.hpp"
 
 namespace kagen::net {
 
-constexpr u64 kProtocolVersion = 2;
+constexpr u64 kProtocolVersion = 3;
 
 enum class Msg : u64 {
     hello     = 1,
     job       = 2,
     report    = 3,
     file      = 4,
-    file_info = 5,
     telemetry = 6,
+    verdict   = 7,
 };
-
-/// First u64 of a frame payload; throws on an empty/truncated payload.
-Msg peek_type(const std::vector<u8>& payload);
-
-/// Human-readable message-type name for diagnostics.
-const char* msg_name(Msg type);
 
 // --- hello -----------------------------------------------------------------
 
@@ -64,20 +63,13 @@ void decode_hello(const std::vector<u8>& payload);
 // --- job -------------------------------------------------------------------
 
 /// Everything a worker needs to run its share: the full generation Config
-/// (canonical encode, kagen.hpp) plus the slice assignment and the output
-/// contract.
+/// (canonical encode, kagen.hpp), its rank task and the output contract.
 struct JobSpec {
     Config cfg;
-    u64 rank        = 0;
-    u64 num_workers = 0; ///< total workers W of the run (diagnostics)
-    u64 num_chunks  = 0; ///< canonical chunk count C
-    u64 chunk_begin = 0; ///< [chunk_begin, chunk_end) assigned to this rank
-    u64 chunk_end   = 0;
-    u64 threads     = 1; ///< pool threads inside the worker
+    dist::RankJob task; ///< all but rank_path, which the worker picks itself
     bool want_file  = false; ///< write a rank file at all
-    bool send_file  = false; ///< stream it back (gather) vs keep it (manifest)
-    bool degree_stats = false; ///< collect + ship the O(n) degree summary
-    bool want_trace = false; ///< record + ship trace spans and metrics (v2)
+    bool send_file  = false; ///< stream it back (gather) vs keep it in place
+    bool want_trace = false; ///< record + ship trace spans and metrics
 };
 
 std::vector<u8> encode_job(const JobSpec& job);
@@ -96,28 +88,22 @@ dist::RankReport decode_report(const std::vector<u8>& payload);
 std::vector<u8> encode_telemetry(const obs::RankTelemetry& telemetry);
 obs::RankTelemetry decode_telemetry(const std::vector<u8>& payload);
 
-// --- file transfer ---------------------------------------------------------
+// --- rank file -------------------------------------------------------------
 
-/// Announces the raw rank-file payload that follows the frame: exactly
-/// `payload_bytes` bytes (16 per edge, header already stripped by the
-/// worker) streamed outside any frame.
-struct FileHeader {
-    u64 edges         = 0;
-    u64 payload_bytes = 0;
-};
-
-std::vector<u8> encode_file_header(const FileHeader& header);
-FileHeader decode_file_header(const std::vector<u8>& payload);
-
-/// Manifest mode: the worker keeps its rank file node-local and reports
-/// where it lives instead of streaming it back.
+/// Where the rank's file lives and what it holds. With `send_file` exactly
+/// 16 · `edges` raw payload bytes (the file without its 8-byte header)
+/// follow the frame.
 struct FileInfo {
-    std::string path; ///< absolute path on the worker's machine
+    std::string path; ///< absolute path on the rank's machine
     u64 edges = 0;
-    u64 bytes = 0; ///< on-disk size (8-byte header + 16 per edge)
 };
 
-std::vector<u8> encode_file_info(const FileInfo& info);
-FileInfo decode_file_info(const std::vector<u8>& payload);
+std::vector<u8> encode_file(const FileInfo& info);
+FileInfo decode_file(const std::vector<u8>& payload);
+
+/// The coordinator's last word to a rank whose file stayed in place: keep it
+/// (manifest entry, or a kept local rank file) or discard it.
+std::vector<u8> encode_verdict(bool keep);
+bool decode_verdict(const std::vector<u8>& payload);
 
 } // namespace kagen::net

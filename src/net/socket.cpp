@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include <fcntl.h>
 #include <netdb.h>
@@ -16,7 +17,6 @@
 
 #include "common/bytes.hpp"
 #include "common/fileio.hpp"
-#include "dist/ipc.hpp"
 #include "obs/trace.hpp"
 
 namespace kagen::net {
@@ -53,6 +53,16 @@ bool poll_until(int fd, short events, long long deadline_at_ms) {
         if (rc == 0) return false;
         if (errno != EINTR) throw_errno("poll failed");
     }
+}
+
+/// Without TCP_NODELAY a frame's tail waits for the peer's delayed ACK (40 ms)
+/// whenever its sender then blocks on an answer, as a rank does for its verdict.
+Socket with_nodelay(Socket sock) {
+    const int one = 1;
+    if (::setsockopt(sock.fd(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) != 0) {
+        throw_errno("setsockopt(TCP_NODELAY) failed");
+    }
+    return sock;
 }
 
 void set_recv_timeout(int fd, int timeout_ms) {
@@ -145,7 +155,7 @@ std::string Socket::peer() const {
         ::getnameinfo(reinterpret_cast<struct sockaddr*>(&addr), len, host,
                       sizeof(host), port, sizeof(port),
                       NI_NUMERICHOST | NI_NUMERICSERV) != 0) {
-        return "?";
+        return addr.ss_family == AF_UNIX ? "local" : "?";
     }
     return std::string(host) + ":" + port;
 }
@@ -165,7 +175,7 @@ void Socket::send_all(const void* data, std::size_t bytes) {
 
 void Socket::send_frame(const std::vector<u8>& payload) {
     std::vector<u8> header;
-    bytes::put_u64(header, dist::kFrameMagic);
+    bytes::put_u64(header, kFrameMagic);
     bytes::put_u64(header, payload.size());
     send_all(header.data(), header.size());
     if (!payload.empty()) send_all(payload.data(), payload.size());
@@ -207,11 +217,11 @@ bool Socket::recv_frame(std::vector<u8>& payload, int deadline_ms) {
     const u8* end   = header + sizeof(header);
     const u64 magic = bytes::get_u64(p, end);
     const u64 size  = bytes::get_u64(p, end);
-    if (magic != dist::kFrameMagic) {
+    if (magic != kFrameMagic) {
         throw std::runtime_error("net: bad frame magic from " + peer() +
                                  " (not a kagen peer?)");
     }
-    if (size > dist::kMaxFrameBytes) {
+    if (size > kMaxFrameBytes) {
         throw std::runtime_error("net: implausible frame size " +
                                  std::to_string(size) + " from " + peer());
     }
@@ -222,9 +232,13 @@ bool Socket::recv_frame(std::vector<u8>& payload, int deadline_ms) {
     return true;
 }
 
-void Socket::send_payload_from(int file_fd, u64 length) {
-    // Sockets cannot take copy_file_range; go straight to the fallback.
-    fileio::copy_bytes(file_fd, fd_, length, /*allow_copy_file_range=*/false);
+std::vector<u8> Socket::recv_message(int deadline_ms, const char* what) {
+    std::vector<u8> payload;
+    if (!recv_frame(payload, deadline_ms)) {
+        throw std::runtime_error("net: " + peer() +
+                                 " closed the connection before sending its " + what);
+    }
+    return payload;
 }
 
 void Socket::recv_payload_to(int out_fd, u64 length, int deadline_ms) {
@@ -270,7 +284,7 @@ Socket connect_to(const Endpoint& ep, int timeout_ms) {
                         // Connected: back to blocking for the framed I/O.
                         const int flags = ::fcntl(fd, F_GETFL);
                         ::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK);
-                        return sock;
+                        return with_nodelay(std::move(sock));
                     }
                     last_error = std::strerror(err != 0 ? err : errno);
                 } else {
@@ -342,7 +356,7 @@ Socket Listener::accept(int timeout_ms) {
                                      std::to_string(timeout_ms) + " ms");
         }
         const int fd = ::accept4(fd_, nullptr, nullptr, SOCK_CLOEXEC);
-        if (fd >= 0) return Socket(fd);
+        if (fd >= 0) return with_nodelay(Socket(fd));
         if (errno == EINTR || errno == ECONNABORTED || errno == EAGAIN ||
             errno == EWOULDBLOCK) {
             continue; // raced a dying connection; keep waiting for a live one

@@ -1,25 +1,23 @@
 /// \file socket.hpp
-/// \brief TCP plumbing of the multi-node backend: endpoints, a deadline-
-///        aware framed socket, a listener with accept timeouts, and a
-///        connector with retry-until-deadline.
+/// \brief The framed channel between the coordinator and its ranks:
+///        endpoints, a deadline-aware framed socket, a listener with accept
+///        timeouts, and a connector with retry-until-deadline.
 ///
-/// The net transport extends the distributed backend's framed stats
-/// protocol (dist/ipc.hpp) from anonymous pipes to sockets: frames keep the
-/// exact `[magic u64][payload bytes u64][payload]` layout and the
-/// little-endian field encoding of common/bytes.hpp, so a report frame is
-/// byte-identical whichever transport carries it. What sockets add over
-/// pipes is *distrust*: the peer may be on another machine, may never show
-/// up, may die mid-frame, or may not be a kagen process at all. Hence
-/// everything here is deadline-aware (poll(2) before every read; connect
-/// and accept take explicit timeouts) and every failure is a descriptive
-/// std::runtime_error — never a hang, never garbage decoded as a frame.
+/// Both transports run over `Socket`: TCP connections to remote workers
+/// and the AF_UNIX socketpairs of forked ranks. Frames are
+/// `[kFrameMagic u64][payload bytes u64][payload]` in the little-endian
+/// encoding of common/bytes.hpp. The peer may be on another machine, may
+/// never show up, may die mid-frame, or may not be a kagen process at all.
+/// Hence everything here is deadline-aware (poll(2) before every read;
+/// connect and accept take explicit timeouts) and every failure is a
+/// descriptive std::runtime_error — never a hang, never garbage decoded as
+/// a frame.
 ///
 /// Blocking discipline: sends are allowed to block indefinitely (the
 /// receiver drains in rank order, so a blocked send just means "not my turn
-/// yet" — the same back-pressure argument as the pipe protocol's); receives
-/// carry the caller's deadline. Bulk payload transfer (rank files) goes
-/// through fileio::copy_bytes with SO_RCVTIMEO as the per-read inactivity
-/// bound, so a stalled peer surfaces as an error there too.
+/// yet"); receives carry the caller's deadline. Bulk payload transfer (rank
+/// files) goes through fileio::copy_bytes with SO_RCVTIMEO as the per-read
+/// inactivity bound, so a stalled peer surfaces as an error there too.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +27,14 @@
 #include "common/types.hpp"
 
 namespace kagen::net {
+
+constexpr u64 kFrameMagic = 0x4b47444953545321ULL; // "KGDIST!" + version nibble
+
+/// Sanity bound on a frame payload so a corrupt length field fails as a
+/// protocol error, not an allocation attempt. The largest frame is a report
+/// with an 8-bytes-per-vertex degree vector, so 2^37 (128 GiB) leaves room
+/// for degree summaries up to ~2^34 vertices.
+constexpr u64 kMaxFrameBytes = u64{1} << 37;
 
 /// A "host:port" pair. An empty host means the wildcard address for
 /// listeners (bind every interface) and is invalid for connectors.
@@ -42,8 +48,9 @@ struct Endpoint {
 /// port, or an empty spec.
 Endpoint parse_endpoint(const std::string& spec);
 
-/// Move-only RAII wrapper of a connected TCP socket with framed,
-/// deadline-aware I/O. A deadline of 0 ms means "no deadline" everywhere.
+/// Move-only RAII wrapper of a connected stream socket (TCP, or one end of
+/// a socketpair) with framed, deadline-aware I/O. A deadline of 0 ms means
+/// "no deadline" everywhere.
 class Socket {
 public:
     Socket() = default;
@@ -55,16 +62,16 @@ public:
     Socket(const Socket&)            = delete;
     Socket& operator=(const Socket&) = delete;
 
-    bool valid() const { return fd_ >= 0; }
     int fd() const { return fd_; }
     void close();
 
-    /// Peer address as "ip:port" (for diagnostics and the output manifest);
-    /// "?" if the socket is closed or getpeername fails.
+    /// Peer address as "ip:port" (for diagnostics and the output manifest),
+    /// "local" for a socketpair; "?" if the socket is closed or getpeername
+    /// fails.
     std::string peer() const;
 
-    /// Writes one frame (dist/ipc layout); loops over partial writes and
-    /// EINTR, never raises SIGPIPE (MSG_NOSIGNAL). Throws on I/O error.
+    /// Writes one frame; loops over partial writes and EINTR, never raises
+    /// SIGPIPE (MSG_NOSIGNAL). Throws on I/O error.
     void send_frame(const std::vector<u8>& payload);
 
     /// Reads one frame into `payload` within `deadline_ms`. Returns false
@@ -73,11 +80,9 @@ public:
     /// implausible length, the deadline expiring, or an I/O error.
     bool recv_frame(std::vector<u8>& payload, int deadline_ms);
 
-    /// Streams exactly `length` bytes from `file_fd`'s current offset into
-    /// the socket via fileio::copy_bytes (the worker's side of the
-    /// length-prefixed rank-file transfer). Throws on any failure,
-    /// including the file ending early.
-    void send_payload_from(int file_fd, u64 length);
+    /// recv_frame for a frame the protocol requires: EOF before it throws
+    /// "<peer> closed the connection before sending its <what>".
+    std::vector<u8> recv_message(int deadline_ms, const char* what);
 
     /// Streams exactly `length` bytes from the socket into `out_fd` at its
     /// current offset via fileio::copy_bytes. `deadline_ms` bounds each

@@ -1,19 +1,14 @@
 #include "net/worker.hpp"
 
 #include <atomic>
-#include <cerrno>
 #include <csignal>
 #include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
-#include <fcntl.h>
 #include <limits.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/fileio.hpp"
-#include "dist/ipc.hpp"
 #include "kagen.hpp"
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
@@ -21,11 +16,6 @@
 
 namespace kagen::net {
 namespace {
-
-[[noreturn]] void throw_errno(const std::string& what) {
-    throw std::runtime_error("net worker: " + what + ": " +
-                             std::strerror(errno));
-}
 
 /// Distinguishes concurrent workers inside one process (tests run several
 /// worker threads); the pid alone covers concurrent processes.
@@ -37,112 +27,59 @@ std::string scratch_base(const NetWorkerOptions& opt) {
     return tmpdir && *tmpdir ? tmpdir : "/tmp";
 }
 
-/// Opens the rank file, validates its header and size against the report
-/// (the same checks the fork coordinator's append_rank_file runs — here
-/// they run worker-side, before any byte crosses the wire), and leaves the
-/// offset past the 8-byte header. Returns the fd.
-int open_validated_rank_file(const std::string& path, u64 expected_edges) {
-    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0) throw_errno("cannot reopen rank file '" + path + "'");
-    try {
-        u64 header = 0;
-        if (!dist::read_exact(fd, &header, sizeof(header))) {
-            throw std::runtime_error("net worker: rank file '" + path +
-                                     "' has no header");
-        }
-        if (header != expected_edges) {
-            throw std::runtime_error(
-                "net worker: rank file '" + path + "' header claims " +
-                std::to_string(header) + " edges, the run produced " +
-                std::to_string(expected_edges));
-        }
-        struct stat st{};
-        if (::fstat(fd, &st) != 0) throw_errno("fstat '" + path + "'");
-        const u64 expected_bytes = 8 + 16 * expected_edges;
-        if (static_cast<u64>(st.st_size) != expected_bytes) {
-            throw std::runtime_error(
-                "net worker: rank file '" + path + "' is " +
-                std::to_string(st.st_size) + " bytes, expected " +
-                std::to_string(expected_bytes));
-        }
-    } catch (...) {
-        fileio::close_or_warn(fd, "rank file (validation failed)");
-        throw;
-    }
-    return fd;
-}
-
 std::string absolute_path(const std::string& path) {
     char buf[PATH_MAX];
     if (::realpath(path.c_str(), buf) != nullptr) return buf;
     return path; // diagnostics-quality fallback; the file provably exists
 }
 
+/// The rank owns its file until a keep verdict: every other way out of
+/// serve_rank (failed job, transport error, discard, coordinator EOF)
+/// unlinks it.
+struct RankFile {
+    std::string path;
+    bool keep = false;
+    ~RankFile() {
+        if (!keep && !path.empty()) fileio::unlink_or_warn(path.c_str(), "rank file");
+    }
+};
+
 } // namespace
 
-int run_net_worker(const std::string& endpoint_spec,
-                   const NetWorkerOptions& opt) {
+int serve_rank(Socket& sock, const NetWorkerOptions& opt, const Config* inherited) {
     // A coordinator that died mid-conversation must surface as an EPIPE
-    // error from send, not kill the worker with SIGPIPE (same policy as the
-    // forked workers'). MSG_NOSIGNAL covers frame sends; the rank-file
-    // stream goes through plain write(2) in fileio::copy_bytes.
+    // error from send, not kill the worker with SIGPIPE. MSG_NOSIGNAL covers
+    // frame sends; the rank-file stream goes through plain write(2) in
+    // fileio::copy_bytes.
     ::signal(SIGPIPE, SIG_IGN);
-
-    const Endpoint ep = parse_endpoint(endpoint_spec);
-    Socket sock;
-    if (ep.host.empty()) {
-        Listener listener(ep);
-        sock = listener.accept(opt.connect_timeout_ms);
-    } else {
-        sock = connect_to(ep, opt.connect_timeout_ms);
-    }
 
     // Two-way hello before any state exists on either side.
     sock.send_frame(encode_hello());
-    std::vector<u8> payload;
-    if (!sock.recv_frame(payload, opt.connect_timeout_ms)) {
-        throw std::runtime_error(
-            "net worker: coordinator closed the connection during handshake");
-    }
-    decode_hello(payload);
-
-    if (!sock.recv_frame(payload, opt.io_deadline_ms)) {
-        throw std::runtime_error(
-            "net worker: coordinator closed the connection before sending a job");
-    }
-    const JobSpec job = decode_job(payload);
+    decode_hello(sock.recv_message(opt.connect_timeout_ms, "hello"));
+    JobSpec job = decode_job(sock.recv_message(opt.io_deadline_ms, "job"));
     // Clock handshake: this stamp pairs with the coordinator's job-send
     // timestamp to place this rank's timeline on the coordinator clock
     // (offset = t_sent − clock_base; DESIGN.md §13). Taken unconditionally —
     // it is one clock read and keeps the stamp as close to the job frame's
     // arrival as possible.
     const u64 clock_base_ns = obs::monotonic_now();
+    if (inherited != nullptr) job.cfg = *inherited;
     obs::Snapshot obs_base;
     if (job.want_trace) obs_base = obs::begin_rank_telemetry();
 
-    std::string rank_path;
+    RankFile file;
     if (job.want_file) {
-        rank_path = scratch_base(opt) + "/kagen_net." +
-                    std::to_string(::getpid()) + "." +
-                    std::to_string(g_job_counter.fetch_add(1)) + ".rank" +
-                    std::to_string(job.rank) + ".bin";
+        file.path = scratch_base(opt) + "/kagen_rank" + std::to_string(job.task.rank) +
+                    "." + std::to_string(::getpid()) + "." +
+                    std::to_string(g_job_counter.fetch_add(1)) + ".bin";
     }
 
-    dist::RankReport report;
-    report.rank        = job.rank;
-    report.chunk_begin = job.chunk_begin;
-    report.chunk_end   = job.chunk_end;
+    dist::RankReport report; // a failure report carries only rank and error
+    report.rank        = job.task.rank;
+    job.task.rank_path = file.path;
     try {
-        if (opt.rank_hook) opt.rank_hook(job.rank);
-        dist::RankJob rj;
-        rj.rank         = job.rank;
-        rj.num_chunks   = job.num_chunks;
-        rj.chunk_begin  = job.chunk_begin;
-        rj.chunk_end    = job.chunk_end;
-        rj.threads      = job.threads;
-        rj.degree_stats = job.degree_stats;
-        rj.rank_path    = rank_path;
-        report          = dist::execute_rank_job(job.cfg, rj);
+        if (opt.rank_hook) opt.rank_hook(job.task.rank);
+        report = dist::execute_rank_job(job.cfg, job.task);
     } catch (const std::exception& e) {
         report.ok    = false;
         report.error = e.what();
@@ -155,12 +92,8 @@ int run_net_worker(const std::string& endpoint_spec,
     // with a test harness must never leave recording enabled behind.
     obs::RankTelemetry telemetry;
     if (job.want_trace) {
-        telemetry               = obs::end_rank_telemetry(job.rank, obs_base);
+        telemetry               = obs::end_rank_telemetry(job.task.rank, obs_base);
         telemetry.clock_base_ns = clock_base_ns;
-    }
-
-    if (!report.ok) {
-        fileio::unlink_or_warn(rank_path.c_str(), "partial rank file");
     }
 
     sock.send_frame(encode_report(report));
@@ -168,37 +101,38 @@ int run_net_worker(const std::string& endpoint_spec,
     // aligned with what the coordinator was told to expect.
     if (job.want_trace) sock.send_frame(encode_telemetry(telemetry));
     if (!report.ok) return 1;
+    if (!job.want_file) return 0;
 
-    if (job.want_file && job.send_file) {
-        // Gather mode: validate, announce, stream the payload (header
-        // stripped — the coordinator writes one global header), discard.
-        const int fd = open_validated_rank_file(rank_path, report.file_edges);
-        try {
-            FileHeader header;
-            header.edges         = report.file_edges;
-            header.payload_bytes = 16 * report.file_edges;
-            sock.send_frame(encode_file_header(header));
-            sock.send_payload_from(fd, header.payload_bytes);
-        } catch (...) {
-            fileio::close_or_warn(fd, "rank file (stream failed)");
-            fileio::unlink_or_warn(rank_path.c_str(), "rank file");
-            throw;
-        }
-        // Read-only fd over already-durable data: close cannot fail in a
-        // way that matters; the unlink reclaims the gathered temp file.
-        fileio::close_or_warn(fd, "rank file");
-        fileio::unlink_or_warn(rank_path.c_str(), "rank file");
-    } else if (job.want_file) {
-        // Manifest mode: keep the rank file node-local, report where it is.
-        const int fd = open_validated_rank_file(rank_path, report.file_edges);
-        fileio::close_or_warn(fd, "rank file"); // open only for the validation
-        FileInfo info;
-        info.path  = absolute_path(rank_path);
-        info.edges = report.file_edges;
-        info.bytes = 8 + 16 * report.file_edges;
-        sock.send_frame(encode_file_info(info));
+    // Checked before it is announced, so a bad file fails this rank before
+    // any payload byte moves.
+    const u64 edges = report.file_edges;
+    dist::copy_rank_file(file.path, edges, -1, false);
+    sock.send_frame(encode_file({absolute_path(file.path), edges}));
+    if (job.send_file) {
+        // Stream: the payload with its header stripped (the coordinator
+        // writes one global header). Once sent, the file has no further use.
+        dist::copy_rank_file(file.path, edges, sock.fd(), false);
+        return 0;
     }
+    // Kept in place: no deadline, the verdict comes only after the slowest
+    // rank finished, and a coordinator that dies closes the channel (EOF ⇒
+    // discard).
+    std::vector<u8> payload;
+    file.keep = sock.recv_frame(payload, 0) && decode_verdict(payload);
     return 0;
+}
+
+int run_net_worker(const std::string& endpoint_spec,
+                   const NetWorkerOptions& opt) {
+    const Endpoint ep = parse_endpoint(endpoint_spec);
+    Socket sock;
+    if (ep.host.empty()) {
+        Listener listener(ep);
+        sock = listener.accept(opt.connect_timeout_ms);
+    } else {
+        sock = connect_to(ep, opt.connect_timeout_ms);
+    }
+    return serve_rank(sock, opt);
 }
 
 } // namespace kagen::net

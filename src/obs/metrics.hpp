@@ -4,7 +4,7 @@
 ///
 /// The engine's runtime accounting used to be hand-threaded structs
 /// (`pe::ChunkRunStats`, ad-hoc fields on `DistResult`/`NetResult`) — every
-/// new counter meant touching the struct, the pipe codec, and every
+/// new counter meant touching the struct, the report codec, and every
 /// printer. The registry replaces that plumbing with named instruments:
 /// hot paths `add()` to a cached `Counter&` (one relaxed atomic RMW), and
 /// orchestration code takes a `Snapshot` — a deterministic, sorted

@@ -20,8 +20,8 @@ namespace kagen {
 //
 // Value-type snapshots of the streaming statistics sinks. They exist so
 // statistics survive a process boundary: a distributed rank (dist/) streams
-// its chunk range through local sinks, ships the summary over the stats
-// pipe, and the coordinator merges the per-rank summaries into exactly the
+// its chunk range through local sinks, ships the summary in its report
+// (dist/report.hpp), and the coordinator merges the per-rank summaries into exactly the
 // numbers a single-process run over the whole chunk range would have
 // produced. Merging is exact (integer counters and degree vectors add), so
 // "merged equals in-process" is a bit-for-bit equality, not an estimate —

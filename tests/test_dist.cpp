@@ -1,314 +1,39 @@
-// Distributed backend: multi-process byte-identity against the in-process
-// chunked engine, merged-stats exactness, worker failure propagation (no
-// hang, no partial files), chunk-range scheduling, and the O_CLOEXEC
-// descriptor hygiene that keeps exec'd children off the coordinator's
-// files.
+// Forked ranks: the transport matrix (tests/transport_matrix.hpp) over
+// socketpair workers, plus what only a fork can show — a rank's waitpid
+// cause in its error, option checks before any fork, Config fields that
+// never cross the wire still reaching the ranks — and the chunk-range and
+// O_CLOEXEC mechanisms the forked backend stands on.
 #include <gtest/gtest.h>
 
-#include <csignal>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <iterator>
-#include <string>
-#include <vector>
-
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <sys/wait.h>
-#include <unistd.h>
 
-#include "graph/io.hpp"
-#include "kagen.hpp"
 #include "sink/spill.hpp"
+#include "transport_matrix.hpp"
 
 namespace kagen {
 namespace {
 
-std::string tmp_path(const std::string& name) {
-    return ::testing::TempDir() + "kagen_dist_" + std::to_string(::getpid()) +
-           "_" + name;
-}
+using testing::Transport;
+using testing::TransportMatrix;
+using testing::model_config;
+using testing::read_bytes;
+using testing::tmp_path;
 
-std::string read_bytes(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.good()) << path;
-    return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-}
-
-bool file_exists(const std::string& path) {
-    struct stat st{};
-    return ::stat(path.c_str(), &st) == 0;
-}
-
-Config model_config(Model model) {
-    Config cfg;
-    cfg.model = model;
-    cfg.n     = 1500;
-    cfg.seed  = 7;
-    switch (model) {
-        case Model::GnmDirected:
-        case Model::GnmUndirected:
-            cfg.m = 9000;
-            break;
-        case Model::Rgg2D:
-            cfg.r = 0.05;
-            break;
-        case Model::Rhg:
-        case Model::RhgStreaming:
-            cfg.avg_deg = 6.0;
-            cfg.gamma   = 2.8;
-            break;
-        default:
-            break;
-    }
-    return cfg;
-}
-
-/// Single-process reference: generate_chunked into a BinaryFileSink.
-std::string single_process_file(const Config& cfg, u64 pes, const std::string& tag) {
-    const std::string path = tmp_path(tag + ".ref.bin");
-    BinaryFileSink sink(path);
-    generate_chunked(cfg, pes, sink);
-    sink.finish();
-    return path;
-}
-
-// ---------------------------------------------------------------------------
-// Byte-identity: multi-process output == single-process output
-// ---------------------------------------------------------------------------
-
-class DistByteIdentity : public ::testing::TestWithParam<Model> {};
-
-// The acceptance matrix of the subsystem: >= 3 models x ranks {1, 2, 4} x
-// K {1, 3}, merged file byte-identical to the single-process chunked run.
-TEST_P(DistByteIdentity, MatchesSingleProcessAcrossRanksAndK) {
-    const Model model = GetParam();
-    const u64 pes     = 4; // decomposition P, shared by both sides
-    for (const u64 k : {u64{1}, u64{3}}) {
-        Config cfg        = model_config(model);
-        cfg.chunks_per_pe = k;
-        const std::string tag =
-            std::string(model_name(model)) + "_k" + std::to_string(k);
-        const std::string ref_path = single_process_file(cfg, pes, tag);
-        const std::string ref      = read_bytes(ref_path);
-        ASSERT_GE(ref.size(), 8u);
-        for (const u64 ranks : {u64{1}, u64{2}, u64{4}}) {
-            dist::DistOptions opts;
-            opts.num_ranks   = ranks;
-            opts.num_pes     = pes;
-            opts.output_path = tmp_path(tag + "_r" + std::to_string(ranks) + ".bin");
-            const dist::DistResult res = generate_distributed(cfg, opts);
-            EXPECT_EQ(res.num_ranks, ranks);
-            EXPECT_EQ(res.num_chunks, k * pes);
-            EXPECT_EQ(read_bytes(opts.output_path), ref)
-                << model_name(model) << " ranks=" << ranks << " K=" << k;
-            EXPECT_EQ(res.edges_written * 16 + 8, ref.size());
-            std::remove(opts.output_path.c_str());
-        }
-        std::remove(ref_path.c_str());
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Models, DistByteIdentity,
-                         ::testing::Values(Model::GnmDirected, Model::GnmUndirected,
-                                           Model::Rgg2D, Model::RhgStreaming));
-
-TEST(Dist, ExactOnceSemanticsStayByteIdentical) {
-    // The ownership filters are per-chunk pure functions; process isolation
-    // must not change the exact-once stream either.
-    Config cfg         = model_config(Model::GnmUndirected);
-    cfg.chunks_per_pe  = 3;
-    cfg.edge_semantics = EdgeSemantics::exact_once;
-    const std::string ref_path = single_process_file(cfg, 4, "exact_once");
-    dist::DistOptions opts;
-    opts.num_ranks   = 3;
-    opts.num_pes     = 4;
-    opts.output_path = tmp_path("exact_once_dist.bin");
-    generate_distributed(cfg, opts);
-    EXPECT_EQ(read_bytes(opts.output_path), read_bytes(ref_path));
-    std::remove(opts.output_path.c_str());
-    std::remove(ref_path.c_str());
-}
-
-TEST(Dist, MoreRanksThanChunksLeavesEmptyRanks) {
-    Config cfg        = model_config(Model::GnmDirected);
-    cfg.chunks_per_pe = 1;
-    cfg.total_chunks  = 2; // ranks 2..4 own empty chunk ranges
-    const std::string ref_path = single_process_file(cfg, 2, "fewchunks");
-    dist::DistOptions opts;
-    opts.num_ranks   = 5;
-    opts.num_pes     = 2;
-    opts.output_path = tmp_path("fewchunks_dist.bin");
-    const dist::DistResult res = generate_distributed(cfg, opts);
-    EXPECT_EQ(read_bytes(opts.output_path), read_bytes(ref_path));
-    ASSERT_EQ(res.ranks.size(), 5u);
-    EXPECT_EQ(res.ranks[4].chunk_begin, res.ranks[4].chunk_end);
-    EXPECT_EQ(res.ranks[4].file_edges, 0u);
-    std::remove(opts.output_path.c_str());
-    std::remove(ref_path.c_str());
-}
-
-TEST(Dist, PinnedTotalChunksIndependentOfRankCount) {
-    Config cfg       = model_config(Model::Rgg2D);
-    cfg.total_chunks = 10; // decomposition pinned: every (ranks, P) agrees
-    const std::string ref_path = single_process_file(cfg, 3, "pinned");
-    for (const u64 ranks : {u64{2}, u64{4}}) {
-        dist::DistOptions opts;
-        opts.num_ranks   = ranks;
-        opts.num_pes     = 7; // irrelevant under pinned total_chunks
-        opts.output_path = tmp_path("pinned_r" + std::to_string(ranks) + ".bin");
-        generate_distributed(cfg, opts);
-        EXPECT_EQ(read_bytes(opts.output_path), read_bytes(ref_path));
-        std::remove(opts.output_path.c_str());
-    }
-    std::remove(ref_path.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// Merged coordinator stats == in-process sink stats
-// ---------------------------------------------------------------------------
-
-TEST(Dist, MergedStatsEqualInProcessSinks) {
-    Config cfg        = model_config(Model::GnmUndirected);
-    cfg.chunks_per_pe = 3;
-
-    CountingSink count(cfg.edge_semantics);
-    generate_chunked(cfg, 5, count);
-    count.finish();
-    DegreeStatsSink degrees(num_vertices(cfg), cfg.edge_semantics);
-    generate_chunked(cfg, 5, degrees);
-    degrees.finish();
-
-    dist::DistOptions opts;
-    opts.num_ranks    = 4;
-    opts.num_pes      = 5;
-    opts.degree_stats = true;
-    const dist::DistResult res = generate_distributed(cfg, opts);
-
-    EXPECT_EQ(res.count, count.summarize());
-    EXPECT_EQ(res.count.str(), count.summary());
-    ASSERT_TRUE(res.has_degrees);
-    EXPECT_EQ(res.degrees, degrees.summarize());
-    EXPECT_EQ(res.degrees.str(), degrees.summary());
-    EXPECT_EQ(res.degrees.degrees, degrees.degrees()); // per-vertex, exact
-}
-
-TEST(Dist, ExactOnceMergedCountMatchesUnion) {
-    // Distributed exact-once totals equal the canonical edge set size.
-    Config cfg         = model_config(Model::GnmUndirected);
-    cfg.chunks_per_pe  = 2;
-    cfg.edge_semantics = EdgeSemantics::exact_once;
-    const u64 C        = 2 * 4;
-    const auto per_chunk =
-        pe::run_all(C, [&](u64 rank, u64 size) { return generate(cfg, rank, size).edges; });
-    Config as_gen         = cfg;
-    as_gen.edge_semantics = EdgeSemantics::as_generated;
-    const auto legacy =
-        pe::run_all(C, [&](u64 rank, u64 size) { return generate(as_gen, rank, size).edges; });
-    const u64 canonical = pe::union_undirected(legacy).size();
-
-    dist::DistOptions opts;
-    opts.num_ranks = 4;
-    opts.num_pes   = 4;
-    const dist::DistResult res = generate_distributed(cfg, opts);
-    EXPECT_EQ(res.count.num_edges, canonical);
-    u64 streamed = 0;
-    for (const auto& part : per_chunk) streamed += part.size();
-    EXPECT_EQ(res.count.num_edges, streamed);
-}
-
-// ---------------------------------------------------------------------------
-// Optional dedup pass over the merged output
-// ---------------------------------------------------------------------------
-
-TEST(Dist, DedupPassMatchesUnionUndirected) {
-    Config cfg        = model_config(Model::GnmUndirected);
-    cfg.chunks_per_pe = 2;
-    const u64 C       = 2 * 3;
-    const auto per_chunk =
-        pe::run_all(C, [&](u64 rank, u64 size) { return generate(cfg, rank, size).edges; });
-    const EdgeList expected = pe::union_undirected(per_chunk);
-
-    dist::DistOptions opts;
-    opts.num_ranks   = 3;
-    opts.num_pes     = 3;
-    opts.output_path = tmp_path("dedup_raw.bin");
-    opts.dedup_path  = tmp_path("dedup_out.bin");
-    const dist::DistResult res = generate_distributed(cfg, opts);
-    EXPECT_EQ(res.dedup_edges, expected.size());
-    EXPECT_EQ(io::read_edge_list_binary(opts.dedup_path), expected);
-    std::remove(opts.output_path.c_str());
-    std::remove(opts.dedup_path.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// Worker failure propagation: descriptive error, no hang, no partial files
-// ---------------------------------------------------------------------------
-
-/// Runs a failing distributed job with a dedicated scratch dir and returns
-/// the thrown message; asserts no file (rank scratch or output) survives.
-std::string run_failing(Config cfg, dist::DistOptions opts,
-                        const std::string& tag) {
-    const std::string scratch = tmp_path(tag + "_scratch");
-    if (::mkdir(scratch.c_str(), 0755) != 0) {
-        ADD_FAILURE() << "mkdir " << scratch << ": " << std::strerror(errno);
-        return {};
-    }
-    opts.scratch_dir = scratch;
-    opts.output_path = tmp_path(tag + "_out.bin");
-    std::string message;
-    try {
-        generate_distributed(cfg, opts);
-        ADD_FAILURE() << tag << ": expected generate_distributed to throw";
-    } catch (const std::runtime_error& e) {
-        message = e.what();
-    }
-    EXPECT_FALSE(file_exists(opts.output_path)) << tag << ": partial output left";
-    // The scratch dir must be empty again: rmdir fails on leftovers.
-    EXPECT_EQ(::rmdir(scratch.c_str()), 0)
-        << tag << ": rank files left behind in " << scratch;
-    std::remove(opts.output_path.c_str());
-    return message;
-}
-
-TEST(DistFailure, WorkerExceptionPropagatesItsMessage) {
-    Config cfg        = model_config(Model::GnmDirected);
-    cfg.chunks_per_pe = 2;
-    dist::DistOptions opts;
-    opts.num_ranks = 3;
-    opts.rank_hook = [](u64 rank) {
-        if (rank == 1) throw std::runtime_error("injected fault in rank 1");
-    };
-    const std::string message = run_failing(cfg, opts, "throw");
-    EXPECT_NE(message.find("rank 1"), std::string::npos) << message;
-    EXPECT_NE(message.find("injected fault in rank 1"), std::string::npos) << message;
-}
+INSTANTIATE_TEST_SUITE_P(Fork, TransportMatrix,
+                         ::testing::Values(Transport::fork));
 
 TEST(DistFailure, WorkerNonzeroExitIsDescribed) {
     Config cfg        = model_config(Model::GnmDirected);
     cfg.chunks_per_pe = 2;
-    dist::DistOptions opts;
-    opts.num_ranks = 4;
-    opts.rank_hook = [](u64 rank) {
+    testing::RunSpec spec;
+    spec.ranks     = 4;
+    spec.rank_hook = [](u64 rank) {
         if (rank == 2) ::_exit(7);
     };
-    const std::string message = run_failing(cfg, opts, "exit");
+    const std::string message = testing::run_failing(Transport::fork, cfg, spec, "exit");
     EXPECT_NE(message.find("rank 2"), std::string::npos) << message;
     EXPECT_NE(message.find("exited with status 7"), std::string::npos) << message;
-}
-
-TEST(DistFailure, WorkerCrashIsDescribedWithoutHanging) {
-    Config cfg        = model_config(Model::GnmDirected);
-    cfg.chunks_per_pe = 2;
-    dist::DistOptions opts;
-    opts.num_ranks = 2;
-    opts.rank_hook = [](u64 rank) {
-        if (rank == 0) ::raise(SIGKILL);
-    };
-    const std::string message = run_failing(cfg, opts, "crash");
-    EXPECT_NE(message.find("rank 0"), std::string::npos) << message;
-    EXPECT_NE(message.find("signal 9"), std::string::npos) << message;
 }
 
 TEST(DistFailure, InvalidOptionsThrowBeforeForking) {
@@ -319,6 +44,26 @@ TEST(DistFailure, InvalidOptionsThrowBeforeForking) {
     Config bad        = cfg;
     bad.chunks_per_pe = 0;
     EXPECT_THROW(generate_distributed(bad, {}), std::invalid_argument);
+}
+
+// encode_config leaves arena_slab_bytes out (it cannot change the graph), so
+// a forked rank must run the coordinator's own Config rather than the one
+// decoded from its job frame. The ranks' merged metrics record the slab size
+// their arenas used.
+TEST(Dist, ForkedRanksKeepConfigFieldsTheWireLeavesOut) {
+    Config cfg           = model_config(Model::GnmUndirected);
+    cfg.chunks_per_pe    = 4;
+    cfg.arena_slab_bytes = 65536;
+    cfg.metrics_path     = tmp_path("arena.metrics.json");
+    dist::DistOptions opts;
+    opts.num_ranks        = 2;
+    opts.threads_per_rank = 2; // the arena backs multi-threaded ordered runs
+    opts.output_path      = tmp_path("arena.bin");
+    generate_distributed(cfg, opts);
+    EXPECT_NE(read_bytes(cfg.metrics_path).find("\"pe.arena.slab_bytes\": 65536"),
+              std::string::npos);
+    std::remove(opts.output_path.c_str());
+    std::remove(cfg.metrics_path.c_str());
 }
 
 // ---------------------------------------------------------------------------

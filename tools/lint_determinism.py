@@ -23,9 +23,12 @@ Rules (ids are what the allowlist references):
                       it must never reach an emit/serialize path. Lookups
                       (find/emplace/operator[]) are fine and idiomatic.
   wire-float          float/double members in wire-layer structs
-                      (dist/ipc.hpp, net/protocol.hpp) — doubles cross the
-                      wire as explicit IEEE-754 bit patterns via
-                      bytes::put_f64/get_f64, never as raw struct bytes.
+                      (WIRE_FILES: dist/report.hpp, net/protocol.hpp,
+                      common/bytes.hpp) — doubles cross the wire as explicit
+                      IEEE-754 bit patterns via bytes::put_f64/get_f64, never
+                      as raw struct bytes. Every WIRE_FILES entry must exist:
+                      a renamed wire header would otherwise drop out of the
+                      rule silently.
   discarded-io        statement-position fwrite/fread/write/send/recv whose
                       return value is discarded — short writes and ENOSPC
                       must surface, not truncate files silently.
@@ -89,7 +92,7 @@ HOT_PATH_ALLOC = re.compile(
     r"\.(push_back|emplace_back|reserve|resize)\s*\(")
 
 UNORDERED_DECL = re.compile(r"std::unordered_\w+\s*<[^;]*>\s+(\w+)")
-WIRE_FILES = ("dist/ipc.hpp", "net/protocol.hpp", "common/bytes.hpp")
+WIRE_FILES = ("dist/report.hpp", "net/protocol.hpp", "common/bytes.hpp")
 WIRE_FLOAT = re.compile(r"^\s*(float|double)\s+\w+\s*(=[^=]|;|\{)")
 
 BLOCK_COMMENT = re.compile(r"/\*.*?\*/", re.DOTALL)
@@ -230,6 +233,14 @@ def main():
     root = Path(args.root)
     allow = load_allowlist(Path(args.allowlist))
 
+    status = 0
+    for wire in WIRE_FILES:
+        if not (root / wire).is_file():
+            print(f"WIRE_FILES names {wire}, which does not exist under "
+                  f"{root} — point it at the header that now holds the wire "
+                  f"structs", file=sys.stderr)
+            status = 1
+
     violations = []
     for path in sorted(root.rglob("*")):
         if path.suffix not in {".hpp", ".cpp", ".h", ".cc"}:
@@ -246,7 +257,6 @@ def main():
             if not waived:
                 violations.append((rule, rpath, no, text))
 
-    status = 0
     for rule, rpath, no, text in violations:
         print(f"{rpath}:{no}: [{rule}] {text}")
         status = 1
