@@ -2,9 +2,11 @@
 // a distribution — PR after PR may rearrange the engines, but the default
 // (v1) output for a pinned (model, params, seed, rank, size) must never
 // move by a single byte, or silently re-generated datasets stop matching
-// published ones. These fixtures freeze small instances of the ER family
-// and one geometric model; the byte-identity sweeps in test_er/test_dist
-// cover self-consistency, this suite covers consistency *across commits*.
+// published ones. These fixtures freeze small instances of the ER family,
+// one geometric model and the in-memory hyperbolic generator (whose query
+// side may be rewritten for speed, never for bytes); the byte-identity
+// sweeps in test_er/test_dist cover self-consistency, this suite covers
+// consistency *across commits*.
 //
 // Fixture format: u64 edge count, then count x (u64 u, u64 v), little
 // endian, exactly as the edge list falls out of generate().
@@ -31,6 +33,8 @@ struct GoldenCase {
     u64 m;       // gnm models
     double p;    // gnp models
     double r;    // rgg models
+    double avg_deg; // rhg models
+    double gamma;   // rhg models
     u64 seed;
     u64 rank;
     u64 size;
@@ -40,13 +44,19 @@ struct GoldenCase {
 // few million, and the fixtures live in git.
 const GoldenCase kCases[] = {
     {"gnm_directed_n2048_m4096_s7_r0of2.bin", Model::GnmDirected, 2048, 4096,
-     0.0, 0.0, 7, 0, 2},
+     0.0, 0.0, 0.0, 0.0, 7, 0, 2},
     {"gnm_undirected_n2048_m4096_s7_r1of2.bin", Model::GnmUndirected, 2048,
-     4096, 0.0, 0.0, 7, 1, 2},
+     4096, 0.0, 0.0, 0.0, 0.0, 7, 1, 2},
     {"gnp_directed_n2048_p0.001_s11_r0of2.bin", Model::GnpDirected, 2048, 0,
-     0.001, 0.0, 11, 0, 2},
-    {"rgg2d_n4096_r0.02_s13_r0of2.bin", Model::Rgg2D, 4096, 0, 0.0, 0.02, 13,
-     0, 2},
+     0.001, 0.0, 0.0, 0.0, 11, 0, 2},
+    {"rgg2d_n4096_r0.02_s13_r0of2.bin", Model::Rgg2D, 4096, 0, 0.0, 0.02, 0.0,
+     0.0, 13, 0, 2},
+    // In-memory RHG on a non-power-of-two chunk count: a typical instance
+    // and a heavy tail (γ 2.1) whose inner-annulus windows reach π.
+    {"rhg_n3000_d16_g2.6_s17_r2of7.bin", Model::Rhg, 3000, 0, 0.0, 0.0, 16.0,
+     2.6, 17, 2, 7},
+    {"rhg_n3000_d8_g2.1_s19_r4of5.bin", Model::Rhg, 3000, 0, 0.0, 0.0, 8.0,
+     2.1, 19, 4, 5},
 };
 
 std::string golden_path(const char* file) {
@@ -69,12 +79,14 @@ std::vector<unsigned char> serialize(const EdgeList& edges) {
 
 EdgeList generate_case(const GoldenCase& c) {
     Config cfg;
-    cfg.model = c.model;
-    cfg.n     = c.n;
-    cfg.m     = c.m;
-    cfg.p     = c.p;
-    cfg.r     = c.r;
-    cfg.seed  = c.seed;
+    cfg.model   = c.model;
+    cfg.n       = c.n;
+    cfg.m       = c.m;
+    cfg.p       = c.p;
+    cfg.r       = c.r;
+    cfg.avg_deg = c.avg_deg;
+    cfg.gamma   = c.gamma;
+    cfg.seed    = c.seed;
     // sampler_version stays at the default: golden files pin v1.
     return generate(cfg, c.rank, c.size).edges;
 }
