@@ -17,6 +17,8 @@ HypGrid::HypGrid(const Params& params, u64 num_chunks)
     for (u32 i = 0; i <= k; ++i) {
         bounds_[i] = r * static_cast<double>(i) / static_cast<double>(k);
     }
+    lower_terms_.reserve(k);
+    for (u32 i = 0; i < k; ++i) lower_terms_.push_back(RadialTerms::of(bounds_[i]));
 
     // Annulus occupancy: one multinomial over the radial masses, drawn from
     // a single hash-seeded stream so every PE computes identical counts.

@@ -17,7 +17,10 @@
 ///
 /// Per §7.2.1, points carry precomputed coth(r), 1/sinh(r), cos(θ), sin(θ):
 /// a distance threshold test then costs five multiplications and two
-/// additions (Eq. 9) instead of trigonometric calls.
+/// additions (Eq. 9) instead of trigonometric calls. The query windows
+/// (`Space::delta_theta`, Eq. A.3) get the same treatment: cosh/sinh of
+/// every radius involved are computed once (`RadialTerms`; the grid keeps
+/// them for each annulus' lower boundary), so a window costs one acos.
 #pragma once
 
 #include <algorithm>
@@ -47,6 +50,16 @@ struct HypPoint {
     double inv_sinh_r = 0.0;
     double cos_t      = 0.0;
     double sin_t      = 0.0;
+};
+
+/// A radius with its hyperbolic cosine and sine, computed once and reused
+/// by every window query the radius takes part in.
+struct RadialTerms {
+    double r      = 0.0;
+    double cosh_r = 0.0;
+    double sinh_r = 0.0;
+
+    static RadialTerms of(double r) { return {r, std::cosh(r), std::sinh(r)}; }
 };
 
 /// Model geometry: disk radius, radial distribution, distance predicates.
@@ -82,9 +95,15 @@ public:
     /// at radius `r` (Eq. A.3); the query overestimate uses the annulus'
     /// lower boundary for `b`.
     double delta_theta(double r, double b) const {
-        if (r + b < radius_) return std::numbers::pi;
-        const double num = std::cosh(r) * std::cosh(b) - cosh_r_;
-        const double den = std::sinh(r) * std::sinh(b);
+        return delta_theta(RadialTerms::of(r), RadialTerms::of(b));
+    }
+
+    /// The same window from precomputed cosh/sinh of both radii: one acos.
+    /// Bit-identical to the (r, b) form, which delegates here.
+    double delta_theta(const RadialTerms& p, const RadialTerms& b) const {
+        if (p.r + b.r < radius_) return std::numbers::pi;
+        const double num = p.cosh_r * b.cosh_r - cosh_r_;
+        const double den = p.sinh_r * b.sinh_r;
         if (den <= 0.0) return std::numbers::pi;
         return std::acos(std::clamp(num / den, -1.0, 1.0));
     }
@@ -141,6 +160,9 @@ public:
     u64 num_chunks() const { return num_chunks_; }
 
     double annulus_lower(u32 a) const { return bounds_[a]; }
+    /// cosh/sinh of annulus `a`'s lower boundary, the radius every window
+    /// into `a` is taken against.
+    const RadialTerms& annulus_lower_terms(u32 a) const { return lower_terms_[a]; }
     double annulus_upper(u32 a) const { return bounds_[a + 1]; }
     u64 annulus_count(u32 a) const { return annulus_count_[a]; }
     u64 annulus_first_id(u32 a) const { return annulus_offset_[a]; }
@@ -187,9 +209,10 @@ private:
     Space space_;
     u64 seed_;
     u64 num_chunks_;
-    std::vector<double> bounds_;        // k + 1 radial boundaries
-    std::vector<u64> annulus_count_;    // points per annulus
-    std::vector<u64> annulus_offset_;   // id offset per annulus
+    std::vector<double> bounds_;           // k + 1 radial boundaries
+    std::vector<RadialTerms> lower_terms_; // per annulus, of bounds_[a]
+    std::vector<u64> annulus_count_;       // points per annulus
+    std::vector<u64> annulus_offset_;      // id offset per annulus
 };
 
 } // namespace kagen::hyp

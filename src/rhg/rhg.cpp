@@ -1,71 +1,15 @@
 #include "rhg/rhg.hpp"
 
 #include <algorithm>
-#include <map>
 #include <numbers>
 
+#include "obs/metrics.hpp"
 #include "sink/sinks.hpp"
 
 namespace kagen::rhg {
 namespace {
 
 constexpr double kTwoPi = 2.0 * std::numbers::pi;
-
-/// Memoizing accessor for recomputed chunks (the §7.1 "recompute non-local
-/// chunks encountered during the search and store them for future
-/// searches").
-class ChunkCache {
-public:
-    explicit ChunkCache(const hyp::HypGrid& grid) : grid_(grid) {}
-
-    const std::vector<hyp::HypPoint>& get(u32 annulus, u64 chunk) {
-        const auto key = std::make_pair(annulus, chunk);
-        auto it        = cache_.find(key);
-        if (it == cache_.end()) {
-            it = cache_.emplace(key, grid_.chunk_points(annulus, chunk)).first;
-        }
-        return it->second;
-    }
-
-private:
-    const hyp::HypGrid& grid_;
-    std::map<std::pair<u32, u64>, std::vector<hyp::HypPoint>> cache_;
-};
-
-/// Invokes `fn(u)` for every point of annulus `a` whose angle lies within
-/// [center - width, center + width] (mod 2π). Exploits the chunk points'
-/// angle order via binary search.
-template <typename F>
-void for_candidates(ChunkCache& cache, const hyp::HypGrid& grid, u32 a, double center,
-                    double width, F&& fn) {
-    const auto scan = [&](double lo, double hi) { // 0 <= lo <= hi <= 2π
-        const u64 c_lo = grid.chunk_of_angle(lo);
-        const u64 c_hi = grid.chunk_of_angle(std::nextafter(hi, 0.0));
-        for (u64 c = c_lo; c <= c_hi; ++c) {
-            const auto& pts = cache.get(a, c);
-            auto it = std::lower_bound(pts.begin(), pts.end(), lo,
-                                       [](const hyp::HypPoint& p, double v) {
-                                           return p.theta < v;
-                                       });
-            for (; it != pts.end() && it->theta <= hi; ++it) fn(*it);
-        }
-    };
-    if (width >= std::numbers::pi) {
-        scan(0.0, kTwoPi);
-        return;
-    }
-    double lo = center - width;
-    double hi = center + width;
-    if (lo < 0.0) {
-        scan(lo + kTwoPi, kTwoPi);
-        lo = 0.0;
-    }
-    if (hi > kTwoPi) {
-        scan(0.0, hi - kTwoPi);
-        hi = kTwoPi;
-    }
-    scan(lo, hi);
-}
 
 } // namespace
 
@@ -86,7 +30,8 @@ u32 first_streaming_annulus(const hyp::HypGrid& grid) {
     const auto& space  = grid.space();
     const double limit = grid.chunk_width() / 2.0; // requests must fit a chunk
     for (u32 a = 0; a < grid.num_annuli(); ++a) {
-        if (space.delta_theta(grid.annulus_lower(a), grid.annulus_lower(a)) <= limit) {
+        const hyp::RadialTerms& lower = grid.annulus_lower_terms(a);
+        if (space.delta_theta(lower, lower) <= limit) {
             return a;
         }
     }
@@ -95,30 +40,125 @@ u32 first_streaming_annulus(const hyp::HypGrid& grid) {
 
 void generate_inmemory(const hyp::Params& params, u64 rank, u64 size, EdgeSink& sink) {
     const hyp::HypGrid grid(params, size);
-    const auto& space = grid.space();
-    ChunkCache cache(grid);
+    const auto& space    = grid.space();
+    const auto chunks    = static_cast<i64>(grid.num_chunks());
+    const double c_width = grid.chunk_width();
 
-    EdgeList edges;
+    // The chunk's vertices of every annulus (annulus a's are
+    // local[first[a], first[a + 1])), with cosh/sinh of their radii.
+    std::vector<hyp::HypPoint> local;
+    std::vector<std::size_t> first{0};
     for (u32 a = 0; a < grid.num_annuli(); ++a) {
-        for (const auto& v : cache.get(a, rank)) {
-            // Annulus-wise query, inward and outward (§7.1): the angular
-            // window is the Lemma-10 overestimate from the annulus' lower
-            // boundary; non-local chunks are recomputed via the cache.
-            for (u32 j = 0; j < grid.num_annuli(); ++j) {
-                const double width = space.delta_theta(v.r, grid.annulus_lower(j));
-                for_candidates(cache, grid, j, v.theta, width,
-                               [&](const hyp::HypPoint& u) {
-                                   if (u.id != v.id && space.edge(u, v)) {
-                                       edges.emplace_back(std::min(u.id, v.id),
-                                                          std::max(u.id, v.id));
-                                   }
-                               });
+        const auto pts = grid.chunk_points(a, rank);
+        local.insert(local.end(), pts.begin(), pts.end());
+        first.push_back(local.size());
+    }
+    std::vector<hyp::RadialTerms> terms;
+    terms.reserve(local.size());
+    for (const auto& v : local) terms.push_back(hyp::RadialTerms::of(v.r));
+
+    u64 candidates = 0;
+    u64 recomputed = 0;
+    EdgeList edges;
+    std::vector<double> widths(local.size());
+    std::vector<hyp::HypPoint> pts; // target annulus' span, sorted by angle
+    std::vector<double> keys;       // pts' angles, unwrapped past 0/2π
+    for (u32 j = 0; j < grid.num_annuli() && !local.empty(); ++j) {
+        // Every local vertex's window into annulus j — the Lemma-10
+        // overestimate from j's lower boundary (§7.1) — and their span.
+        // Each window contains its vertex's angle, which lies in the local
+        // chunk, so the span is the union of the windows plus at most the
+        // local chunk.
+        double lo  = kTwoPi;
+        double hi  = 0.0;
+        bool whole = false;
+        for (std::size_t i = 0; i < local.size(); ++i) {
+            widths[i] = space.delta_theta(terms[i], grid.annulus_lower_terms(j));
+            whole     = whole || widths[i] >= std::numbers::pi;
+            lo        = std::min(lo, local[i].theta - widths[i]);
+            hi        = std::max(hi, local[i].theta + widths[i]);
+        }
+        auto c_lo = static_cast<i64>(std::floor(lo / c_width));
+        auto c_hi = static_cast<i64>(std::floor(hi / c_width));
+        if (whole || c_hi - c_lo + 1 >= chunks) {
+            whole = true;
+            c_lo  = 0;
+            c_hi  = chunks - 1;
+        }
+
+        // Materialize the span once, recomputing its non-local chunks
+        // (§7.1). Chunks past 0/2π keep their points' angles shifted by
+        // ∓2π, so the span's keys ascend and every window is one range.
+        pts.clear();
+        keys.clear();
+        for (i64 c = c_lo; c <= c_hi; ++c) {
+            const auto chunk   = static_cast<u64>((c + chunks) % chunks);
+            const double shift = c < 0 ? -kTwoPi : (c >= chunks ? kTwoPi : 0.0);
+            const std::size_t begin = pts.size();
+            if (chunk == rank) {
+                pts.insert(pts.end(), local.begin() + static_cast<i64>(first[j]),
+                           local.begin() + static_cast<i64>(first[j + 1]));
+            } else {
+                const auto cp = grid.chunk_points(j, chunk);
+                pts.insert(pts.end(), cp.begin(), cp.end());
+                recomputed += cp.size();
+            }
+            for (std::size_t q = begin; q < pts.size(); ++q) {
+                keys.push_back(pts[q].theta + shift);
             }
         }
+
+        // Each local pair would be found from both endpoints; the query of
+        // its lower id emits it. Cross-chunk pairs are found from the local
+        // endpoint only — both rely on every window containing the
+        // vertex's neighbours in that annulus.
+        const auto [own_lo, own_hi] = grid.chunk_id_range(j, rank);
+        const auto scan = [&](const hyp::HypPoint& v, double from, double to) {
+            auto q = static_cast<std::size_t>(
+                std::lower_bound(keys.begin(), keys.end(), from) - keys.begin());
+            for (; q < keys.size() && keys[q] <= to; ++q) {
+                const hyp::HypPoint& u = pts[q];
+                if (u.id >= own_lo && u.id < own_hi && u.id <= v.id) continue;
+                ++candidates;
+                if (space.edge(u, v)) {
+                    edges.emplace_back(std::min(u.id, v.id), std::max(u.id, v.id));
+                }
+            }
+        };
+        for (std::size_t i = 0; i < local.size(); ++i) {
+            const hyp::HypPoint& v = local[i];
+            double from            = v.theta - widths[i];
+            double to              = v.theta + widths[i];
+            if (whole) { // keys are the plain angles in [0, 2π)
+                if (widths[i] >= std::numbers::pi) {
+                    from = 0.0;
+                    to   = kTwoPi;
+                } else if (from < 0.0) {
+                    scan(v, from + kTwoPi, kTwoPi);
+                    from = 0.0;
+                } else if (to > kTwoPi) {
+                    scan(v, 0.0, to - kTwoPi);
+                    to = kTwoPi;
+                }
+            }
+            scan(v, from, to);
+        }
     }
-    // Each local pair was found from both endpoints; dedupe locally before
-    // streaming out (the query loop cannot know an edge is new until the
-    // whole annulus sweep is over).
+
+    // Per chunk, never per edge: the Lemma-10 overestimation is
+    // rhg.candidates / emitted edges, the §7.1 recompute volume
+    // rhg.points_recomputed.
+    static obs::Counter& queries_ctr = obs::Registry::global().counter("rhg.queries");
+    static obs::Counter& candidates_ctr =
+        obs::Registry::global().counter("rhg.candidates");
+    static obs::Counter& recomputed_ctr =
+        obs::Registry::global().counter("rhg.points_recomputed");
+    queries_ctr.add(local.size() * grid.num_annuli());
+    candidates_ctr.add(candidates);
+    recomputed_ctr.add(recomputed);
+
+    // Sorted per chunk, as the output format wants; no pair was found
+    // twice, so unique only guards that invariant.
     sort_unique(edges);
     for (const auto& [u, v] : edges) sink.emit(u, v);
     sink.flush();
@@ -146,6 +186,9 @@ void generate_streaming(const hyp::Params& params, u64 rank, u64 size, EdgeSink&
             global_pts.insert(global_pts.end(), pts.begin(), pts.end());
         }
     }
+    std::vector<hyp::RadialTerms> global_terms;
+    global_terms.reserve(global_pts.size());
+    for (const auto& v : global_pts) global_terms.push_back(hyp::RadialTerms::of(v.r));
     // Global-global pairs, each executed by the PE owning the lower-id
     // endpoint's angular position (even distribution, no duplication).
     for (std::size_t i = 0; i < global_pts.size(); ++i) {
@@ -179,10 +222,15 @@ void generate_streaming(const hyp::Params& params, u64 rank, u64 size, EdgeSink&
         hyp::HypPoint src;
     };
 
-    // Local chunk points per annulus, generated once.
+    // Local chunk points per annulus, generated once, with cosh/sinh of
+    // their radii for the request windows.
     std::vector<std::vector<hyp::HypPoint>> local_pts(num_annuli);
+    std::vector<std::vector<hyp::RadialTerms>> local_terms(num_annuli);
     for (u32 a = stream_lo; a < num_annuli; ++a) {
         local_pts[a] = grid.chunk_points(a, rank);
+        for (const auto& v : local_pts[a]) {
+            local_terms[a].push_back(hyp::RadialTerms::of(v.r));
+        }
     }
 
     for (u32 j = stream_lo; j < num_annuli; ++j) {
@@ -203,18 +251,21 @@ void generate_streaming(const hyp::Params& params, u64 rank, u64 size, EdgeSink&
 
         // Requests of local sources from annuli stream_lo..j; a request into
         // annulus j has width delta_theta(r_src, lower_j) <= half a chunk.
+        const hyp::RadialTerms& lower = grid.annulus_lower_terms(j);
         std::vector<Request> requests;
         for (u32 i = stream_lo; i <= j; ++i) {
-            for (const auto& v : local_pts[i]) {
-                const double w = space.delta_theta(v.r, grid.annulus_lower(j));
+            for (std::size_t q = 0; q < local_pts[i].size(); ++q) {
+                const auto& v  = local_pts[i][q];
+                const double w = space.delta_theta(local_terms[i][q], lower);
                 requests.push_back({v.theta - w, v.theta + w, i, v});
             }
         }
         // Global requests clipped to this PE: match all global sources
         // against local targets (their executions are distributed by
         // target ownership).
-        for (const auto& v : global_pts) {
-            const double w = space.delta_theta(v.r, grid.annulus_lower(j));
+        for (std::size_t q = 0; q < global_pts.size(); ++q) {
+            const auto& v  = global_pts[q];
+            const double w = space.delta_theta(global_terms[q], lower);
             for (const auto& u : local_pts[j]) {
                 double d = std::fabs(u.theta - v.theta);
                 d        = std::min(d, kTwoPi - d);

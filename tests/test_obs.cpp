@@ -339,7 +339,11 @@ TEST(ObsEndToEnd, ChunkedOutputByteIdenticalWithTelemetryOn) {
         const std::string on   = chunked_file(cfg, "on");
         EXPECT_EQ(read_text(off), read_text(on)) << model_name(model);
         EXPECT_FALSE(read_text(cfg.trace_path).empty());
-        EXPECT_FALSE(read_text(cfg.metrics_path).empty());
+        const std::string metrics = read_text(cfg.metrics_path);
+        EXPECT_FALSE(metrics.empty());
+        if (model == Model::Rhg) {
+            EXPECT_NE(metrics.find("\"rhg.candidates\""), std::string::npos);
+        }
         remove_quiet(off);
         remove_quiet(on);
         remove_quiet(cfg.trace_path);
@@ -348,40 +352,48 @@ TEST(ObsEndToEnd, ChunkedOutputByteIdenticalWithTelemetryOn) {
 }
 
 TEST(ObsEndToEnd, DistributedOutputByteIdenticalWithTelemetryOn) {
-    Config cfg = sweep_config(Model::GnmUndirected);
-    dist::DistOptions opts;
-    opts.num_ranks   = 3;
-    opts.num_pes     = 4;
-    opts.output_path = tmp_path("dist_off.bin");
-    const dist::DistResult off = generate_distributed(cfg, opts);
+    for (const Model model : {Model::GnmUndirected, Model::Rhg}) {
+        SCOPED_TRACE(model_name(model));
+        Config cfg = sweep_config(model);
+        dist::DistOptions opts;
+        opts.num_ranks   = 3;
+        opts.num_pes     = 4;
+        opts.output_path = tmp_path("dist_off.bin");
+        const dist::DistResult off = generate_distributed(cfg, opts);
 
-    cfg.trace_path   = tmp_path("dist.trace.json");
-    cfg.metrics_path = tmp_path("dist.metrics.json");
-    opts.output_path = tmp_path("dist_on.bin");
-    const dist::DistResult on = generate_distributed(cfg, opts);
+        cfg.trace_path   = tmp_path("dist.trace.json");
+        cfg.metrics_path = tmp_path("dist.metrics.json");
+        opts.output_path = tmp_path("dist_on.bin");
+        const dist::DistResult on = generate_distributed(cfg, opts);
 
-    EXPECT_EQ(off.edges_written, on.edges_written);
-    EXPECT_EQ(read_text(tmp_path("dist_off.bin")), read_text(tmp_path("dist_on.bin")));
+        EXPECT_EQ(off.edges_written, on.edges_written);
+        EXPECT_EQ(read_text(tmp_path("dist_off.bin")), read_text(tmp_path("dist_on.bin")));
 
-    // The merged trace names every rank timeline plus the coordinator.
-    const std::string trace = read_text(cfg.trace_path);
-    EXPECT_NE(trace.find("\"rank 0\""), std::string::npos);
-    EXPECT_NE(trace.find("\"rank 1\""), std::string::npos);
-    EXPECT_NE(trace.find("\"rank 2\""), std::string::npos);
-    EXPECT_NE(trace.find("\"coordinator\""), std::string::npos);
-    EXPECT_NE(trace.find("\"name\": \"generate\""), std::string::npos);
-    EXPECT_NE(trace.find("\"name\": \"merge\""), std::string::npos);
+        // The merged trace names every rank timeline plus the coordinator.
+        const std::string trace = read_text(cfg.trace_path);
+        EXPECT_NE(trace.find("\"rank 0\""), std::string::npos);
+        EXPECT_NE(trace.find("\"rank 1\""), std::string::npos);
+        EXPECT_NE(trace.find("\"rank 2\""), std::string::npos);
+        EXPECT_NE(trace.find("\"coordinator\""), std::string::npos);
+        EXPECT_NE(trace.find("\"name\": \"generate\""), std::string::npos);
+        EXPECT_NE(trace.find("\"name\": \"merge\""), std::string::npos);
 
-    // Merged metrics agree with the run summary: the file sink of every
-    // rank counted exactly the edges the merge wrote out.
-    const std::string metrics = read_text(cfg.metrics_path);
-    EXPECT_NE(metrics.find("\"sink.edges_written\""), std::string::npos);
-    EXPECT_NE(metrics.find("\"dist.merged_bytes\""), std::string::npos);
+        // Merged metrics agree with the run summary: the file sink of every
+        // rank counted exactly the edges the merge wrote out. The model's
+        // own counters travel with them.
+        const std::string metrics = read_text(cfg.metrics_path);
+        EXPECT_NE(metrics.find("\"sink.edges_written\""), std::string::npos);
+        EXPECT_NE(metrics.find("\"dist.merged_bytes\""), std::string::npos);
+        if (model == Model::Rhg) {
+            EXPECT_NE(metrics.find("\"rhg.queries\""), std::string::npos);
+            EXPECT_NE(metrics.find("\"rhg.points_recomputed\""), std::string::npos);
+        }
 
-    remove_quiet(tmp_path("dist_off.bin"));
-    remove_quiet(tmp_path("dist_on.bin"));
-    remove_quiet(cfg.trace_path);
-    remove_quiet(cfg.metrics_path);
+        remove_quiet(tmp_path("dist_off.bin"));
+        remove_quiet(tmp_path("dist_on.bin"));
+        remove_quiet(cfg.trace_path);
+        remove_quiet(cfg.metrics_path);
+    }
 }
 
 TEST(ObsEndToEnd, MetricsDeltaMatchesRunSummary) {

@@ -9,6 +9,7 @@
 
 #include "graph/stats.hpp"
 #include "hyperbolic/hyperbolic.hpp"
+#include "obs/metrics.hpp"
 #include "pe/pe.hpp"
 #include "rhg/rhg.hpp"
 #include "testing.hpp"
@@ -55,6 +56,40 @@ INSTANTIATE_TEST_SUITE_P(
                       RhgCase{50, 8, 3.0, 4},     // tiny: everything global
                       RhgCase{2, 4, 3.0, 2}       // degenerate
                       ));
+
+// §7.1's contract per rank, not just for the union: chunk `rank` of P emits
+// exactly the brute-force edges with at least one endpoint it owns, sorted
+// and each once — no missing cross-chunk edge, no stray or repeated one.
+class RhgInMemorySpec : public ::testing::TestWithParam<RhgCase> {};
+
+TEST_P(RhgInMemorySpec, EachRankEmitsExactlyItsIncidentEdges) {
+    const auto [n, d, g, P] = GetParam();
+    const hyp::Params params{n, d, g, /*seed=*/11};
+    const hyp::HypGrid grid(params, P);
+    std::vector<u64> owner(n);
+    for (u32 a = 0; a < grid.num_annuli(); ++a) {
+        for (u64 c = 0; c < P; ++c) {
+            for (const auto& p : grid.chunk_points(a, c)) owner[p.id] = c;
+        }
+    }
+    const EdgeList all = rhg::brute_force(params, P);
+    ASSERT_FALSE(all.empty());
+    for (u64 rank = 0; rank < P; ++rank) {
+        EdgeList expect;
+        for (const auto& e : all) {
+            if (owner[e.first] == rank || owner[e.second] == rank) expect.push_back(e);
+        }
+        EXPECT_EQ(rhg::generate_inmemory(params, rank, P), expect) << "rank " << rank;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PerRank, RhgInMemorySpec,
+    ::testing::Values(RhgCase{1500, 16, 2.6, 1},  // one chunk: all pairs local
+                      RhgCase{1500, 16, 2.6, 7},  // non-power-of-two chunks
+                      RhgCase{2000, 8, 2.9, 64},  // many empty chunks
+                      RhgCase{1500, 16, 2.1, 7},  // heavy tail: windows reach π
+                      RhgCase{2000, 8, 2.1, 64}));
 
 TEST(RhgPoints, StructureIsDeterministicAndComplete) {
     const hyp::Params params{3000, 12, 2.8, 9};
@@ -246,6 +281,30 @@ TEST(RhgGenerators, InMemoryOutputIsPartitioned) {
     for (const auto& e : pe::union_undirected(per_pe)) {
         EXPECT_TRUE(sets[owner[e.first]].count(e));
         EXPECT_TRUE(sets[owner[e.second]].count(e));
+    }
+}
+
+TEST(RhgCounters, CountQueriesCandidatesAndRecomputedPoints) {
+    // The live §7.1 cost counters: one query per (vertex, annulus), at least
+    // one candidate per emitted edge (Lemma 10 only overestimates), and no
+    // recomputation when a single chunk holds every point.
+    const hyp::Params params{3000, 12, 2.6, 21};
+    for (const u64 P : {u64{1}, u64{8}}) {
+        const hyp::HypGrid grid(params, P);
+        obs::Registry& reg       = obs::Registry::global();
+        const obs::Snapshot base = reg.snapshot();
+        u64 emitted              = 0;
+        for (u64 rank = 0; rank < P; ++rank) {
+            emitted += rhg::generate_inmemory(params, rank, P).size();
+        }
+        const obs::Snapshot delta = reg.snapshot().subtract(base);
+        EXPECT_EQ(delta.counter_or("rhg.queries"), params.n * grid.num_annuli()) << P;
+        EXPECT_GE(delta.counter_or("rhg.candidates"), emitted) << P;
+        if (P == 1) {
+            EXPECT_EQ(delta.counter_or("rhg.points_recomputed"), 0u);
+        } else {
+            EXPECT_GT(delta.counter_or("rhg.points_recomputed"), 0u);
+        }
     }
 }
 
