@@ -6,9 +6,11 @@
 ///
 ///  * `generate_inmemory` (§7.1, "RHG") — query-centric: each PE generates
 ///    its chunk's vertices, then for every vertex performs an annulus-wise
-///    neighbourhood query (outward *and* inward), recomputing non-local
-///    chunks on demand through a chunk cache. Produces a partitioned output:
-///    every edge incident to a local vertex is emitted locally.
+///    neighbourhood query (outward *and* inward). Per target annulus the
+///    chunks the queries reach are recomputed once into one angle-sorted
+///    array, so each query is a binary search plus a linear scan. Produces a
+///    partitioned output: every edge incident to a local vertex is emitted
+///    locally.
 ///
 ///  * `generate_streaming` (§7.2, "sRHG") — request-centric: annuli split
 ///    into lower *global* annuli (requests wider than a chunk; their

@@ -1,6 +1,7 @@
 // Random hyperbolic graphs: both generators must reproduce the brute-force
-// edge set on the identical point structure; model-level statistics
-// (average degree, power-law exponent) must match the parameters.
+// edge set on the identical point structure (the in-memory one rank by
+// rank); model-level statistics (average degree, power-law exponent) must
+// match the parameters.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -26,13 +27,27 @@ struct RhgCase {
 
 class RhgBoth : public ::testing::TestWithParam<RhgCase> {};
 
-TEST_P(RhgBoth, InMemoryUnionEqualsBruteForce) {
+// §7.1's contract per rank, not just for the union: chunk `rank` of P emits
+// exactly the brute-force edges with at least one endpoint it owns, sorted
+// and each once — no missing cross-chunk edge, no stray or repeated one.
+TEST_P(RhgBoth, InMemoryRankEmitsExactlyItsIncidentEdges) {
     const auto [n, d, g, P] = GetParam();
     const hyp::Params params{n, d, g, /*seed=*/5};
-    const auto per_pe = pe::run_all(P, [&](u64 rank, u64 size) {
-        return rhg::generate_inmemory(params, rank, size);
-    });
-    EXPECT_EQ(pe::union_undirected(per_pe), rhg::brute_force(params, P));
+    const hyp::HypGrid grid(params, P);
+    std::vector<u64> owner(n);
+    for (u32 a = 0; a < grid.num_annuli(); ++a) {
+        for (u64 c = 0; c < P; ++c) {
+            for (const auto& p : grid.chunk_points(a, c)) owner[p.id] = c;
+        }
+    }
+    const EdgeList all = rhg::brute_force(params, P);
+    for (u64 rank = 0; rank < P; ++rank) {
+        EdgeList expect;
+        for (const auto& e : all) {
+            if (owner[e.first] == rank || owner[e.second] == rank) expect.push_back(e);
+        }
+        EXPECT_EQ(rhg::generate_inmemory(params, rank, P), expect) << "rank " << rank;
+    }
 }
 
 TEST_P(RhgBoth, StreamingUnionEqualsBruteForce) {
@@ -49,47 +64,18 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(RhgCase{500, 8, 3.0, 1},    //
                       RhgCase{500, 8, 3.0, 4},    //
                       RhgCase{500, 8, 3.0, 7},    // non-power-of-two PEs
+                      RhgCase{1500, 16, 2.6, 1},  // one chunk: all pairs local
+                      RhgCase{1500, 16, 2.6, 7},  //
                       RhgCase{1500, 16, 2.6, 8},  //
                       RhgCase{1500, 16, 2.2, 8},  // heavy tail
+                      RhgCase{1500, 16, 2.1, 7},  // heavier: windows reach π
+                      RhgCase{2000, 8, 2.9, 64},  // many empty chunks
+                      RhgCase{2000, 8, 2.1, 64},  //
                       RhgCase{1000, 64, 3.0, 4},  // dense
                       RhgCase{2000, 4, 4.0, 16},  // sparse, light tail
                       RhgCase{50, 8, 3.0, 4},     // tiny: everything global
                       RhgCase{2, 4, 3.0, 2}       // degenerate
                       ));
-
-// §7.1's contract per rank, not just for the union: chunk `rank` of P emits
-// exactly the brute-force edges with at least one endpoint it owns, sorted
-// and each once — no missing cross-chunk edge, no stray or repeated one.
-class RhgInMemorySpec : public ::testing::TestWithParam<RhgCase> {};
-
-TEST_P(RhgInMemorySpec, EachRankEmitsExactlyItsIncidentEdges) {
-    const auto [n, d, g, P] = GetParam();
-    const hyp::Params params{n, d, g, /*seed=*/11};
-    const hyp::HypGrid grid(params, P);
-    std::vector<u64> owner(n);
-    for (u32 a = 0; a < grid.num_annuli(); ++a) {
-        for (u64 c = 0; c < P; ++c) {
-            for (const auto& p : grid.chunk_points(a, c)) owner[p.id] = c;
-        }
-    }
-    const EdgeList all = rhg::brute_force(params, P);
-    ASSERT_FALSE(all.empty());
-    for (u64 rank = 0; rank < P; ++rank) {
-        EdgeList expect;
-        for (const auto& e : all) {
-            if (owner[e.first] == rank || owner[e.second] == rank) expect.push_back(e);
-        }
-        EXPECT_EQ(rhg::generate_inmemory(params, rank, P), expect) << "rank " << rank;
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    PerRank, RhgInMemorySpec,
-    ::testing::Values(RhgCase{1500, 16, 2.6, 1},  // one chunk: all pairs local
-                      RhgCase{1500, 16, 2.6, 7},  // non-power-of-two chunks
-                      RhgCase{2000, 8, 2.9, 64},  // many empty chunks
-                      RhgCase{1500, 16, 2.1, 7},  // heavy tail: windows reach π
-                      RhgCase{2000, 8, 2.1, 64}));
 
 TEST(RhgPoints, StructureIsDeterministicAndComplete) {
     const hyp::Params params{3000, 12, 2.8, 9};
@@ -259,29 +245,6 @@ TEST(RhgGenerators, DeterministicPerRank) {
               rhg::generate_inmemory(params, 2, 4));
     EXPECT_EQ(rhg::generate_streaming(params, 2, 4),
               rhg::generate_streaming(params, 2, 4));
-}
-
-TEST(RhgGenerators, InMemoryOutputIsPartitioned) {
-    // §7.1: the in-memory generator emits every edge incident to a local
-    // vertex on that vertex's PE.
-    const hyp::Params params{1500, 10, 2.9, 17};
-    constexpr u64 P = 4;
-    const hyp::HypGrid grid(params, P);
-    std::vector<u64> owner(params.n);
-    for (u32 a = 0; a < grid.num_annuli(); ++a) {
-        for (u64 c = 0; c < P; ++c) {
-            for (const auto& p : grid.chunk_points(a, c)) owner[p.id] = c;
-        }
-    }
-    const auto per_pe = pe::run_all(P, [&](u64 rank, u64 size) {
-        return rhg::generate_inmemory(params, rank, size);
-    });
-    std::vector<std::set<Edge>> sets(P);
-    for (u64 r = 0; r < P; ++r) sets[r].insert(per_pe[r].begin(), per_pe[r].end());
-    for (const auto& e : pe::union_undirected(per_pe)) {
-        EXPECT_TRUE(sets[owner[e.first]].count(e));
-        EXPECT_TRUE(sets[owner[e.second]].count(e));
-    }
 }
 
 TEST(RhgCounters, CountQueriesCandidatesAndRecomputedPoints) {
