@@ -2,9 +2,14 @@
 """Print the delta between two google-benchmark JSON result files.
 
 Usage: bench_delta.py [--fail-above PCT] BASELINE.json CURRENT.json [...CURRENT.json]
+       bench_delta.py [--fail-above PCT] --baseline B1.json [--baseline B2.json ...]
+                      CURRENT.json [...CURRENT.json]
 
 Matches benchmarks by name and prints real_time and the Medges/s counter
-side by side with the relative change.
+side by side with the relative change. When a benchmark appears in several
+files of one side (repeated runs, e.g. alternating bare/armed process
+pairs), that side's value is the median over those files, so one noisy
+process cannot decide the comparison.
 
 By default the exit code is 0 — the CI perf-smoke job is explicitly
 non-gating (shared runners are far too noisy to fail a build on), the
@@ -15,15 +20,27 @@ where the noise argument does not apply.
 """
 import argparse
 import json
+import statistics
 import sys
 
 
-def load(path):
-    with open(path) as f:
-        data = json.load(f)
+def load(paths):
+    """Benchmark name -> {"real_time", "Medges/s"}, each the median over the
+    files in `paths` that contain the benchmark."""
+    runs = {}
+    for path in paths:
+        with open(path) as f:
+            data = json.load(f)
+        for b in data.get("benchmarks", []):
+            runs.setdefault(b["name"], []).append(b)
     out = {}
-    for b in data.get("benchmarks", []):
-        out[b["name"]] = b
+    for name, benches in runs.items():
+        merged = {"real_time": statistics.median(b["real_time"] for b in benches)}
+        rates = [b["Medges/s"] for b in benches
+                 if isinstance(b.get("Medges/s"), (int, float))]
+        if rates:
+            merged["Medges/s"] = statistics.median(rates)
+        out[name] = merged
     return out
 
 
@@ -38,14 +55,22 @@ def main():
     parser.add_argument("--fail-above", type=float, metavar="PCT", default=None,
                         help="exit 1 if any matched benchmark's real_time "
                              "regressed by more than PCT percent")
-    parser.add_argument("baseline", help="baseline google-benchmark JSON")
-    parser.add_argument("current", nargs="+", help="current result JSON(s)")
+    parser.add_argument("--baseline", action="append", default=[], metavar="FILE",
+                        help="baseline google-benchmark JSON; repeat for "
+                             "several runs (then every positional file is "
+                             "a current result)")
+    parser.add_argument("files", nargs="+",
+                        help="BASELINE.json CURRENT.json..., or only "
+                             "CURRENT.json... with --baseline")
     args = parser.parse_args()
 
-    baseline = load(args.baseline)
-    current = {}
-    for path in args.current:
-        current.update(load(path))
+    baseline_files, current_files = args.baseline, args.files
+    if not baseline_files:
+        if len(current_files) < 2:
+            parser.error("need a baseline and at least one current result")
+        baseline_files, current_files = current_files[:1], current_files[1:]
+    baseline = load(baseline_files)
+    current = load(current_files)
 
     regressions = []
     print(f"{'benchmark':55s} {'base_ms':>9s} {'now_ms':>9s} {'d_time':>8s} "

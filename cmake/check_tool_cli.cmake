@@ -9,7 +9,8 @@
 #     silently DISABLE pinning)
 #   * a trailing flag with no value is an error (the old loop dropped it)
 #   * fractional ba attachment degrees are rejected, not truncated
-#   * contradictory mode combinations are rejected up front
+#   * contradictory mode combinations are rejected up front, including run
+#     settings given to a TCP coordinator (they belong on its workers)
 if(NOT DEFINED TOOL)
     message(FATAL_ERROR "pass -DTOOL=<path to example_kagen_tool>")
 endif()
@@ -43,6 +44,10 @@ set(CASES
     "-manifest requires|gnm_undirected -sink file -manifest /tmp/m"
     "requires host:port|-worker"
     "unknown worker flag|-worker :0 -frobnicate 1"
+    "invalid value 'lots'|-worker :0 -max-buffered-bytes lots"
+    "expected 0|1|true|false|-worker :0 -pin-threads yes"
+    "set it on the workers|gnm_undirected -sink file -o /tmp/x -listen :0 -expect-workers 1 -spill-path s.bin"
+    "-pin-threads is a per-node run setting|gnm_undirected -sink count -connect h:1 -pin-threads 1"
 )
 
 set(NUM 0)

@@ -149,6 +149,10 @@ void print_help(std::FILE* out, const char* argv0) {
         "  -worker H:P    connect to the coordinator at host:port, or with an\n"
         "              empty host (\":P\") listen for the coordinator to dial in\n"
         "  -worker-scratch DIR   rank-file scratch location (default $TMPDIR)\n"
+        "  also -max-buffered-bytes, -spill-path, -arena-slab-bytes,\n"
+        "              -sink-buffer-edges, -pin-threads (as above): run settings\n"
+        "              are per node, so a -listen/-connect coordinator rejects\n"
+        "              them and each worker takes its own\n"
         "\n"
         "Telemetry (trace spans + metrics registry; DESIGN.md section 13):\n"
         "  -trace FILE    write a merged Chrome trace_event JSON timeline with\n"
@@ -217,6 +221,19 @@ bool parse_bool(const std::string& flag, const char* val) {
     if (std::strcmp(val, "1") == 0 || std::strcmp(val, "true") == 0) return true;
     if (std::strcmp(val, "0") == 0 || std::strcmp(val, "false") == 0) return false;
     bad_value(flag, val, "0|1|true|false");
+}
+
+// The per-process run settings (RunOptions without the telemetry paths).
+// In-process and forked runs take them on the command line; under
+// -listen/-connect they belong to the workers, which parse them here too.
+bool parse_run_flag(const std::string& flag, const char* val, RunOptions& run) {
+    if (flag == "-sink-buffer-edges") run.sink_buffer_edges = parse_u64(flag, val);
+    else if (flag == "-pin-threads") run.pin_threads = parse_bool(flag, val);
+    else if (flag == "-max-buffered-bytes") run.max_buffered_bytes = parse_u64(flag, val);
+    else if (flag == "-spill-path") run.spill_path = val;
+    else if (flag == "-arena-slab-bytes") run.arena_slab_bytes = parse_u64(flag, val);
+    else return false;
+    return true;
 }
 
 int parse_timeout_ms(const std::string& flag, const char* val) {
@@ -330,7 +347,7 @@ int run_coordinated_sink(const Config& cfg, const std::string& kind, u64 ranks,
 }
 
 // `kagen_tool -worker host:port [...]`: no model argument — the job frame
-// carries the whole Config.
+// carries the graph; the run settings are this worker's own.
 int run_worker_mode(int argc, char** argv) {
     if (argc < 3 || argv[2][0] == '\0') {
         std::fprintf(stderr, "-worker requires host:port (or :port to listen)\n");
@@ -350,7 +367,7 @@ int run_worker_mode(int argc, char** argv) {
             opts.connect_timeout_ms = parse_timeout_ms(flag, val);
         else if (flag == "-net-deadline")
             opts.io_deadline_ms = parse_timeout_ms(flag, val);
-        else {
+        else if (!parse_run_flag(flag, val, opts.run)) {
             std::fprintf(stderr, "unknown worker flag '%s' (try -help)\n",
                          flag.c_str());
             return 2;
@@ -505,6 +522,7 @@ int main(int argc, char** argv) {
     std::string sink_kind;
     net::NetOptions net_opts;
     const char* manifest_path = nullptr;
+    const char* run_flag      = nullptr; // a run setting given on this command line
     bool m_set = false;
     // -p 0 / -r 0 are legitimate requests (empty gnp graph, radius-0 rgg);
     // only an ABSENT flag gets the heuristic default below.
@@ -557,15 +575,7 @@ int main(int argc, char** argv) {
             threads_per_rank = parse_u64(flag, val);
         else if (flag == "-keep-rank-files")
             keep_rank_files = parse_bool(flag, val);
-        else if (flag == "-sink-buffer-edges")
-            cfg.sink_buffer_edges = parse_u64(flag, val);
-        else if (flag == "-pin-threads")
-            cfg.pin_threads = parse_bool(flag, val);
-        else if (flag == "-max-buffered-bytes")
-            cfg.max_buffered_bytes = parse_u64(flag, val);
-        else if (flag == "-spill-path") cfg.spill_path = val;
-        else if (flag == "-arena-slab-bytes")
-            cfg.arena_slab_bytes = parse_u64(flag, val);
+        else if (parse_run_flag(flag, val, cfg)) run_flag = argv[i];
         else if (flag == "-dedup-out") dedup_out = val;
         else if (flag == "-sort-memory") sort_memory = parse_u64(flag, val);
         else if (flag == "-edge-semantics") {
@@ -611,6 +621,15 @@ int main(int argc, char** argv) {
     if (net_mode && ranks != 0) {
         std::fprintf(stderr, "-ranks (fork backend) and -listen/-connect "
                              "(TCP backend) are mutually exclusive\n");
+        return 2;
+    }
+    if (net_mode && run_flag != nullptr) {
+        // The job carries only the graph: a run setting given here would
+        // silently not apply on the workers.
+        std::fprintf(stderr,
+                     "%s is a per-node run setting: with -listen/-connect set it on "
+                     "the workers (%s -worker H:P %s ...)\n",
+                     run_flag, argv[0], run_flag);
         return 2;
     }
     if (net_mode && sink_kind.empty()) {

@@ -34,6 +34,14 @@ inline u64 get_u64(const u8*& p, const u8* end) {
     return value;
 }
 
+/// A bool travels as the word 0 or 1. Decoding accepts only those two: a
+/// frame has one canonical encoding, so "any nonzero word" is an error.
+inline bool get_bool(const u8*& p, const u8* end) {
+    const u64 value = get_u64(p, end);
+    if (value > 1) throw std::runtime_error("bytes: non-canonical bool");
+    return value == 1;
+}
+
 /// Doubles travel as their IEEE-754 bit pattern in a u64.
 inline void put_f64(std::vector<u8>& out, double value) {
     u64 bits;

@@ -91,23 +91,24 @@ RankReport deserialize_report(const std::vector<u8>& payload) {
     const u8* end = p + payload.size();
     RankReport report;
     report.rank = bytes::get_u64(p, end);
-    report.ok   = bytes::get_u64(p, end) != 0;
+    report.ok   = bytes::get_bool(p, end);
     if (!report.ok) {
         report.error = bytes::get_string(p, end);
-        return report;
+    } else {
+        report.stats       = get_chunk_run_stats(p, end);
+        report.chunk_begin = bytes::get_u64(p, end);
+        report.chunk_end   = bytes::get_u64(p, end);
+        report.file_edges  = bytes::get_u64(p, end);
+        report.count       = CountingSummary::deserialize(p, end);
+        report.has_degrees = bytes::get_bool(p, end);
+        if (report.has_degrees) report.degrees = DegreeStatsSummary::deserialize(p, end);
     }
-    report.stats       = get_chunk_run_stats(p, end);
-    report.chunk_begin = bytes::get_u64(p, end);
-    report.chunk_end   = bytes::get_u64(p, end);
-    report.file_edges  = bytes::get_u64(p, end);
-    report.count       = CountingSummary::deserialize(p, end);
-    report.has_degrees = bytes::get_u64(p, end) != 0;
-    if (report.has_degrees) report.degrees = DegreeStatsSummary::deserialize(p, end);
     if (p != end) throw std::runtime_error("rank report: trailing bytes");
     return report;
 }
 
-RankReport execute_rank_job(const Config& cfg, const RankJob& job) {
+RankReport execute_rank_job(const GraphSpec& graph, const RunOptions& run,
+                            const RankJob& job) {
     RankReport report;
     report.rank        = job.rank;
     report.chunk_begin = job.chunk_begin;
@@ -116,29 +117,27 @@ RankReport execute_rank_job(const Config& cfg, const RankJob& job) {
     std::unique_ptr<BinaryFileSink> file;
     if (!job.rank_path.empty()) {
         file = std::make_unique<BinaryFileSink>(
-            job.rank_path, static_cast<std::size_t>(cfg.sink_buffer_edges));
+            job.rank_path, static_cast<std::size_t>(run.sink_buffer_edges));
     }
-    CountingSink count(cfg.edge_semantics);
+    CountingSink count(graph.edge_semantics);
     std::unique_ptr<DegreeStatsSink> degrees;
     if (job.degree_stats) {
-        degrees = std::make_unique<DegreeStatsSink>(num_vertices(cfg),
-                                                    cfg.edge_semantics);
+        degrees = std::make_unique<DegreeStatsSink>(num_vertices(graph),
+                                                    graph.edge_semantics);
     }
     RankSink sink(file.get(), count, degrees.get());
 
     if (job.chunk_begin < job.chunk_end) {
         pe::ChunkOptions copt;
-        copt.total_chunks       = job.num_chunks;
-        copt.num_pes            = 1; // decomposition pinned by total_chunks
-        copt.chunks_per_pe      = 1;
+        copt.total_chunks       = job.num_chunks; // pins the decomposition
         copt.chunk_begin        = job.chunk_begin;
         copt.chunk_end          = job.chunk_end;
-        copt.max_buffered_bytes = cfg.max_buffered_bytes;
-        copt.arena_slab_bytes   = cfg.arena_slab_bytes;
-        copt.pin_threads        = cfg.pin_threads;
-        if (!cfg.spill_path.empty()) {
+        copt.max_buffered_bytes = run.max_buffered_bytes;
+        copt.arena_slab_bytes   = run.arena_slab_bytes;
+        copt.pin_threads        = run.pin_threads;
+        if (!run.spill_path.empty()) {
             // Each rank needs its own scratch file, not a shared name.
-            copt.spill_path = cfg.spill_path + ".rank" + std::to_string(job.rank);
+            copt.spill_path = run.spill_path + ".rank" + std::to_string(job.rank);
         }
         // A forked child must never run a parallel section on a pool born in
         // another process, and a TCP worker wants its pool sized to the job:
@@ -152,8 +151,8 @@ RankReport execute_rank_job(const Config& cfg, const RankJob& job) {
         }
         report.stats = pe::run_chunked(
             copt,
-            [&cfg](u64 chunk, u64 total, EdgeSink& chunk_sink) {
-                generate(cfg, chunk, total, chunk_sink);
+            [&graph](u64 chunk, u64 total, EdgeSink& chunk_sink) {
+                generate(graph, chunk, total, chunk_sink);
             },
             sink);
     }
@@ -219,6 +218,7 @@ DistResult run_distributed(const Config& cfg, const DistOptions& opts) {
     copt.dedup_path         = opts.dedup_path;
     copt.sort_memory        = opts.sort_memory;
     net::NetWorkerOptions wopt;
+    wopt.run         = cfg; // the fork image hands every rank these
     wopt.scratch_dir = opts.scratch_dir;
     wopt.rank_hook   = opts.rank_hook;
     // No deadlines: a forked rank cannot vanish without its channel reading

@@ -16,6 +16,8 @@
 ///  * `execute_rank_job` is that per-rank work, identical for forked and TCP
 ///    ranks: `pe::run_chunked` over the chunk range into a per-rank binary
 ///    edge file plus local statistics sinks, returning a dist::RankReport.
+///    The graph comes from the job frame, the RunOptions from the fork
+///    image (`NetWorkerOptions::run`, copied from the coordinator's Config).
 ///  * Forked ranks share the coordinator's filesystem, so the coordinator
 ///    appends their rank files by path (copy_file_range) in canonical rank
 ///    order. Because rank r's stream is exactly the
@@ -34,25 +36,19 @@
 
 #include "common/fileio.hpp"
 #include "common/types.hpp"
+#include "config.hpp"
 #include "dist/report.hpp"
 #include "net/coordinator.hpp"
 
-namespace kagen {
-
-struct Config; // kagen.hpp (which includes this header after defining it)
-
-namespace dist {
+namespace kagen::dist {
 
 /// Execution shape of a forked run.
 struct DistOptions {
-    u64 num_ranks = 0;        ///< worker processes; 0 = 1 here — the
-                              ///< `kagen::generate_distributed` facade maps
-                              ///< 0 to `Config::num_processes` before calling
+    u64 num_ranks = 0;        ///< worker processes; 0 = 1
     u64 num_pes   = 0;        ///< simulated PEs P of the decomposition
-                              ///< (C = chunks_per_pe·P unless total_chunks
-                              ///< pins it); 0 = num_ranks. The graph depends
-                              ///< only on C — identical to a single-process
-                              ///< run with the same (P, K).
+                              ///< (resolve_num_chunks); 0 = num_ranks. The
+                              ///< graph depends only on C — identical to a
+                              ///< single-process run with the same (P, K).
     u64 threads_per_rank = 1; ///< pool threads inside each worker (each
                               ///< worker builds its own private pool; the
                               ///< forked child never touches the parent's)
@@ -81,10 +77,10 @@ struct DistOptions {
 
 using DistResult = net::RunResult;
 
-/// Runs `cfg`'s graph across `opts.num_ranks` forked worker processes and
-/// merges their outputs; see the file comment for the byte-identity
-/// guarantee. Throws on invalid options and on any rank failure
-/// (descriptive, no hang, no partial files left behind).
+/// Runs `cfg`'s graph across `opts.num_ranks` forked worker processes, each
+/// with `cfg`'s RunOptions, and merges their outputs; see the file comment
+/// for the byte-identity guarantee. Throws on invalid options and on any
+/// rank failure (descriptive, no hang, no partial files left behind).
 DistResult run_distributed(const Config& cfg, const DistOptions& opts);
 
 /// One rank's share of a distributed run, transport-agnostic: everything a
@@ -101,12 +97,14 @@ struct RankJob {
 };
 
 /// Executes one rank job: runs `pe::run_chunked` over the job's chunk range
-/// into the rank file (when requested) plus local statistics sinks, and
-/// returns the finished RankReport (ok == true). The single rank-execution
-/// core shared by forked and TCP workers — byte-identity of both transports
-/// rests on them running literally this function. Throws on any failure;
-/// the caller owns turning that into a failure report.
-RankReport execute_rank_job(const Config& cfg, const RankJob& job);
+/// of `graph` with this rank's `run` options into the rank file (when
+/// requested) plus local statistics sinks, and returns the finished
+/// RankReport (ok == true). The single rank-execution core shared by forked
+/// and TCP workers — byte-identity of both transports rests on them running
+/// literally this function. Throws on any failure; the caller owns turning
+/// that into a failure report.
+RankReport execute_rank_job(const GraphSpec& graph, const RunOptions& run,
+                            const RankJob& job);
 
 /// Checks a finished rank file against the edge count its rank reported —
 /// the size must be exactly 8 + 16·edges and the u64 header must equal
@@ -117,5 +115,4 @@ RankReport execute_rank_job(const Config& cfg, const RankJob& job);
 fileio::CopyStats copy_rank_file(const std::string& path, u64 edges, int out_fd,
                                  bool allow_copy_file_range);
 
-} // namespace dist
-} // namespace kagen
+} // namespace kagen::dist

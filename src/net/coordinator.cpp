@@ -78,9 +78,6 @@ struct Fleet {
 /// Option checks shared by both transports; run before any rank exists.
 /// Returns the result skeleton of a run over `ranks` ranks.
 RunResult plan_run(const Config& cfg, const NetOptions& opt, u64 ranks) {
-    if (cfg.chunks_per_pe == 0) {
-        throw std::invalid_argument("coordinator: chunks_per_pe must be >= 1");
-    }
     if (!opt.output_path.empty() && !opt.manifest_path.empty()) {
         throw std::invalid_argument(
             "coordinator: output_path (gather) and manifest_path "
@@ -92,9 +89,7 @@ RunResult plan_run(const Config& cfg, const NetOptions& opt, u64 ranks) {
     RunResult result;
     result.n          = num_vertices(cfg); // validates the config
     result.num_ranks  = ranks;
-    const u64 pes     = opt.num_pes != 0 ? opt.num_pes : ranks;
-    result.num_chunks =
-        cfg.total_chunks != 0 ? cfg.total_chunks : cfg.chunks_per_pe * pes;
+    result.num_chunks = resolve_num_chunks(cfg, opt.num_pes != 0 ? opt.num_pes : ranks);
     return result;
 }
 
@@ -163,7 +158,7 @@ RunResult coordinate(const Config& cfg, const NetOptions& opt, Fleet& fleet,
     std::vector<u64> t_job_sent(W, 0);
     for (u64 w = 0; w < W; ++w) {
         JobSpec job;
-        job.cfg               = cfg;
+        job.graph             = cfg;
         job.task.rank         = w;
         job.task.num_chunks   = result.num_chunks;
         job.task.chunk_begin  = block_begin(result.num_chunks, W, w);
@@ -480,7 +475,7 @@ RunResult run_forked(const Config& cfg, const NetOptions& opt, u64 ranks,
             fleet.socks.clear();
             int code = 1;
             try {
-                code = serve_rank(child_end, worker, &cfg);
+                code = serve_rank(child_end, worker);
             } catch (...) {
                 // Transport failure: the coordinator failed or died and
                 // there is nobody left to report to. Unwinding already

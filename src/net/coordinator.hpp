@@ -22,7 +22,10 @@
 ///    small-cluster deployment shape of Gupta's external-memory distributed
 ///    generation (PAPERS.md);
 ///  * failure attribution. A forked rank's error also carries its waitpid
-///    cause ("exited with status 7", "killed by signal 9").
+///    cause ("exited with status 7", "killed by signal 9");
+///  * whose RunOptions a rank runs. A job carries only the graph: forked
+///    ranks get the coordinator's in the fork image, TCP workers use their
+///    own (the coordinator itself only writes the telemetry paths).
 ///
 /// Every report is validated (rank id, chunk-range echo, semantics/n of the
 /// summaries, file edge counts); receives carry deadlines; a dead channel or
@@ -41,11 +44,7 @@
 #include "net/socket.hpp"
 #include "net/worker.hpp"
 
-namespace kagen {
-
-struct Config; // kagen.hpp (which includes this header after defining it)
-
-namespace net {
+namespace kagen::net {
 
 struct NetOptions {
     /// Exactly one of `listen` / `connect` selects how workers are reached:
@@ -58,9 +57,9 @@ struct NetOptions {
     u64 expect_workers = 0; ///< required with `listen`; with `connect` it
                             ///< must match connect.size() (or stay 0)
 
-    u64 num_pes = 0; ///< simulated PEs P of the decomposition (C = K·P
-                     ///< unless Config::total_chunks pins it); 0 = worker
-                     ///< count. The graph depends only on C.
+    u64 num_pes = 0; ///< simulated PEs P of the decomposition
+                     ///< (resolve_num_chunks); 0 = worker count. The
+                     ///< graph depends only on C.
     u64 threads_per_worker = 1; ///< pool threads inside each worker
 
     std::string output_path;   ///< gather mode: merged binary edge file
@@ -136,12 +135,14 @@ struct RunResult {
 using NetResult = RunResult;
 
 /// Runs `cfg`'s graph across the TCP workers `opts` describes and merges
-/// their outputs; see the file comment. Throws std::invalid_argument on
-/// option conflicts and std::runtime_error naming the rank on any worker or
-/// transport failure (no hang, no partial output files left behind).
+/// their outputs; see the file comment. Of `cfg`'s RunOptions only the
+/// telemetry paths apply. Throws std::invalid_argument on option conflicts
+/// and std::runtime_error naming the rank on any worker or transport failure
+/// (no hang, no partial output files left behind).
 RunResult run_net_coordinator(const Config& cfg, const NetOptions& opts);
 
-/// Forks `ranks` local workers, each serving its job with `worker` over a
+/// Forks `ranks` local workers, each serving its job with `worker` (whose
+/// `run` the caller sets — dist::run_distributed copies `cfg`'s) over a
 /// socketpair, and coordinates them like `run_net_coordinator` does TCP
 /// workers (the listen/connect fields of `opts` are unused). Rank files
 /// merge locally into `opts.output_path`; `keep_rank_files` keeps them
@@ -149,5 +150,4 @@ RunResult run_net_coordinator(const Config& cfg, const NetOptions& opts);
 RunResult run_forked(const Config& cfg, const NetOptions& opts, u64 ranks,
                      const NetWorkerOptions& worker, bool keep_rank_files);
 
-} // namespace net
-} // namespace kagen
+} // namespace kagen::net

@@ -63,8 +63,8 @@ void decode_hello(const std::vector<u8>& payload) {
 std::vector<u8> encode_job(const JobSpec& job) {
     std::vector<u8> out;
     bytes::put_u64(out, static_cast<u64>(Msg::job));
+    encode_config(out, job.graph, job.task.num_chunks);
     bytes::put_u64(out, job.task.rank);
-    bytes::put_u64(out, job.task.num_chunks);
     bytes::put_u64(out, job.task.chunk_begin);
     bytes::put_u64(out, job.task.chunk_end);
     bytes::put_u64(out, job.task.threads);
@@ -72,7 +72,6 @@ std::vector<u8> encode_job(const JobSpec& job) {
     bytes::put_u64(out, job.send_file ? 1 : 0);
     bytes::put_u64(out, job.task.degree_stats ? 1 : 0);
     bytes::put_u64(out, job.want_trace ? 1 : 0);
-    encode_config(out, job.cfg);
     return out;
 }
 
@@ -81,16 +80,15 @@ JobSpec decode_job(const std::vector<u8>& payload) {
     const u8* end = p + payload.size();
     expect_type(p, end, Msg::job);
     JobSpec job;
+    job.graph             = decode_config(p, end, &job.task.num_chunks);
     job.task.rank         = bytes::get_u64(p, end);
-    job.task.num_chunks   = bytes::get_u64(p, end);
     job.task.chunk_begin  = bytes::get_u64(p, end);
     job.task.chunk_end    = bytes::get_u64(p, end);
     job.task.threads      = bytes::get_u64(p, end);
-    job.want_file         = bytes::get_u64(p, end) != 0;
-    job.send_file         = bytes::get_u64(p, end) != 0;
-    job.task.degree_stats = bytes::get_u64(p, end) != 0;
-    job.want_trace        = bytes::get_u64(p, end) != 0;
-    job.cfg               = decode_config(p, end);
+    job.want_file         = bytes::get_bool(p, end);
+    job.send_file         = bytes::get_bool(p, end);
+    job.task.degree_stats = bytes::get_bool(p, end);
+    job.want_trace        = bytes::get_bool(p, end);
     expect_consumed(p, end, Msg::job);
     if (job.task.chunk_begin > job.task.chunk_end ||
         job.task.chunk_end > job.task.num_chunks) {
@@ -164,12 +162,9 @@ bool decode_verdict(const std::vector<u8>& payload) {
     const u8* p   = payload.data();
     const u8* end = p + payload.size();
     expect_type(p, end, Msg::verdict);
-    const u64 keep = bytes::get_u64(p, end);
+    const bool keep = bytes::get_bool(p, end);
     expect_consumed(p, end, Msg::verdict);
-    if (keep > 1) {
-        throw std::runtime_error("net: malformed verdict " + std::to_string(keep));
-    }
-    return keep == 1;
+    return keep;
 }
 
 } // namespace kagen::net

@@ -7,8 +7,9 @@
 ///
 ///   rank        → coordinator   hello      {protocol version}
 ///   coordinator → rank          hello      {protocol version}
-///   coordinator → rank          job        {JobSpec: canonical Config
-///                                           encode + rank/chunk range}
+///   coordinator → rank          job        {JobSpec: graph identity
+///                                           (encode_config: GraphSpec + C)
+///                                           + rank/chunk range}
 ///   rank        → coordinator   report     {dist::RankReport}
 ///   rank        → coordinator   telemetry  {obs::RankTelemetry}
 ///                                          (only if the job set want_trace)
@@ -28,8 +29,10 @@
 /// protocol error, not padding.
 ///
 /// Version 3 added the verdict and folded the file header and file-info
-/// messages into `file`; the strict hello makes mismatched peers refuse each
-/// other up front instead of mis-framing mid-run.
+/// messages into `file`. Version 4 sends only the graph identity in the job
+/// (config encoding v2, C once); the rank's RunOptions stay on the rank. The
+/// strict hello makes mismatched peers refuse each other up front instead
+/// of mis-framing mid-run.
 #pragma once
 
 #include <string>
@@ -42,7 +45,7 @@
 
 namespace kagen::net {
 
-constexpr u64 kProtocolVersion = 3;
+constexpr u64 kProtocolVersion = 4;
 
 enum class Msg : u64 {
     hello     = 1,
@@ -62,10 +65,11 @@ void decode_hello(const std::vector<u8>& payload);
 
 // --- job -------------------------------------------------------------------
 
-/// Everything a worker needs to run its share: the full generation Config
-/// (canonical encode, kagen.hpp), its rank task and the output contract.
+/// Everything a worker needs to run its share: the graph, its rank task and
+/// the output contract. `graph` and `task.num_chunks` travel as one
+/// `encode_config` (config.hpp).
 struct JobSpec {
-    Config cfg;
+    GraphSpec graph;
     dist::RankJob task; ///< all but rank_path, which the worker picks itself
     bool want_file  = false; ///< write a rank file at all
     bool send_file  = false; ///< stream it back (gather) vs keep it in place

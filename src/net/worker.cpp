@@ -46,7 +46,7 @@ struct RankFile {
 
 } // namespace
 
-int serve_rank(Socket& sock, const NetWorkerOptions& opt, const Config* inherited) {
+int serve_rank(Socket& sock, const NetWorkerOptions& opt) {
     // A coordinator that died mid-conversation must surface as an EPIPE
     // error from send, not kill the worker with SIGPIPE. MSG_NOSIGNAL covers
     // frame sends; the rank-file stream goes through plain write(2) in
@@ -63,7 +63,6 @@ int serve_rank(Socket& sock, const NetWorkerOptions& opt, const Config* inherite
     // it is one clock read and keeps the stamp as close to the job frame's
     // arrival as possible.
     const u64 clock_base_ns = obs::monotonic_now();
-    if (inherited != nullptr) job.cfg = *inherited;
     obs::Snapshot obs_base;
     if (job.want_trace) obs_base = obs::begin_rank_telemetry();
 
@@ -79,7 +78,7 @@ int serve_rank(Socket& sock, const NetWorkerOptions& opt, const Config* inherite
     job.task.rank_path = file.path;
     try {
         if (opt.rank_hook) opt.rank_hook(job.task.rank);
-        report = dist::execute_rank_job(job.cfg, job.task);
+        report = dist::execute_rank_job(job.graph, opt.run, job.task);
     } catch (const std::exception& e) {
         report.ok    = false;
         report.error = e.what();

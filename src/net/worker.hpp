@@ -9,9 +9,12 @@
 /// TCP worker (`kagen_tool -worker host:port`, `run_net_worker`) runs it
 /// after reaching the coordinator (dialing "host:port", or — with an empty
 /// host, ":port" — listening for the coordinator to dial in); a forked rank
-/// runs it over its socketpair. A job that throws is reported as a failure
-/// report (ok == false with the message), so the coordinator can name the
-/// rank. Transport failures (coordinator gone, torn frame, deadline) throw.
+/// runs it over its socketpair. The job carries only the graph; the rank
+/// runs it with `NetWorkerOptions::run`: a TCP worker's own, a forked
+/// rank's copied from the coordinator. A job that throws is reported as a
+/// failure report (ok == false with the message), so the coordinator can
+/// name the rank. Transport failures (coordinator gone, torn frame,
+/// deadline) throw.
 /// Either way the rank file is unlinked unless a keep verdict arrived.
 #pragma once
 
@@ -19,16 +22,15 @@
 #include <string>
 
 #include "common/types.hpp"
+#include "config.hpp"
 
-namespace kagen {
-
-struct Config; // kagen.hpp
-
-namespace net {
+namespace kagen::net {
 
 class Socket;
 
 struct NetWorkerOptions {
+    RunOptions run;                ///< how this rank runs its job (the
+                                   ///< coordinator writes the telemetry)
     std::string scratch_dir;       ///< rank-file location; empty = $TMPDIR
     int connect_timeout_ms = 10000; ///< connect/accept + handshake deadline
     int io_deadline_ms     = 0;     ///< job-frame receive deadline; 0 = none
@@ -42,19 +44,14 @@ struct NetWorkerOptions {
     std::function<void(u64 rank)> rank_hook;
 };
 
-/// Serves one job over `sock`. `inherited` is the Config of a forked rank's
-/// coordinator (shared memory image): the rank runs it instead of the
-/// decoded one, so the fields `encode_config` leaves out (arena_slab_bytes)
-/// keep the parent's values. Returns the process exit code (0 = job
+/// Serves one job over `sock`. Returns the process exit code (0 = job
 /// succeeded, 1 = job failed but was reported); throws std::runtime_error
 /// on transport failures.
-int serve_rank(Socket& sock, const NetWorkerOptions& opts,
-               const Config* inherited = nullptr);
+int serve_rank(Socket& sock, const NetWorkerOptions& opts);
 
 /// Runs one TCP worker against `endpoint_spec` ("host:port" to dial the
 /// coordinator, ":port" to listen for it), then `serve_rank`.
 int run_net_worker(const std::string& endpoint_spec,
                    const NetWorkerOptions& opts = {});
 
-} // namespace net
-} // namespace kagen
+} // namespace kagen::net

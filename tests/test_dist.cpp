@@ -1,7 +1,7 @@
 // Forked ranks: the transport matrix (tests/transport_matrix.hpp) over
 // socketpair workers, plus what only a fork can show — a rank's waitpid
-// cause in its error, option checks before any fork, Config fields that
-// never cross the wire still reaching the ranks — and the chunk-range and
+// cause in its error, option checks before any fork, the coordinator's
+// RunOptions reaching the ranks through the fork image — and the chunk-range and
 // O_CLOEXEC mechanisms the forked backend stands on.
 #include <gtest/gtest.h>
 
@@ -46,11 +46,10 @@ TEST(DistFailure, InvalidOptionsThrowBeforeForking) {
     EXPECT_THROW(generate_distributed(bad, {}), std::invalid_argument);
 }
 
-// encode_config leaves arena_slab_bytes out (it cannot change the graph), so
-// a forked rank must run the coordinator's own Config rather than the one
-// decoded from its job frame. The ranks' merged metrics record the slab size
-// their arenas used.
-TEST(Dist, ForkedRanksKeepConfigFieldsTheWireLeavesOut) {
+// RunOptions never cross the wire: a forked rank gets the coordinator's
+// through NetWorkerOptions::run in the fork image. The ranks' merged metrics
+// record the slab size their arenas used.
+TEST(Dist, ForkedRanksRunTheCoordinatorsRunOptions) {
     Config cfg           = model_config(Model::GnmUndirected);
     cfg.chunks_per_pe    = 4;
     cfg.arena_slab_bytes = 65536;

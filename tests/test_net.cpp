@@ -126,90 +126,13 @@ TEST(NetFrame, DeadlineExpiresInsteadOfHanging) {
 }
 
 // ---------------------------------------------------------------------------
-// Config + message codecs
+// Message codecs (the truncation/bit-flip sweeps of the config, job and
+// report codecs live in test_config_codec.cpp)
 // ---------------------------------------------------------------------------
-
-TEST(NetCodec, ConfigRoundTripsEveryField) {
-    Config cfg;
-    cfg.model              = Model::Rhg;
-    cfg.n                  = 123456;
-    cfg.m                  = 789;
-    cfg.p                  = 0.25;
-    cfg.r                  = 0.0625;
-    cfg.avg_deg            = 6.5;
-    cfg.gamma              = 2.9;
-    cfg.ba_degree          = 3;
-    cfg.rmat_a             = 0.5;
-    cfg.rmat_b             = 0.3;
-    cfg.rmat_c             = 0.1;
-    cfg.seed               = 424242;
-    cfg.chunks_per_pe      = 5;
-    cfg.total_chunks       = 40;
-    cfg.max_buffered_bytes = 1 << 20;
-    cfg.spill_path         = "/tmp/spill.scratch";
-    cfg.sink_buffer_edges  = 512;
-    cfg.pin_threads        = true;
-    cfg.num_processes      = 3;
-    cfg.sampler_version    = SamplerVersion::v2;
-    cfg.edge_semantics     = EdgeSemantics::exact_once;
-
-    std::vector<u8> buf;
-    encode_config(buf, cfg);
-    const u8* p       = buf.data();
-    const u8* end     = p + buf.size();
-    const Config back = decode_config(p, end);
-    EXPECT_EQ(p, end) << "decode must consume the encoding exactly";
-    EXPECT_EQ(back.model, cfg.model);
-    EXPECT_EQ(back.n, cfg.n);
-    EXPECT_EQ(back.m, cfg.m);
-    EXPECT_EQ(back.p, cfg.p);
-    EXPECT_EQ(back.r, cfg.r);
-    EXPECT_EQ(back.avg_deg, cfg.avg_deg);
-    EXPECT_EQ(back.gamma, cfg.gamma);
-    EXPECT_EQ(back.ba_degree, cfg.ba_degree);
-    EXPECT_EQ(back.rmat_a, cfg.rmat_a);
-    EXPECT_EQ(back.rmat_b, cfg.rmat_b);
-    EXPECT_EQ(back.rmat_c, cfg.rmat_c);
-    EXPECT_EQ(back.seed, cfg.seed);
-    EXPECT_EQ(back.chunks_per_pe, cfg.chunks_per_pe);
-    EXPECT_EQ(back.total_chunks, cfg.total_chunks);
-    EXPECT_EQ(back.max_buffered_bytes, cfg.max_buffered_bytes);
-    EXPECT_EQ(back.spill_path, cfg.spill_path);
-    EXPECT_EQ(back.sink_buffer_edges, cfg.sink_buffer_edges);
-    EXPECT_EQ(back.pin_threads, cfg.pin_threads);
-    EXPECT_EQ(back.num_processes, cfg.num_processes);
-    EXPECT_EQ(back.sampler_version, cfg.sampler_version);
-    EXPECT_EQ(back.edge_semantics, cfg.edge_semantics);
-}
-
-TEST(NetCodec, ConfigRejectsUnknownVersionAndEnums) {
-    Config cfg;
-    std::vector<u8> buf;
-    encode_config(buf, cfg);
-    {
-        std::vector<u8> bad = buf;
-        bad[0] ^= 0xff; // corrupt the version word
-        const u8* p   = bad.data();
-        const u8* end = p + bad.size();
-        EXPECT_THROW(decode_config(p, end), std::runtime_error);
-    }
-    {
-        std::vector<u8> bad = buf;
-        bad[8] = 0xee; // model id far outside the enum
-        const u8* p   = bad.data();
-        const u8* end = p + bad.size();
-        EXPECT_THROW(decode_config(p, end), std::runtime_error);
-    }
-    { // truncation must throw, not read past the end
-        const u8* p   = buf.data();
-        const u8* end = p + buf.size() / 2;
-        EXPECT_THROW(decode_config(p, end), std::runtime_error);
-    }
-}
 
 TEST(NetCodec, JobAndReportRoundTrip) {
     net::JobSpec job;
-    job.cfg               = model_config(Model::GnmUndirected);
+    job.graph             = model_config(Model::GnmUndirected);
     job.task.rank         = 2;
     job.task.num_chunks   = 16;
     job.task.chunk_begin  = 8;
@@ -231,8 +154,8 @@ TEST(NetCodec, JobAndReportRoundTrip) {
     EXPECT_EQ(back.task.rank_path, "") << "the worker picks its own rank path";
     EXPECT_EQ(back.want_file, job.want_file);
     EXPECT_EQ(back.send_file, job.send_file);
-    EXPECT_EQ(back.cfg.n, job.cfg.n);
-    EXPECT_EQ(back.cfg.seed, job.cfg.seed);
+    EXPECT_EQ(back.graph.n, job.graph.n);
+    EXPECT_EQ(back.graph.seed, job.graph.seed);
 
     dist::RankReport report;
     report.rank        = 2;

@@ -4,7 +4,8 @@
 ///
 /// Every case here runs on each transport: byte identity against the
 /// in-process chunked engine across models × semantics × ranks × K, merged
-/// statistics, the dedup pass, telemetry, kept rank files, and failure
+/// statistics, the dedup pass, telemetry, kept rank files, ranks spilling
+/// under their own RunOptions, and failure
 /// containment (the failing rank is named, and no output or rank file
 /// survives). test_dist.cpp instantiates the matrix for forked ranks (ctest
 /// label `dist`), test_net.cpp for loopback TCP workers (label `net`). They
@@ -165,8 +166,9 @@ private:
 
 /// One run's shape, for either transport.
 struct RunSpec {
-    u64 ranks = 4;
-    u64 pes   = 4;
+    u64 ranks   = 4;
+    u64 pes     = 4;
+    u64 threads = 1; ///< pool threads inside each rank
     /// Merged output file; empty = stats only. With `keep_rank_files` over
     /// TCP it names the manifest instead (manifest mode has no merged file).
     std::string output_path;
@@ -176,6 +178,9 @@ struct RunSpec {
     bool degree_stats    = false;
     std::string dedup_path;
     std::string scratch_dir; ///< empty = the test temp dir
+    /// TCP workers' own RunOptions. Forked ranks run the coordinator's
+    /// (the `cfg` passed to run_backend) instead.
+    RunOptions worker_run;
     std::function<void(u64 rank)> rank_hook;
 };
 
@@ -183,25 +188,28 @@ inline net::RunResult run_backend(Transport transport, const Config& cfg,
                                   const RunSpec& spec) {
     if (transport == Transport::fork) {
         dist::DistOptions opts;
-        opts.num_ranks       = spec.ranks;
-        opts.num_pes         = spec.pes;
-        opts.output_path     = spec.output_path;
-        opts.keep_rank_files = spec.keep_rank_files;
-        opts.degree_stats    = spec.degree_stats;
-        opts.dedup_path      = spec.dedup_path;
-        opts.scratch_dir     = spec.scratch_dir;
-        opts.rank_hook       = spec.rank_hook;
+        opts.num_ranks        = spec.ranks;
+        opts.num_pes          = spec.pes;
+        opts.threads_per_rank = spec.threads;
+        opts.output_path      = spec.output_path;
+        opts.keep_rank_files  = spec.keep_rank_files;
+        opts.degree_stats     = spec.degree_stats;
+        opts.dedup_path       = spec.dedup_path;
+        opts.scratch_dir      = spec.scratch_dir;
+        opts.rank_hook        = spec.rank_hook;
         return generate_distributed(cfg, opts);
     }
     net::Listener listener(net::parse_endpoint("127.0.0.1:0"));
     net::NetOptions opts;
-    opts.listener       = &listener;
-    opts.expect_workers = spec.ranks;
-    opts.num_pes        = spec.pes;
+    opts.listener           = &listener;
+    opts.expect_workers     = spec.ranks;
+    opts.num_pes            = spec.pes;
+    opts.threads_per_worker = spec.threads;
     (spec.keep_rank_files ? opts.manifest_path : opts.output_path) = spec.output_path;
     opts.degree_stats = spec.degree_stats;
     opts.dedup_path   = spec.dedup_path;
     net::NetWorkerOptions wopts;
+    wopts.run         = spec.worker_run;
     wopts.scratch_dir = spec.scratch_dir;
     wopts.rank_hook   = spec.rank_hook;
     WorkerFleet fleet(listener.port(), spec.ranks, wopts); // joined on throw too
@@ -466,6 +474,44 @@ TEST_P(TransportMatrix, KeptRankFilesAreListedAndConcatenateToTheOutput) {
     }
     EXPECT_EQ(payload, ref.substr(8));
     std::remove(spec.output_path.c_str());
+}
+
+// Run settings are rank-local: a spill-forcing budget and a spill path in
+// the ranks' own RunOptions leave the merged bytes unchanged on both
+// transports. A TCP coordinator's own spill path is never sent to its
+// workers (the coordinator's directory need not exist on theirs), while a
+// worker's own unusable spill path fails that worker.
+TEST_P(TransportMatrix, RanksSpillUnderTheirOwnRunOptions) {
+    Config cfg        = model_config(Model::GnmUndirected);
+    cfg.chunks_per_pe = 8;
+    const std::string ref = single_process_bytes(cfg, 4);
+    const ScratchDir spill_dir("spill");
+    RunOptions run;
+    run.max_buffered_bytes = 4096; // below one chunk: any early chunk spills
+    run.spill_path         = spill_dir.path() + "/s.bin";
+
+    RunSpec spec;
+    spec.ranks       = 2;
+    spec.threads     = 4;
+    spec.output_path = tmp_path("rank_spill.bin");
+    Config coordinator = cfg;
+    if (GetParam() == Transport::fork) {
+        static_cast<RunOptions&>(coordinator) = run;
+    } else {
+        coordinator.max_buffered_bytes = run.max_buffered_bytes;
+        coordinator.spill_path         = "/nonexistent_kagen_dir/s.bin";
+        spec.worker_run                = run;
+    }
+    run_backend(GetParam(), coordinator, spec);
+    EXPECT_EQ(read_bytes(spec.output_path), ref);
+    EXPECT_TRUE(spill_dir.entries().empty()) << "spill files left behind";
+    std::remove(spec.output_path.c_str());
+
+    if (GetParam() == Transport::tcp) {
+        spec.worker_run.spill_path = "/nonexistent_kagen_dir/s.bin";
+        const std::string message = run_failing(GetParam(), cfg, spec, "bad_spill");
+        EXPECT_NE(message.find("spill"), std::string::npos) << message;
+    }
 }
 
 TEST_P(TransportMatrix, FailingRankIsNamedAndNothingIsLeftBehind) {
