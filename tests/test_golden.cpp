@@ -1,17 +1,20 @@
-// Golden-file byte-identity: the v1 sampler stream is a *format*, not just
-// a distribution — PR after PR may rearrange the engines, but the default
-// (v1) output for a pinned (model, params, seed, rank, size) must never
+// Golden-file byte-identity: a generator stream is a *format*, not just a
+// distribution — PR after PR may rearrange the engines, but the output for
+// a pinned (model, params, seed, sampler, semantics, rank, size) must never
 // move by a single byte, or silently re-generated datasets stop matching
 // published ones. These fixtures freeze small instances of the ER family,
 // one geometric model and the in-memory hyperbolic generator (whose query
-// side may be rewritten for speed, never for bytes); the byte-identity
-// sweeps in test_er/test_dist cover self-consistency, this suite covers
-// consistency *across commits*.
+// side may be rewritten for speed, never for bytes) under the default
+// as_generated semantics and v1 sampler, plus the exact_once streams of
+// undirected G(n,m)/G(n,p) under both samplers on a middle rank of a
+// non-power-of-two size, where the rank has row and column chunks alike.
+// The byte-identity sweeps in test_er/test_dist cover self-consistency,
+// this suite covers consistency *across commits*.
 //
 // Fixture format: u64 edge count, then count x (u64 u, u64 v), little
 // endian, exactly as the edge list falls out of generate().
 //
-// Regeneration (only when intentionally changing the v1 stream, which is
+// Regeneration (only when intentionally changing a pinned stream, which is
 // an API break and needs calling out in DESIGN.md):
 //   KAGEN_GOLDEN_REGEN=1 ./build/test_golden
 #include <gtest/gtest.h>
@@ -38,6 +41,8 @@ struct GoldenCase {
     u64 seed;
     u64 rank;
     u64 size;
+    EdgeSemantics edge_semantics   = EdgeSemantics::as_generated;
+    SamplerVersion sampler_version = SamplerVersion::v1;
 };
 
 // Small on purpose: a few thousand edges pin the stream just as hard as a
@@ -57,6 +62,20 @@ const GoldenCase kCases[] = {
      2.6, 17, 2, 7},
     {"rhg_n3000_d8_g2.1_s19_r4of5.bin", Model::Rhg, 3000, 0, 0.0, 0.0, 8.0,
      2.1, 19, 4, 5},
+    // exact_once keeps rank 2's diagonal and column chunks and none of its
+    // row chunks; v2 draws different positions from the same chunk seeds.
+    {"gnm_undirected_n2048_m4096_s7_exact_once_v1_r2of5.bin", Model::GnmUndirected,
+     2048, 4096, 0.0, 0.0, 0.0, 0.0, 7, 2, 5, EdgeSemantics::exact_once,
+     SamplerVersion::v1},
+    {"gnm_undirected_n2048_m4096_s7_exact_once_v2_r2of5.bin", Model::GnmUndirected,
+     2048, 4096, 0.0, 0.0, 0.0, 0.0, 7, 2, 5, EdgeSemantics::exact_once,
+     SamplerVersion::v2},
+    {"gnp_undirected_n2048_p0.004_s23_exact_once_v1_r2of5.bin", Model::GnpUndirected,
+     2048, 0, 0.004, 0.0, 0.0, 0.0, 23, 2, 5, EdgeSemantics::exact_once,
+     SamplerVersion::v1},
+    {"gnp_undirected_n2048_p0.004_s23_exact_once_v2_r2of5.bin", Model::GnpUndirected,
+     2048, 0, 0.004, 0.0, 0.0, 0.0, 23, 2, 5, EdgeSemantics::exact_once,
+     SamplerVersion::v2},
 };
 
 std::string golden_path(const char* file) {
@@ -87,7 +106,8 @@ EdgeList generate_case(const GoldenCase& c) {
     cfg.avg_deg = c.avg_deg;
     cfg.gamma   = c.gamma;
     cfg.seed    = c.seed;
-    // sampler_version stays at the default: golden files pin v1.
+    cfg.edge_semantics  = c.edge_semantics;
+    cfg.sampler_version = c.sampler_version;
     return generate(cfg, c.rank, c.size).edges;
 }
 
@@ -120,11 +140,11 @@ TEST_P(Golden, ByteIdentical) {
     std::fclose(f);
 
     ASSERT_EQ(bytes.size(), expect.size())
-        << c.file << ": edge count moved — the v1 stream changed";
+        << c.file << ": edge count moved — the pinned stream changed";
     for (std::size_t i = 0; i < bytes.size(); ++i) {
         ASSERT_EQ(bytes[i], expect[i])
             << c.file << ": first divergence at byte " << i
-            << " — the v1 stream is no longer bit-identical";
+            << " — the pinned stream is no longer bit-identical";
     }
 }
 
