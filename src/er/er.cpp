@@ -134,15 +134,19 @@ struct UTri {
     u64 pe;        // the chunk row/column this PE owns
     EdgeSink* out;
     SamplerVersion version;
+    bool columns_only; // exact_once: skip the row chunks (pe, j < pe)
 };
 
 /// Rectangle of chunks rows [rlo, rhi) x cols [clo, chi); the PE needs either
-/// one chunk row (pe in rows) or one chunk column (pe in cols) of it.
+/// one chunk row (pe in rows) or one chunk column (pe in cols) of it. A row
+/// chunk's lower endpoints lie in its column block, so exact_once leaves
+/// it to that column's PE. Every node is seeded by its own ids, so the
+/// subtrees kept draw the same counts and edges either way.
 void descend_rect(const UTri& ctx, u64 rlo, u64 rhi, u64 clo, u64 chi, u64 k) {
     if (k == 0) return;
     const bool in_rows = ctx.pe >= rlo && ctx.pe < rhi;
     const bool in_cols = ctx.pe >= clo && ctx.pe < chi;
-    if (!in_rows && !in_cols) return;
+    if (!in_cols && (!in_rows || ctx.columns_only)) return;
     if (rhi - rlo == 1 && chi - clo == 1) {
         emit_chunk(ctx.blocks, rlo, clo, k, ctx.seed, *ctx.out, ctx.version);
         return;
@@ -208,10 +212,11 @@ EdgeList gnm_directed(u64 n, u64 m, u64 seed, u64 rank, u64 size,
 }
 
 void gnm_undirected(u64 n, u64 m, u64 seed, u64 rank, u64 size, EdgeSink& sink,
-                    SamplerVersion version) {
+                    SamplerVersion version, EdgeSemantics semantics) {
     assert(n >= 2 && size >= 1 && rank < size);
     assert(static_cast<u128>(m) <= undirected_universe(n));
-    UTri ctx{Blocks{n, size}, seed, rank, &sink, version};
+    UTri ctx{Blocks{n, size}, seed, rank, &sink, version,
+             semantics == EdgeSemantics::exact_once};
     descend_triangle(ctx, 0, size, m);
     sink.flush();
 }
@@ -221,22 +226,6 @@ EdgeList gnm_undirected(u64 n, u64 m, u64 seed, u64 rank, u64 size,
     MemorySink sink;
     gnm_undirected(n, m, seed, rank, size, sink, version);
     return sink.take();
-}
-
-EdgeList gnm_undirected_chunk(u64 n, u64 m, u64 seed, u64 size, u64 i, u64 j,
-                              SamplerVersion version) {
-    assert(i >= j && i < size);
-    // Run the full recursion as PE i would, then keep only chunk (i, j)'s
-    // edges. (Cheap at test scale; exercises the identical code path.)
-    EdgeList all = gnm_undirected(n, m, seed, i, size, version);
-    const Blocks blocks{n, size};
-    EdgeList chunk;
-    for (const auto& [u, v] : all) {
-        const bool in_rows = u >= blocks.begin(i) && u < blocks.begin(i + 1);
-        const bool in_cols = v >= blocks.begin(j) && v < blocks.begin(j + 1);
-        if (in_rows && in_cols) chunk.push_back({u, v});
-    }
-    return chunk;
 }
 
 void gnp_directed(u64 n, double p, u64 seed, u64 rank, u64 size, EdgeSink& sink,
@@ -274,14 +263,16 @@ EdgeList gnp_directed(u64 n, double p, u64 seed, u64 rank, u64 size,
 }
 
 void gnp_undirected(u64 n, double p, u64 seed, u64 rank, u64 size, EdgeSink& sink,
-                    SamplerVersion version) {
+                    SamplerVersion version, EdgeSemantics semantics) {
     assert(n >= 2 && size >= 1 && rank < size);
     const Blocks blocks{n, size};
+    // Row chunks (rank, j < rank) — edges whose higher endpoint only is
+    // local; exact_once leaves them to PE j, which owns them as columns.
+    const u64 first_row = semantics == EdgeSemantics::exact_once ? rank : 0;
     if (version == SamplerVersion::v2) {
         // Per-chunk geometric-skip Bernoulli streams. The chunk rng is
         // seeded exactly as v1's position stream ({kTagChunk, i, j}), so
-        // both owners of chunk (i, j) still draw identical edges — the
-        // exact-once ownership filter is untouched.
+        // both owners of chunk (i, j) still draw identical edges.
         auto emit_bernoulli = [&](u64 i, u64 j) {
             Rng rng = Rng::for_ids(seed, {kTagChunk, i, j});
             if (i == j) {
@@ -304,7 +295,7 @@ void gnp_undirected(u64 n, double p, u64 seed, u64 rank, u64 size, EdgeSink& sin
                 });
             }
         };
-        for (u64 j = 0; j <= rank; ++j) emit_bernoulli(rank, j);
+        for (u64 j = first_row; j <= rank; ++j) emit_bernoulli(rank, j);
         for (u64 i = rank + 1; i < size; ++i) emit_bernoulli(i, rank);
         sink.flush();
         return;
@@ -315,8 +306,8 @@ void gnp_undirected(u64 n, double p, u64 seed, u64 rank, u64 size, EdgeSink& sin
         Rng rng = Rng::for_ids(seed, {kTagGnp, i, j});
         return binomial(rng, static_cast<u64>(uni), p);
     };
-    // Row chunks (rank, j <= rank) — edges whose higher endpoint is local.
-    for (u64 j = 0; j <= rank; ++j) {
+    // Row chunks, then the diagonal chunk (rank, rank).
+    for (u64 j = first_row; j <= rank; ++j) {
         emit_chunk(blocks, rank, j, chunk_count(rank, j), seed, sink,
                    SamplerVersion::v1);
     }

@@ -11,9 +11,12 @@
 ///    triangular P×P chunk matrix; a recursion over {top triangle,
 ///    rectangle, bottom triangle} with per-subtree hash-seeded
 ///    hypergeometric variates assigns sample counts to chunks. PE i owns
-///    chunk row i and chunk column i, so every edge {u, v} is generated by
-///    both the PE owning u and the PE owning v, from the *same* per-chunk
-///    random stream (§4.2). The recomputation overhead is bounded by 2m.
+///    chunk row i and chunk column i, so under `as_generated` every edge
+///    {u, v} is generated by both the PE owning u and the PE owning v, from
+///    the *same* per-chunk random stream (§4.2); that recomputation
+///    overhead is bounded by 2m. Under `exact_once` PE i skips its row
+///    chunks (i, j < i): their lower endpoints lie in block j, so they are
+///    PE j's column chunks, and no edge is generated twice.
 ///
 /// G(n,p): identical chunk geometry, but per-chunk sample counts are
 /// binomial variates seeded by the chunk id alone — no recursion (§4.3).
@@ -55,11 +58,15 @@ void gnm_directed(u64 n, u64 m, u64 seed, u64 rank, u64 size, EdgeSink& sink,
 EdgeList gnm_directed(u64 n, u64 m, u64 seed, u64 rank, u64 size,
                       SamplerVersion version = SamplerVersion::v1);
 
-/// Undirected G(n,m): all edges incident to PE `rank`'s vertices; an edge
-/// {u, v} with owners a != b appears in both PEs' outputs (identically).
-/// Edges are emitted as (u, v) with u > v (lower triangle).
+/// Undirected G(n,m). `as_generated`: all edges incident to PE `rank`'s
+/// vertices; an edge {u, v} with owners a != b appears in both PEs' outputs
+/// (identically). `exact_once`: only the edges whose lower endpoint is
+/// local, i.e. exactly what `OwnershipFilterSink(owned_vertex_range)` keeps
+/// of the as_generated stream, in the same order. Edges are emitted as
+/// (u, v) with u > v (lower triangle).
 void gnm_undirected(u64 n, u64 m, u64 seed, u64 rank, u64 size, EdgeSink& sink,
-                    SamplerVersion version = SamplerVersion::v1);
+                    SamplerVersion version = SamplerVersion::v1,
+                    EdgeSemantics semantics = EdgeSemantics::as_generated);
 EdgeList gnm_undirected(u64 n, u64 m, u64 seed, u64 rank, u64 size,
                         SamplerVersion version = SamplerVersion::v1);
 
@@ -71,25 +78,18 @@ EdgeList gnp_directed(u64 n, double p, u64 seed, u64 rank, u64 size,
                       SamplerVersion version = SamplerVersion::v1);
 
 /// Undirected G(n,p) via per-chunk binomial counts (v1) or per-chunk
-/// geometric-skip Bernoulli streams (v2).
+/// geometric-skip Bernoulli streams (v2); `semantics` as for G(n,m).
 void gnp_undirected(u64 n, double p, u64 seed, u64 rank, u64 size, EdgeSink& sink,
-                    SamplerVersion version = SamplerVersion::v1);
+                    SamplerVersion version = SamplerVersion::v1,
+                    EdgeSemantics semantics = EdgeSemantics::as_generated);
 EdgeList gnp_undirected(u64 n, double p, u64 seed, u64 rank, u64 size,
                         SamplerVersion version = SamplerVersion::v1);
 
-/// Exact-once ownership (sink/ownership.hpp): the undirected generators
-/// partition vertex ids into consecutive blocks of ~n/size per chunk, and
-/// every cross-chunk edge {u, v} is emitted by both the chunk owning u and
-/// the chunk owning v. Filtering each chunk's stream to edges whose *lower*
-/// endpoint lies in this block therefore keeps exactly one copy globally.
+/// The vertex block of PE `rank`: the lower endpoints its `exact_once`
+/// stream keeps. Filtering the as_generated stream to it (sink/ownership.hpp)
+/// gives the same bytes as the native exact_once stream.
 inline IdIntervals owned_vertex_range(u64 n, u64 rank, u64 size) {
     return {{block_begin(n, size, rank), block_begin(n, size, rank + 1)}};
 }
-
-/// Test hook: the edges of undirected chunk (i, j) alone (i >= j), exactly
-/// as either owner would generate them. Used to verify the redundancy
-/// invariant "PE i's copy of chunk (i,j) == PE j's copy".
-EdgeList gnm_undirected_chunk(u64 n, u64 m, u64 seed, u64 size, u64 i, u64 j,
-                              SamplerVersion version = SamplerVersion::v1);
 
 } // namespace kagen::er

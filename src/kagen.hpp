@@ -98,10 +98,10 @@ inline u64 num_vertices(const GraphSpec& cfg) {
 /// Whether the model's per-chunk output carries the paper's intentional
 /// cross-chunk duplicate edges (the §4.2/§5.1 redundancy trick): every edge
 /// crossing a chunk boundary is recomputed — identically — by both owning
-/// chunks. These are exactly the models `EdgeSemantics::exact_once`
-/// filters; the rest (directed ER/Gnp, both RHG-streaming and the
-/// partition-output BA/R-MAT) already emit globally disjoint streams and
-/// pass through unfiltered, byte-identically.
+/// chunks. These are exactly the models whose `EdgeSemantics::exact_once`
+/// stream differs from the as_generated one; the rest (directed ER/Gnp,
+/// RHG-streaming and the partition-output BA/R-MAT) already emit globally
+/// disjoint streams and are byte-identical under both semantics.
 inline bool carries_duplicates(Model model) {
     switch (model) {
         case Model::GnmUndirected:
@@ -150,7 +150,8 @@ inline IdIntervals owned_vertex_intervals(const GraphSpec& cfg, u64 rank, u64 si
 namespace detail {
 
 /// The raw per-model dispatch: streams chunk `rank` of `size` exactly as
-/// the paper's generators produce it (as-generated semantics).
+/// the paper's generators produce it. Undirected ER honours
+/// `cfg.edge_semantics` itself; every other model streams as_generated.
 inline void dispatch_generate(const GraphSpec& cfg, u64 rank, u64 size, EdgeSink& sink) {
     switch (cfg.model) {
         case Model::GnmDirected:
@@ -159,7 +160,7 @@ inline void dispatch_generate(const GraphSpec& cfg, u64 rank, u64 size, EdgeSink
             break;
         case Model::GnmUndirected:
             er::gnm_undirected(cfg.n, cfg.m, cfg.seed, rank, size, sink,
-                               cfg.sampler_version);
+                               cfg.sampler_version, cfg.edge_semantics);
             break;
         case Model::GnpDirected:
             er::gnp_directed(cfg.n, cfg.p, cfg.seed, rank, size, sink,
@@ -167,7 +168,7 @@ inline void dispatch_generate(const GraphSpec& cfg, u64 rank, u64 size, EdgeSink
             break;
         case Model::GnpUndirected:
             er::gnp_undirected(cfg.n, cfg.p, cfg.seed, rank, size, sink,
-                               cfg.sampler_version);
+                               cfg.sampler_version, cfg.edge_semantics);
             break;
         case Model::Rgg2D:
             rgg::generate<2>({cfg.n, cfg.r, cfg.seed}, rank, size, sink);
@@ -207,16 +208,19 @@ inline void dispatch_generate(const GraphSpec& cfg, u64 rank, u64 size, EdgeSink
 
 /// Streams the edges PE `rank` of `size` is responsible for into `sink`
 /// (flushed, not finished — the caller owns the sink lifecycle). Under
-/// `cfg.edge_semantics == exact_once` the duplicate-carrying models are
-/// wrapped in a per-chunk `OwnershipFilterSink`, so the streams of all
-/// ranks are globally disjoint and their union is the graph — each rank
-/// still a pure function of (cfg, rank, size), no communication.
+/// `cfg.edge_semantics == exact_once` the streams of all ranks are globally
+/// disjoint and their union is the graph — each rank still a pure function
+/// of (cfg, rank, size), no communication. Undirected ER is exact-once by
+/// construction (it skips the chunks another rank keeps); RGG, RDG and
+/// in-memory RHG are wrapped in a per-chunk `OwnershipFilterSink`.
 inline void generate(const GraphSpec& cfg, u64 rank, u64 size, EdgeSink& sink) {
     if (size == 0 || rank >= size) {
         throw std::invalid_argument("kagen::generate: rank/size out of range");
     }
+    const bool er_native =
+        cfg.model == Model::GnmUndirected || cfg.model == Model::GnpUndirected;
     if (cfg.edge_semantics == EdgeSemantics::exact_once &&
-        carries_duplicates(cfg.model)) {
+        carries_duplicates(cfg.model) && !er_native) {
         OwnershipFilterSink filter(owned_vertex_intervals(cfg, rank, size), sink);
         detail::dispatch_generate(cfg, rank, size, filter);
         filter.finish(); // drains the filter and flushes `sink`; no more
@@ -265,10 +269,11 @@ struct ChunkStats {
 /// Under the default `as_generated` semantics, models whose per-PE output
 /// carries intentional cross-PE duplicates (undirected ER/Gnp, Rgg, Rdg,
 /// in-memory Rhg) keep them here chunk-for-chunk; with
-/// `cfg.edge_semantics = exact_once` each chunk's stream is
-/// ownership-filtered so the whole run emits every edge exactly once —
-/// counting/stats/file sinks then see the true graph with no post-hoc
-/// dedup pass. The caller owns sink.finish().
+/// `cfg.edge_semantics = exact_once` each chunk emits only the edges whose
+/// lower endpoint it owns (undirected ER by skipping the other chunks'
+/// edges, the rest through the ownership filter), so the whole run emits
+/// every edge exactly once — counting/stats/file sinks then see the true
+/// graph with no post-hoc dedup pass. The caller owns sink.finish().
 inline ChunkStats generate_chunked(const Config& cfg, u64 num_pes, EdgeSink& sink,
                                    u64 threads = 0, pe::ThreadPool* pool = nullptr) {
     const u64 num_chunks = resolve_num_chunks(cfg, num_pes);

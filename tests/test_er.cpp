@@ -9,10 +9,25 @@
 #include "er/er.hpp"
 #include "graph/stats.hpp"
 #include "pe/pe.hpp"
+#include "sink/ownership.hpp"
+#include "sink/sinks.hpp"
 #include "testing.hpp"
 
 namespace kagen {
 namespace {
+
+/// The edges of undirected chunk (i, j) alone (i >= j), exactly as PE i
+/// generates them: the full recursion of PE i, then only chunk (i, j)'s
+/// edges. Cheap at test scale; exercises the identical code path.
+EdgeList gnm_undirected_chunk(u64 n, u64 m, u64 seed, u64 size, u64 i, u64 j) {
+    EdgeList chunk;
+    for (const auto& [u, v] : er::gnm_undirected(n, m, seed, i, size)) {
+        const bool in_rows = u >= block_begin(n, size, i) && u < block_begin(n, size, i + 1);
+        const bool in_cols = v >= block_begin(n, size, j) && v < block_begin(n, size, j + 1);
+        if (in_rows && in_cols) chunk.push_back({u, v});
+    }
+    return chunk;
+}
 
 class GnmDirected : public ::testing::TestWithParam<u64> {};
 
@@ -122,7 +137,7 @@ TEST(GnmUndirected, ChunkIdenticalFromBothOwners) {
         for (u64 j = 0; j <= i; ++j) {
             // Extract chunk (i, j) from PE i's run and PE j's run; the
             // pseudorandom recomputation must give identical edges.
-            const auto from_i = er::gnm_undirected_chunk(n, m, 17, P, i, j);
+            const auto from_i = gnm_undirected_chunk(n, m, 17, P, i, j);
             EdgeList from_j_all = er::gnm_undirected(n, m, 17, j, P);
             EdgeList from_j;
             for (const auto& [u, v] : from_j_all) {
@@ -169,6 +184,67 @@ TEST(GnmUndirected, SaturatedGraphIsComplete) {
         return er::gnm_undirected(n, m, 1, rank, size);
     });
     EXPECT_EQ(pe::union_undirected(per_pe).size(), m);
+}
+
+// Exact-once is a property of generation: rank r's native exact_once stream
+// must be the bytes the ownership filter keeps of its as_generated stream,
+// for both models, both samplers and every rank. The shapes cover one chunk,
+// non-power-of-two chunk counts, more chunks than vertices (empty blocks)
+// and m equal to the whole undirected universe.
+struct SkipShape {
+    u64 n;
+    u64 m;
+    double p;
+    u64 chunks;
+};
+
+constexpr SkipShape kSkipShapes[] = {
+    {200, 3000, 0.05, 1}, {200, 3000, 0.05, 3},  {200, 3000, 0.05, 7},
+    {200, 3000, 0.05, 64}, {5, 10, 0.5, 7},      {5, 10, 0.5, 64},
+    {40, 780, 1.0, 7},    {40, 780, 1.0, 64},
+};
+
+/// `expected_total` (if nonzero) is the edge count of the whole graph.
+template <typename Generate>
+void expect_skip_equals_filter(const SkipShape& s, u64 expected_total, Generate generate) {
+    for (const SamplerVersion version : {SamplerVersion::v1, SamplerVersion::v2}) {
+        u64 total = 0;
+        for (u64 rank = 0; rank < s.chunks; ++rank) {
+            MemorySink native;
+            generate(rank, native, version, EdgeSemantics::exact_once);
+
+            MemorySink kept;
+            OwnershipFilterSink filter(er::owned_vertex_range(s.n, rank, s.chunks), kept);
+            generate(rank, filter, version, EdgeSemantics::as_generated);
+            filter.finish();
+
+            const EdgeList edges = native.take();
+            ASSERT_EQ(edges, kept.take())
+                << "n=" << s.n << " C=" << s.chunks << " rank=" << rank
+                << " v" << (version == SamplerVersion::v1 ? 1 : 2);
+            total += edges.size();
+        }
+        if (expected_total != 0) EXPECT_EQ(total, expected_total) << "n=" << s.n;
+    }
+}
+
+TEST(ErExactOnce, GnmSkipEqualsFilter) {
+    for (const SkipShape& s : kSkipShapes) {
+        expect_skip_equals_filter(s, s.m, [&](u64 rank, EdgeSink& sink, SamplerVersion v,
+                                              EdgeSemantics semantics) {
+            er::gnm_undirected(s.n, s.m, 41, rank, s.chunks, sink, v, semantics);
+        });
+    }
+}
+
+TEST(ErExactOnce, GnpSkipEqualsFilter) {
+    for (const SkipShape& s : kSkipShapes) {
+        const u64 all = s.p == 1.0 ? static_cast<u64>(er::undirected_universe(s.n)) : 0;
+        expect_skip_equals_filter(s, all, [&](u64 rank, EdgeSink& sink, SamplerVersion v,
+                                              EdgeSemantics semantics) {
+            er::gnp_undirected(s.n, s.p, 43, rank, s.chunks, sink, v, semantics);
+        });
+    }
 }
 
 class GnpBothKinds : public ::testing::TestWithParam<u64> {};
