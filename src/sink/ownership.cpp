@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "obs/metrics.hpp"
+
 namespace kagen {
 
 bool parse_semantics(const std::string& name, EdgeSemantics* out) {
@@ -25,6 +27,14 @@ bool owns_vertex(const IdIntervals& intervals, VertexId id) {
     if (it == intervals.begin()) return false;
     --it;
     return id < it->hi;
+}
+
+void OwnershipFilterSink::finish() {
+    flush();
+    target_.flush();
+    static obs::Counter& dropped_ctr =
+        obs::Registry::global().counter("ownership.dropped");
+    dropped_ctr.add(num_filtered_);
 }
 
 void OwnershipFilterSink::consume(const Edge* edges, std::size_t count) {

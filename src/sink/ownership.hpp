@@ -20,10 +20,12 @@
 /// seed, params), so exact-once streams inherit the engine's bit-determinism
 /// across thread counts and (P, K) schedules. See DESIGN.md §6.
 ///
-/// `OwnershipFilterSink` implements the tie-break as a per-chunk emission
-/// filter: it wraps the chunk's target sink and forwards only the edges
-/// whose lower endpoint falls into the chunk's owned id intervals. The
-/// per-model interval builders live with their generators
+/// Undirected ER applies the tie-break while generating: a PE skips the
+/// chunks whose lower endpoints another PE owns (er/er.hpp).
+/// `OwnershipFilterSink` implements it for the other models as a per-chunk
+/// emission filter: it wraps the chunk's target sink and forwards only the
+/// edges whose lower endpoint falls into the chunk's owned id intervals.
+/// The per-model interval builders live with their generators
 /// (`er::owned_vertex_range`, `rgg::owned_vertex_range`,
 /// `rdg::owned_vertex_range`, `rhg::owned_vertex_intervals`,
 /// `sbm::owned_vertex_range`); `kagen::owned_vertex_intervals` in kagen.hpp
@@ -88,10 +90,9 @@ public:
         : owned_(std::move(owned)), target_(target) {}
 
     /// Flushes this filter into the target; does NOT finish the target.
-    void finish() override {
-        flush();
-        target_.flush();
-    }
+    /// Adds this chunk's drops to the `ownership.dropped` counter, so call
+    /// it once per chunk.
+    void finish() override;
 
     /// Edges dropped as foreign-owned duplicates so far (flushed ones).
     u64 num_filtered() const { return num_filtered_; }
