@@ -138,10 +138,8 @@ struct UTri {
 };
 
 /// Rectangle of chunks rows [rlo, rhi) x cols [clo, chi); the PE needs either
-/// one chunk row (pe in rows) or one chunk column (pe in cols) of it. A row
-/// chunk's lower endpoints lie in its column block, so exact_once leaves
-/// it to that column's PE. Every node is seeded by its own ids, so the
-/// subtrees kept draw the same counts and edges either way.
+/// one chunk row (pe in rows) or one chunk column (pe in cols) of it; under
+/// exact_once only the column (a row chunk's lower endpoints are not local).
 void descend_rect(const UTri& ctx, u64 rlo, u64 rhi, u64 clo, u64 chi, u64 k) {
     if (k == 0) return;
     const bool in_rows = ctx.pe >= rlo && ctx.pe < rhi;
@@ -215,8 +213,7 @@ void gnm_undirected(u64 n, u64 m, u64 seed, u64 rank, u64 size, EdgeSink& sink,
                     SamplerVersion version, EdgeSemantics semantics) {
     assert(n >= 2 && size >= 1 && rank < size);
     assert(static_cast<u128>(m) <= undirected_universe(n));
-    UTri ctx{Blocks{n, size}, seed, rank, &sink, version,
-             semantics == EdgeSemantics::exact_once};
+    UTri ctx{Blocks{n, size}, seed, rank, &sink, version, semantics == EdgeSemantics::exact_once};
     descend_triangle(ctx, 0, size, m);
     sink.flush();
 }
@@ -266,8 +263,7 @@ void gnp_undirected(u64 n, double p, u64 seed, u64 rank, u64 size, EdgeSink& sin
                     SamplerVersion version, EdgeSemantics semantics) {
     assert(n >= 2 && size >= 1 && rank < size);
     const Blocks blocks{n, size};
-    // Row chunks (rank, j < rank) — edges whose higher endpoint only is
-    // local; exact_once leaves them to PE j, which owns them as columns.
+    // exact_once skips the row chunks (rank, j < rank): PE j keeps them.
     const u64 first_row = semantics == EdgeSemantics::exact_once ? rank : 0;
     if (version == SamplerVersion::v2) {
         // Per-chunk geometric-skip Bernoulli streams. The chunk rng is

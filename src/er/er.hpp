@@ -11,12 +11,11 @@
 ///    triangular P×P chunk matrix; a recursion over {top triangle,
 ///    rectangle, bottom triangle} with per-subtree hash-seeded
 ///    hypergeometric variates assigns sample counts to chunks. PE i owns
-///    chunk row i and chunk column i, so under `as_generated` every edge
-///    {u, v} is generated by both the PE owning u and the PE owning v, from
-///    the *same* per-chunk random stream (§4.2); that recomputation
-///    overhead is bounded by 2m. Under `exact_once` PE i skips its row
-///    chunks (i, j < i): their lower endpoints lie in block j, so they are
-///    PE j's column chunks, and no edge is generated twice.
+///    chunk row i and chunk column i, so every edge {u, v} is generated by
+///    both the PE owning u and the PE owning v, from the *same* per-chunk
+///    random stream (§4.2). This ≤ 2m recomputation is an `as_generated`
+///    cost: under `exact_once` PE i skips its row chunks (i, j < i), which
+///    PE j keeps as column chunks (their lower endpoints lie in block j).
 ///
 /// G(n,p): identical chunk geometry, but per-chunk sample counts are
 /// binomial variates seeded by the chunk id alone — no recursion (§4.3).
@@ -58,12 +57,10 @@ void gnm_directed(u64 n, u64 m, u64 seed, u64 rank, u64 size, EdgeSink& sink,
 EdgeList gnm_directed(u64 n, u64 m, u64 seed, u64 rank, u64 size,
                       SamplerVersion version = SamplerVersion::v1);
 
-/// Undirected G(n,m). `as_generated`: all edges incident to PE `rank`'s
-/// vertices; an edge {u, v} with owners a != b appears in both PEs' outputs
-/// (identically). `exact_once`: only the edges whose lower endpoint is
-/// local, i.e. exactly what `OwnershipFilterSink(owned_vertex_range)` keeps
-/// of the as_generated stream, in the same order. Edges are emitted as
-/// (u, v) with u > v (lower triangle).
+/// Undirected G(n,m): all edges incident to PE `rank`'s vertices; an edge
+/// {u, v} with owners a != b appears in both PEs' outputs (identically).
+/// `exact_once` keeps those with a local lower endpoint: the bytes
+/// `OwnershipFilterSink(owned_vertex_range)` keeps. Edges are (u, v), u > v.
 void gnm_undirected(u64 n, u64 m, u64 seed, u64 rank, u64 size, EdgeSink& sink,
                     SamplerVersion version = SamplerVersion::v1,
                     EdgeSemantics semantics = EdgeSemantics::as_generated);

@@ -150,8 +150,7 @@ inline IdIntervals owned_vertex_intervals(const GraphSpec& cfg, u64 rank, u64 si
 namespace detail {
 
 /// The raw per-model dispatch: streams chunk `rank` of `size` exactly as
-/// the paper's generators produce it. Undirected ER honours
-/// `cfg.edge_semantics` itself; every other model streams as_generated.
+/// the paper's generators produce it (undirected ER honours edge_semantics).
 inline void dispatch_generate(const GraphSpec& cfg, u64 rank, u64 size, EdgeSink& sink) {
     switch (cfg.model) {
         case Model::GnmDirected:

@@ -32,9 +32,8 @@ bool owns_vertex(const IdIntervals& intervals, VertexId id) {
 void OwnershipFilterSink::finish() {
     flush();
     target_.flush();
-    static obs::Counter& dropped_ctr =
-        obs::Registry::global().counter("ownership.dropped");
-    dropped_ctr.add(num_filtered_);
+    static obs::Counter& dropped = obs::Registry::global().counter("ownership.dropped");
+    dropped.add(num_filtered_);
 }
 
 void OwnershipFilterSink::consume(const Edge* edges, std::size_t count) {

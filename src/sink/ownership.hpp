@@ -90,8 +90,7 @@ public:
         : owned_(std::move(owned)), target_(target) {}
 
     /// Flushes this filter into the target; does NOT finish the target.
-    /// Adds this chunk's drops to the `ownership.dropped` counter, so call
-    /// it once per chunk.
+    /// Adds the drops to the `ownership.dropped` counter: call once per chunk.
     void finish() override;
 
     /// Edges dropped as foreign-owned duplicates so far (flushed ones).
