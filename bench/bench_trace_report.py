@@ -35,8 +35,7 @@ SPAN_PHASES = {
     "generate", "deliver", "spill_park", "spill_replay",
     "sink_write", "em_sort", "merge",
 }
-# "steal" is retired (the pool no longer steals) but stays a valid name.
-INSTANT_PHASES = {"steal", "budget_park"}
+INSTANT_PHASES = {"budget_park"}
 PHASES = SPAN_PHASES | INSTANT_PHASES
 
 

@@ -48,6 +48,8 @@ set(CASES
     "expected 0|1|true|false|-worker :0 -pin-threads yes"
     "set it on the workers|gnm_undirected -sink file -o /tmp/x -listen :0 -expect-workers 1 -spill-path s.bin"
     "-pin-threads is a per-node run setting|gnm_undirected -sink count -connect h:1 -pin-threads 1"
+    "-sort-memory is a per-node run setting|gnm_undirected -sink file -o /tmp/x -dedup-out /tmp/y -listen :0 -expect-workers 1 -sort-memory 65536"
+    "invalid value 'lots'|-worker :0 -sort-memory lots"
 )
 
 set(NUM 0)

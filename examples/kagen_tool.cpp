@@ -116,10 +116,13 @@ void print_help(std::FILE* out, const char* argv0) {
         "              ordered multi-worker path (default 1 MiB). Memory layout\n"
         "              only: output is byte-identical for every value\n"
         "\n"
-        "External-memory dedup (after -sink file or -ranks ... -sink file):\n"
+        "External-memory dedup (after -sink file, -ranks or -listen/-connect):\n"
         "  -dedup-out FILE    sort/dedup pass to FILE — the canonical\n"
         "              undirected edge set (union_undirected) at bounded memory\n"
-        "  -sort-memory BYTES memory budget of the dedup sort (default 64 MiB)\n"
+        "  -sort-memory BYTES memory budget of the sort's run formation, 16 B\n"
+        "              per edge (default 64 MiB). Per rank: with -ranks every\n"
+        "              rank sorts its own share under it and the coordinator\n"
+        "              only merges; TCP workers take their own -sort-memory\n"
         "\n"
         "Distributed backend (multi-process, communication-free):\n"
         "  -ranks N    fork N worker processes; each generates a contiguous\n"
@@ -150,7 +153,8 @@ void print_help(std::FILE* out, const char* argv0) {
         "              empty host (\":P\") listen for the coordinator to dial in\n"
         "  -worker-scratch DIR   rank-file scratch location (default $TMPDIR)\n"
         "  also -max-buffered-bytes, -spill-path, -arena-slab-bytes,\n"
-        "              -sink-buffer-edges, -pin-threads (as above): run settings\n"
+        "              -sink-buffer-edges, -pin-threads, -sort-memory (as\n"
+        "              above): run settings\n"
         "              are per node, so a -listen/-connect coordinator rejects\n"
         "              them and each worker takes its own\n"
         "\n"
@@ -232,6 +236,7 @@ bool parse_run_flag(const std::string& flag, const char* val, RunOptions& run) {
     else if (flag == "-max-buffered-bytes") run.max_buffered_bytes = parse_u64(flag, val);
     else if (flag == "-spill-path") run.spill_path = val;
     else if (flag == "-arena-slab-bytes") run.arena_slab_bytes = parse_u64(flag, val);
+    else if (flag == "-sort-memory") run.sort_memory = parse_u64(flag, val);
     else return false;
     return true;
 }
@@ -262,17 +267,14 @@ std::vector<std::string> split_commas(const std::string& list) {
 int run_coordinated_sink(const Config& cfg, const std::string& kind, u64 ranks,
                          bool keep_rank_files, net::NetOptions opts,
                          const char* out_path, const char* manifest_path,
-                         const char* dedup_out, u64 sort_memory) {
+                         const char* dedup_out) {
     const bool forked = ranks != 0;
     if (kind == "file") {
         if (manifest_path != nullptr) {
             opts.manifest_path = manifest_path;
         } else if (out_path != nullptr) {
             opts.output_path = out_path;
-            if (dedup_out != nullptr) {
-                opts.dedup_path  = dedup_out;
-                opts.sort_memory = sort_memory;
-            }
+            if (dedup_out != nullptr) opts.dedup_path = dedup_out;
         } else {
             std::fprintf(stderr, "%s\n",
                          forked ? "-ranks with -sink file requires -o FILE"
@@ -297,7 +299,6 @@ int run_coordinated_sink(const Config& cfg, const std::string& kind, u64 ranks,
         dopt.output_path      = opts.output_path;
         dopt.degree_stats     = opts.degree_stats;
         dopt.dedup_path       = opts.dedup_path;
-        dopt.sort_memory      = opts.sort_memory;
         res = generate_distributed(cfg, dopt);
     } else {
         res = net::run_net_coordinator(cfg, opts);
@@ -339,9 +340,18 @@ int run_coordinated_sink(const Config& cfg, const std::string& kind, u64 ranks,
                 static_cast<unsigned long long>(res.copy_file_range_bytes),
                 res.copy_file_range_used() ? 1 : 0);
     if (dedup_out != nullptr) {
-        std::printf("dedup -> %s unique_edges=%llu sort_memory_bytes=%llu\n",
+        // The ranks formed the runs, each under its own budget: a forked
+        // rank under this command line's, a TCP worker under its own.
+        u64 runs = 0;
+        for (const auto& rep : res.ranks) runs += rep.runs.size();
+        std::printf("dedup -> %s unique_edges=%llu runs=%llu",
                     dedup_out, static_cast<unsigned long long>(res.dedup_edges),
-                    static_cast<unsigned long long>(sort_memory));
+                    static_cast<unsigned long long>(runs));
+        if (forked) {
+            std::printf(" sort_memory_bytes=%llu",
+                        static_cast<unsigned long long>(cfg.sort_memory));
+        }
+        std::printf("\n");
     }
     return 0;
 }
@@ -382,8 +392,7 @@ int run_worker_mode(int argc, char** argv) {
 }
 
 int run_chunked_sink(const Config& cfg, const std::string& kind, u64 pes,
-                     const char* out_path, const char* dedup_out,
-                     u64 sort_memory) {
+                     const char* out_path, const char* dedup_out) {
     const u64 n = num_vertices(cfg);
     if (kind == "count") {
         CountingSink sink(cfg.edge_semantics);
@@ -441,12 +450,12 @@ int run_chunked_sink(const Config& cfg, const std::string& kind, u64 pes,
             // file just written, at bounded memory — union_undirected for
             // graphs that never fit in RAM.
             const em::SortStats sorted =
-                em::sort_dedup_file(out_path, dedup_out, sort_memory);
+                em::sort_dedup_file(out_path, dedup_out, cfg.sort_memory);
             std::printf("dedup -> %s unique_edges=%llu runs=%llu "
                         "sort_memory_bytes=%llu\n",
                         dedup_out, static_cast<unsigned long long>(sorted.output_edges),
                         static_cast<unsigned long long>(sorted.runs),
-                        static_cast<unsigned long long>(sort_memory));
+                        static_cast<unsigned long long>(cfg.sort_memory));
         }
         return 0;
     }
@@ -516,7 +525,6 @@ int main(int argc, char** argv) {
     u64 ranks             = 0; // 0 = in-process; N = distributed backend
     u64 threads_per_rank  = 1;
     bool keep_rank_files  = false;
-    u64 sort_memory       = u64{64} << 20; // 64 MiB unless -sort-memory
     const char* out_path  = nullptr;
     const char* dedup_out = nullptr;
     std::string sink_kind;
@@ -577,7 +585,6 @@ int main(int argc, char** argv) {
             keep_rank_files = parse_bool(flag, val);
         else if (parse_run_flag(flag, val, cfg)) run_flag = argv[i];
         else if (flag == "-dedup-out") dedup_out = val;
-        else if (flag == "-sort-memory") sort_memory = parse_u64(flag, val);
         else if (flag == "-edge-semantics") {
             if (!parse_semantics(val, &cfg.edge_semantics)) {
                 std::fprintf(stderr,
@@ -669,10 +676,9 @@ int main(int argc, char** argv) {
             net_opts.num_pes            = pes;
             net_opts.threads_per_worker = threads_per_rank;
             rc = run_coordinated_sink(cfg, sink_kind, ranks, keep_rank_files, net_opts,
-                                      out_path, manifest_path, dedup_out, sort_memory);
+                                      out_path, manifest_path, dedup_out);
         } else if (!sink_kind.empty()) {
-            rc = run_chunked_sink(cfg, sink_kind, pes, out_path, dedup_out,
-                                  sort_memory);
+            rc = run_chunked_sink(cfg, sink_kind, pes, out_path, dedup_out);
         } else {
             rc = run_per_pe(cfg, rank, size, out_path);
         }

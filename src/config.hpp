@@ -90,6 +90,11 @@ struct RunOptions {
     /// (tool: -sink-buffer-edges).
     u64 sink_buffer_edges = 0;
 
+    /// Memory budget of external-memory run formation (graph/em_sort.hpp;
+    /// tool: -sort-memory): keys plus radix scratch at 16 B per edge. In a
+    /// distributed dedup run every rank forms its runs under its own.
+    u64 sort_memory = u64{64} << 20;
+
     /// Pin pool worker threads to distinct CPUs for chunked/distributed
     /// runs (pe::ThreadPool::pin_workers; tool: -pin-threads). Opt-in:
     /// pinning is sticky for the pool's lifetime.

@@ -5,7 +5,7 @@
 /// The paper's generators need *zero* communication to produce the graph;
 /// besides its job and its rank file, the only bytes a rank ever sends are
 /// this one report — its `pe::ChunkRunStats`, the edge count of its rank
-/// file, and the mergeable sink summaries (sink/sinks.hpp) — or, if the rank
+/// file, the run table of a dedup job, and the mergeable sink summaries (sink/sinks.hpp) — or, if the rank
 /// failed, the error message. The payload uses the explicit little-endian
 /// layout of common/bytes.hpp; net/protocol.hpp frames it as the `report`
 /// message. Its codec lives in dist/runner.cpp, next to execute_rank_job,
@@ -34,6 +34,8 @@ struct RankReport {
     u64 chunk_begin = 0;         ///< canonical chunk range the rank executed
     u64 chunk_end   = 0;
     u64 file_edges  = 0;         ///< edges written to the rank file (0 = none)
+    std::vector<u64> runs;       ///< run table of a dedup job: edges per sorted
+                                 ///< run the rank formed from its rank file
     CountingSummary count;       ///< always collected (O(1) per worker)
     bool has_degrees = false;    ///< degree summary shipped (opt-in, O(n));
                                  ///< the coordinator releases the per-rank

@@ -11,6 +11,7 @@
 
 #include "common/bytes.hpp"
 #include "common/fileio.hpp"
+#include "graph/em_sort.hpp"
 #include "kagen.hpp"
 
 namespace kagen::dist {
@@ -80,6 +81,7 @@ std::vector<u8> serialize_report(const RankReport& report) {
     bytes::put_u64(out, report.chunk_begin);
     bytes::put_u64(out, report.chunk_end);
     bytes::put_u64(out, report.file_edges);
+    bytes::put_u64_vector(out, report.runs);
     report.count.serialize(out);
     bytes::put_u64(out, report.has_degrees ? 1 : 0);
     if (report.has_degrees) report.degrees.serialize(out);
@@ -99,6 +101,7 @@ RankReport deserialize_report(const std::vector<u8>& payload) {
         report.chunk_begin = bytes::get_u64(p, end);
         report.chunk_end   = bytes::get_u64(p, end);
         report.file_edges  = bytes::get_u64(p, end);
+        report.runs        = bytes::get_u64_vector(p, end);
         report.count       = CountingSummary::deserialize(p, end);
         report.has_degrees = bytes::get_bool(p, end);
         if (report.has_degrees) report.degrees = DegreeStatsSummary::deserialize(p, end);
@@ -162,6 +165,26 @@ RankReport execute_rank_job(const GraphSpec& graph, const RunOptions& run,
         file->finish();
         report.file_edges = file->num_edges();
     }
+    if (file && job.form_runs) {
+        const std::string runs_path = runs_path_of(job.rank_path);
+        const int fd =
+            ::open(runs_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0600);
+        if (fd < 0) {
+            throw std::runtime_error("cannot create run file '" + runs_path +
+                                     "': " + std::strerror(errno));
+        }
+        try {
+            report.runs = em::form_runs(job.rank_path, fd, run.sort_memory,
+                                        num_vertices(graph));
+        } catch (...) {
+            fileio::close_or_warn(fd, "run file (error unwind)");
+            throw;
+        }
+        if (::close(fd) != 0) {
+            throw std::runtime_error("cannot close run file '" + runs_path +
+                                     "': " + std::strerror(errno));
+        }
+    }
     count.finish();
     if (degrees) degrees->finish();
     report.count = count.summarize();
@@ -209,6 +232,22 @@ fileio::CopyStats copy_rank_file(const std::string& path, u64 edges, int out_fd,
     return fileio::copy_bytes(fd, out_fd, expected_bytes - 8, allow_copy_file_range);
 }
 
+int open_runs_file(const std::string& rank_path, u64 edges) {
+    const std::string path = runs_path_of(rank_path);
+    const int fd           = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) {
+        throw std::runtime_error("cannot open run file '" + path +
+                                 "': " + std::strerror(errno));
+    }
+    struct stat st{};
+    if (::fstat(fd, &st) != 0 || static_cast<u64>(st.st_size) != 16 * edges) {
+        fileio::close_or_warn(fd, "run file");
+        throw std::runtime_error("run file '" + path + "' does not hold the " +
+                                 std::to_string(edges) + " edges of its run table");
+    }
+    return fd;
+}
+
 DistResult run_distributed(const Config& cfg, const DistOptions& opts) {
     net::NetOptions copt;
     copt.num_pes            = opts.num_pes;
@@ -216,7 +255,6 @@ DistResult run_distributed(const Config& cfg, const DistOptions& opts) {
     copt.output_path        = opts.output_path;
     copt.degree_stats       = opts.degree_stats;
     copt.dedup_path         = opts.dedup_path;
-    copt.sort_memory        = opts.sort_memory;
     net::NetWorkerOptions wopt;
     wopt.run         = cfg; // the fork image hands every rank these
     wopt.scratch_dir = opts.scratch_dir;

@@ -63,10 +63,11 @@ struct DistOptions {
     bool degree_stats = false; ///< also collect + merge per-vertex degrees
                                ///< (O(n) per worker and per frame)
 
-    std::string dedup_path;   ///< non-empty: run em::sort_dedup_file over the
-                              ///< merged output into this file (canonical
-                              ///< deduplicated edge set for as_generated runs)
-    u64 sort_memory = u64{64} << 20; ///< memory budget of that dedup sort
+    std::string dedup_path;   ///< non-empty: every rank sorts its file into
+                              ///< runs under the RunOptions' sort_memory and
+                              ///< the coordinator merges them into this file
+                              ///< (canonical deduplicated edge set for
+                              ///< as_generated runs)
 
     /// Test instrumentation: invoked inside each worker process after its
     /// job arrived, before any generation. Lets tests inject rank-targeted
@@ -93,13 +94,22 @@ struct RankJob {
     u64 chunk_end   = 0;
     u64 threads     = 1; ///< pool threads inside the worker (own pool)
     bool degree_stats = false;   ///< also collect the O(n) degree summary
+    bool form_runs    = false;   ///< sort the rank file into runs for the
+                                 ///< coordinator's dedup merge
     std::string rank_path;       ///< binary edge file to write; empty = stats only
 };
 
+/// Where a rank parks the sorted runs of its rank file: beside it.
+inline std::string runs_path_of(const std::string& rank_path) {
+    return rank_path + ".runs";
+}
+
 /// Executes one rank job: runs `pe::run_chunked` over the job's chunk range
 /// of `graph` with this rank's `run` options into the rank file (when
-/// requested) plus local statistics sinks, and returns the finished
-/// RankReport (ok == true). The single rank-execution core shared by forked
+/// requested) plus local statistics sinks; with `form_runs`, then sorts the
+/// finished rank file into runs (em::form_runs under `run.sort_memory`, key
+/// width from the graph's n) at runs_path_of(rank_path). Returns the
+/// finished RankReport (ok == true). The single rank-execution core shared by forked
 /// and TCP workers — byte-identity of both transports rests on them running
 /// literally this function. Throws on any failure; the caller owns turning
 /// that into a failure report.
@@ -114,5 +124,10 @@ RankReport execute_rank_job(const GraphSpec& graph, const RunOptions& run,
 /// and by the coordinator to append a forked rank's file to the output.
 fileio::CopyStats copy_rank_file(const std::string& path, u64 edges, int out_fd,
                                  bool allow_copy_file_range);
+
+/// Opens the run file beside `rank_path` read-only and checks that it holds
+/// exactly `edges` edges (16·edges bytes). Returns the descriptor; throws
+/// on any mismatch.
+int open_runs_file(const std::string& rank_path, u64 edges);
 
 } // namespace kagen::dist

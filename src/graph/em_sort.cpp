@@ -1,10 +1,14 @@
 #include "graph/em_sort.hpp"
 
 #include <algorithm>
-#include <queue>
-#include <vector>
+#include <cerrno>
+#include <cstring>
+#include <memory>
+#include <new>
 
-#include "graph/edge_list.hpp"
+#include <unistd.h>
+
+#include "common/fileio.hpp"
 #include "graph/io.hpp"
 #include "obs/trace.hpp"
 #include "sink/sinks.hpp"
@@ -13,127 +17,322 @@
 namespace kagen::em {
 namespace {
 
-constexpr u64 kMergeBatch = 4096; ///< edges per merge read (64 KiB)
+constexpr u64 kMinRunEdges         = 1024; ///< run floor under tiny budgets
+constexpr std::size_t kBatchEdges  = 4096; ///< edges per run write / merge read
+constexpr unsigned kMaxDigitBits   = 12;   ///< radix ≤ 4096: 3 passes for 36 bits
 
-/// Phase 1: accumulates the input stream into budget-sized blocks and parks
-/// each block as a sorted, deduplicated run in the scratch spill file.
-class RunFormationSink final : public EdgeSink {
+/// Bits needed to hold every id in [0, max_id].
+unsigned id_bits(u64 max_id) {
+    return max_id == 0 ? 0 : 64 - static_cast<unsigned>(__builtin_clzll(max_id));
+}
+
+struct AlignedFree {
+    void operator()(unsigned char* p) const {
+        ::operator delete(p, std::align_val_t{alignof(u128)});
+    }
+};
+using KeyBuffer = std::unique_ptr<unsigned char, AlignedFree>;
+
+/// Digit layout and histograms of an LSD radix sort over keys below
+/// 2^key_bits: as few passes as digits of at most kMaxDigitBits allow,
+/// split evenly. `count` builds every pass's histogram in the caller's one
+/// pass over the keys; a digit every key shares skips its scatter pass.
+class RadixSort {
 public:
-    RunFormationSink(spill::SpillFile& scratch, u64 run_edges, bool canonicalize)
-        : scratch_(scratch), run_edges_(run_edges), canonicalize_(canonicalize) {
-        block_.reserve(static_cast<std::size_t>(std::min<u64>(run_edges_, u64{1} << 16)));
+    explicit RadixSort(unsigned key_bits)
+        : passes_((key_bits + kMaxDigitBits - 1) / kMaxDigitBits),
+          width_(passes_ == 0 ? 0 : (key_bits + passes_ - 1) / passes_),
+          radix_(std::size_t{1} << width_), hist_(passes_ * radix_, 0) {}
+
+    template <class Key>
+    void count(Key k) {
+        for (unsigned p = 0; p < passes_; ++p) ++hist_[p * radix_ + digit(k, p)];
     }
 
-    void finish() override {
-        flush();
-        if (!block_.empty()) park();
-    }
-
-    const std::vector<spill::SpillFile::Segment>& runs() const { return runs_; }
-    u64 input_edges() const { return input_edges_; }
-
-protected:
-    void consume(const Edge* edges, std::size_t count) override {
-        input_edges_ += count;
-        for (std::size_t i = 0; i < count; ++i) {
-            block_.push_back(edges[i]);
-            if (block_.size() >= run_edges_) park();
+    /// Sorts the `n` counted keys through `scratch` of the same size;
+    /// returns whichever of the two arrays holds them sorted.
+    template <class Key>
+    Key* sort(Key* keys, Key* scratch, std::size_t n) {
+        for (unsigned p = 0; p < passes_ && n > 1; ++p) {
+            std::size_t* h = &hist_[p * radix_];
+            if (h[digit(keys[0], p)] == n) continue;
+            std::size_t sum = 0;
+            for (std::size_t d = 0; d < radix_; ++d) {
+                const std::size_t c = h[d];
+                h[d]                = sum;
+                sum += c;
+            }
+            for (std::size_t i = 0; i < n; ++i) scratch[h[digit(keys[i], p)]++] = keys[i];
+            std::swap(keys, scratch);
         }
+        return keys;
     }
 
 private:
-    void park() {
-        if (canonicalize_) kagen::canonicalize(block_);
-        sort_unique(block_);
-        runs_.push_back(scratch_.append(block_.data(), block_.size()));
-        block_.clear();
+    template <class Key>
+    std::size_t digit(Key k, unsigned p) const {
+        return static_cast<std::size_t>(k >> (p * width_)) & (radix_ - 1);
     }
 
-    spill::SpillFile& scratch_;
-    const u64 run_edges_;
-    const bool canonicalize_;
-    EdgeList block_;
-    std::vector<spill::SpillFile::Segment> runs_;
-    u64 input_edges_ = 0;
+    unsigned passes_, width_;
+    std::size_t radix_;
+    std::vector<std::size_t> hist_;
 };
 
-/// Phase 2 helper: bounded sequential reader over one sorted run.
-struct RunCursor {
-    RunCursor(const spill::SpillFile& f, spill::SpillFile::Segment s)
-        : file(&f), seg(s) {}
-
-    bool next(Edge* e) {
-        if (pos == buf.size()) {
-            const u64 remaining = seg.count - fetched;
-            if (remaining == 0) return false;
-            buf.resize(static_cast<std::size_t>(std::min(kMergeBatch, remaining)));
-            file->read(seg, fetched, buf.data(), buf.size());
-            fetched += buf.size();
-            pos = 0;
+/// Turns the `count` raw edges at the front of `buf` into one run appended
+/// to `fd`. One pass canonicalizes, packs in place (a key never outgrows
+/// the 16 bytes of the edge it replaces) and counts digits; the radix sort
+/// runs through the scratch that follows the keys; one more pass drops
+/// repeats and unpacks. Returns the run's length.
+template <class Key>
+u64 park_run(unsigned char* buf, std::size_t count, unsigned bits, bool canonicalize,
+             int fd, Edge* batch) {
+    Key* keys = reinterpret_cast<Key*>(buf);
+    RadixSort radix(2 * bits);
+    u64 ids = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+        u64 e[2];
+        std::memcpy(e, buf + i * sizeof(Edge), sizeof(e));
+        ids |= e[0] | e[1];
+        if (canonicalize && e[0] > e[1]) std::swap(e[0], e[1]);
+        const Key k = (static_cast<Key>(e[0]) << bits) | static_cast<Key>(e[1]);
+        keys[i]     = k;
+        radix.count(k);
+    }
+    if (id_bits(ids) > bits) {
+        throw std::runtime_error("em: a vertex id needs " + std::to_string(id_bits(ids)) +
+                                 " bits, beyond the graph's " + std::to_string(bits));
+    }
+    const Key* sorted = radix.sort(keys, keys + count, count);
+    const Key mask    = (static_cast<Key>(1) << bits) - 1;
+    u64 length        = 0;
+    std::size_t fill  = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+        const Key k = sorted[i];
+        if (i > 0 && k == sorted[i - 1]) continue;
+        batch[fill++] = {static_cast<u64>(k >> bits), static_cast<u64>(k & mask)};
+        ++length;
+        if (fill == kBatchEdges) {
+            fileio::write_all(fd, batch, fill * sizeof(Edge));
+            fill = 0;
         }
-        *e = buf[pos++];
+    }
+    fileio::write_all(fd, batch, fill * sizeof(Edge));
+    return length;
+}
+
+/// An edge as one integer, (u << 64) | v: it orders exactly like the pair.
+u128 edge_key(const Edge& e) { return (static_cast<u128>(e.first) << 64) | e.second; }
+
+/// Bounded sequential reader over one run: batched `pread`s, and the check
+/// that every edge exceeds the one before it.
+class RunCursor {
+public:
+    RunCursor(int fd, u64 offset, u64 length, std::size_t source, std::size_t run)
+        : fd_(fd), offset_(offset), left_(length), source_(source), run_(run),
+          buf_(static_cast<std::size_t>(std::min<u64>(length, kBatchEdges))) {}
+
+    /// Stores the run's next edge in `key`; false once the run is exhausted.
+    bool next(u128& key) {
+        if (pos_ == fill_) {
+            if (left_ == 0) return false;
+            refill();
+        }
+        const u128 k = edge_key(buf_[pos_++]);
+        if (started_ && k <= last_) fail("does not strictly increase");
+        last_    = k;
+        started_ = true;
+        key      = k;
         return true;
     }
 
-    const spill::SpillFile* file;
-    spill::SpillFile::Segment seg;
-    std::vector<Edge> buf;
-    std::size_t pos = 0;
-    u64 fetched     = 0; ///< edges loaded into `buf` so far
+private:
+    [[noreturn]] void fail(const char* what) const {
+        throw RunOrderError(source_, "em: run " + std::to_string(run_) + " " + what);
+    }
+
+    void refill() {
+        fill_            = static_cast<std::size_t>(std::min<u64>(left_, buf_.size()));
+        auto* p          = reinterpret_cast<char*>(buf_.data());
+        std::size_t want = fill_ * sizeof(Edge);
+        while (want > 0) {
+            const ssize_t got = ::pread(fd_, p, want, static_cast<off_t>(offset_));
+            if (got < 0 && errno == EINTR) continue;
+            if (got < 0) {
+                throw std::runtime_error(std::string("em: reading a run failed: ") +
+                                         std::strerror(errno));
+            }
+            if (got == 0) fail("is truncated");
+            p += got;
+            offset_ += static_cast<u64>(got);
+            want -= static_cast<std::size_t>(got);
+        }
+        left_ -= fill_;
+        pos_ = 0;
+    }
+
+    int fd_;
+    u64 offset_;
+    u64 left_; ///< edges not yet read into buf_
+    std::size_t source_, run_;
+    std::vector<Edge> buf_;
+    std::size_t pos_ = 0, fill_ = 0;
+    u128 last_    = 0;
+    bool started_ = false;
+};
+
+/// Loser tree over k cursors: node 0 holds the current winner, nodes
+/// [1, k) the losers of their matches, leaf i sits at node k + i. The
+/// heads sit in one array; one replay per emitted edge costs ⌈log2 k⌉
+/// branch-free 128-bit comparisons.
+class LoserTree {
+public:
+    explicit LoserTree(std::vector<RunCursor>& cursors)
+        : cursors_(cursors), k_(cursors.size()), heads_(k_), live_(k_),
+          nodes_(std::max<std::size_t>(k_, 1)) {
+        for (std::size_t i = 0; i < k_; ++i) load(i);
+        if (k_ > 0) nodes_[0] = build(1);
+    }
+
+    bool empty() const { return k_ == 0 || !live_[nodes_[0]]; }
+    u128 top() const { return heads_[nodes_[0]]; }
+
+    /// Advances the winner and replays its path to the root.
+    void pop() {
+        std::size_t w = nodes_[0];
+        load(w);
+        for (std::size_t node = (w + k_) / 2; node >= 1; node /= 2) {
+            if (less(nodes_[node], w)) std::swap(nodes_[node], w);
+        }
+        nodes_[0] = w;
+    }
+
+private:
+    /// An exhausted cursor holds the largest key and loses every tie.
+    void load(std::size_t i) {
+        live_[i] = cursors_[i].next(heads_[i]);
+        if (!live_[i]) heads_[i] = ~u128{0};
+    }
+
+    bool less(std::size_t a, std::size_t b) const {
+        return heads_[a] < heads_[b] || (heads_[a] == heads_[b] && live_[a] > live_[b]);
+    }
+
+    std::size_t build(std::size_t node) {
+        if (node >= k_) return node - k_;
+        const std::size_t a = build(2 * node);
+        const std::size_t b = build(2 * node + 1);
+        const bool a_wins   = !less(b, a);
+        nodes_[node]        = a_wins ? b : a;
+        return a_wins ? a : b;
+    }
+
+    std::vector<RunCursor>& cursors_;
+    std::size_t k_;
+    std::vector<u128> heads_;
+    std::vector<char> live_;
+    std::vector<std::size_t> nodes_;
 };
 
 } // namespace
 
+std::vector<u64> form_runs(const std::string& input_path, int runs_fd,
+                           u64 max_memory_bytes, u64 n, bool canonicalize) {
+    io::EdgeFileReader in(input_path);
+    const obs::Span span(obs::Phase::em_sort, in.edges() * sizeof(Edge));
+    std::vector<u64> runs;
+    if (in.edges() > 0) {
+        // Keys plus radix scratch cost 2 · sizeof(key) per edge: 16 B for a
+        // 64-bit key. A known-wide graph budgets 32 B from the start; a
+        // derived width sizes for 64-bit keys and halves a wide block.
+        const unsigned n_bits  = id_bits(n == 0 ? 0 : n - 1);
+        const u64 edge_cost    = n != 0 && 2 * n_bits > 64 ? 2 * sizeof(u128) : 2 * sizeof(u64);
+        const u64 block        = std::min(in.edges(),
+                                          std::max(kMinRunEdges, max_memory_bytes / edge_cost));
+        const std::size_t bytes = static_cast<std::size_t>(block * edge_cost);
+        const KeyBuffer buf(static_cast<unsigned char*>(
+            ::operator new(bytes, std::align_val_t{alignof(u128)})));
+        const auto batch = std::make_unique<Edge[]>(kBatchEdges);
+        while (in.remaining() > 0) {
+            std::size_t count = in.read(buf.get(), static_cast<std::size_t>(block));
+            unsigned bits     = n_bits;
+            if (n == 0) {
+                u64 ids = 0;
+                for (std::size_t w = 0; w < 2 * count; ++w) {
+                    u64 id;
+                    std::memcpy(&id, buf.get() + w * sizeof(u64), sizeof(id));
+                    ids |= id;
+                }
+                bits = id_bits(ids);
+            }
+            if (2 * bits <= 64) {
+                runs.push_back(park_run<u64>(buf.get(), count, bits, canonicalize, runs_fd,
+                                             batch.get()));
+                continue;
+            }
+            const std::size_t fit = std::max<std::size_t>(bytes / (2 * sizeof(u128)), 1);
+            if (count > fit) {
+                in.unread(count - fit);
+                count = fit;
+            }
+            runs.push_back(
+                park_run<u128>(buf.get(), count, bits, canonicalize, runs_fd, batch.get()));
+        }
+    }
+    obs::Registry& reg = obs::Registry::global();
+    reg.counter("em.input_edges").add(in.edges());
+    reg.counter("em.runs").add(runs.size());
+    return runs;
+}
+
+u64 merge_runs(const std::vector<RunFile>& sources, const std::string& output_path) {
+    u64 total = 0;
+    for (const RunFile& src : sources) {
+        for (const u64 len : src.lengths) total += len;
+    }
+    const obs::Span span(obs::Phase::em_sort, total * sizeof(Edge));
+    u64 unique = 0;
+    try {
+        std::vector<RunCursor> cursors;
+        for (std::size_t s = 0; s < sources.size(); ++s) {
+            u64 offset = sources[s].offset;
+            for (std::size_t r = 0; r < sources[s].lengths.size(); ++r) {
+                const u64 len = sources[s].lengths[r];
+                cursors.emplace_back(sources[s].fd, offset, len, s, r);
+                offset += len * sizeof(Edge);
+            }
+        }
+        LoserTree tree(cursors);
+        BinaryFileSink out(output_path);
+        u128 last = 0;
+        for (; !tree.empty(); tree.pop()) {
+            const u128 k = tree.top();
+            if (unique == 0 || k != last) {
+                out.emit(static_cast<u64>(k >> 64), static_cast<u64>(k));
+                last = k;
+                ++unique;
+            }
+        }
+        out.finish();
+    } catch (...) {
+        fileio::unlink_or_warn(output_path.c_str(), "partial dedup output");
+        throw;
+    }
+    obs::Registry::global().counter("em.output_edges").add(unique);
+    return unique;
+}
+
 SortStats sort_dedup_file(const std::string& input_path,
                           const std::string& output_path, u64 max_memory_bytes,
                           bool canonicalize) {
-    const obs::Span span(obs::Phase::em_sort, max_memory_bytes);
-    spill::SpillFile scratch;
-    const u64 run_edges =
-        std::max<u64>(u64{1024}, max_memory_bytes / sizeof(Edge));
-    RunFormationSink former(scratch, run_edges, canonicalize);
-    io::stream_edge_list_binary(input_path, former);
-    former.finish();
-
     SortStats stats;
-    stats.input_edges = former.input_edges();
-    stats.runs        = former.runs().size();
-
-    std::vector<RunCursor> cursors;
-    cursors.reserve(former.runs().size());
-    for (const auto& seg : former.runs()) cursors.emplace_back(scratch, seg);
-
-    // Min-heap over (head edge, run); runs are individually sorted and
-    // deduplicated, so dropping repeats of the last emitted edge yields the
-    // globally sorted unique sequence.
-    using HeapItem = std::pair<Edge, std::size_t>;
-    std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<HeapItem>>
-        heap;
-    for (std::size_t r = 0; r < cursors.size(); ++r) {
-        Edge e;
-        if (cursors[r].next(&e)) heap.emplace(e, r);
-    }
-
-    BinaryFileSink out(output_path);
-    Edge last{};
-    bool have_last = false;
-    while (!heap.empty()) {
-        const auto [e, r] = heap.top();
-        heap.pop();
-        if (!have_last || e != last) {
-            out.emit(e);
-            last      = e;
-            have_last = true;
-            ++stats.output_edges;
-        }
-        Edge next;
-        if (cursors[r].next(&next)) heap.emplace(next, r);
-    }
-    out.finish();
-    obs::Registry& reg = obs::Registry::global();
-    reg.counter("em.input_edges").add(stats.input_edges);
-    reg.counter("em.output_edges").add(stats.output_edges);
-    reg.counter("em.runs").add(stats.runs);
+    stats.input_edges = io::EdgeFileReader(input_path).edges();
+    spill::SpillFile scratch; // anonymous: reclaimed even if this process dies
+    RunFile runs;
+    runs.fd            = scratch.fd();
+    runs.lengths       = form_runs(input_path, runs.fd, max_memory_bytes, 0, canonicalize);
+    stats.runs         = runs.lengths.size();
+    stats.output_edges = merge_runs({runs}, output_path);
     return stats;
 }
 

@@ -1,9 +1,17 @@
 #include "graph/io.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
+#include <memory>
 #include <stdexcept>
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include "common/fileio.hpp"
 #include "graph/csr.hpp"
 
 namespace kagen::io {
@@ -23,33 +31,7 @@ struct File {
     FILE* handle;
 };
 
-/// Reads the u64 edge-count header and validates it against the file size
-/// (8-byte header + 16 bytes per edge must fit in the file): a corrupt or
-/// truncated header (e.g. 0xFFFF...) must fail cleanly here, not drive a
-/// multi-exabyte `reserve` or a billion-iteration read loop downstream.
-u64 read_validated_edge_count(FILE* f, const std::string& path) {
-    u64 count = 0;
-    if (std::fread(&count, sizeof(count), 1, f) != 1) {
-        throw std::runtime_error("truncated binary edge list: " + path);
-    }
-    if (std::fseek(f, 0, SEEK_END) != 0) {
-        throw std::runtime_error("cannot seek in '" + path + "'");
-    }
-    // ftello, not ftell: long is 32-bit on some ABIs, and >2 GiB files are
-    // exactly the scale this format exists for.
-    const off_t end = ftello(f);
-    if (end < 0 || std::fseek(f, sizeof(count), SEEK_SET) != 0) {
-        throw std::runtime_error("cannot seek in '" + path + "'");
-    }
-    const u64 payload = static_cast<u64>(end) - sizeof(count);
-    if (count > payload / (2 * sizeof(u64))) {
-        throw std::runtime_error(
-            "corrupt binary edge list header: '" + path + "' claims " +
-            std::to_string(count) + " edges but holds only " +
-            std::to_string(payload) + " payload bytes");
-    }
-    return count;
-}
+constexpr std::size_t kBlockEdges = 4096; ///< 64 KiB of edges per I/O call
 
 } // namespace
 
@@ -85,9 +67,14 @@ void write_edge_list_binary(const std::string& path, const EdgeList& edges) {
     if (std::fwrite(&count, sizeof(count), 1, f.handle) != 1) {
         throw std::runtime_error("cannot write header of '" + path + "'");
     }
-    for (const auto& [u, v] : edges) {
-        const u64 pair[2] = {u, v};
-        if (std::fwrite(pair, sizeof(u64), 2, f.handle) != 2) {
+    const auto block = std::make_unique<u64[]>(2 * kBlockEdges);
+    for (std::size_t first = 0; first < edges.size(); first += kBlockEdges) {
+        const std::size_t n = std::min(kBlockEdges, edges.size() - first);
+        for (std::size_t i = 0; i < n; ++i) {
+            block[2 * i]     = edges[first + i].first;
+            block[2 * i + 1] = edges[first + i].second;
+        }
+        if (std::fwrite(block.get(), 2 * sizeof(u64), n, f.handle) != n) {
             throw std::runtime_error("short write to '" + path + "'");
         }
     }
@@ -98,33 +85,75 @@ void write_edge_list_binary(const std::string& path, const EdgeList& edges) {
     }
 }
 
-EdgeList read_edge_list_binary(const std::string& path) {
-    File f(path, "rb");
-    const u64 count = read_validated_edge_count(f.handle, path);
-    EdgeList edges;
-    edges.reserve(count);
-    for (u64 i = 0; i < count; ++i) {
-        u64 pair[2];
-        if (std::fread(pair, sizeof(u64), 2, f.handle) != 2) {
+EdgeFileReader::EdgeFileReader(const std::string& path) : path_(path) {
+    fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd_ < 0) throw std::runtime_error("cannot open '" + path + "'");
+    try {
+        if (::pread(fd_, &count_, sizeof(count_), 0) !=
+            static_cast<ssize_t>(sizeof(count_))) {
             throw std::runtime_error("truncated binary edge list: " + path);
         }
-        edges.emplace_back(pair[0], pair[1]);
+        struct stat st{};
+        if (::fstat(fd_, &st) != 0) {
+            throw std::runtime_error("cannot stat '" + path + "': " +
+                                     std::strerror(errno));
+        }
+        // 8-byte header + 16 bytes per edge must fit in the file: a corrupt
+        // or truncated header (e.g. 0xFFFF...) must fail cleanly here, not
+        // drive a multi-exabyte `reserve` or a billion-iteration read loop.
+        const u64 payload = static_cast<u64>(st.st_size) - sizeof(count_);
+        if (count_ > payload / (2 * sizeof(u64))) {
+            throw std::runtime_error(
+                "corrupt binary edge list header: '" + path + "' claims " +
+                std::to_string(count_) + " edges but holds only " +
+                std::to_string(payload) + " payload bytes");
+        }
+    } catch (...) {
+        fileio::close_or_warn(fd_, "edge list");
+        throw;
+    }
+}
+
+EdgeFileReader::~EdgeFileReader() { fileio::close_or_warn(fd_, "edge list"); }
+
+std::size_t EdgeFileReader::read(void* out, std::size_t max) {
+    const std::size_t n = static_cast<std::size_t>(std::min<u64>(max, remaining()));
+    char* p          = static_cast<char*>(out);
+    std::size_t left = n * 2 * sizeof(u64);
+    u64 offset       = sizeof(u64) + pos_ * 2 * sizeof(u64);
+    while (left > 0) {
+        const ssize_t got = ::pread(fd_, p, left, static_cast<off_t>(offset));
+        if (got < 0 && errno == EINTR) continue;
+        if (got <= 0) throw std::runtime_error("truncated binary edge list: " + path_);
+        p += got;
+        offset += static_cast<u64>(got);
+        left -= static_cast<std::size_t>(got);
+    }
+    pos_ += n;
+    return n;
+}
+
+void EdgeFileReader::unread(u64 count) { pos_ -= std::min(count, pos_); }
+
+EdgeList read_edge_list_binary(const std::string& path) {
+    EdgeFileReader in(path);
+    EdgeList edges;
+    edges.reserve(in.edges());
+    const auto block = std::make_unique<Edge[]>(kBlockEdges);
+    while (const std::size_t n = in.read(block.get(), kBlockEdges)) {
+        edges.insert(edges.end(), block.get(), block.get() + n);
     }
     return edges;
 }
 
 u64 stream_edge_list_binary(const std::string& path, EdgeSink& sink) {
-    File f(path, "rb");
-    const u64 count = read_validated_edge_count(f.handle, path);
-    for (u64 i = 0; i < count; ++i) {
-        u64 pair[2];
-        if (std::fread(pair, sizeof(u64), 2, f.handle) != 2) {
-            throw std::runtime_error("truncated binary edge list: " + path);
-        }
-        sink.emit(pair[0], pair[1]);
+    EdgeFileReader in(path);
+    const auto block = std::make_unique<Edge[]>(kBlockEdges);
+    sink.flush(); // blocks bypass the emit buffer; keep the order
+    while (const std::size_t n = in.read(block.get(), kBlockEdges)) {
+        sink.deliver(block.get(), n);
     }
-    sink.flush();
-    return count;
+    return in.edges();
 }
 
 void write_metis(const std::string& path, const EdgeList& edges, u64 n) {

@@ -20,6 +20,7 @@
 #include "kagen.hpp"
 #include "net/protocol.hpp"
 #include "obs/trace.hpp"
+#include "sink/spill.hpp"
 
 namespace kagen::net {
 namespace {
@@ -140,6 +141,7 @@ RunResult coordinate(const Config& cfg, const NetOptions& opt, Fleet& fleet,
     const bool want_file = gather || listing;
     const bool stream    = gather && !local;
     const bool keep      = listing || keep_rank_files;
+    const bool dedup     = !opt.dedup_path.empty();
     const bool want_telemetry = !cfg.trace_path.empty() || !cfg.metrics_path.empty();
 
     auto recv = [&](u64 w, int deadline_ms, const char* what) {
@@ -165,6 +167,7 @@ RunResult coordinate(const Config& cfg, const NetOptions& opt, Fleet& fleet,
         job.task.chunk_end    = block_begin(result.num_chunks, W, w + 1);
         job.task.threads      = std::max<u64>(opt.threads_per_worker, 1);
         job.task.degree_stats = opt.degree_stats;
+        job.task.form_runs    = dedup;
         job.want_file         = want_file;
         job.send_file         = stream;
         job.want_trace        = want_telemetry;
@@ -205,6 +208,19 @@ RunResult coordinate(const Config& cfg, const NetOptions& opt, Fleet& fleet,
     const char* no_cfr   = std::getenv("KAGEN_DISABLE_COPY_FILE_RANGE");
     const bool allow_cfr = no_cfr == nullptr || *no_cfr == '\0' || *no_cfr == '0';
     int out_fd = -1;
+    // Every rank's runs, in rank order: forked ranks' run files taken over
+    // by path (open, then unlink, so no run file outlives its handover),
+    // streamed ranks' runs back to back in one anonymous scratch file.
+    std::vector<em::RunFile> runs;
+    struct RunFds {
+        std::vector<int> fds;
+        ~RunFds() {
+            for (const int fd : fds) fileio::close_or_warn(fd, "run file");
+        }
+    } run_fds;
+    std::optional<spill::SpillFile> streamed_runs;
+    if (dedup && stream) streamed_runs.emplace();
+    u64 streamed_bytes = 0;
     try {
         if (gather) {
             out_fd = ::open(opt.output_path.c_str(),
@@ -247,6 +263,22 @@ RunResult coordinate(const Config& cfg, const NetOptions& opt, Fleet& fleet,
                      " edges but the rank counted " +
                      std::to_string(report.count.num_edges));
             }
+            // The run table: dedup within a run only shrinks it, so the
+            // runs hold at most the file's edges, and at least one of them
+            // when the file has any.
+            u64 run_edges = 0;
+            if (!dedup && !report.runs.empty()) fail("report carries an unrequested run table");
+            for (std::size_t i = 0; i < report.runs.size(); ++i) {
+                if (report.runs[i] == 0) fail("run " + std::to_string(i) + " is empty");
+                if (report.runs[i] > report.file_edges - run_edges) {
+                    fail("run table holds more edges than the rank file's " +
+                         std::to_string(report.file_edges));
+                }
+                run_edges += report.runs[i];
+            }
+            if (dedup && report.file_edges > 0 && report.runs.empty()) {
+                fail("rank file has edges but the report has no runs");
+            }
 
             if (want_telemetry) {
                 obs::RankTelemetry t =
@@ -276,12 +308,36 @@ RunResult coordinate(const Config& cfg, const NetOptions& opt, Fleet& fleet,
                                 dist::copy_rank_file(info.path, info.edges, out_fd,
                                                      allow_cfr)
                                     .cfr_bytes;
+                            // Merged, so no longer needed: gone even if its
+                            // rank dies before the discard verdict.
+                            if (!keep) fileio::unlink_or_warn(info.path.c_str(), "rank file");
                         } else {
                             sock.recv_payload_to(out_fd, payload_bytes,
                                                  opt.connect_timeout_ms);
                         }
                     } catch (const std::exception& e) {
                         fail(std::string("merging its rank file: ") + e.what());
+                    }
+                    if (dedup) {
+                        em::RunFile rf;
+                        rf.lengths = report.runs;
+                        try {
+                            if (local) {
+                                rf.fd = dist::open_runs_file(info.path, run_edges);
+                                run_fds.fds.push_back(rf.fd);
+                                fileio::unlink_or_warn(
+                                    dist::runs_path_of(info.path).c_str(), "run file");
+                            } else {
+                                rf.fd     = streamed_runs->fd();
+                                rf.offset = streamed_bytes;
+                                sock.recv_payload_to(rf.fd, 16 * run_edges,
+                                                     opt.connect_timeout_ms);
+                                streamed_bytes += 16 * run_edges;
+                            }
+                        } catch (const std::exception& e) {
+                            fail(std::string("taking its runs: ") + e.what());
+                        }
+                        runs.push_back(std::move(rf));
                     }
                     result.merged_bytes += payload_bytes;
                 }
@@ -357,14 +413,12 @@ RunResult coordinate(const Config& cfg, const NetOptions& opt, Fleet& fleet,
         }
     }
 
-    if (!opt.dedup_path.empty()) {
+    if (dedup) {
+        // merge_runs removes its partial output on any failure.
         try {
-            const em::SortStats sorted =
-                em::sort_dedup_file(opt.output_path, opt.dedup_path, opt.sort_memory);
-            result.dedup_edges = sorted.output_edges;
-        } catch (...) {
-            fileio::unlink_or_warn(opt.dedup_path.c_str(), "partial dedup output");
-            throw;
+            result.dedup_edges = em::merge_runs(runs, opt.dedup_path);
+        } catch (const em::RunOrderError& e) {
+            throw RankError(e.source, fleet.socks[e.source], e.what());
         }
     }
 

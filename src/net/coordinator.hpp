@@ -25,7 +25,11 @@
 ///    cause ("exited with status 7", "killed by signal 9");
 ///  * whose RunOptions a rank runs. A job carries only the graph: forked
 ///    ranks get the coordinator's in the fork image, TCP workers use their
-///    own (the coordinator itself only writes the telemetry paths).
+///    own (the coordinator itself only writes the telemetry paths). That
+///    includes the sort budget of a dedup run, where each rank sorts its
+///    own file into runs and the coordinator only merges them: forked
+///    ranks hand their run file over by path, TCP ranks stream it after
+///    their rank-file payload.
 ///
 /// Every report is validated (rank id, chunk-range echo, semantics/n of the
 /// summaries, file edge counts); receives carry deadlines; a dead channel or
@@ -68,9 +72,9 @@ struct NetOptions {
                                ///< Mutually exclusive with output_path.
     bool degree_stats = false; ///< also collect + merge per-vertex degrees
 
-    std::string dedup_path; ///< non-empty: em::sort_dedup_file over the
-                            ///< gathered output into this file
-    u64 sort_memory = u64{64} << 20;
+    std::string dedup_path; ///< non-empty: every rank sorts its file into
+                            ///< runs (its own RunOptions::sort_memory) and
+                            ///< the coordinator merges them into this file
 
     int connect_timeout_ms = 10000; ///< accept/connect + handshake + the
                                     ///< post-report file transfer deadline

@@ -72,6 +72,7 @@ std::vector<u8> encode_job(const JobSpec& job) {
     bytes::put_u64(out, job.send_file ? 1 : 0);
     bytes::put_u64(out, job.task.degree_stats ? 1 : 0);
     bytes::put_u64(out, job.want_trace ? 1 : 0);
+    bytes::put_u64(out, job.task.form_runs ? 1 : 0);
     return out;
 }
 
@@ -89,7 +90,11 @@ JobSpec decode_job(const std::vector<u8>& payload) {
     job.send_file         = bytes::get_bool(p, end);
     job.task.degree_stats = bytes::get_bool(p, end);
     job.want_trace        = bytes::get_bool(p, end);
+    job.task.form_runs    = bytes::get_bool(p, end);
     expect_consumed(p, end, Msg::job);
+    if (job.task.form_runs && !job.want_file) {
+        throw std::runtime_error("net: job asks for sorted runs without a rank file");
+    }
     if (job.task.chunk_begin > job.task.chunk_end ||
         job.task.chunk_end > job.task.num_chunks) {
         throw std::runtime_error("net: job carries malformed chunk range [" +

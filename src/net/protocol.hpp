@@ -15,7 +15,9 @@
 ///                                          (only if the job set want_trace)
 ///   rank        → coordinator   file       {path, edges}  (want_file)
 ///                               …raw payload bytes, outside any frame
-///                                          (only if the job set send_file)
+///                                          (only if the job set send_file),
+///                               then the run file's bytes (send_file and
+///                                          form_runs)
 ///   coordinator → rank          verdict    {keep}  (want_file, !send_file)
 ///
 /// A streamed rank file is unlinked once sent. A file that stays in place
@@ -28,9 +30,17 @@
 /// enum, and that the payload is consumed exactly — trailing bytes are a
 /// protocol error, not padding.
 ///
+/// A dedup job (`form_runs`) has every rank sort its finished rank file
+/// into runs under its own `RunOptions::sort_memory`; the report carries
+/// the run table (edges per run). A rank whose file stays in place leaves
+/// the run file beside it (dist::runs_path_of) for the coordinator to take
+/// by path; a streaming rank sends its 16 · Σ runs bytes right after the
+/// rank-file payload.
+///
 /// Version 3 added the verdict and folded the file header and file-info
 /// messages into `file`. Version 4 sends only the graph identity in the job
-/// (config encoding v2, C once); the rank's RunOptions stay on the rank. The
+/// (config encoding v2, C once); the rank's RunOptions stay on the rank.
+/// Version 5 adds the `form_runs` job flag and the report's run table. The
 /// strict hello makes mismatched peers refuse each other up front instead
 /// of mis-framing mid-run.
 #pragma once
@@ -45,7 +55,7 @@
 
 namespace kagen::net {
 
-constexpr u64 kProtocolVersion = 4;
+constexpr u64 kProtocolVersion = 5;
 
 enum class Msg : u64 {
     hello     = 1,

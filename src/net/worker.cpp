@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include "common/fileio.hpp"
+#include "dist/runner.hpp"
 #include "kagen.hpp"
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
@@ -35,12 +36,15 @@ std::string absolute_path(const std::string& path) {
 
 /// The rank owns its file until a keep verdict: every other way out of
 /// serve_rank (failed job, transport error, discard, coordinator EOF)
-/// unlinks it.
+/// unlinks it. A run file is never kept: it is scratch for the
+/// coordinator's merge, which takes it over by path (it may be gone already).
 struct RankFile {
     std::string path;
     bool keep = false;
     ~RankFile() {
-        if (!keep && !path.empty()) fileio::unlink_or_warn(path.c_str(), "rank file");
+        if (path.empty()) return;
+        fileio::unlink_or_warn(dist::runs_path_of(path).c_str(), "run file");
+        if (!keep) fileio::unlink_or_warn(path.c_str(), "rank file");
     }
 };
 
@@ -109,8 +113,19 @@ int serve_rank(Socket& sock, const NetWorkerOptions& opt) {
     sock.send_frame(encode_file({absolute_path(file.path), edges}));
     if (job.send_file) {
         // Stream: the payload with its header stripped (the coordinator
-        // writes one global header). Once sent, the file has no further use.
+        // writes one global header), then the runs. Once sent, the files
+        // have no further use.
         dist::copy_rank_file(file.path, edges, sock.fd(), false);
+        if (job.task.form_runs) {
+            u64 run_edges = 0;
+            for (const u64 len : report.runs) run_edges += len;
+            const int fd = dist::open_runs_file(file.path, run_edges);
+            struct FdGuard {
+                int fd;
+                ~FdGuard() { fileio::close_or_warn(fd, "run file"); }
+            } guard{fd};
+            fileio::copy_bytes(fd, sock.fd(), 16 * run_edges, false);
+        }
         return 0;
     }
     // Kept in place: no deadline, the verdict comes only after the slowest

@@ -31,7 +31,6 @@ const char* phase_name(Phase phase) {
         case Phase::sink_write: return "sink_write";
         case Phase::em_sort: return "em_sort";
         case Phase::merge: return "merge";
-        case Phase::steal: return "steal";
         case Phase::budget_park: return "budget_park";
     }
     return "unknown";

@@ -41,17 +41,16 @@ namespace kagen::obs {
 /// clock (see file comment).
 u64 monotonic_now();
 
-/// Traced phases. Span phases first, instant phases after `steal`.
+/// Traced phases. Span phases first, then the instant phase.
 enum class Phase : u8 {
     generate = 0, ///< chunk generator body (arg = chunk id)
     deliver,      ///< ordered delivery of one chunk into the sink (arg = chunk)
     spill_park,   ///< writing an over-budget chunk to the spill file (arg = chunk)
     spill_replay, ///< reading a spilled chunk back (arg = chunk)
     sink_write,   ///< sink flush of one batch (arg = bytes)
-    em_sort,      ///< external-memory sort/dedup pass (arg = input bytes)
+    em_sort,      ///< external-memory run formation or run merge (arg =
+                  ///< bytes read)
     merge,        ///< coordinator merging one rank file (arg = rank)
-    steal,        ///< retired instant (the pool no longer steals); kept so
-                  ///< the phase ids of the telemetry frame do not move
     budget_park,  ///< instant: chunk parked to disk by the byte budget (arg = chunk)
 };
 

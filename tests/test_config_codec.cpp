@@ -94,6 +94,7 @@ kagen::net::JobSpec rich_job() {
     job.task.chunk_end    = 12;
     job.task.threads      = 3;
     job.task.degree_stats = true;
+    job.task.form_runs    = true;
     job.want_file         = true;
     job.send_file         = false;
     job.want_trace        = true;
@@ -110,6 +111,7 @@ kagen::dist::RankReport rich_report() {
     report.chunk_begin          = 8;
     report.chunk_end            = 12;
     report.file_edges           = 99;
+    report.runs                 = {40, 30, 20};
     report.count.num_edges      = 99;
     report.has_degrees          = true;
     report.degrees.num_edges    = 99;
@@ -167,7 +169,7 @@ TEST(GraphIdentity, NoRunOptionChangesTheOutputOrTheEncoding) {
 
     // One entry per RunOptions field. The structured binding stops compiling
     // when a field is added, so a new run option cannot skip this test.
-    [[maybe_unused]] auto& [budget, spill, slab, buffer, pin, trace, metrics] =
+    [[maybe_unused]] auto& [budget, spill, slab, buffer, sort, pin, trace, metrics] =
         static_cast<RunOptions&>(base);
     const std::vector<std::pair<const char*, std::function<void(RunOptions&)>>>
         perturbations = {
@@ -175,6 +177,7 @@ TEST(GraphIdentity, NoRunOptionChangesTheOutputOrTheEncoding) {
             {"spill_path", [](RunOptions& r) { r.spill_path = tmp_path("spill.bin"); }},
             {"arena_slab_bytes", [](RunOptions& r) { r.arena_slab_bytes = 65536; }},
             {"sink_buffer_edges", [](RunOptions& r) { r.sink_buffer_edges = 100; }},
+            {"sort_memory", [](RunOptions& r) { r.sort_memory = 1; }},
             {"pin_threads", [](RunOptions& r) { r.pin_threads = true; }},
             {"trace_path", [](RunOptions& r) { r.trace_path = tmp_path("trace.json"); }},
             {"metrics_path",
@@ -311,11 +314,11 @@ TEST(WireCodec, ReportFramesSurviveTruncationAndBitFlips) {
 }
 
 TEST(WireCodec, BoolsAreCanonical) {
-    // The job's four flags are its last four words; a report's `ok` is its
+    // The job's five flags are its last five words; a report's `ok` is its
     // third word (after type and rank), `has_degrees` a degree-less report's
     // last.
     const std::vector<u8> job = kagen::net::encode_job(rich_job());
-    for (std::size_t k = 1; k <= 4; ++k) {
+    for (std::size_t k = 1; k <= 5; ++k) {
         std::vector<u8> bad = job;
         bad[bad.size() - 8 * k] = 2;
         EXPECT_THROW(kagen::net::decode_job(bad), std::runtime_error) << "flag " << k;

@@ -8,6 +8,8 @@
 #include <fcntl.h>
 #include <sys/wait.h>
 
+#include <csignal>
+
 #include "sink/spill.hpp"
 #include "transport_matrix.hpp"
 
@@ -44,6 +46,70 @@ TEST(DistFailure, InvalidOptionsThrowBeforeForking) {
     Config bad        = cfg;
     bad.chunks_per_pe = 0;
     EXPECT_THROW(generate_distributed(bad, {}), std::invalid_argument);
+}
+
+/// Rank `rank`'s pid once it sleeps on its verdict: it has formed its runs
+/// (its run file, named after its pid, exists) and then stayed asleep, in
+/// state S, for 100 ms. -1 if that never happens within 20 s.
+pid_t parked_rank_pid(const std::string& dir, u64 rank) {
+    const std::string prefix = "kagen_rank" + std::to_string(rank) + ".";
+    for (int poll = 0, asleep = 0; poll < 4000; ++poll) {
+        ::usleep(5000);
+        for (const std::string& name : testing::ScratchDir::list(dir)) {
+            if (name.rfind(prefix, 0) != 0 || name.size() < 5 ||
+                name.compare(name.size() - 5, 5, ".runs") != 0) {
+                continue;
+            }
+            const pid_t pid = static_cast<pid_t>(std::stol(name.substr(prefix.size())));
+            std::ifstream in("/proc/" + std::to_string(pid) + "/stat");
+            const std::string stat{std::istreambuf_iterator<char>(in),
+                                   std::istreambuf_iterator<char>()};
+            const std::size_t paren = stat.rfind(')');
+            asleep = paren != std::string::npos && stat.compare(paren, 3, ") S") == 0
+                         ? asleep + 1
+                         : 0;
+            if (asleep == 20) return pid;
+        }
+    }
+    return -1;
+}
+
+// A rank killed by SIGKILL after its report cannot clean up after itself.
+// The coordinator took its rank file and its run file over by path, so the
+// run still completes and nothing is left behind. Rank 0's hook (the
+// coordinator reads rank 0 first) waits until rank 1 sleeps on its verdict
+// and kills it.
+TEST(DistFailure, RankKilledAfterItsReportLeavesNoFiles) {
+    Config cfg        = model_config(Model::GnmUndirected);
+    cfg.chunks_per_pe = 2;
+    const testing::ScratchDir scratch("killed");
+    testing::RunSpec spec;
+    spec.ranks       = 2;
+    spec.pes         = 2;
+    spec.scratch_dir = scratch.path();
+    spec.output_path = tmp_path("killed_ref.bin");
+    spec.dedup_path  = tmp_path("killed_ref.dd");
+    testing::run_backend(Transport::fork, cfg, spec); // the undisturbed reference
+    const std::string ref = read_bytes(spec.output_path);
+    const std::string ref_dedup = read_bytes(spec.dedup_path);
+    std::remove(spec.output_path.c_str());
+    std::remove(spec.dedup_path.c_str());
+
+    spec.output_path = tmp_path("killed.bin");
+    spec.dedup_path  = tmp_path("killed.dd");
+    spec.rank_hook   = [dir = scratch.path()](u64 rank) {
+        if (rank != 0) return;
+        const pid_t victim = parked_rank_pid(dir, 1);
+        if (victim < 0) ::_exit(3); // fails the run: rank 1 never parked
+        ::kill(victim, SIGKILL);
+    };
+    testing::run_backend(Transport::fork, cfg, spec);
+    EXPECT_EQ(read_bytes(spec.output_path), ref);
+    EXPECT_EQ(read_bytes(spec.dedup_path), ref_dedup);
+    EXPECT_TRUE(scratch.entries().empty())
+        << scratch.entries().size() << " file(s) left behind";
+    std::remove(spec.output_path.c_str());
+    std::remove(spec.dedup_path.c_str());
 }
 
 // RunOptions never cross the wire: a forked rank gets the coordinator's

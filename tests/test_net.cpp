@@ -139,6 +139,7 @@ TEST(NetCodec, JobAndReportRoundTrip) {
     job.task.chunk_end    = 12;
     job.task.threads      = 3;
     job.task.degree_stats = true;
+    job.task.form_runs    = true;
     job.task.rank_path    = "/never/crosses/the/wire";
     job.want_file         = true;
     job.send_file         = false;
@@ -151,6 +152,7 @@ TEST(NetCodec, JobAndReportRoundTrip) {
     EXPECT_EQ(back.task.chunk_end, job.task.chunk_end);
     EXPECT_EQ(back.task.threads, job.task.threads);
     EXPECT_EQ(back.task.degree_stats, job.task.degree_stats);
+    EXPECT_EQ(back.task.form_runs, job.task.form_runs);
     EXPECT_EQ(back.task.rank_path, "") << "the worker picks its own rank path";
     EXPECT_EQ(back.want_file, job.want_file);
     EXPECT_EQ(back.send_file, job.send_file);
@@ -172,6 +174,15 @@ TEST(NetCodec, JobAndReportRoundTrip) {
     net::JobSpec bad   = job;
     bad.task.chunk_end = 99; // past num_chunks
     EXPECT_THROW(net::decode_job(net::encode_job(bad)), std::runtime_error);
+    net::JobSpec fileless = job;
+    fileless.want_file    = false; // runs of a rank file never written
+    EXPECT_THROW(net::decode_job(net::encode_job(fileless)), std::runtime_error);
+
+    dist::RankReport ok;
+    ok.rank       = 1;
+    ok.file_edges = 10;
+    ok.runs       = {6, 3};
+    EXPECT_EQ(net::decode_report(net::encode_report(ok)).runs, ok.runs);
 
     // A job frame must never decode as a report and vice versa.
     EXPECT_THROW(net::decode_report(net::encode_job(job)), std::runtime_error);
@@ -323,6 +334,87 @@ TEST(NetFailure, SilentWorkerHitsTheJobDeadline) {
         EXPECT_NE(msg.find("timed out"), std::string::npos) << msg;
     }
     stalled.join();
+}
+
+/// A fake TCP worker on a dedup job: answers with a report of `edges`
+/// file edges and the run table `runs`, then streams `edges` rank-file
+/// edges and `run_edges` as its runs. Once the coordinator has rejected
+/// the run, the socket may be gone; the worker just stops.
+void fake_dedup_worker(std::uint16_t port, u64 edges, std::vector<u64> runs,
+                       EdgeList run_edges) {
+    net::Socket sock = net::connect_to(
+        net::parse_endpoint("127.0.0.1:" + std::to_string(port)), 2000);
+    sock.send_frame(net::encode_hello());
+    std::vector<u8> payload;
+    ASSERT_TRUE(sock.recv_frame(payload, 2000));
+    ASSERT_TRUE(sock.recv_frame(payload, 2000));
+    const net::JobSpec job = net::decode_job(payload);
+    ASSERT_TRUE(job.task.form_runs);
+    dist::RankReport report;
+    report.rank            = job.task.rank;
+    report.chunk_begin     = job.task.chunk_begin;
+    report.chunk_end       = job.task.chunk_end;
+    report.file_edges      = edges;
+    report.count.semantics = job.graph.edge_semantics;
+    report.count.num_edges = edges;
+    report.runs            = std::move(runs);
+    try {
+        sock.send_frame(net::encode_report(report));
+        sock.send_frame(net::encode_file({"/fake/rank.bin", edges}));
+        const EdgeList file(edges, Edge{0, 1});
+        for (const EdgeList* part : {&file, static_cast<const EdgeList*>(&run_edges)}) {
+            const auto* p    = reinterpret_cast<const char*>(part->data());
+            std::size_t left = part->size() * sizeof(Edge);
+            while (left > 0) {
+                const ssize_t n = ::send(sock.fd(), p, left, MSG_NOSIGNAL);
+                if (n <= 0) return;
+                p += n;
+                left -= static_cast<std::size_t>(n);
+            }
+        }
+        (void)sock.recv_frame(payload, 2000); // until the coordinator hangs up
+    } catch (const std::exception&) {
+    }
+}
+
+// The coordinator trusts no run table: one holding more edges than the rank
+// file, or a run that does not strictly increase, fails the run naming the
+// rank, and leaves neither output nor dedup file behind.
+TEST(NetFailure, BadRunTablesAndRunsAreRejectedNamingTheRank) {
+    const Config cfg = model_config(Model::GnmUndirected);
+    struct Case {
+        const char* what;
+        std::vector<u64> runs;
+        EdgeList run_edges;
+        const char* expect;
+    };
+    const std::vector<Case> cases = {
+        {"lengths past file_edges", {3, 3}, {}, "more edges than the rank file"},
+        {"empty run", {2, 0}, {}, "run 1 is empty"},
+        {"repeated edge", {3}, {{0, 1}, {0, 2}, {0, 2}}, "does not strictly increase"},
+        {"descending run", {2, 2}, {{0, 1}, {0, 2}, {1, 1}, {0, 3}}, "does not strictly increase"},
+    };
+    for (const Case& c : cases) {
+        net::Listener listener(net::parse_endpoint("127.0.0.1:0"));
+        net::NetOptions opts;
+        opts.listener       = &listener;
+        opts.expect_workers = 1;
+        opts.output_path    = tmp_path("badruns.bin");
+        opts.dedup_path     = tmp_path("badruns.dd");
+        std::thread worker(fake_dedup_worker, listener.port(), 4, c.runs, c.run_edges);
+        std::string message;
+        try {
+            net::run_net_coordinator(cfg, opts);
+            ADD_FAILURE() << c.what << ": the coordinator accepted the runs";
+        } catch (const std::runtime_error& e) {
+            message = e.what();
+        }
+        worker.join();
+        EXPECT_NE(message.find("rank 0"), std::string::npos) << c.what << ": " << message;
+        EXPECT_NE(message.find(c.expect), std::string::npos) << c.what << ": " << message;
+        EXPECT_FALSE(file_exists(opts.dedup_path)) << c.what << ": partial dedup file";
+        std::remove(opts.output_path.c_str());
+    }
 }
 
 TEST(NetCoordinator, RejectsContradictoryOptions) {

@@ -11,6 +11,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/fileio.hpp"
+#include "graph/edge_list.hpp"
 #include "graph/em_sort.hpp"
 #include "graph/io.hpp"
 #include "kagen.hpp"
@@ -491,6 +493,55 @@ TEST_F(SpillTest, EmSortEmptyAndIdempotent) {
     io::write_edge_list_binary(once, edges);
     em::sort_dedup_file(once, twice, 1);
     EXPECT_EQ(slurp(twice), slurp(once));
+}
+
+TEST_F(SpillTest, EmSortWideKeysMatchUndirectedSet) {
+    // Ids of 40 bits need an 80-bit key: the same routine with a 128-bit
+    // key type. A known n budgets 32 B per edge; a width derived from the
+    // block halves the block instead. Every budget gives the same bytes.
+    EdgeList edges;
+    u64 x = 12345;
+    for (u64 i = 0; i < 5000; ++i) {
+        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+        const u64 u = (x >> 24) & ((u64{1} << 40) - 1), v = (x * 31) >> 24;
+        edges.emplace_back(u, v);
+        if (i % 3 == 0) edges.emplace_back(v, u); // a reversed repeat
+    }
+    const auto in_path  = track(path("em_wide_in.bin"));
+    const auto ref_path = track(path("em_wide_ref.bin"));
+    const auto out_path = track(path("em_wide_out.bin"));
+    io::write_edge_list_binary(in_path, edges);
+    io::write_edge_list_binary(ref_path, undirected_set(edges));
+    for (const u64 budget : {u64{1}, u64{1} << 16, u64{1} << 30}) {
+        em::sort_dedup_file(in_path, out_path, budget);
+        EXPECT_EQ(slurp(out_path), slurp(ref_path)) << "derived width, budget " << budget;
+
+        spill::SpillFile scratch;
+        em::RunFile runs;
+        runs.fd      = scratch.fd();
+        runs.lengths = em::form_runs(in_path, runs.fd, budget, u64{1} << 40);
+        for (const u64 len : runs.lengths) EXPECT_LE(len, std::max<u64>(1024, budget / 32));
+        em::merge_runs({runs}, out_path);
+        EXPECT_EQ(slurp(out_path), slurp(ref_path)) << "n = 2^40, budget " << budget;
+    }
+    // An id at or past 2^⌈log2 n⌉ does not fit the key: refused, not mangled.
+    spill::SpillFile scratch;
+    EXPECT_THROW(em::form_runs(in_path, scratch.fd(), 1 << 20, u64{1} << 32),
+                 std::runtime_error);
+}
+
+TEST_F(SpillTest, EmMergeRejectsARunThatDoesNotIncrease) {
+    spill::SpillFile scratch;
+    const EdgeList run = {{0, 1}, {2, 3}, {2, 3}};
+    fileio::write_all(scratch.fd(), run.data(), run.size() * sizeof(Edge));
+    const auto out_path = track(path("em_bad_run.bin"));
+    try {
+        em::merge_runs({{}, {scratch.fd(), 0, {3}}}, out_path);
+        FAIL() << "a repeated edge inside a run must be refused";
+    } catch (const em::RunOrderError& e) {
+        EXPECT_EQ(e.source, 1u);
+    }
+    EXPECT_FALSE(std::ifstream(out_path).good()) << "partial output left";
 }
 
 } // namespace

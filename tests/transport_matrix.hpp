@@ -32,6 +32,7 @@
 #include <thread>
 #include <vector>
 
+#include "graph/em_sort.hpp"
 #include "graph/io.hpp"
 #include "kagen.hpp"
 #include "net/coordinator.hpp"
@@ -78,9 +79,11 @@ public:
 
     const std::string& path() const { return path_; }
 
-    std::vector<std::string> entries() const {
+    std::vector<std::string> entries() const { return list(path_); }
+
+    static std::vector<std::string> list(const std::string& path) {
         std::vector<std::string> out;
-        DIR* dir = ::opendir(path_.c_str());
+        DIR* dir = ::opendir(path.c_str());
         if (dir == nullptr) return out;
         while (const dirent* e = ::readdir(dir)) {
             const std::string name = e->d_name;
@@ -384,24 +387,126 @@ TEST_P(TransportMatrix, ExactOnceMergedCountMatchesUnion) {
     EXPECT_EQ(res.count.num_edges, pe::union_undirected(legacy).size());
 }
 
+/// Sets the sort budget the ranks of `transport` run under: a forked
+/// rank's comes from the coordinator's Config, a TCP worker's from its own
+/// RunOptions (the coordinator's is never sent).
+inline void set_rank_sort_memory(Transport transport, Config& cfg, RunSpec& spec,
+                                 u64 bytes) {
+    (transport == Transport::fork ? cfg.sort_memory : spec.worker_run.sort_memory) = bytes;
+}
+
+/// A counter of a `-metrics` JSON file (0 if absent).
+inline u64 metrics_counter(const std::string& path, const std::string& name) {
+    const std::string doc = read_bytes(path);
+    const std::size_t at  = doc.find("\"" + name + "\": ");
+    return at == std::string::npos ? 0
+                                   : std::stoull(doc.substr(at + name.size() + 4));
+}
+
+// The dedup file is the union_undirected oracle byte for byte — for
+// gnm_undirected, rgg2d and in-memory rhg, whether every rank forms one run
+// (64 MiB) or many (1 B: the 1024-edge minimum run) — and so is the
+// in-process tool path (a chunked file, then em::sort_dedup_file). The -o
+// file stays the single-process bytes.
 TEST_P(TransportMatrix, DedupPassMatchesUnionUndirected) {
+    for (const Model model : {Model::GnmUndirected, Model::Rgg2D, Model::Rhg}) {
+        Config cfg        = model_config(model);
+        cfg.chunks_per_pe = 2;
+        const auto per_chunk = pe::run_all(
+            2 * 3, [&](u64 rank, u64 size) { return generate(cfg, rank, size).edges; });
+        const EdgeList expected = pe::union_undirected(per_chunk);
+        const std::string oracle_path = tmp_path("dedup_oracle.bin");
+        io::write_edge_list_binary(oracle_path, expected);
+        const std::string oracle = read_bytes(oracle_path);
+        const std::string raw    = single_process_bytes(cfg, 3);
+        const std::string raw_path = tmp_path("dedup_in_process.bin");
+        {
+            std::ofstream out(raw_path, std::ios::binary);
+            out << raw;
+        }
+        for (const u64 budget : {u64{1}, u64{64} << 20}) {
+            const std::string where = std::string(model_name(model)) +
+                                      " sort_memory=" + std::to_string(budget);
+            const std::string in_process = tmp_path("dedup_in_process.dd");
+            em::sort_dedup_file(raw_path, in_process, budget);
+            EXPECT_EQ(read_bytes(in_process), oracle) << where << " (in-process)";
+
+            RunSpec spec;
+            spec.ranks       = 3;
+            spec.pes         = 3;
+            spec.output_path = tmp_path("dedup_raw.bin");
+            spec.dedup_path  = tmp_path("dedup_out.bin");
+            Config run_cfg   = cfg;
+            set_rank_sort_memory(GetParam(), run_cfg, spec, budget);
+            const net::RunResult res = run_backend(GetParam(), run_cfg, spec);
+            EXPECT_EQ(read_bytes(spec.output_path), raw) << where;
+            EXPECT_EQ(res.dedup_edges, expected.size()) << where;
+            EXPECT_EQ(read_bytes(spec.dedup_path), oracle) << where;
+            u64 runs = 0;
+            for (const auto& rep : res.ranks) {
+                runs += rep.runs.size();
+                if (budget > 1) EXPECT_EQ(rep.runs.size(), rep.file_edges > 0 ? 1u : 0u);
+            }
+            if (budget == 1) EXPECT_GT(runs, spec.ranks) << where;
+            std::remove(in_process.c_str());
+            std::remove(spec.output_path.c_str());
+            std::remove(spec.dedup_path.c_str());
+        }
+        std::remove(raw_path.c_str());
+        std::remove(oracle_path.c_str());
+    }
+}
+
+// Each rank sorts its own file under its own budget — a forked rank under
+// the coordinator's sort_memory, a TCP worker under its own (the TCP
+// coordinator's 64 MiB would allow one run per rank). 1 B buys the
+// 1024-edge minimum run: no run exceeds it, and a rank with E edges forms
+// ceil(E / 1024) runs, which is what the merged em.runs counter sums to.
+// No run file outlives the run, successful or failed.
+TEST_P(TransportMatrix, RanksSortUnderTheirOwnBudgetAndLeaveNoRunFiles) {
     Config cfg        = model_config(Model::GnmUndirected);
     cfg.chunks_per_pe = 2;
-    const auto per_chunk = pe::run_all(
-        2 * 3, [&](u64 rank, u64 size) { return generate(cfg, rank, size).edges; });
-    const EdgeList expected = pe::union_undirected(per_chunk);
-
+    const ScratchDir scratch("runs");
     RunSpec spec;
     spec.ranks       = 3;
     spec.pes         = 3;
-    spec.output_path = tmp_path("dedup_raw.bin");
-    spec.dedup_path  = tmp_path("dedup_out.bin");
-    const net::RunResult res = run_backend(GetParam(), cfg, spec);
-    EXPECT_EQ(read_bytes(spec.output_path), single_process_bytes(cfg, 3));
-    EXPECT_EQ(res.dedup_edges, expected.size());
-    EXPECT_EQ(io::read_edge_list_binary(spec.dedup_path), expected);
+    spec.scratch_dir = scratch.path();
+    spec.output_path = tmp_path("runs_raw.bin");
+    spec.dedup_path  = tmp_path("runs_out.bin");
+    Config coordinator       = cfg;
+    coordinator.metrics_path = tmp_path("runs.metrics.json");
+    set_rank_sort_memory(GetParam(), coordinator, spec, 1);
+    const net::RunResult res = run_backend(GetParam(), coordinator, spec);
+
+    u64 expected_runs = 0;
+    for (const auto& rep : res.ranks) {
+        const u64 runs = (rep.file_edges + 1023) / 1024;
+        EXPECT_EQ(rep.runs.size(), runs) << "rank " << rep.rank;
+        for (const u64 len : rep.runs) EXPECT_LE(len, 1024u) << "rank " << rep.rank;
+        expected_runs += runs;
+    }
+    EXPECT_GT(expected_runs, 2 * spec.ranks);
+    const u64 counted = metrics_counter(coordinator.metrics_path, "em.runs");
+    if (GetParam() == Transport::fork) {
+        EXPECT_EQ(counted, expected_runs);
+    } else {
+        // In-process TCP worker threads share the coordinator's registry,
+        // so its own delta may count their runs once more.
+        EXPECT_GE(counted, expected_runs);
+    }
+    EXPECT_TRUE(scratch.entries().empty())
+        << scratch.entries().size() << " file(s) left after a successful run";
     std::remove(spec.output_path.c_str());
     std::remove(spec.dedup_path.c_str());
+    std::remove(coordinator.metrics_path.c_str());
+
+    RunSpec failing   = spec;
+    failing.rank_hook = [](u64 rank) {
+        if (rank == 1) throw std::runtime_error("injected fault in rank 1");
+    };
+    const std::string message = run_failing(GetParam(), coordinator, failing, "runs_fail");
+    EXPECT_NE(message.find("rank 1"), std::string::npos) << message;
+    EXPECT_FALSE(file_exists(failing.dedup_path)) << "partial dedup output left";
 }
 
 TEST_P(TransportMatrix, TelemetryRunStaysByteIdenticalAndMergesEveryRank) {
