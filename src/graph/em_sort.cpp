@@ -197,12 +197,16 @@ public:
     bool empty() const { return k_ == 0 || !live_[nodes_[0]]; }
     u128 top() const { return heads_[nodes_[0]]; }
 
-    /// Advances the winner and replays its path to the root.
+    /// Advances the winner and replays its path to the root. Which run
+    /// wins a match is data-dependent, so the replay selects, not branches.
     void pop() {
         std::size_t w = nodes_[0];
         load(w);
         for (std::size_t node = (w + k_) / 2; node >= 1; node /= 2) {
-            if (less(nodes_[node], w)) std::swap(nodes_[node], w);
+            const std::size_t n = nodes_[node];
+            const bool beaten   = less(n, w);
+            nodes_[node]        = beaten ? w : n;
+            w                   = beaten ? n : w;
         }
         nodes_[0] = w;
     }
@@ -215,7 +219,7 @@ private:
     }
 
     bool less(std::size_t a, std::size_t b) const {
-        return heads_[a] < heads_[b] || (heads_[a] == heads_[b] && live_[a] > live_[b]);
+        return (heads_[a] < heads_[b]) | ((heads_[a] == heads_[b]) & (live_[a] > live_[b]));
     }
 
     std::size_t build(std::size_t node) {
