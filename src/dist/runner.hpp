@@ -25,6 +25,9 @@
 ///    stream, the merged file is **byte-identical** to a single-process
 ///    `generate_chunked` run into a `BinaryFileSink` — for every
 ///    (ranks, P, K) combination and under both edge semantics.
+///  * With a dedup path every rank then sorts its own rank file into runs
+///    (em::form_runs, under the fork image's sort_memory) and the
+///    coordinator merges all ranks' runs into the dedup file.
 ///
 /// Failure containment: any rank failure throws a descriptive error naming
 /// the rank and its waitpid cause, never hangs, and leaves no rank or

@@ -40,7 +40,8 @@
 /// Version 3 added the verdict and folded the file header and file-info
 /// messages into `file`. Version 4 sends only the graph identity in the job
 /// (config encoding v2, C once); the rank's RunOptions stay on the rank.
-/// Version 5 adds the `form_runs` job flag and the report's run table. The
+/// Version 5 adds the `form_runs` job flag and the report's run table, and
+/// drops the retired `steal` trace phase, which renumbers `budget_park`. The
 /// strict hello makes mismatched peers refuse each other up front instead
 /// of mis-framing mid-run.
 #pragma once
