@@ -154,9 +154,8 @@ void print_help(std::FILE* out, const char* argv0) {
         "  -worker-scratch DIR   rank-file scratch location (default $TMPDIR)\n"
         "  also -max-buffered-bytes, -spill-path, -arena-slab-bytes,\n"
         "              -sink-buffer-edges, -pin-threads, -sort-memory (as\n"
-        "              above): run settings\n"
-        "              are per node, so a -listen/-connect coordinator rejects\n"
-        "              them and each worker takes its own\n"
+        "              above): run settings are per node, so a -listen/-connect\n"
+        "              coordinator rejects them and each worker takes its own\n"
         "\n"
         "Telemetry (trace spans + metrics registry; DESIGN.md section 13):\n"
         "  -trace FILE    write a merged Chrome trace_event JSON timeline with\n"

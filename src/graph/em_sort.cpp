@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <cstring>
 #include <memory>
-#include <new>
 
 #include <unistd.h>
 
@@ -17,21 +16,27 @@
 namespace kagen::em {
 namespace {
 
-constexpr u64 kMinRunEdges         = 1024; ///< run floor under tiny budgets
-constexpr std::size_t kBatchEdges  = 4096; ///< edges per run write / merge read
-constexpr unsigned kMaxDigitBits   = 12;   ///< radix ≤ 4096: 3 passes for 36 bits
+constexpr u64 kMinRunEdges        = 1024; ///< run floor under tiny budgets
+constexpr std::size_t kBatchEdges = 4096; ///< edges per run write / merge read
+constexpr unsigned kMaxDigitBits  = 12;   ///< radix ≤ 4096: 3 passes for 36 bits
 
 /// Bits needed to hold every id in [0, max_id].
 unsigned id_bits(u64 max_id) {
     return max_id == 0 ? 0 : 64 - static_cast<unsigned>(__builtin_clzll(max_id));
 }
 
-struct AlignedFree {
-    void operator()(unsigned char* p) const {
-        ::operator delete(p, std::align_val_t{alignof(u128)});
+/// The OR of the `count` raw edges' ids at `raw`: its bit length is the
+/// key width the block needs.
+u64 id_union(const void* raw, std::size_t count) {
+    const auto* bytes = static_cast<const unsigned char*>(raw);
+    u64 ids           = 0;
+    for (std::size_t w = 0; w < 2 * count; ++w) {
+        u64 id;
+        std::memcpy(&id, bytes + w * sizeof(u64), sizeof(id));
+        ids |= id;
     }
-};
-using KeyBuffer = std::unique_ptr<unsigned char, AlignedFree>;
+    return ids;
+}
 
 /// Digit layout and histograms of an LSD radix sort over keys below
 /// 2^key_bits: as few passes as digits of at most kMaxDigitBits allow,
@@ -79,20 +84,21 @@ private:
     std::vector<std::size_t> hist_;
 };
 
-/// Turns the `count` raw edges at the front of `buf` into one run appended
-/// to `fd`. One pass canonicalizes, packs in place (a key never outgrows
-/// the 16 bytes of the edge it replaces) and counts digits; the radix sort
-/// runs through the scratch that follows the keys; one more pass drops
-/// repeats and unpacks. Returns the run's length.
+/// Turns the `count` raw edges read into the front of `keys` (2 · count
+/// keys long: the keys, then their radix scratch) into one run appended to
+/// `fd`. One pass canonicalizes, packs in place (a key never outgrows the
+/// 16 bytes of the edge it replaces, so key i never overwrites an edge not
+/// yet read) and counts digits; the radix sort runs through the scratch;
+/// one more pass drops repeats and unpacks. Returns the run's length.
 template <class Key>
-u64 park_run(unsigned char* buf, std::size_t count, unsigned bits, bool canonicalize,
-             int fd, Edge* batch) {
-    Key* keys = reinterpret_cast<Key*>(buf);
+u64 park_run(Key* keys, std::size_t count, unsigned bits, bool canonicalize, int fd,
+             Edge* batch) {
+    const auto* raw = reinterpret_cast<const unsigned char*>(keys);
     RadixSort radix(2 * bits);
     u64 ids = 0;
     for (std::size_t i = 0; i < count; ++i) {
         u64 e[2];
-        std::memcpy(e, buf + i * sizeof(Edge), sizeof(e));
+        std::memcpy(e, raw + i * sizeof(Edge), sizeof(e));
         ids |= e[0] | e[1];
         if (canonicalize && e[0] > e[1]) std::swap(e[0], e[1]);
         const Key k = (static_cast<Key>(e[0]) << bits) | static_cast<Key>(e[1]);
@@ -219,7 +225,8 @@ private:
     }
 
     bool less(std::size_t a, std::size_t b) const {
-        return (heads_[a] < heads_[b]) | ((heads_[a] == heads_[b]) & (live_[a] > live_[b]));
+        const u128 x = heads_[a], y = heads_[b];
+        return (x < y) | ((x == y) & (live_[a] > live_[b]));
     }
 
     std::size_t build(std::size_t node) {
@@ -245,43 +252,42 @@ std::vector<u64> form_runs(const std::string& input_path, int runs_fd,
     io::EdgeFileReader in(input_path);
     const obs::Span span(obs::Phase::em_sort, in.edges() * sizeof(Edge));
     std::vector<u64> runs;
-    if (in.edges() > 0) {
-        // Keys plus radix scratch cost 2 · sizeof(key) per edge: 16 B for a
-        // 64-bit key. A known-wide graph budgets 32 B from the start; a
-        // derived width sizes for 64-bit keys and halves a wide block.
-        const unsigned n_bits  = id_bits(n == 0 ? 0 : n - 1);
-        const u64 edge_cost    = n != 0 && 2 * n_bits > 64 ? 2 * sizeof(u128) : 2 * sizeof(u64);
-        const u64 block        = std::min(in.edges(),
-                                          std::max(kMinRunEdges, max_memory_bytes / edge_cost));
-        const std::size_t bytes = static_cast<std::size_t>(block * edge_cost);
-        const KeyBuffer buf(static_cast<unsigned char*>(
-            ::operator new(bytes, std::align_val_t{alignof(u128)})));
-        const auto batch = std::make_unique<Edge[]>(kBatchEdges);
-        while (in.remaining() > 0) {
-            std::size_t count = in.read(buf.get(), static_cast<std::size_t>(block));
-            unsigned bits     = n_bits;
-            if (n == 0) {
-                u64 ids = 0;
-                for (std::size_t w = 0; w < 2 * count; ++w) {
-                    u64 id;
-                    std::memcpy(&id, buf.get() + w * sizeof(u64), sizeof(id));
-                    ids |= id;
-                }
-                bits = id_bits(ids);
-            }
+    // Keys plus radix scratch cost 2 · sizeof(key) per edge: 16 B for a
+    // 64-bit key, 32 B for a 128-bit one. A known n fixes the key type; a
+    // derived width starts with 64-bit keys and, once a block needs more,
+    // takes 128-bit keys for good, in the same bytes at half the block.
+    const unsigned n_bits = id_bits(n == 0 ? 0 : n - 1);
+    bool wide             = n != 0 && 2 * n_bits > 64;
+    std::size_t block     = static_cast<std::size_t>(std::min(
+        in.edges(), std::max(kMinRunEdges, max_memory_bytes / (wide ? 32 : 16))));
+    std::unique_ptr<u64[]> narrow_keys;
+    std::unique_ptr<u128[]> wide_keys;
+    if (wide) {
+        wide_keys.reset(new u128[2 * block]);
+    } else if (block > 0) {
+        narrow_keys.reset(new u64[2 * block]);
+    }
+    const auto batch = std::make_unique<Edge[]>(kBatchEdges);
+    unsigned bits    = n_bits;
+    while (in.remaining() > 0) {
+        if (!wide) {
+            const std::size_t count = in.read(narrow_keys.get(), block);
+            if (n == 0) bits = id_bits(id_union(narrow_keys.get(), count));
             if (2 * bits <= 64) {
-                runs.push_back(park_run<u64>(buf.get(), count, bits, canonicalize, runs_fd,
-                                             batch.get()));
+                runs.push_back(park_run(narrow_keys.get(), count, bits, canonicalize,
+                                        runs_fd, batch.get()));
                 continue;
             }
-            const std::size_t fit = std::max<std::size_t>(bytes / (2 * sizeof(u128)), 1);
-            if (count > fit) {
-                in.unread(count - fit);
-                count = fit;
-            }
-            runs.push_back(
-                park_run<u128>(buf.get(), count, bits, canonicalize, runs_fd, batch.get()));
+            in.unread(count);
+            narrow_keys.reset();
+            block = std::max<std::size_t>(block / 2, 1);
+            wide_keys.reset(new u128[2 * block]);
+            wide = true;
         }
+        const std::size_t count = in.read(wide_keys.get(), block);
+        if (n == 0) bits = std::max(bits, id_bits(id_union(wide_keys.get(), count)));
+        runs.push_back(
+            park_run(wide_keys.get(), count, bits, canonicalize, runs_fd, batch.get()));
     }
     obs::Registry& reg = obs::Registry::global();
     reg.counter("em.input_edges").add(in.edges());
@@ -333,9 +339,9 @@ SortStats sort_dedup_file(const std::string& input_path,
     stats.input_edges = io::EdgeFileReader(input_path).edges();
     spill::SpillFile scratch; // anonymous: reclaimed even if this process dies
     RunFile runs;
-    runs.fd            = scratch.fd();
-    runs.lengths       = form_runs(input_path, runs.fd, max_memory_bytes, 0, canonicalize);
-    stats.runs         = runs.lengths.size();
+    runs.fd      = scratch.fd();
+    runs.lengths = form_runs(input_path, runs.fd, max_memory_bytes, 0, canonicalize);
+    stats.runs   = runs.lengths.size();
     stats.output_edges = merge_runs({runs}, output_path);
     return stats;
 }

@@ -267,7 +267,9 @@ RunResult coordinate(const Config& cfg, const NetOptions& opt, Fleet& fleet,
             // runs hold at most the file's edges, and at least one of them
             // when the file has any.
             u64 run_edges = 0;
-            if (!dedup && !report.runs.empty()) fail("report carries an unrequested run table");
+            if (!dedup && !report.runs.empty()) {
+                fail("report carries an unrequested run table");
+            }
             for (std::size_t i = 0; i < report.runs.size(); ++i) {
                 if (report.runs[i] == 0) fail("run " + std::to_string(i) + " is empty");
                 if (report.runs[i] > report.file_edges - run_edges) {
@@ -310,7 +312,9 @@ RunResult coordinate(const Config& cfg, const NetOptions& opt, Fleet& fleet,
                                     .cfr_bytes;
                             // Merged, so no longer needed: gone even if its
                             // rank dies before the discard verdict.
-                            if (!keep) fileio::unlink_or_warn(info.path.c_str(), "rank file");
+                            if (!keep) {
+                                fileio::unlink_or_warn(info.path.c_str(), "rank file");
+                            }
                         } else {
                             sock.recv_payload_to(out_fd, payload_bytes,
                                                  opt.connect_timeout_ms);

@@ -392,7 +392,8 @@ TEST(NetFailure, BadRunTablesAndRunsAreRejectedNamingTheRank) {
         {"lengths past file_edges", {3, 3}, {}, "more edges than the rank file"},
         {"empty run", {2, 0}, {}, "run 1 is empty"},
         {"repeated edge", {3}, {{0, 1}, {0, 2}, {0, 2}}, "does not strictly increase"},
-        {"descending run", {2, 2}, {{0, 1}, {0, 2}, {1, 1}, {0, 3}}, "does not strictly increase"},
+        {"descending run", {2, 2}, {{0, 1}, {0, 2}, {1, 1}, {0, 3}},
+         "does not strictly increase"},
     };
     for (const Case& c : cases) {
         net::Listener listener(net::parse_endpoint("127.0.0.1:0"));

@@ -520,7 +520,9 @@ TEST_F(SpillTest, EmSortWideKeysMatchUndirectedSet) {
         em::RunFile runs;
         runs.fd      = scratch.fd();
         runs.lengths = em::form_runs(in_path, runs.fd, budget, u64{1} << 40);
-        for (const u64 len : runs.lengths) EXPECT_LE(len, std::max<u64>(1024, budget / 32));
+        for (const u64 len : runs.lengths) {
+            EXPECT_LE(len, std::max<u64>(1024, budget / 32));
+        }
         em::merge_runs({runs}, out_path);
         EXPECT_EQ(slurp(out_path), slurp(ref_path)) << "n = 2^40, budget " << budget;
     }

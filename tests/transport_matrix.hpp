@@ -392,7 +392,11 @@ TEST_P(TransportMatrix, ExactOnceMergedCountMatchesUnion) {
 /// RunOptions (the coordinator's is never sent).
 inline void set_rank_sort_memory(Transport transport, Config& cfg, RunSpec& spec,
                                  u64 bytes) {
-    (transport == Transport::fork ? cfg.sort_memory : spec.worker_run.sort_memory) = bytes;
+    if (transport == Transport::fork) {
+        cfg.sort_memory = bytes;
+    } else {
+        spec.worker_run.sort_memory = bytes;
+    }
 }
 
 /// A counter of a `-metrics` JSON file (0 if absent).
@@ -504,7 +508,8 @@ TEST_P(TransportMatrix, RanksSortUnderTheirOwnBudgetAndLeaveNoRunFiles) {
     failing.rank_hook = [](u64 rank) {
         if (rank == 1) throw std::runtime_error("injected fault in rank 1");
     };
-    const std::string message = run_failing(GetParam(), coordinator, failing, "runs_fail");
+    const std::string message =
+        run_failing(GetParam(), coordinator, failing, "runs_fail");
     EXPECT_NE(message.find("rank 1"), std::string::npos) << message;
     EXPECT_FALSE(file_exists(failing.dedup_path)) << "partial dedup output left";
 }
