@@ -2,8 +2,9 @@
 /// \brief Raw-descriptor bulk file plumbing shared by the coordinator-side
 ///        merge of the distributed runner (DESIGN.md §9).
 ///
-/// The distributed backend's only sequential coordinator work is
-/// concatenating the per-rank files into the merged output. Doing that with
+/// Besides one run merge for a dedup file (graph/em_sort.hpp), the
+/// distributed backend's sequential coordinator work is concatenating the
+/// per-rank files into the merged output. Doing that with
 /// a userspace read/fwrite loop moves every byte kernel → user buffer →
 /// kernel; `copy_bytes` instead asks the kernel to splice the ranges
 /// directly with copy_file_range(2) — zero userspace copies, and on
