@@ -3,10 +3,11 @@
 ///        its job, over whichever transport reached it.
 ///
 /// The paper's generators need *zero* communication to produce the graph;
-/// besides its job and its rank file, the only bytes a rank ever sends are
-/// this one report — its `pe::ChunkRunStats`, the edge count of its rank
-/// file, the run table of a dedup job, and the mergeable sink summaries (sink/sinks.hpp) — or, if the rank
-/// failed, the error message. The payload uses the explicit little-endian
+/// besides its job, its rank file and the sorted runs of a dedup job, the
+/// only bytes a rank ever sends are this one report — its
+/// `pe::ChunkRunStats`, the edge count of its rank file, the run table of a
+/// dedup job, and the mergeable sink summaries (sink/sinks.hpp) — or, if
+/// the rank failed, the error message. The payload uses the explicit little-endian
 /// layout of common/bytes.hpp; net/protocol.hpp frames it as the `report`
 /// message. Its codec lives in dist/runner.cpp, next to execute_rank_job,
 /// which produces it.
