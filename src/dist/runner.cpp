@@ -8,6 +8,9 @@
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "common/bytes.hpp"
 #include "common/fileio.hpp"
@@ -166,6 +169,13 @@ RankReport execute_rank_job(const GraphSpec& graph, const RunOptions& run,
         report.file_edges = file->num_edges();
     }
     if (file && job.form_runs) {
+#if defined(__GLIBC__)
+        // The generator's freed memory stays in the pool threads' malloc
+        // arenas, in amounts that follow which chunks each thread happened
+        // to decode. Handing it back first makes the rank's peak its fixed
+        // footprint plus the run-formation keys, not plus that remainder.
+        ::malloc_trim(0);
+#endif
         const std::string runs_path = runs_path_of(job.rank_path);
         const int fd =
             ::open(runs_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0600);
