@@ -7,7 +7,8 @@
 // side may be rewritten for speed, never for bytes) under the default
 // as_generated semantics and v1 sampler, plus the exact_once streams of
 // undirected G(n,m)/G(n,p) under both samplers on a middle rank of a
-// non-power-of-two size, where the rank has row and column chunks alike.
+// non-power-of-two size, where the rank has row and column chunks alike,
+// and the exact_once streams of RGG2D, RDG2D and in-memory RHG.
 // The byte-identity sweeps in test_er/test_dist cover self-consistency,
 // this suite covers consistency *across commits*.
 //
@@ -76,6 +77,17 @@ const GoldenCase kCases[] = {
     {"gnp_undirected_n2048_p0.004_s23_exact_once_v2_r2of5.bin", Model::GnpUndirected,
      2048, 0, 0.004, 0.0, 0.0, 0.0, 23, 2, 5, EdgeSemantics::exact_once,
      SamplerVersion::v2},
+    // exact_once of the geometric and hyperbolic models: a middle rank
+    // keeps its local edges and the halo edges whose lower endpoint is
+    // local, and none of those whose lower endpoint lies below its ids.
+    {"rgg2d_n4096_r0.02_s13_exact_once_r2of5.bin", Model::Rgg2D, 4096, 0, 0.0,
+     0.02, 0.0, 0.0, 13, 2, 5, EdgeSemantics::exact_once},
+    {"rdg2d_n2048_s29_exact_once_r2of5.bin", Model::Rdg2D, 2048, 0, 0.0, 0.0,
+     0.0, 0.0, 29, 2, 5, EdgeSemantics::exact_once},
+    {"rhg_n3000_d16_g2.6_s17_exact_once_r2of7.bin", Model::Rhg, 3000, 0, 0.0,
+     0.0, 16.0, 2.6, 17, 2, 7, EdgeSemantics::exact_once},
+    {"rhg_n3000_d8_g2.1_s19_exact_once_r4of5.bin", Model::Rhg, 3000, 0, 0.0, 0.0,
+     8.0, 2.1, 19, 4, 5, EdgeSemantics::exact_once},
 };
 
 std::string golden_path(const char* file) {
