@@ -187,14 +187,14 @@ BENCHMARK(ChunkingSpeedup)
     ->Iterations(3)
     ->Unit(benchmark::kMillisecond);
 
-void OwnershipFilterOverhead(benchmark::State& state) {
-    // exact_once vs as_generated, side by side on the same instance. For
-    // rgg2d the ownership filter buys duplicate-free streaming statistics
-    // for the price of one interval test per emitted edge. gnm_undirected
-    // is exact-once by construction: it skips the chunks the filter would
-    // drop, so its exact_once_overhead reads well below 1. Tracked here so
-    // BENCH_* json shows both over time; the duplicate counters also
-    // record how much redundancy the tie-break removes.
+void ExactOnceOverhead(benchmark::State& state) {
+    // exact_once vs as_generated, side by side on the same instance. Both
+    // models skip, while generating, the edges another chunk keeps:
+    // gnm_undirected its row chunks, rgg2d the halo cells below its first
+    // cell. So exact_once_overhead reads at most 1 (well below it for
+    // gnm_undirected). Tracked here so BENCH_* json shows both over time;
+    // the duplicate counters record how much redundancy the tie-break
+    // removes.
     const u64 P = std::max<u64>(2, std::thread::hardware_concurrency());
 
     Config cfg;
@@ -236,7 +236,7 @@ void OwnershipFilterOverhead(benchmark::State& state) {
         static_cast<double>(edges_exact) / t_exact / 1e6;
 }
 
-BENCHMARK(OwnershipFilterOverhead)
+BENCHMARK(ExactOnceOverhead)
     ->Arg(0) // gnm_undirected
     ->Arg(1) // rgg2d
     ->UseManualTime()
@@ -409,7 +409,7 @@ KAGEN_BENCH_MAIN(
     "< 22 minutes and the projection should land in the same order of "
     "magnitude. (2) Dynamic chunk-scheduling speedup: K·P logical chunks vs "
     "one chunk per PE on a skewed RHG instance; speedup_vs_1chunk > 1 "
-    "on multicore hosts. (3) Ownership-filter overhead: exact_once vs "
+    "on multicore hosts. (3) Exact-once overhead: exact_once vs "
     "as_generated makespans side by side on duplicate-carrying models — "
     "the cost of streaming duplicate-free counts with zero communication. "
     "(4) Bounded-delivery overhead: ordered file output under a 1 MiB "

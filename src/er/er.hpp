@@ -59,8 +59,8 @@ EdgeList gnm_directed(u64 n, u64 m, u64 seed, u64 rank, u64 size,
 
 /// Undirected G(n,m): all edges incident to PE `rank`'s vertices; an edge
 /// {u, v} with owners a != b appears in both PEs' outputs (identically).
-/// `exact_once` keeps those with a local lower endpoint: the bytes
-/// `OwnershipFilterSink(owned_vertex_range)` keeps. Edges are (u, v), u > v.
+/// `exact_once` keeps those with a local lower endpoint, in as_generated
+/// order. Edges are (u, v), u > v.
 void gnm_undirected(u64 n, u64 m, u64 seed, u64 rank, u64 size, EdgeSink& sink,
                     SamplerVersion version = SamplerVersion::v1,
                     EdgeSemantics semantics = EdgeSemantics::as_generated);
@@ -81,12 +81,5 @@ void gnp_undirected(u64 n, double p, u64 seed, u64 rank, u64 size, EdgeSink& sin
                     EdgeSemantics semantics = EdgeSemantics::as_generated);
 EdgeList gnp_undirected(u64 n, double p, u64 seed, u64 rank, u64 size,
                         SamplerVersion version = SamplerVersion::v1);
-
-/// The vertex block of PE `rank`: the lower endpoints its `exact_once`
-/// stream keeps. Filtering the as_generated stream to it (sink/ownership.hpp)
-/// gives the same bytes as the native exact_once stream.
-inline IdIntervals owned_vertex_range(u64 n, u64 rank, u64 size) {
-    return {{block_begin(n, size, rank), block_begin(n, size, rank + 1)}};
-}
 
 } // namespace kagen::er

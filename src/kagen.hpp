@@ -11,9 +11,9 @@
 ///   auto result = kagen::generate(cfg, rank, size);   // this PE's edges
 /// \endcode
 ///
-/// Usage (streaming — no edge list is ever held in memory; exact_once
-/// suppresses the incident-edge models' intentional cross-chunk duplicate
-/// emissions, so the sink sees every edge of the graph exactly once):
+/// Usage (streaming — no edge list is ever held in memory; under exact_once
+/// the incident-edge models skip their intentional cross-chunk duplicates
+/// while generating, so the sink sees every edge of the graph exactly once):
 /// \code
 ///   cfg.edge_semantics = kagen::EdgeSemantics::exact_once;
 ///   kagen::DegreeStatsSink sink(kagen::num_vertices(cfg));
@@ -95,63 +95,18 @@ inline u64 num_vertices(const GraphSpec& cfg) {
     return ceil_pow2(cfg.n);
 }
 
-/// Whether the model's per-chunk output carries the paper's intentional
-/// cross-chunk duplicate edges (the §4.2/§5.1 redundancy trick): every edge
-/// crossing a chunk boundary is recomputed — identically — by both owning
-/// chunks. These are exactly the models whose `EdgeSemantics::exact_once`
-/// stream differs from the as_generated one; the rest (directed ER/Gnp,
-/// RHG-streaming and the partition-output BA/R-MAT) already emit globally
-/// disjoint streams and are byte-identical under both semantics.
-inline bool carries_duplicates(Model model) {
-    switch (model) {
-        case Model::GnmUndirected:
-        case Model::GnpUndirected:
-        case Model::Rgg2D:
-        case Model::Rgg3D:
-        case Model::Rdg2D:
-        case Model::Rdg3D:
-        case Model::Rhg:
-            return true;
-        case Model::GnmDirected:
-        case Model::GnpDirected:
-        case Model::RhgStreaming:
-        case Model::Ba:
-        case Model::Rmat:
-            return false;
+/// Streams the edges PE `rank` of `size` is responsible for into `sink`
+/// (flushed, not finished — the caller owns the sink lifecycle). Under
+/// `cfg.edge_semantics == exact_once` the streams of all ranks are globally
+/// disjoint and their union is the graph — each rank still a pure function
+/// of (cfg, rank, size), no communication. The duplicate-carrying models
+/// (undirected ER, RGG, RDG, in-memory RHG) take the semantics and skip the
+/// edges whose lower endpoint another rank owns; the others emit globally
+/// disjoint streams under both semantics.
+inline void generate(const GraphSpec& cfg, u64 rank, u64 size, EdgeSink& sink) {
+    if (size == 0 || rank >= size) {
+        throw std::invalid_argument("kagen::generate: rank/size out of range");
     }
-    return false;
-}
-
-/// Vertex-id intervals chunk `rank` of `size` owns under `cfg`'s model —
-/// the tie-break table of the exact-once filter (sink/ownership.hpp),
-/// dispatched to the per-model builders. Empty for models without
-/// intentional duplicates (nothing to filter).
-inline IdIntervals owned_vertex_intervals(const GraphSpec& cfg, u64 rank, u64 size) {
-    switch (cfg.model) {
-        case Model::GnmUndirected:
-        case Model::GnpUndirected:
-            return er::owned_vertex_range(cfg.n, rank, size);
-        case Model::Rgg2D:
-            return rgg::owned_vertex_range<2>({cfg.n, cfg.r, cfg.seed}, rank, size);
-        case Model::Rgg3D:
-            return rgg::owned_vertex_range<3>({cfg.n, cfg.r, cfg.seed}, rank, size);
-        case Model::Rdg2D:
-            return rdg::owned_vertex_range<2>({cfg.n, cfg.seed}, rank, size);
-        case Model::Rdg3D:
-            return rdg::owned_vertex_range<3>({cfg.n, cfg.seed}, rank, size);
-        case Model::Rhg:
-            return rhg::owned_vertex_intervals(
-                {cfg.n, cfg.avg_deg, cfg.gamma, cfg.seed}, rank, size);
-        default:
-            return {};
-    }
-}
-
-namespace detail {
-
-/// The raw per-model dispatch: streams chunk `rank` of `size` exactly as
-/// the paper's generators produce it (undirected ER honours edge_semantics).
-inline void dispatch_generate(const GraphSpec& cfg, u64 rank, u64 size, EdgeSink& sink) {
     switch (cfg.model) {
         case Model::GnmDirected:
             er::gnm_directed(cfg.n, cfg.m, cfg.seed, rank, size, sink,
@@ -170,20 +125,22 @@ inline void dispatch_generate(const GraphSpec& cfg, u64 rank, u64 size, EdgeSink
                                cfg.sampler_version, cfg.edge_semantics);
             break;
         case Model::Rgg2D:
-            rgg::generate<2>({cfg.n, cfg.r, cfg.seed}, rank, size, sink);
+            rgg::generate<2>({cfg.n, cfg.r, cfg.seed}, rank, size, sink,
+                             cfg.edge_semantics);
             break;
         case Model::Rgg3D:
-            rgg::generate<3>({cfg.n, cfg.r, cfg.seed}, rank, size, sink);
+            rgg::generate<3>({cfg.n, cfg.r, cfg.seed}, rank, size, sink,
+                             cfg.edge_semantics);
             break;
         case Model::Rdg2D:
-            rdg::generate<2>({cfg.n, cfg.seed}, rank, size, sink);
+            rdg::generate<2>({cfg.n, cfg.seed}, rank, size, sink, cfg.edge_semantics);
             break;
         case Model::Rdg3D:
-            rdg::generate<3>({cfg.n, cfg.seed}, rank, size, sink);
+            rdg::generate<3>({cfg.n, cfg.seed}, rank, size, sink, cfg.edge_semantics);
             break;
         case Model::Rhg:
             rhg::generate_inmemory({cfg.n, cfg.avg_deg, cfg.gamma, cfg.seed}, rank,
-                                   size, sink);
+                                   size, sink, cfg.edge_semantics);
             break;
         case Model::RhgStreaming:
             rhg::generate_streaming({cfg.n, cfg.avg_deg, cfg.gamma, cfg.seed}, rank,
@@ -201,31 +158,6 @@ inline void dispatch_generate(const GraphSpec& cfg, u64 rank, u64 size, EdgeSink
             break;
         }
     }
-}
-
-} // namespace detail
-
-/// Streams the edges PE `rank` of `size` is responsible for into `sink`
-/// (flushed, not finished — the caller owns the sink lifecycle). Under
-/// `cfg.edge_semantics == exact_once` the streams of all ranks are globally
-/// disjoint and their union is the graph — each rank still a pure function
-/// of (cfg, rank, size), no communication. Undirected ER is exact-once by
-/// construction (it skips the chunks another rank keeps); RGG, RDG and
-/// in-memory RHG are wrapped in a per-chunk `OwnershipFilterSink`.
-inline void generate(const GraphSpec& cfg, u64 rank, u64 size, EdgeSink& sink) {
-    if (size == 0 || rank >= size) {
-        throw std::invalid_argument("kagen::generate: rank/size out of range");
-    }
-    const bool er_native =
-        cfg.model == Model::GnmUndirected || cfg.model == Model::GnpUndirected;
-    if (cfg.edge_semantics == EdgeSemantics::exact_once &&
-        carries_duplicates(cfg.model) && !er_native) {
-        OwnershipFilterSink filter(owned_vertex_intervals(cfg, rank, size), sink);
-        detail::dispatch_generate(cfg, rank, size, filter);
-        filter.finish(); // drains the filter and flushes `sink`; no more
-        return;          // (the target sink's finish() stays with the caller)
-    }
-    detail::dispatch_generate(cfg, rank, size, sink);
 }
 
 /// Generates the edges PE `rank` of `size` is responsible for.
@@ -269,9 +201,8 @@ struct ChunkStats {
 /// carries intentional cross-PE duplicates (undirected ER/Gnp, Rgg, Rdg,
 /// in-memory Rhg) keep them here chunk-for-chunk; with
 /// `cfg.edge_semantics = exact_once` each chunk emits only the edges whose
-/// lower endpoint it owns (undirected ER by skipping the other chunks'
-/// edges, the rest through the ownership filter), so the whole run emits
-/// every edge exactly once — counting/stats/file sinks then see the true
+/// lower endpoint it owns (skipping, while generating, the edges another
+/// chunk keeps), so the whole run emits every edge exactly once — counting/stats/file sinks then see the true
 /// graph with no post-hoc dedup pass. The caller owns sink.finish().
 inline ChunkStats generate_chunked(const Config& cfg, u64 num_pes, EdgeSink& sink,
                                    u64 threads = 0, pe::ThreadPool* pool = nullptr) {

@@ -672,8 +672,6 @@ ChunkRunStats run_chunked(const ChunkOptions& opt, const ChunkFn& fn, EdgeSink& 
     reg.counter("pe.chunks").add(span);
     reg.counter("pe.spilled_chunks").add(stats.spilled_chunks);
     reg.counter("pe.spilled_bytes").add(stats.spilled_bytes);
-    reg.counter("pe.buffers_recycled").add(stats.buffers_recycled);
-    reg.counter("pe.buffers_allocated").add(stats.buffers_allocated);
     reg.counter("pe.peak_buffered_bytes", obs::MergeKind::max)
         .record_max(stats.peak_buffered_bytes);
     reg.counter("pe.arena.freelist_hits").add(stats.buffers_recycled);

@@ -245,15 +245,8 @@ PointGrid<D> point_grid(const Params& params, u64 size) {
 }
 
 template <int D>
-IdIntervals owned_vertex_range(const Params& params, u64 rank, u64 size) {
-    if (params.n == 0) return {{0, 0}};
-    const PointGrid<D> grid       = point_grid<D>(params, size);
-    const auto [cell_lo, cell_hi] = rgg::cell_range<D>(grid.levels(), rank, size);
-    return {{grid.first_id(cell_lo), grid.first_id(cell_hi)}};
-}
-
-template <int D>
-void generate(const Params& params, u64 rank, u64 size, EdgeSink& sink) {
+void generate(const Params& params, u64 rank, u64 size, EdgeSink& sink,
+              EdgeSemantics semantics) {
     if (params.n == 0) {
         sink.flush();
         return;
@@ -261,9 +254,18 @@ void generate(const Params& params, u64 rank, u64 size, EdgeSink& sink) {
     const PointGrid<D> grid       = point_grid<D>(params, size);
     const auto [cell_lo, cell_hi] = rgg::cell_range<D>(grid.levels(), rank, size);
     HaloTriangulator<D> tri(grid, cell_lo, cell_hi);
+    // exact_once keeps (u, v), u < v, iff u is one of the local ids. It
+    // compares ids, not the copies' `local` flags: torus wrap copies of local
+    // points are halo copies that carry local ids.
+    const bool exact_once = semantics == EdgeSemantics::exact_once;
+    const VertexId own_lo = grid.first_id(cell_lo);
+    const VertexId own_hi = grid.first_id(cell_hi);
     // The incremental triangulation must converge before any edge is final,
     // so the PE's edges stream out after the (local) halo fixpoint.
-    for (const auto& [u, v] : tri.run()) sink.emit(u, v);
+    for (const auto& [u, v] : tri.run()) {
+        if (exact_once && (u < own_lo || u >= own_hi)) continue;
+        sink.emit(u, v);
+    }
     sink.flush();
 }
 
@@ -330,10 +332,8 @@ template u32 cell_levels<2>(u64, u64);
 template u32 cell_levels<3>(u64, u64);
 template PointGrid<2> point_grid<2>(const Params&, u64);
 template PointGrid<3> point_grid<3>(const Params&, u64);
-template IdIntervals owned_vertex_range<2>(const Params&, u64, u64);
-template IdIntervals owned_vertex_range<3>(const Params&, u64, u64);
-template void generate<2>(const Params&, u64, u64, EdgeSink&);
-template void generate<3>(const Params&, u64, u64, EdgeSink&);
+template void generate<2>(const Params&, u64, u64, EdgeSink&, EdgeSemantics);
+template void generate<3>(const Params&, u64, u64, EdgeSink&, EdgeSemantics);
 template EdgeList generate<2>(const Params&, u64, u64);
 template EdgeList generate<3>(const Params&, u64, u64);
 template EdgeList reference<2>(const Params&, u64);

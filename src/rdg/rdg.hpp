@@ -38,20 +38,16 @@ u32 cell_levels(u64 n, u64 size);
 template <int D>
 PointGrid<D> point_grid(const Params& params, u64 size);
 
-/// Exact-once ownership (sink/ownership.hpp): identical scheme to
-/// `rgg::owned_vertex_range` — PE `rank`'s Morton cell block owns one
-/// consecutive id interval; the §6 halo guarantee ensures both endpoint
-/// owners of every Delaunay edge emit it, so the lower-endpoint tie-break
-/// keeps exactly one copy.
-template <int D>
-IdIntervals owned_vertex_range(const Params& params, u64 rank, u64 size);
-
 /// Delaunay edges incident to PE `rank`'s vertices, canonical (min,max) ids,
-/// deduplicated within the PE. Cross-PE edges appear on both owners.
+/// deduplicated within the PE. Cross-PE edges appear on both owners — the
+/// §6 halo guarantee has both endpoint owners find every Delaunay edge — so
+/// `exact_once` keeps an edge only on the PE owning its lower id: PE
+/// `rank`'s Morton cell block owns one consecutive id interval, as in RGG.
 /// The sink overload streams the (per-PE deduplicated) edges once the halo
 /// triangulation converges; the EdgeList overload wraps a MemorySink.
 template <int D>
-void generate(const Params& params, u64 rank, u64 size, EdgeSink& sink);
+void generate(const Params& params, u64 rank, u64 size, EdgeSink& sink,
+              EdgeSemantics semantics = EdgeSemantics::as_generated);
 
 template <int D>
 EdgeList generate(const Params& params, u64 rank, u64 size);

@@ -58,14 +58,8 @@ std::pair<u64, u64> cell_range(u32 levels, u64 rank, u64 size) {
 }
 
 template <int D>
-IdIntervals owned_vertex_range(const Params& params, u64 rank, u64 size) {
-    const PointGrid<D> grid        = point_grid<D>(params, size);
-    const auto [cell_lo, cell_hi]  = cell_range<D>(grid.levels(), rank, size);
-    return {{grid.first_id(cell_lo), grid.first_id(cell_hi)}};
-}
-
-template <int D>
-void generate(const Params& params, u64 rank, u64 size, EdgeSink& sink) {
+void generate(const Params& params, u64 rank, u64 size, EdgeSink& sink,
+              EdgeSemantics semantics) {
     const PointGrid<D> grid       = point_grid<D>(params, size);
     const u32 b                   = chunk_levels<D>(size);
     const u32 l                   = grid.levels();
@@ -75,6 +69,7 @@ void generate(const Params& params, u64 rank, u64 size, EdgeSink& sink) {
     const u64 chunk_hi            = block_begin(num_chunks, size, rank + 1);
     const auto [cell_lo, cell_hi] = cell_range<D>(l, rank, size);
     const double r_sq             = params.r * params.r;
+    const bool exact_once         = semantics == EdgeSemantics::exact_once;
     const u64 per_dim       = grid.cells_per_dim();
     // Halo width in cells: 1 when the cell side is >= r, wider otherwise.
     const auto halo = static_cast<i64>(
@@ -131,10 +126,11 @@ void generate(const Params& params, u64 rank, u64 size, EdgeSink& sink) {
             }
             if (in_grid) {
                 const u64 other = Morton<D>::encode(nb);
-                // Local pairs are processed once (from the lower Morton id);
-                // halo cells are always processed (their owner won't emit
-                // for us).
-                const bool skip = is_local(other) && other < cell;
+                // Local pairs are processed once (from the lower Morton id).
+                // A halo cell below `cell` lies below the whole local range,
+                // so its ids are lower: exact_once leaves its edges to its
+                // owner; as_generated emits them here too.
+                const bool skip = other < cell && (exact_once || is_local(other));
                 if (!skip) {
                     const auto& theirs = points_of(other);
                     if (other == cell) {
@@ -168,7 +164,8 @@ void generate(const Params& params, u64 rank, u64 size, EdgeSink& sink) {
     }
     // A local pair of cells both see the pair (A,B) from A's side only, but
     // (A,B) and (B,A) cross-cell scans emit each edge once; within-PE
-    // duplicates cannot occur. Cross-PE duplicates are intended (paper §5.1).
+    // duplicates cannot occur. Cross-PE duplicates are intended (paper §5.1)
+    // unless exact_once skipped them.
     sink.flush();
 }
 
@@ -204,10 +201,8 @@ template PointGrid<2> point_grid<2>(const Params&, u64);
 template PointGrid<3> point_grid<3>(const Params&, u64);
 template std::pair<u64, u64> cell_range<2>(u32, u64, u64);
 template std::pair<u64, u64> cell_range<3>(u32, u64, u64);
-template IdIntervals owned_vertex_range<2>(const Params&, u64, u64);
-template IdIntervals owned_vertex_range<3>(const Params&, u64, u64);
-template void generate<2>(const Params&, u64, u64, EdgeSink&);
-template void generate<3>(const Params&, u64, u64, EdgeSink&);
+template void generate<2>(const Params&, u64, u64, EdgeSink&, EdgeSemantics);
+template void generate<3>(const Params&, u64, u64, EdgeSink&, EdgeSemantics);
 template EdgeList generate<2>(const Params&, u64, u64);
 template EdgeList generate<3>(const Params&, u64, u64);
 template EdgeList brute_force<2>(const Params&, u64);

@@ -10,6 +10,9 @@
 /// neighbouring chunks by *recomputation* through the shared `PointGrid`
 /// substrate — no communication. Every edge incident to a local vertex is
 /// emitted; edges crossing a PE boundary therefore appear on both owners.
+/// Under `exact_once` only the owner of the lower endpoint emits them: ids
+/// follow Morton cell order, so a halo cell below the PE's first cell holds
+/// only lower ids, and the PE never scans (or recomputes) it.
 #pragma once
 
 #include <utility>
@@ -44,24 +47,19 @@ PointGrid<D> point_grid(const Params& params, u64 size);
 
 /// Morton cell range [lo, hi) of PE `rank` in a grid with `levels` cell
 /// levels shared by `size` PEs: the PE's contiguous chunk block, widened to
-/// cell resolution. Shared by the RGG and RDG generators and the ownership
-/// layer, so all three agree on the decomposition by construction.
+/// cell resolution. Shared by the RGG and RDG generators, so both agree on
+/// the decomposition by construction.
 template <int D>
 std::pair<u64, u64> cell_range(u32 levels, u64 rank, u64 size);
 
-/// Exact-once ownership (sink/ownership.hpp): vertex ids follow Morton cell
-/// order, so PE `rank`'s contiguous cell block owns one consecutive id
-/// interval — the Morton-rank tie-break of DESIGN.md §6 reduces to an
-/// interval test on the edge's lower endpoint.
+/// Edges of PE `rank`: all edges incident to vertices of its chunks
+/// (`exact_once`: those whose lower endpoint is local). Canonical (min-id,
+/// max-id) orientation; each edge appears once per PE. The sink overload
+/// streams edges as the cell sweep finds them; the EdgeList overload is a
+/// MemorySink wrapper (bit-identical output).
 template <int D>
-IdIntervals owned_vertex_range(const Params& params, u64 rank, u64 size);
-
-/// Edges of PE `rank`: all edges incident to vertices of its chunks.
-/// Canonical (min-id, max-id) orientation; each edge appears once per PE.
-/// The sink overload streams edges as the cell sweep finds them; the
-/// EdgeList overload is a MemorySink wrapper (bit-identical output).
-template <int D>
-void generate(const Params& params, u64 rank, u64 size, EdgeSink& sink);
+void generate(const Params& params, u64 rank, u64 size, EdgeSink& sink,
+              EdgeSemantics semantics = EdgeSemantics::as_generated);
 
 template <int D>
 EdgeList generate(const Params& params, u64 rank, u64 size);

@@ -13,19 +13,6 @@ constexpr double kTwoPi = 2.0 * std::numbers::pi;
 
 } // namespace
 
-IdIntervals owned_vertex_intervals(const hyp::Params& params, u64 rank, u64 size) {
-    const hyp::HypGrid grid(params, size);
-    IdIntervals owned;
-    owned.reserve(grid.num_annuli());
-    for (u32 a = 0; a < grid.num_annuli(); ++a) {
-        const auto [lo, hi] = grid.chunk_id_range(a, rank);
-        if (lo < hi) owned.push_back({lo, hi});
-    }
-    // Annulus-major id assignment makes the per-annulus intervals already
-    // sorted and disjoint — the owns_vertex contract.
-    return owned;
-}
-
 u32 first_streaming_annulus(const hyp::HypGrid& grid) {
     const auto& space  = grid.space();
     const double limit = grid.chunk_width() / 2.0; // requests must fit a chunk
@@ -38,8 +25,10 @@ u32 first_streaming_annulus(const hyp::HypGrid& grid) {
     return grid.num_annuli(); // everything global
 }
 
-void generate_inmemory(const hyp::Params& params, u64 rank, u64 size, EdgeSink& sink) {
+void generate_inmemory(const hyp::Params& params, u64 rank, u64 size, EdgeSink& sink,
+                       EdgeSemantics semantics) {
     const hyp::HypGrid grid(params, size);
+    const bool exact_once = semantics == EdgeSemantics::exact_once;
     const auto& space    = grid.space();
     const auto chunks    = static_cast<i64>(grid.num_chunks());
     const double c_width = grid.chunk_width();
@@ -111,14 +100,18 @@ void generate_inmemory(const hyp::Params& params, u64 rank, u64 size, EdgeSink& 
         // Each local pair would be found from both endpoints; the query of
         // its lower id emits it. Cross-chunk pairs are found from the local
         // endpoint only — both rely on every window containing the
-        // vertex's neighbours in that annulus.
+        // vertex's neighbours in that annulus. Under exact_once the chunk
+        // owning the lower id keeps a cross-chunk pair too, so every query
+        // skips the lower ids.
         const auto [own_lo, own_hi] = grid.chunk_id_range(j, rank);
         const auto scan = [&](const hyp::HypPoint& v, double from, double to) {
             auto q = static_cast<std::size_t>(
                 std::lower_bound(keys.begin(), keys.end(), from) - keys.begin());
             for (; q < keys.size() && keys[q] <= to; ++q) {
                 const hyp::HypPoint& u = pts[q];
-                if (u.id >= own_lo && u.id < own_hi && u.id <= v.id) continue;
+                if (u.id <= v.id && (exact_once || (u.id >= own_lo && u.id < own_hi))) {
+                    continue;
+                }
                 ++candidates;
                 if (space.edge(u, v)) {
                     edges.emplace_back(std::min(u.id, v.id), std::max(u.id, v.id));
@@ -146,8 +139,9 @@ void generate_inmemory(const hyp::Params& params, u64 rank, u64 size, EdgeSink& 
     }
 
     // Per chunk, never per edge: the Lemma-10 overestimation is
-    // rhg.candidates / emitted edges, the §7.1 recompute volume
-    // rhg.points_recomputed.
+    // rhg.candidates / emitted edges of an as_generated run (exact_once
+    // skips the lower-id candidates before counting them), the §7.1
+    // recompute volume rhg.points_recomputed.
     static obs::Counter& queries_ctr = obs::Registry::global().counter("rhg.queries");
     static obs::Counter& candidates_ctr =
         obs::Registry::global().counter("rhg.candidates");

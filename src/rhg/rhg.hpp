@@ -10,7 +10,7 @@
 ///    chunks the queries reach are recomputed once into one angle-sorted
 ///    array, so each query is a binary search plus a linear scan. Produces a
 ///    partitioned output: every edge incident to a local vertex is emitted
-///    locally.
+///    locally (`exact_once`: only those whose lower id is local).
 ///
 ///  * `generate_streaming` (§7.2, "sRHG") — request-centric: annuli split
 ///    into lower *global* annuli (requests wider than a chunk; their
@@ -33,8 +33,14 @@ namespace kagen::rhg {
 
 /// In-memory query-centric generator (§7.1). The sink overload streams the
 /// PE's (locally deduplicated) edges; the EdgeList overload wraps a
-/// MemorySink — both orderings and contents are bit-identical.
-void generate_inmemory(const hyp::Params& params, u64 rank, u64 size, EdgeSink& sink);
+/// MemorySink — both orderings and contents are bit-identical. Under
+/// `exact_once` a query skips every candidate with an id no larger than its
+/// (local) vertex's, local or not, so a cross-chunk edge is kept only by the
+/// chunk owning its lower id. The streaming generator needs no semantics:
+/// its request-execution rules already hand every edge to exactly one PE,
+/// which `tests/test_exact_once.cpp` asserts.
+void generate_inmemory(const hyp::Params& params, u64 rank, u64 size, EdgeSink& sink,
+                       EdgeSemantics semantics = EdgeSemantics::as_generated);
 EdgeList generate_inmemory(const hyp::Params& params, u64 rank, u64 size);
 
 /// Streaming request-centric generator (§7.2).
@@ -43,14 +49,6 @@ EdgeList generate_streaming(const hyp::Params& params, u64 rank, u64 size);
 
 /// Theta(n^2) all-pairs reference over the same point set.
 EdgeList brute_force(const hyp::Params& params, u64 size);
-
-/// Exact-once ownership for the *in-memory* generator (sink/ownership.hpp):
-/// ids are assigned annulus-major, so angular chunk `rank` owns one id
-/// interval per annulus — O(log n) intervals, each an O(log P) grid query.
-/// The streaming generator needs no filter: its request-execution rules
-/// already hand every edge to exactly one PE (its per-PE outputs are
-/// globally disjoint), which `tests/test_exact_once.cpp` asserts.
-IdIntervals owned_vertex_intervals(const hyp::Params& params, u64 rank, u64 size);
 
 /// First streaming annulus index for `size` PEs (test/bench introspection);
 /// annuli below it are "global" (§7.2).

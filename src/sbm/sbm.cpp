@@ -119,7 +119,8 @@ Params planted_partition(u64 n, u64 blocks, double p_in, double p_out, u64 seed)
     return params;
 }
 
-void generate(const Params& params, u64 rank, u64 size, EdgeSink& sink) {
+void generate(const Params& params, u64 rank, u64 size, EdgeSink& sink,
+              EdgeSemantics semantics) {
     assert(params.probs.size() == params.block_sizes.size());
     Layout layout;
     layout.n = num_vertices(params);
@@ -129,7 +130,9 @@ void generate(const Params& params, u64 rank, u64 size, EdgeSink& sink) {
     }
 
     // Row chunks (rank, q <= rank): edges whose higher endpoint is local.
-    for (u64 q = 0; q <= rank; ++q) {
+    // Under exact_once only the diagonal one has a local lower endpoint.
+    const u64 first_row_chunk = semantics == EdgeSemantics::exact_once ? rank : 0;
+    for (u64 q = first_row_chunk; q <= rank; ++q) {
         generate_chunk_pair(params, layout, size, rank, q, sink);
     }
     // Column chunks (p > rank, rank): edges whose lower endpoint is local.

@@ -17,7 +17,8 @@
 ///
 /// Output semantics match er::gnp_undirected: every edge incident to PE
 /// `rank`'s vertices, emitted as (u, v) with u > v; cross-PE edges appear
-/// identically on both owners.
+/// identically on both owners. Under `exact_once` PE `rank` skips its row
+/// chunks (rank, q < rank), whose lower endpoints PE q keeps.
 #pragma once
 
 #include <vector>
@@ -50,16 +51,8 @@ Params planted_partition(u64 n, u64 blocks, double p_in, double p_out, u64 seed)
 /// Edges incident to PE `rank`'s vertex range (block partition of [0, n)).
 /// The sink overload streams region by region; the EdgeList overload wraps
 /// a MemorySink (bit-identical output).
-void generate(const Params& params, u64 rank, u64 size, EdgeSink& sink);
+void generate(const Params& params, u64 rank, u64 size, EdgeSink& sink,
+              EdgeSemantics semantics = EdgeSemantics::as_generated);
 EdgeList generate(const Params& params, u64 rank, u64 size);
-
-/// Exact-once ownership (sink/ownership.hpp): identical to
-/// `er::owned_vertex_range` — the SBM shares the undirected G(n,p) chunk
-/// geometry, so wrapping a rank's sink in an `OwnershipFilterSink` over
-/// this range yields globally duplicate-free streams.
-inline IdIntervals owned_vertex_range(const Params& params, u64 rank, u64 size) {
-    const u64 n = num_vertices(params);
-    return {{block_begin(n, size, rank), block_begin(n, size, rank + 1)}};
-}
 
 } // namespace kagen::sbm

@@ -187,7 +187,7 @@ TEST(GnmUndirected, SaturatedGraphIsComplete) {
 }
 
 // Exact-once is a property of generation: rank r's native exact_once stream
-// must be the bytes the ownership filter keeps of its as_generated stream,
+// must be the bytes the lower-endpoint rule keeps of its as_generated stream,
 // for both models, both samplers and every rank. The shapes cover one chunk,
 // non-power-of-two chunk counts, more chunks than vertices (empty blocks)
 // and m equal to the whole undirected universe.
@@ -213,13 +213,13 @@ void expect_skip_equals_filter(const SkipShape& s, u64 expected_total, Generate 
             MemorySink native;
             generate(rank, native, version, EdgeSemantics::exact_once);
 
-            MemorySink kept;
-            OwnershipFilterSink filter(er::owned_vertex_range(s.n, rank, s.chunks), kept);
-            generate(rank, filter, version, EdgeSemantics::as_generated);
-            filter.finish();
+            MemorySink as_gen;
+            generate(rank, as_gen, version, EdgeSemantics::as_generated);
+            const EdgeList kept = testing::keep_owned_lower_endpoints(
+                as_gen.take(), testing::block_interval(s.n, rank, s.chunks));
 
             const EdgeList edges = native.take();
-            ASSERT_EQ(edges, kept.take())
+            ASSERT_EQ(edges, kept)
                 << "n=" << s.n << " C=" << s.chunks << " rank=" << rank
                 << " v" << (version == SamplerVersion::v1 ? 1 : 2);
             total += edges.size();

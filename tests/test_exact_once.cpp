@@ -1,9 +1,13 @@
 // Exact-once edge ownership: the cross-model property-test harness.
 //
 // The duplicate-carrying models (undirected ER/Gnp, RGG, RDG, in-memory
-// RHG) intentionally emit every cross-chunk edge on both owning chunks;
-// `EdgeSemantics::exact_once` tie-breaks each edge to the chunk owning its
-// canonical lower endpoint. This suite pins the whole contract:
+// RHG, and the sbm module) intentionally emit every cross-chunk edge on both
+// owning chunks; `EdgeSemantics::exact_once` tie-breaks each edge to the
+// chunk owning its canonical lower endpoint, and each generator applies
+// that rule while generating. This suite pins the whole contract:
+//   * per rank, every such generator's native exact_once stream is its
+//     as_generated stream filtered to the owned lower endpoints
+//     (testing::owned_vertex_intervals), byte for byte, order included;
 //   * for every duplicate-carrying model x (P, K) shape, the exact-once
 //     engine stream — counts, degree stats, binary file — equals the
 //     canonicalized union_undirected of the legacy per-chunk outputs;
@@ -14,11 +18,12 @@
 //   * the ownership interval tables partition the vertex ids;
 //   * io::stream_edge_list_binary round-trips exact-once files, including
 //     the empty-graph and single-chunk edge cases;
-//   * the ownership layer composes with the non-facade sbm module.
+//   * the non-facade sbm module's exact_once streams partition its graph.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <tuple>
 
 #include "graph/io.hpp"
@@ -26,7 +31,6 @@
 #include "kagen.hpp"
 #include "pe/pe.hpp"
 #include "sbm/sbm.hpp"
-#include "sink/ownership.hpp"
 #include "sink/sinks.hpp"
 #include "testing.hpp"
 
@@ -154,6 +158,74 @@ INSTANTIATE_TEST_SUITE_P(DuplicateCarrying, ExactOnceProperty,
                          });
 
 // ---------------------------------------------------------------------------
+// Per rank: native exact_once == the owned-lower-endpoint filter of
+// as_generated, byte for byte and in order
+// ---------------------------------------------------------------------------
+
+/// One duplicate-carrying generator: its per-rank stream under either
+/// semantics, and the ids each rank owns.
+struct SkipCase {
+    std::string name;
+    std::function<void(u64 rank, u64 size, EdgeSemantics, EdgeSink&)> generate;
+    std::function<testing::IdIntervals(u64 rank, u64 size)> owned;
+};
+
+std::vector<SkipCase> skip_cases() {
+    std::vector<SkipCase> cases;
+    for (const Model model : kDuplicateCarrying) {
+        const Config cfg = property_config(model);
+        cases.push_back({model_name(model),
+                         [cfg](u64 rank, u64 size, EdgeSemantics semantics,
+                               EdgeSink& sink) {
+                             Config c         = cfg;
+                             c.edge_semantics = semantics;
+                             generate(c, rank, size, sink);
+                         },
+                         [cfg](u64 rank, u64 size) {
+                             return testing::owned_vertex_intervals(cfg, rank, size);
+                         }});
+    }
+    const sbm::Params sbm_params = sbm::planted_partition(420, 4, 0.05, 0.004, 17);
+    cases.push_back({"sbm",
+                     [sbm_params](u64 rank, u64 size, EdgeSemantics semantics,
+                                  EdgeSink& sink) {
+                         sbm::generate(sbm_params, rank, size, sink, semantics);
+                     },
+                     [sbm_params](u64 rank, u64 size) {
+                         return testing::block_interval(sbm::num_vertices(sbm_params),
+                                                        rank, size);
+                     }});
+    return cases;
+}
+
+void PrintTo(const SkipCase& c, std::ostream* os) { *os << c.name; }
+
+class ExactOnceSkip : public ::testing::TestWithParam<SkipCase> {};
+
+TEST_P(ExactOnceSkip, NativeStreamEqualsFilteredAsGenerated) {
+    const SkipCase& c = GetParam();
+    for (const u64 C : {u64{1}, u64{3}, u64{7}, u64{64}}) {
+        u64 dropped = 0;
+        for (u64 rank = 0; rank < C; ++rank) {
+            MemorySink native, as_gen;
+            c.generate(rank, C, EdgeSemantics::exact_once, native);
+            c.generate(rank, C, EdgeSemantics::as_generated, as_gen);
+            const EdgeList all  = as_gen.take();
+            const EdgeList kept = testing::keep_owned_lower_endpoints(all, c.owned(rank, C));
+            ASSERT_EQ(native.take(), kept) << c.name << " C=" << C << " rank=" << rank;
+            dropped += all.size() - kept.size();
+        }
+        // The rule is exercised: with several chunks some copies are skipped.
+        if (C > 1) EXPECT_GT(dropped, 0u) << c.name << " C=" << C;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(DuplicateCarrying, ExactOnceSkip, ::testing::ValuesIn(skip_cases()),
+                         [](const ::testing::TestParamInfo<SkipCase>& info) {
+                             return info.param.name;
+                         });
+
+// ---------------------------------------------------------------------------
 // Non-duplicating models: both semantics are the same bytes
 // ---------------------------------------------------------------------------
 
@@ -161,7 +233,6 @@ class ExactByConstruction : public ::testing::TestWithParam<Model> {};
 
 TEST_P(ExactByConstruction, ByteIdenticalUnderBothSemantics) {
     Config cfg = property_config(GetParam());
-    ASSERT_FALSE(carries_duplicates(cfg.model));
     for (const auto& [P, K] : kShapes) {
         cfg.chunks_per_pe = K;
         SCOPED_TRACE(std::string(model_name(cfg.model)) + " P=" + std::to_string(P) +
@@ -252,7 +323,7 @@ TEST(OwnershipIntervals, PartitionTheVertexIdsForEveryDuplicateCarrier) {
         for (const u64 C : {u64{1}, u64{5}}) {
             std::vector<u64> cover(num_vertices(cfg), 0);
             for (u64 c = 0; c < C; ++c) {
-                for (const auto& iv : owned_vertex_intervals(cfg, c, C)) {
+                for (const auto& iv : testing::owned_vertex_intervals(cfg, c, C)) {
                     ASSERT_LE(iv.lo, iv.hi);
                     ASSERT_LE(iv.hi, cover.size());
                     for (u64 id = iv.lo; id < iv.hi; ++id) ++cover[id];
@@ -264,33 +335,6 @@ TEST(OwnershipIntervals, PartitionTheVertexIdsForEveryDuplicateCarrier) {
             }
         }
     }
-}
-
-TEST(OwnershipIntervals, OwnsVertexRespectsHalfOpenBounds) {
-    const IdIntervals intervals{{2, 5}, {9, 10}, {20, 24}};
-    EXPECT_FALSE(owns_vertex(intervals, 0));
-    EXPECT_FALSE(owns_vertex(intervals, 1));
-    EXPECT_TRUE(owns_vertex(intervals, 2));
-    EXPECT_TRUE(owns_vertex(intervals, 4));
-    EXPECT_FALSE(owns_vertex(intervals, 5));
-    EXPECT_TRUE(owns_vertex(intervals, 9));
-    EXPECT_FALSE(owns_vertex(intervals, 10));
-    EXPECT_FALSE(owns_vertex(intervals, 19));
-    EXPECT_TRUE(owns_vertex(intervals, 23));
-    EXPECT_FALSE(owns_vertex(intervals, 24));
-    EXPECT_FALSE(owns_vertex({}, 0));
-}
-
-TEST(OwnershipFilter, KeepsOwnedLowerEndpointsAndCountsDrops) {
-    MemorySink target;
-    OwnershipFilterSink filter({{10, 20}}, target);
-    filter.emit(10, 3);  // lower endpoint 3: foreign
-    filter.emit(15, 30); // lower endpoint 15: owned
-    filter.emit(5, 25);  // lower endpoint 5: foreign
-    filter.emit(19, 19); // self-loop on owned vertex: kept
-    filter.finish();     // flushes into (but does not finish) the target
-    EXPECT_EQ(target.edges(), (EdgeList{{15, 30}, {19, 19}}));
-    EXPECT_EQ(filter.num_filtered(), 2u);
 }
 
 TEST(OwnershipSemantics, ParseAndNameRoundTrip) {
@@ -407,49 +451,39 @@ TEST_F(ExactOnceFileTest, SingleChunkRoundTrips) {
 // Composition with the non-facade sbm module
 // ---------------------------------------------------------------------------
 
-TEST(SbmOwnership, FilterComposesWithModuleLevelGenerate) {
+TEST(SbmOwnership, ExactOnceComposesWithModuleLevelGenerate) {
     // The sbm module shares the undirected G(n,p) chunk geometry but is not
-    // reachable through Config; the ownership layer still applies by
-    // wrapping each rank's sink directly.
+    // reachable through Config; its own generate takes the semantics.
     const sbm::Params params = sbm::planted_partition(360, 4, 0.05, 0.004, 17);
     const u64 P              = 5;
-    std::vector<EdgeList> raw, filtered;
-    u64 filtered_total = 0;
+    std::vector<EdgeList> raw, exact;
+    u64 exact_total = 0;
     for (u64 r = 0; r < P; ++r) {
         raw.push_back(sbm::generate(params, r, P));
         MemorySink mem;
-        OwnershipFilterSink filter(sbm::owned_vertex_range(params, r, P), mem);
-        sbm::generate(params, r, P, filter);
-        filter.finish();
-        filtered.push_back(mem.take());
-        filtered_total += filtered.back().size();
+        sbm::generate(params, r, P, mem, EdgeSemantics::exact_once);
+        exact.push_back(mem.take());
+        exact_total += exact.back().size();
     }
     const EdgeList reference = pe::union_undirected(raw);
     EXPECT_GT(testing::duplicate_excess(raw), 0u) << "sbm must carry duplicates";
-    EXPECT_TRUE(
-        testing::total_matches_semantics(filtered_total, reference.size(), 0));
-    EXPECT_EQ(pe::union_undirected(filtered), reference);
-    EXPECT_EQ(testing::duplicate_excess(filtered), 0u);
+    EXPECT_TRUE(testing::total_matches_semantics(exact_total, reference.size(), 0));
+    EXPECT_EQ(pe::union_undirected(exact), reference);
+    EXPECT_EQ(testing::duplicate_excess(exact), 0u);
 }
 
 // ---------------------------------------------------------------------------
-// Classification sanity: the carries_duplicates table matches reality
+// Classification sanity: the duplicate carriers carry duplicates
 // ---------------------------------------------------------------------------
 
 TEST(Classification, DuplicateCarriersActuallyCarryDuplicates) {
-    // Every model the facade filters must exhibit cross-chunk duplicates in
-    // its legacy streams at this scale — otherwise the classification (and
-    // the filter) would be dead code for it.
+    // Every model whose generator applies the exact-once rule must exhibit
+    // cross-chunk duplicates in its legacy streams at this scale —
+    // otherwise the rule (and its tests) would be dead code for it.
     for (const Model model : kDuplicateCarrying) {
-        ASSERT_TRUE(carries_duplicates(model)) << model_name(model);
         Config cfg        = property_config(model);
         const auto legacy = legacy_per_chunk(cfg, 5);
         EXPECT_GT(testing::duplicate_excess(legacy), 0u) << model_name(model);
-    }
-    for (const Model model : kExactByConstruction) {
-        ASSERT_FALSE(carries_duplicates(model)) << model_name(model);
-        EXPECT_TRUE(owned_vertex_intervals(property_config(model), 0, 4).empty())
-            << model_name(model);
     }
 }
 

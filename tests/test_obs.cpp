@@ -352,31 +352,6 @@ TEST(ObsEndToEnd, ChunkedOutputByteIdenticalWithTelemetryOn) {
     }
 }
 
-TEST(ObsEndToEnd, OwnershipDroppedCountsOnlyFilteredModels) {
-    // rgg2d still reaches exact_once through the ownership filter, which
-    // drops its halo duplicates; undirected ER skips the chunks another
-    // rank keeps, so it has nothing to drop. rgg2d runs first, so the
-    // counter is registered and the ER files show it explicitly.
-    for (const Model model : {Model::Rgg2D, Model::GnmUndirected, Model::GnpUndirected}) {
-        SCOPED_TRACE(model_name(model));
-        Config cfg         = sweep_config(model);
-        cfg.edge_semantics = EdgeSemantics::exact_once;
-        cfg.metrics_path   = tmp_path("dropped.metrics.json");
-        remove_quiet(chunked_file(cfg, "dropped"));
-        const std::string metrics = read_text(cfg.metrics_path);
-        remove_quiet(cfg.metrics_path);
-        const std::string key     = "\"ownership.dropped\": ";
-        const std::size_t at      = metrics.find(key);
-        ASSERT_NE(at, std::string::npos);
-        const u64 dropped = std::stoull(metrics.substr(at + key.size()));
-        if (model == Model::Rgg2D) {
-            EXPECT_GT(dropped, 0u);
-        } else {
-            EXPECT_EQ(dropped, 0u);
-        }
-    }
-}
-
 TEST(ObsEndToEnd, DistributedOutputByteIdenticalWithTelemetryOn) {
     for (const Model model : {Model::GnmUndirected, Model::Rhg}) {
         SCOPED_TRACE(model_name(model));

@@ -9,10 +9,91 @@
 #include <map>
 #include <vector>
 
+#include "common/math.hpp"
 #include "common/types.hpp"
+#include "config.hpp"
 #include "graph/edge_list.hpp"
+#include "hyperbolic/hyperbolic.hpp"
+#include "rdg/rdg.hpp"
+#include "rgg/rgg.hpp"
 
 namespace kagen::testing {
+
+/// Half-open vertex-id interval [lo, hi).
+struct IdInterval {
+    u64 lo = 0;
+    u64 hi = 0;
+};
+
+/// Sorted, disjoint ids one chunk owns: one block for ER/SBM/RGG/RDG, one
+/// interval per annulus for the in-memory RHG.
+using IdIntervals = std::vector<IdInterval>;
+
+/// The consecutive block chunk `rank` of `size` owns in [0, n) — the ER
+/// and SBM chunk geometry.
+inline IdIntervals block_interval(u64 n, u64 rank, u64 size) {
+    return {{block_begin(n, size, rank), block_begin(n, size, rank + 1)}};
+}
+
+/// Vertex ids chunk `rank` of `size` owns under `cfg`'s model: the lower
+/// endpoints its exact_once stream keeps (the test-side reference of the
+/// lower-endpoint rule, DESIGN.md §6). Empty for models without
+/// intentional cross-chunk duplicates.
+inline IdIntervals owned_vertex_intervals(const GraphSpec& cfg, u64 rank, u64 size) {
+    const auto morton_block = [&](const auto& grid, auto cell_range) -> IdIntervals {
+        const auto [cell_lo, cell_hi] = cell_range(grid.levels(), rank, size);
+        return {{grid.first_id(cell_lo), grid.first_id(cell_hi)}};
+    };
+    switch (cfg.model) {
+        case Model::GnmUndirected:
+        case Model::GnpUndirected:
+            return block_interval(cfg.n, rank, size);
+        case Model::Rgg2D:
+            return morton_block(rgg::point_grid<2>({cfg.n, cfg.r, cfg.seed}, size),
+                                rgg::cell_range<2>);
+        case Model::Rgg3D:
+            return morton_block(rgg::point_grid<3>({cfg.n, cfg.r, cfg.seed}, size),
+                                rgg::cell_range<3>);
+        case Model::Rdg2D:
+            if (cfg.n == 0) return {{0, 0}};
+            return morton_block(rdg::point_grid<2>({cfg.n, cfg.seed}, size),
+                                rgg::cell_range<2>);
+        case Model::Rdg3D:
+            if (cfg.n == 0) return {{0, 0}};
+            return morton_block(rdg::point_grid<3>({cfg.n, cfg.seed}, size),
+                                rgg::cell_range<3>);
+        case Model::Rhg: {
+            // Ids are assigned annulus-major, so the per-annulus ranges are
+            // already sorted and disjoint.
+            const hyp::HypGrid grid({cfg.n, cfg.avg_deg, cfg.gamma, cfg.seed}, size);
+            IdIntervals owned;
+            for (u32 a = 0; a < grid.num_annuli(); ++a) {
+                const auto [lo, hi] = grid.chunk_id_range(a, rank);
+                if (lo < hi) owned.push_back({lo, hi});
+            }
+            return owned;
+        }
+        default:
+            return {};
+    }
+}
+
+/// The edges of `edges` whose lower endpoint lies in `owned`, in order: what
+/// the lower-endpoint rule keeps of a chunk's as_generated stream.
+inline EdgeList keep_owned_lower_endpoints(const EdgeList& edges,
+                                           const IdIntervals& owned) {
+    EdgeList kept;
+    for (const Edge& e : edges) {
+        const VertexId lower = std::min(e.first, e.second);
+        for (const IdInterval& iv : owned) {
+            if (lower >= iv.lo && lower < iv.hi) {
+                kept.push_back(e);
+                break;
+            }
+        }
+    }
+    return kept;
+}
 
 /// Redundant emissions in the concatenated per-chunk streams beyond the
 /// canonical undirected edge set — i.e. how many duplicate copies the
