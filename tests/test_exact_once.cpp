@@ -110,7 +110,8 @@ TEST_P(ExactOnceProperty, EngineStreamEqualsCanonicalizedLegacyUnion) {
         EXPECT_EQ(undirected_set(mem.edges()), reference);
 
         // The as_generated stream must still carry exactly the legacy
-        // duplicates — the filter must not leak into the default semantics.
+        // duplicates — the exact-once rule must not leak into the default
+        // semantics.
         cfg.edge_semantics = EdgeSemantics::as_generated;
         CountingSink as_gen(EdgeSemantics::as_generated);
         generate_chunked(cfg, P, as_gen);
@@ -261,7 +262,7 @@ TEST(ExactByConstruction, StreamingRhgPerPeOutputsAreGloballyDisjoint) {
     // (§7.2) already hands every edge to exactly one PE — global pairs to
     // the lower-id endpoint's angular chunk, global/streaming pairs to the
     // streaming target's chunk, streaming pairs to the request source's
-    // chunk — so it needs no ownership filter.
+    // chunk — so it needs no exact-once rule.
     for (const u64 P : {u64{1}, u64{4}, u64{7}}) {
         const hyp::Params params{700, 10, 2.6, 11};
         std::vector<EdgeList> per_pe;
@@ -426,8 +427,9 @@ TEST_F(ExactOnceFileTest, EmptyGraphRoundTrips) {
 }
 
 TEST_F(ExactOnceFileTest, SingleChunkRoundTrips) {
-    // P = 1, K = 1: the filter owns everything, so exact_once must be the
-    // unfiltered single-chunk stream — and survive the file round-trip.
+    // P = 1, K = 1: the one chunk owns everything, so exact_once must be
+    // the as_generated single-chunk stream — and survive the file
+    // round-trip.
     Config cfg        = property_config(Model::Rdg2D, 200);
     cfg.chunks_per_pe = 1;
 
