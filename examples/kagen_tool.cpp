@@ -12,9 +12,10 @@
 //    delivered chunks in a byte-budgeted window, spilling past it — see
 //    -max-buffered-bytes and DESIGN.md §5).
 //  * distributed backend (-ranks N -sink ...): forks N worker PROCESSES,
-//    each generating a contiguous share of the same chunk decomposition in
-//    its own address space with zero inter-worker communication; the
-//    coordinator merges per-rank files/stats. Output is byte-identical to
+//    which pull contiguous chunk-range leases of the same chunk
+//    decomposition until none is left and generate them in their own
+//    address spaces with zero inter-worker communication; the coordinator
+//    merges per-rank files/stats. Output is byte-identical to
 //    the single-process -sink run with the same -pes/-chunks-per-pe.
 //  * multi-node TCP backend (-listen/-connect ... -sink ..., workers run
 //    `kagen_tool -worker host:port`): the same coordinator and worker loop
@@ -125,10 +126,11 @@ void print_help(std::FILE* out, const char* argv0) {
         "              only merges; TCP workers take their own -sort-memory\n"
         "\n"
         "Distributed backend (multi-process, communication-free):\n"
-        "  -ranks N    fork N worker processes; each generates a contiguous\n"
-        "              share of the chunk decomposition into a per-rank file,\n"
-        "              merged in rank order — byte-identical to the\n"
-        "              single-process -sink run (requires -sink count|stats|file)\n"
+        "  -ranks N    fork N worker processes; each pulls contiguous chunk\n"
+        "              ranges (leases) of the chunk decomposition until none is\n"
+        "              left, into a per-rank file; every lease lands at its\n"
+        "              canonical offset — byte-identical to the single-process\n"
+        "              -sink run (requires -sink count|stats|file)\n"
         "  -threads-per-rank T   pool threads inside each worker (default 1)\n"
         "  -keep-rank-files 1    keep the per-rank scratch files after the merge\n"
         "\n"
@@ -144,9 +146,9 @@ void print_help(std::FILE* out, const char* argv0) {
         "              (instead of -o, which gathers one merged file)\n"
         "  -net-timeout MS   connect/accept, handshake, and file-transfer\n"
         "              inactivity deadline (default 10000)\n"
-        "  -net-deadline MS  per-worker report deadline covering generation\n"
-        "              itself (default 0 = wait; dead workers still error\n"
-        "              immediately via EOF)\n"
+        "  -net-deadline MS  per-lease and per-report deadline covering\n"
+        "              generation itself (default 0 = wait; dead workers still\n"
+        "              error immediately via EOF)\n"
         "\n"
         "Worker mode (no model argument; one job, then exit):\n"
         "  -worker H:P    connect to the coordinator at host:port, or with an\n"
@@ -303,6 +305,15 @@ int run_coordinated_sink(const Config& cfg, const std::string& kind, u64 ranks,
         res = net::run_net_coordinator(cfg, opts);
     }
     const char* unit = forked ? "ranks" : "workers";
+    if (g_verbose > 0) {
+        // How the leases balanced the ranks: busy = summed lease run time.
+        for (const auto& rep : res.ranks) {
+            std::printf("rank=%llu leases=%zu chunks=%llu busy_seconds=%.6f\n",
+                        static_cast<unsigned long long>(rep.rank), rep.leases.size(),
+                        static_cast<unsigned long long>(rep.stats.num_chunks),
+                        rep.stats.seconds);
+        }
+    }
     if (kind == "count" || kind == "stats") {
         std::printf("model=%s n=%llu %s %s=%llu chunks=%llu seconds=%.6f\n",
                     model_name(cfg.model), static_cast<unsigned long long>(res.n),

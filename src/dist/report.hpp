@@ -3,11 +3,12 @@
 ///        its job, over whichever transport reached it.
 ///
 /// The paper's generators need *zero* communication to produce the graph;
-/// besides its job, its rank file and the sorted runs of a dedup job, the
-/// only bytes a rank ever sends are this one report — its
-/// `pe::ChunkRunStats`, the edge count of its rank file, the run table of a
-/// dedup job, and the mergeable sink summaries (sink/sinks.hpp) — or, if
-/// the rank failed, the error message. The payload uses the explicit little-endian
+/// besides its job, its lease requests, its rank file and the sorted runs
+/// of a dedup job, the only bytes a rank ever sends are this one report —
+/// its `pe::ChunkRunStats` folded over its leases, its lease table, the
+/// edge count of its rank file, the run table of a dedup job, and the
+/// mergeable sink summaries (sink/sinks.hpp) — or, if the rank failed, the
+/// error message. The payload uses the explicit little-endian
 /// layout of common/bytes.hpp; net/protocol.hpp frames it as the `report`
 /// message. Its codec lives in dist/runner.cpp, next to execute_rank_job,
 /// which produces it.
@@ -22,6 +23,17 @@
 
 namespace kagen::dist {
 
+/// One lease: a contiguous range of canonical chunks a rank ran, in one
+/// `pe::run_chunked` call appended to its rank file, and the edges that
+/// range emitted.
+struct Lease {
+    u64 chunk_begin = 0;
+    u64 chunk_end   = 0;
+    u64 edges       = 0;
+
+    bool operator==(const Lease&) const = default;
+};
+
 /// Everything one worker reports back to the coordinator.
 struct RankReport {
     u64 rank = 0;
@@ -31,9 +43,12 @@ struct RankReport {
     bool ok = true;
     std::string error;
 
-    pe::ChunkRunStats stats;     ///< the rank's chunk-range run
-    u64 chunk_begin = 0;         ///< canonical chunk range the rank executed
-    u64 chunk_end   = 0;
+    pe::ChunkRunStats stats;     ///< folded over the leases: chunks, spills
+                                 ///< and buffers summed, peaks maxed,
+                                 ///< seconds = summed lease run time (busy)
+    std::vector<Lease> leases;   ///< every lease the rank ran, in the order
+                                 ///< it ran them (= canonical order); its
+                                 ///< rank file holds their edges back to back
     u64 file_edges  = 0;         ///< edges written to the rank file (0 = none)
     std::vector<u64> runs;       ///< run table of a dedup job: edges per sorted
                                  ///< run the rank formed from its rank file

@@ -1,5 +1,7 @@
 #include "dist/runner.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <memory>
@@ -16,6 +18,7 @@
 #include "common/fileio.hpp"
 #include "graph/em_sort.hpp"
 #include "kagen.hpp"
+#include "pe/chunk_pool.hpp"
 
 namespace kagen::dist {
 namespace {
@@ -33,18 +36,39 @@ public:
 
     bool ordered() const override { return file_ != nullptr; }
 
+    /// Edges consumed so far; run_chunked has delivered every edge of a
+    /// lease by the time it returns, so differences are lease edge counts.
+    u64 edges() const { return edges_.load(std::memory_order_relaxed); }
+
 protected:
     void consume(const Edge* edges, std::size_t count) override {
         if (file_ != nullptr) file_->deliver(edges, count);
         count_.deliver(edges, count);
         if (degrees_ != nullptr) degrees_->deliver(edges, count);
+        edges_.fetch_add(count, std::memory_order_relaxed);
     }
 
 private:
     BinaryFileSink* file_;
     CountingSink& count_;
     DegreeStatsSink* degrees_;
+    std::atomic<u64> edges_{0}; // unordered delivery consumes concurrently
 };
+
+/// Folds one lease's run into the rank's: work sums, peaks max, and the
+/// seconds add up to the rank's busy generation time.
+void fold(pe::ChunkRunStats& into, const pe::ChunkRunStats& s) {
+    into.num_chunks += s.num_chunks;
+    into.workers = std::max(into.workers, s.workers);
+    into.seconds += s.seconds;
+    into.peak_buffered_bytes = std::max(into.peak_buffered_bytes, s.peak_buffered_bytes);
+    into.spilled_chunks += s.spilled_chunks;
+    into.spilled_bytes += s.spilled_bytes;
+    into.buffers_recycled += s.buffers_recycled;
+    into.buffers_allocated += s.buffers_allocated;
+    into.arena_chains += s.arena_chains;
+    into.arena_slab_bytes = std::max(into.arena_slab_bytes, s.arena_slab_bytes);
+}
 
 void put_chunk_run_stats(std::vector<u8>& out, const pe::ChunkRunStats& s) {
     bytes::put_u64(out, s.num_chunks);
@@ -81,8 +105,12 @@ std::vector<u8> serialize_report(const RankReport& report) {
         return out;
     }
     put_chunk_run_stats(out, report.stats);
-    bytes::put_u64(out, report.chunk_begin);
-    bytes::put_u64(out, report.chunk_end);
+    bytes::put_u64(out, report.leases.size());
+    for (const Lease& lease : report.leases) {
+        bytes::put_u64(out, lease.chunk_begin);
+        bytes::put_u64(out, lease.chunk_end);
+        bytes::put_u64(out, lease.edges);
+    }
     bytes::put_u64(out, report.file_edges);
     bytes::put_u64_vector(out, report.runs);
     report.count.serialize(out);
@@ -101,8 +129,17 @@ RankReport deserialize_report(const std::vector<u8>& payload) {
         report.error = bytes::get_string(p, end);
     } else {
         report.stats       = get_chunk_run_stats(p, end);
-        report.chunk_begin = bytes::get_u64(p, end);
-        report.chunk_end   = bytes::get_u64(p, end);
+        const u64 leases   = bytes::get_u64(p, end);
+        // Bound the count by the bytes left before reserving anything.
+        if (leases > static_cast<u64>(end - p) / 24) {
+            throw std::runtime_error("rank report: lease table overruns the payload");
+        }
+        report.leases.resize(leases);
+        for (Lease& lease : report.leases) {
+            lease.chunk_begin = bytes::get_u64(p, end);
+            lease.chunk_end   = bytes::get_u64(p, end);
+            lease.edges       = bytes::get_u64(p, end);
+        }
         report.file_edges  = bytes::get_u64(p, end);
         report.runs        = bytes::get_u64_vector(p, end);
         report.count       = CountingSummary::deserialize(p, end);
@@ -114,11 +151,9 @@ RankReport deserialize_report(const std::vector<u8>& payload) {
 }
 
 RankReport execute_rank_job(const GraphSpec& graph, const RunOptions& run,
-                            const RankJob& job) {
+                            const RankJob& job, const NextLease& next) {
     RankReport report;
-    report.rank        = job.rank;
-    report.chunk_begin = job.chunk_begin;
-    report.chunk_end   = job.chunk_end;
+    report.rank = job.rank;
 
     std::unique_ptr<BinaryFileSink> file;
     if (!job.rank_path.empty()) {
@@ -133,35 +168,52 @@ RankReport execute_rank_job(const GraphSpec& graph, const RunOptions& run,
     }
     RankSink sink(file.get(), count, degrees.get());
 
-    if (job.chunk_begin < job.chunk_end) {
-        pe::ChunkOptions copt;
-        copt.total_chunks       = job.num_chunks; // pins the decomposition
-        copt.chunk_begin        = job.chunk_begin;
-        copt.chunk_end          = job.chunk_end;
-        copt.max_buffered_bytes = run.max_buffered_bytes;
-        copt.arena_slab_bytes   = run.arena_slab_bytes;
-        copt.pin_threads        = run.pin_threads;
-        if (!run.spill_path.empty()) {
-            // Each rank needs its own scratch file, not a shared name.
-            copt.spill_path = run.spill_path + ".rank" + std::to_string(job.rank);
-        }
-        // A forked child must never run a parallel section on a pool born in
-        // another process, and a TCP worker wants its pool sized to the job:
-        // threads == 1 keeps run_chunked on the inline path; more threads
-        // get a pool born in *this* process, scoped to this job.
-        std::unique_ptr<pe::ThreadPool> pool;
-        copt.threads = std::max<u64>(job.threads, 1);
-        if (copt.threads > 1) {
-            pool      = std::make_unique<pe::ThreadPool>(copt.threads - 1);
-            copt.pool = pool.get();
-        }
-        report.stats = pe::run_chunked(
-            copt,
-            [&graph](u64 chunk, u64 total, EdgeSink& chunk_sink) {
-                generate(graph, chunk, total, chunk_sink);
-            },
-            sink);
+    pe::ChunkOptions copt;
+    copt.total_chunks       = job.num_chunks; // pins the decomposition
+    copt.max_buffered_bytes = run.max_buffered_bytes;
+    copt.arena_slab_bytes   = run.arena_slab_bytes;
+    copt.pin_threads        = run.pin_threads;
+    if (!run.spill_path.empty()) {
+        // Each rank needs its own scratch file, not a shared name.
+        copt.spill_path = run.spill_path + ".rank" + std::to_string(job.rank);
     }
+    // A forked child must never run a parallel section on a pool born in
+    // another process, and a TCP worker wants its pool sized to the job:
+    // threads == 1 keeps run_chunked on the inline path; more threads get a
+    // pool born in *this* process, scoped to this job, and one chunk arena
+    // whose slabs stay warm from lease to lease. Both are built only if the
+    // rank holds a lease at all.
+    std::unique_ptr<pe::ThreadPool> pool;
+    std::unique_ptr<pe::ChunkBufferPool> arena;
+    copt.threads = std::max<u64>(job.threads, 1);
+    Lease lease{job.chunk_begin, job.chunk_end, 0};
+    if (copt.threads > 1 && lease.chunk_begin < lease.chunk_end) {
+        pool      = std::make_unique<pe::ThreadPool>(copt.threads - 1);
+        copt.pool = pool.get();
+        // Same layout as run_chunked's own per-run arena.
+        arena      = std::make_unique<pe::ChunkBufferPool>(
+            run.arena_slab_bytes, /*populate=*/false,
+            /*decommit_on_release=*/run.max_buffered_bytes != 0);
+        copt.arena = arena.get();
+    }
+    while (lease.chunk_begin < lease.chunk_end) {
+        copt.chunk_begin = lease.chunk_begin;
+        copt.chunk_end   = lease.chunk_end;
+        const u64 before = sink.edges();
+        fold(report.stats, pe::run_chunked(
+                               copt,
+                               [&graph](u64 chunk, u64 total, EdgeSink& chunk_sink) {
+                                   generate(graph, chunk, total, chunk_sink);
+                               },
+                               sink));
+        lease.edges = sink.edges() - before;
+        report.leases.push_back(lease);
+        lease = next(lease);
+    }
+    // Generation is over: the slabs and threads must not sit under the
+    // run-formation keys.
+    arena.reset();
+    pool.reset();
 
     sink.finish();
     if (file) {
@@ -205,41 +257,39 @@ RankReport execute_rank_job(const GraphSpec& graph, const RunOptions& run,
     return report;
 }
 
-fileio::CopyStats copy_rank_file(const std::string& path, u64 edges, int out_fd,
-                                 bool allow_copy_file_range) {
+int open_rank_file(const std::string& path, u64 edges) {
     const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
     if (fd < 0) {
         throw std::runtime_error("cannot open rank file '" + path +
                                  "': " + std::strerror(errno));
     }
-    struct FdGuard {
-        int fd;
-        ~FdGuard() { fileio::close_or_warn(fd, "rank file"); }
-    } guard{fd};
-
-    struct stat st{};
-    if (::fstat(fd, &st) != 0) {
-        throw std::runtime_error("fstat '" + path + "': " + std::strerror(errno));
+    try {
+        struct stat st{};
+        if (::fstat(fd, &st) != 0) {
+            throw std::runtime_error("fstat '" + path + "': " + std::strerror(errno));
+        }
+        const u64 expected_bytes = 8 + 16 * edges;
+        if (static_cast<u64>(st.st_size) != expected_bytes) {
+            throw std::runtime_error("rank file '" + path + "' is " +
+                                     std::to_string(st.st_size) + " bytes, expected " +
+                                     std::to_string(expected_bytes));
+        }
+        // A regular file of at least 8 bytes returns its header in one read,
+        // which leaves the offset at the payload.
+        u64 header = 0;
+        if (::read(fd, &header, sizeof(header)) != static_cast<ssize_t>(sizeof(header))) {
+            throw std::runtime_error("cannot read the header of rank file '" + path + "'");
+        }
+        if (header != edges) {
+            throw std::runtime_error("rank file '" + path + "' header claims " +
+                                     std::to_string(header) +
+                                     " edges, the rank reported " + std::to_string(edges));
+        }
+    } catch (...) {
+        fileio::close_or_warn(fd, "rank file");
+        throw;
     }
-    const u64 expected_bytes = 8 + 16 * edges;
-    if (static_cast<u64>(st.st_size) != expected_bytes) {
-        throw std::runtime_error("rank file '" + path + "' is " +
-                                 std::to_string(st.st_size) + " bytes, expected " +
-                                 std::to_string(expected_bytes));
-    }
-    // A regular file of at least 8 bytes returns its header in one read.
-    u64 header = 0;
-    if (::read(fd, &header, sizeof(header)) != static_cast<ssize_t>(sizeof(header))) {
-        throw std::runtime_error("cannot read the header of rank file '" + path + "'");
-    }
-    if (header != edges) {
-        throw std::runtime_error("rank file '" + path + "' header claims " +
-                                 std::to_string(header) + " edges, the rank reported " +
-                                 std::to_string(edges));
-    }
-    if (out_fd < 0) return {};
-    // The header read left the offset at the payload.
-    return fileio::copy_bytes(fd, out_fd, expected_bytes - 8, allow_copy_file_range);
+    return fd;
 }
 
 int open_runs_file(const std::string& rank_path, u64 edges) {
@@ -269,6 +319,7 @@ DistResult run_distributed(const Config& cfg, const DistOptions& opts) {
     wopt.run         = cfg; // the fork image hands every rank these
     wopt.scratch_dir = opts.scratch_dir;
     wopt.rank_hook   = opts.rank_hook;
+    wopt.lease_hook  = opts.lease_hook;
     // No deadlines: a forked rank cannot vanish without its channel reading
     // EOF, and a slow one is still working.
     copt.connect_timeout_ms = 0;

@@ -15,7 +15,6 @@
 #include <unistd.h>
 
 #include "common/fileio.hpp"
-#include "common/math.hpp"
 #include "graph/em_sort.hpp"
 #include "kagen.hpp"
 #include "net/protocol.hpp"
@@ -76,6 +75,36 @@ struct Fleet {
     }
 };
 
+/// "chunks [8, 15)": how errors name a lease.
+std::string chunks_str(const dist::Lease& lease) {
+    return "chunks [" + std::to_string(lease.chunk_begin) + ", " +
+           std::to_string(lease.chunk_end) + ")";
+}
+
+/// The one assignment path: contiguous chunk ranges handed out in canonical
+/// order to whichever rank asks next. Sizes follow guided self-scheduling,
+/// max(1, ceil(remaining / (2·W))): large leases first, where their round
+/// trips would cost the most, shrinking toward the end, where small ones
+/// even out the ranks' finishing times.
+class LeaseCursor {
+public:
+    LeaseCursor(u64 num_chunks, u64 ranks) : num_chunks_(num_chunks), divisor_(2 * ranks) {}
+
+    /// The next lease; an empty range once every chunk is handed out.
+    dist::Lease next() {
+        const u64 remaining = num_chunks_ - next_;
+        const u64 size      = std::max<u64>(1, (remaining + divisor_ - 1) / divisor_);
+        dist::Lease lease{next_, std::min(num_chunks_, next_ + size), 0};
+        next_ = lease.chunk_end;
+        return lease;
+    }
+
+private:
+    u64 num_chunks_;
+    u64 divisor_;
+    u64 next_ = 0;
+};
+
 /// Option checks shared by both transports; run before any rank exists.
 /// Returns the result skeleton of a run over `ranks` ranks.
 RunResult plan_run(const Config& cfg, const NetOptions& opt, u64 ranks) {
@@ -94,11 +123,24 @@ RunResult plan_run(const Config& cfg, const NetOptions& opt, u64 ranks) {
     return result;
 }
 
+/// Manifest v2: one line per lease segment, in canonical chunk order, so
+/// the segments concatenated in line order are the gathered payload.
 void write_manifest(const Config& cfg, const std::string& path, const RunResult& result) {
+    struct Line {
+        const ManifestEntry* entry;
+        const ManifestSegment* segment;
+    };
+    std::vector<Line> lines;
+    for (const ManifestEntry& e : result.manifest) {
+        for (const ManifestSegment& seg : e.segments) lines.push_back({&e, &seg});
+    }
+    std::sort(lines.begin(), lines.end(), [](const Line& a, const Line& b) {
+        return a.segment->chunk_begin < b.segment->chunk_begin;
+    });
     std::FILE* mf = std::fopen(path.c_str(), "w");
     if (mf == nullptr) throw_errno("cannot open manifest '" + path + "'");
     std::fprintf(mf,
-                 "# kagen partitioned output manifest v1\n"
+                 "# kagen partitioned output manifest v2\n"
                  "model=%s n=%llu semantics=%s chunks=%llu workers=%llu "
                  "total_edges=%llu\n",
                  model_name(cfg.model), static_cast<unsigned long long>(result.n),
@@ -106,15 +148,16 @@ void write_manifest(const Config& cfg, const std::string& path, const RunResult&
                  static_cast<unsigned long long>(result.num_chunks),
                  static_cast<unsigned long long>(result.num_ranks),
                  static_cast<unsigned long long>(result.count.num_edges));
-    for (const auto& e : result.manifest) {
+    for (const Line& l : lines) {
         std::fprintf(mf,
-                     "rank=%llu peer=%s path=%s chunks=[%llu,%llu) "
-                     "edges=%llu bytes=%llu\n",
-                     static_cast<unsigned long long>(e.rank), e.peer.c_str(),
-                     e.path.c_str(), static_cast<unsigned long long>(e.chunk_begin),
-                     static_cast<unsigned long long>(e.chunk_end),
-                     static_cast<unsigned long long>(e.edges),
-                     static_cast<unsigned long long>(e.bytes));
+                     "rank=%llu peer=%s path=%s chunks=[%llu,%llu) offset=%llu "
+                     "edges=%llu\n",
+                     static_cast<unsigned long long>(l.entry->rank),
+                     l.entry->peer.c_str(), l.entry->path.c_str(),
+                     static_cast<unsigned long long>(l.segment->chunk_begin),
+                     static_cast<unsigned long long>(l.segment->chunk_end),
+                     static_cast<unsigned long long>(l.segment->offset),
+                     static_cast<unsigned long long>(l.segment->edges));
     }
     if (std::fflush(mf) != 0 || std::ferror(mf)) {
         (void)std::fclose(mf); // stream already failed; error in flight
@@ -157,14 +200,46 @@ RunResult coordinate(const Config& cfg, const NetOptions& opt, Fleet& fleet,
         decode_hello(recv(w, opt.connect_timeout_ms, "hello"));
         fleet.socks[w].send_frame(encode_hello());
     }
+    // Armed only now: after the forks (a forked rank copies the recorder's
+    // state, so earlier events would be duplicated into every rank), and
+    // before the first lease is counted.
+    obs::Snapshot obs_base;
+    struct ObsGuard {
+        bool active = false;
+        ~ObsGuard() {
+            if (active) obs::TraceRecorder::global().enable(false);
+        }
+    } obs_guard;
+    if (want_telemetry) {
+        obs_base         = obs::begin_rank_telemetry();
+        obs_guard.active = true;
+    }
+    // Every lease in grant order, which is canonical chunk order, so they
+    // tile [0, C); each rank's leases are indices into it.
+    std::vector<dist::Lease> leases;
+    std::vector<std::vector<std::size_t>> rank_leases(W);
+    LeaseCursor cursor(result.num_chunks, W);
+    obs::Counter& lease_counter = obs::Registry::global().counter("coordinator.leases");
+    // Grants rank w the cursor's next lease; returns it (empty: none left).
+    auto grant = [&](u64 w) {
+        const dist::Lease lease = cursor.next();
+        if (lease.chunk_begin < lease.chunk_end) {
+            rank_leases[w].push_back(leases.size());
+            leases.push_back(lease);
+            lease_counter.add(1);
+        }
+        return lease;
+    };
+
     std::vector<u64> t_job_sent(W, 0);
     for (u64 w = 0; w < W; ++w) {
+        const dist::Lease first = grant(w); // saves the lease-0 round trip
         JobSpec job;
         job.graph             = cfg;
         job.task.rank         = w;
         job.task.num_chunks   = result.num_chunks;
-        job.task.chunk_begin  = block_begin(result.num_chunks, W, w);
-        job.task.chunk_end    = block_begin(result.num_chunks, W, w + 1);
+        job.task.chunk_begin  = first.chunk_begin;
+        job.task.chunk_end    = first.chunk_end;
         job.task.threads      = std::max<u64>(opt.threads_per_worker, 1);
         job.task.degree_stats = opt.degree_stats;
         job.task.form_runs    = dedup;
@@ -184,19 +259,90 @@ RunResult coordinate(const Config& cfg, const NetOptions& opt, Fleet& fleet,
         }
     }
 
-    // Armed only now: after the forks (a forked rank copies the recorder's
-    // state, so earlier events would be duplicated into every rank).
-    obs::Snapshot obs_base;
-    struct ObsGuard {
-        bool active = false;
-        ~ObsGuard() {
-            if (active) obs::TraceRecorder::global().enable(false);
+    // --- lease phase ---------------------------------------------------------
+    // Poll every rank that holds a lease; answer each lease_done with the
+    // cursor's next lease, or with done. A rank that got done goes on to its
+    // report, telemetry and file, which wait in its channel (back-pressure)
+    // until the rank-order collection below reads them. job_deadline_ms
+    // bounds each lease.
+    {
+        const auto now_ms = [] {
+            return static_cast<long long>(obs::monotonic_now() / 1000000u);
+        };
+        std::vector<long long> due(W, 0); // lease deadline in ms; 0 = none
+        const auto arm = [&](u64 w) {
+            if (opt.job_deadline_ms > 0) due[w] = now_ms() + opt.job_deadline_ms;
+        };
+        // Milliseconds to `at` for a receive deadline, at least 1; 0 = none.
+        const auto until = [&](long long at) {
+            return at == 0 ? 0 : static_cast<int>(std::max<long long>(at - now_ms(), 1));
+        };
+        std::vector<u64> active; // ranks holding a lease, ascending
+        for (u64 w = 0; w < W; ++w) {
+            if (rank_leases[w].empty()) continue;
+            active.push_back(w);
+            arm(w);
         }
-    } obs_guard;
-    if (want_telemetry) {
-        obs_base         = obs::begin_rank_telemetry();
-        obs_guard.active = true;
+        while (!active.empty()) {
+            std::vector<const Socket*> socks;
+            long long first_due = 0;
+            for (const u64 w : active) {
+                socks.push_back(&fleet.socks[w]);
+                if (due[w] != 0 && (first_due == 0 || due[w] < first_due)) first_due = due[w];
+            }
+            const std::vector<std::size_t> ready = poll_readable(socks, until(first_due));
+            for (const u64 w : active) {
+                if (!ready.empty() || due[w] != first_due) continue;
+                throw RankError(w, fleet.socks[w],
+                                chunks_str(leases[rank_leases[w].back()]) +
+                                    " timed out: no lease_done within " +
+                                    std::to_string(opt.job_deadline_ms) + " ms");
+            }
+            std::vector<u64> still;
+            for (std::size_t i = 0, r = 0; i < active.size(); ++i) {
+                const u64 w = active[i];
+                if (r == ready.size() || ready[r] != i) {
+                    still.push_back(w);
+                    continue;
+                }
+                ++r;
+                Socket& sock       = fleet.socks[w];
+                dist::Lease& lease = leases[rank_leases[w].back()];
+                try {
+                    const std::vector<u8> msg = sock.recv_message(until(due[w]), "lease_done");
+                    if (peek_type(msg) == Msg::report) {
+                        const dist::RankReport failed = decode_report(msg);
+                        throw std::runtime_error(failed.ok ? "sent its report early"
+                                                           : "failed: " + failed.error);
+                    }
+                    lease.edges = decode_lease_done(msg);
+                } catch (const std::exception& e) {
+                    throw RankError(w, sock, "running " + chunks_str(lease) + ": " + e.what());
+                }
+                const dist::Lease next = grant(w);
+                try {
+                    sock.send_frame(encode_lease(next.chunk_begin, next.chunk_end));
+                } catch (const std::exception& e) {
+                    throw RankError(w, sock,
+                                    std::string("sending its lease failed: ") + e.what());
+                }
+                if (next.chunk_begin < next.chunk_end) {
+                    arm(w);
+                    still.push_back(w);
+                }
+            }
+            active = std::move(still);
+        }
     }
+    // Every lease's edges are known, so every lease's place in the merged
+    // output is a prefix sum in canonical order, before any payload moves.
+    std::vector<u64> out_offset(leases.size());
+    u64 placed = 0;
+    for (std::size_t i = 0; i < leases.size(); ++i) {
+        out_offset[i] = 8 + 16 * placed;
+        placed += leases[i].edges;
+    }
+
     std::vector<obs::RankTelemetry> telemetry;
 
     // --- collect reports (and files) in rank order ------------------------
@@ -241,13 +387,6 @@ RunResult coordinate(const Config& cfg, const NetOptions& opt, Fleet& fleet,
             if (report.rank != w) {
                 fail("report carries wrong rank id " + std::to_string(report.rank));
             }
-            const u64 lo = block_begin(result.num_chunks, W, w);
-            const u64 hi = block_begin(result.num_chunks, W, w + 1);
-            if (report.chunk_begin != lo || report.chunk_end != hi) {
-                fail("report covers chunks [" + std::to_string(report.chunk_begin) +
-                     ", " + std::to_string(report.chunk_end) + "), assigned [" +
-                     std::to_string(lo) + ", " + std::to_string(hi) + ")");
-            }
             if (report.count.semantics != cfg.edge_semantics) {
                 fail(std::string("report semantics '") +
                      semantics_name(report.count.semantics) +
@@ -261,6 +400,43 @@ RunResult coordinate(const Config& cfg, const NetOptions& opt, Fleet& fleet,
             if (want_file && report.file_edges != report.count.num_edges) {
                 fail("rank file has " + std::to_string(report.file_edges) +
                      " edges but the rank counted " +
+                     std::to_string(report.count.num_edges));
+            }
+            // The lease table must be exactly the leases this rank was
+            // granted, with the edge counts its lease_done messages gave:
+            // the segment offsets were computed from those.
+            const std::vector<std::size_t>& mine = rank_leases[w];
+            u64 lease_edges = 0;
+            for (std::size_t i = 0; i < std::max(mine.size(), report.leases.size()); ++i) {
+                if (i == mine.size()) {
+                    fail("lease table lists " + chunks_str(report.leases[i]) +
+                         ", which were never leased to it");
+                }
+                const dist::Lease& granted = leases[mine[i]];
+                if (i == report.leases.size()) {
+                    fail("lease table omits its lease of " + chunks_str(granted));
+                }
+                const dist::Lease& listed = report.leases[i];
+                if (listed.chunk_begin != granted.chunk_begin ||
+                    listed.chunk_end != granted.chunk_end) {
+                    fail("lease table lists " + chunks_str(listed) + " where it was leased " +
+                         chunks_str(granted));
+                }
+                if (listed.edges != granted.edges) {
+                    fail("lease table gives " + chunks_str(listed) + " " +
+                         std::to_string(listed.edges) + " edges, its lease_done said " +
+                         std::to_string(granted.edges));
+                }
+                lease_edges += listed.edges;
+            }
+            if (lease_edges != report.count.num_edges) {
+                std::string held;
+                for (const std::size_t i : mine) {
+                    held += (held.empty() ? "" : ", ") + chunks_str(leases[i]);
+                }
+                fail("the edges of its leases (" + held + ") sum to " +
+                     std::to_string(lease_edges) + ", but " +
+                     (want_file ? "its rank file has " : "it counted ") +
                      std::to_string(report.count.num_edges));
             }
             // The run table: dedup within a run only shrinks it, so the
@@ -304,20 +480,39 @@ RunResult coordinate(const Config& cfg, const NetOptions& opt, Fleet& fleet,
                 const u64 payload_bytes = 16 * info.edges;
                 if (gather) {
                     const obs::Span span(obs::Phase::merge, w);
+                    // Each lease segment goes to its own offset; the rank
+                    // file (or stream) holds them back to back in lease order.
+                    auto seek = [&](std::size_t lease) {
+                        if (::lseek(out_fd, static_cast<off_t>(out_offset[lease]),
+                                    SEEK_SET) < 0) {
+                            throw_errno("cannot seek the output");
+                        }
+                    };
                     try {
                         if (local) {
-                            result.copy_file_range_bytes +=
-                                dist::copy_rank_file(info.path, info.edges, out_fd,
-                                                     allow_cfr)
-                                    .cfr_bytes;
+                            const int in_fd = dist::open_rank_file(info.path, info.edges);
+                            struct FdGuard {
+                                int fd;
+                                ~FdGuard() { fileio::close_or_warn(fd, "rank file"); }
+                            } guard{in_fd};
+                            for (const std::size_t lease : mine) {
+                                seek(lease);
+                                result.copy_file_range_bytes +=
+                                    fileio::copy_bytes(in_fd, out_fd, 16 * leases[lease].edges,
+                                                       allow_cfr)
+                                        .cfr_bytes;
+                            }
                             // Merged, so no longer needed: gone even if its
                             // rank dies before the discard verdict.
                             if (!keep) {
                                 fileio::unlink_or_warn(info.path.c_str(), "rank file");
                             }
                         } else {
-                            sock.recv_payload_to(out_fd, payload_bytes,
-                                                 opt.connect_timeout_ms);
+                            for (const std::size_t lease : mine) {
+                                seek(lease);
+                                sock.recv_payload_to(out_fd, 16 * leases[lease].edges,
+                                                     opt.connect_timeout_ms);
+                            }
                         }
                     } catch (const std::exception& e) {
                         fail(std::string("merging its rank file: ") + e.what());
@@ -346,8 +541,15 @@ RunResult coordinate(const Config& cfg, const NetOptions& opt, Fleet& fleet,
                     result.merged_bytes += payload_bytes;
                 }
                 if (keep) {
-                    result.manifest.push_back({w, sock.peer(), info.path, lo, hi,
-                                               info.edges, 8 + payload_bytes});
+                    ManifestEntry entry{w, sock.peer(), info.path, info.edges,
+                                        8 + payload_bytes, {}};
+                    u64 offset = 8;
+                    for (const std::size_t lease : mine) {
+                        const dist::Lease& l = leases[lease];
+                        entry.segments.push_back({l.chunk_begin, l.chunk_end, offset, l.edges});
+                        offset += 16 * l.edges;
+                    }
+                    result.manifest.push_back(std::move(entry));
                 }
             }
 

@@ -2,13 +2,19 @@
 /// \brief The one coordinator of both multi-process transports: forked
 ///        ranks over socketpairs and TCP workers.
 ///
-/// A run assigns each of R ranks the contiguous `block_begin` slice of the
-/// canonical C-chunk decomposition, sends every rank its job over its
-/// channel (net/protocol.hpp), lets the ranks generate with zero rank↔rank
-/// communication, validates and merges their reports, and assembles the
-/// output in canonical rank order — so the merged file is byte-identical to
-/// a single-process `generate_chunked` run for every (ranks, P, K) ×
-/// semantics combination, whichever transport carried it.
+/// A run sends every one of R ranks its job over its channel
+/// (net/protocol.hpp), then hands out the canonical C-chunk decomposition
+/// as *leases*: contiguous chunk ranges, in canonical order, from one
+/// cursor, to whichever rank asks next (guided self-scheduling, lease size
+/// max(1, ceil(remaining / 2R)); the job carries each rank's first lease).
+/// So a fast rank takes more chunks than a slow one, with no rank↔rank
+/// communication. Once every lease's edge count is known, each lease's
+/// offset in the merged output is a prefix sum in canonical order; the
+/// coordinator validates the ranks' reports against the leases it granted
+/// and places every lease's segment at its offset — so the merged file is
+/// byte-identical to a single-process `generate_chunked` run for every
+/// (ranks, P, K) × semantics combination and every schedule, whichever
+/// transport carried it.
 ///
 /// `run_forked` forks R local ranks, each running `serve_rank`
 /// (net/worker.hpp) over its end of a socketpair; `run_net_coordinator`
@@ -31,9 +37,10 @@
 ///    ranks hand their run file over by path, TCP ranks stream it after
 ///    their rank-file payload.
 ///
-/// Every report is validated (rank id, chunk-range echo, semantics/n of the
-/// summaries, file edge counts); receives carry deadlines; a dead channel or
-/// a torn frame errors naming the rank. Each rank with a file owns it until
+/// Every report is validated (rank id, lease table against the granted
+/// leases, semantics/n of the summaries, file edge counts); receives carry
+/// deadlines; a dead channel or a torn frame errors naming the rank, and
+/// the chunk range of the lease it held. Each rank with a file owns it until
 /// the coordinator's final verdict — keep (manifest, keep_rank_files) or
 /// discard. A failed run closes every channel instead, so every rank
 /// discards: no rank file and no partial output survive a failure. See
@@ -78,8 +85,8 @@ struct NetOptions {
 
     int connect_timeout_ms = 10000; ///< accept/connect + handshake + the
                                     ///< post-report file transfer deadline
-    int job_deadline_ms = 0; ///< per-worker report deadline, covering the
-                             ///< generation itself; 0 = wait forever (a
+    int job_deadline_ms = 0; ///< bounds each lease (grant to lease_done) and
+                             ///< each rank's report; 0 = wait forever (a
                              ///< *dead* worker still errors immediately via
                              ///< EOF — this bounds a live-but-hung one)
 
@@ -89,16 +96,24 @@ struct NetOptions {
     Listener* listener = nullptr;
 };
 
+/// One lease's edges inside a kept rank file.
+struct ManifestSegment {
+    u64 chunk_begin = 0; ///< the lease's canonical chunk range
+    u64 chunk_end   = 0;
+    u64 offset      = 0; ///< byte offset of its first edge in the rank file
+    u64 edges       = 0; ///< 16 bytes each from `offset` on
+};
+
 /// One rank file that outlives the run: a manifest entry, or a forked rank
-/// file kept by `keep_rank_files`.
+/// file kept by `keep_rank_files`. It holds the rank's lease segments back
+/// to back behind its 8-byte header.
 struct ManifestEntry {
     u64 rank = 0;
     std::string peer; ///< rank address as seen by the coordinator
     std::string path; ///< rank-file path on the rank's machine
-    u64 chunk_begin = 0;
-    u64 chunk_end   = 0;
-    u64 edges       = 0;
-    u64 bytes       = 0; ///< on-disk size (8-byte header + 16 per edge)
+    u64 edges = 0;
+    u64 bytes = 0;    ///< on-disk size (8-byte header + 16 per edge)
+    std::vector<ManifestSegment> segments; ///< in file (= canonical) order
 };
 
 /// Coordinator-side view of a finished run, for either transport.
@@ -107,8 +122,9 @@ struct RunResult {
     u64 num_chunks = 0; ///< canonical chunks C of the decomposition
     u64 num_ranks  = 0; ///< forked ranks or TCP workers
 
-    double seconds          = 0.0; ///< slowest rank's makespan (the
-                                   ///< distributed job's critical path)
+    double seconds          = 0.0; ///< largest rank busy time (summed
+                                   ///< lease run times; the distributed
+                                   ///< job's critical path)
     u64 peak_buffered_bytes = 0;   ///< max over ranks
     u64 spilled_chunks      = 0;   ///< summed over ranks
     u64 spilled_bytes       = 0;   ///< summed over ranks

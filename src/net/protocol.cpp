@@ -9,12 +9,14 @@ namespace {
 
 const char* msg_name(Msg type) {
     switch (type) {
-        case Msg::hello:     return "hello";
-        case Msg::job:       return "job";
-        case Msg::report:    return "report";
-        case Msg::file:      return "file";
-        case Msg::telemetry: return "telemetry";
-        case Msg::verdict:   return "verdict";
+        case Msg::hello:      return "hello";
+        case Msg::job:        return "job";
+        case Msg::report:     return "report";
+        case Msg::file:       return "file";
+        case Msg::telemetry:  return "telemetry";
+        case Msg::verdict:    return "verdict";
+        case Msg::lease:      return "lease";
+        case Msg::lease_done: return "lease_done";
     }
     return "unknown";
 }
@@ -103,6 +105,58 @@ JobSpec decode_job(const std::vector<u8>& payload) {
                                  std::to_string(job.task.num_chunks) + " chunks");
     }
     return job;
+}
+
+std::vector<u8> encode_lease(u64 chunk_begin, u64 chunk_end) {
+    std::vector<u8> out;
+    bytes::put_u64(out, static_cast<u64>(Msg::lease));
+    const bool done = chunk_begin == chunk_end;
+    bytes::put_u64(out, done ? 1 : 0);
+    if (!done) {
+        bytes::put_u64(out, chunk_begin);
+        bytes::put_u64(out, chunk_end);
+    }
+    return out;
+}
+
+dist::Lease decode_lease(const std::vector<u8>& payload, u64 num_chunks) {
+    const u8* p   = payload.data();
+    const u8* end = p + payload.size();
+    expect_type(p, end, Msg::lease);
+    dist::Lease lease;
+    if (!bytes::get_bool(p, end)) {
+        lease.chunk_begin = bytes::get_u64(p, end);
+        lease.chunk_end   = bytes::get_u64(p, end);
+        if (lease.chunk_begin >= lease.chunk_end || lease.chunk_end > num_chunks) {
+            throw std::runtime_error("net: lease carries malformed chunk range [" +
+                                     std::to_string(lease.chunk_begin) + ", " +
+                                     std::to_string(lease.chunk_end) + ") of " +
+                                     std::to_string(num_chunks) + " chunks");
+        }
+    }
+    expect_consumed(p, end, Msg::lease);
+    return lease;
+}
+
+std::vector<u8> encode_lease_done(u64 edges) {
+    std::vector<u8> out;
+    bytes::put_u64(out, static_cast<u64>(Msg::lease_done));
+    bytes::put_u64(out, edges);
+    return out;
+}
+
+u64 decode_lease_done(const std::vector<u8>& payload) {
+    const u8* p   = payload.data();
+    const u8* end = p + payload.size();
+    expect_type(p, end, Msg::lease_done);
+    const u64 edges = bytes::get_u64(p, end);
+    expect_consumed(p, end, Msg::lease_done);
+    return edges;
+}
+
+Msg peek_type(const std::vector<u8>& payload) {
+    const u8* p = payload.data();
+    return payload.size() < 8 ? Msg{0} : static_cast<Msg>(bytes::get_u64(p, p + 8));
 }
 
 std::vector<u8> encode_report(const dist::RankReport& report) {

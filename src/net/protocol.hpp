@@ -9,8 +9,13 @@
 ///   coordinator → rank          hello      {protocol version}
 ///   coordinator → rank          job        {JobSpec: graph identity
 ///                                           (encode_config: GraphSpec + C)
-///                                           + rank/chunk range}
-///   rank        → coordinator   report     {dist::RankReport}
+///                                           + rank task + first lease}
+///   while the rank holds a lease:
+///     rank        → coordinator lease_done {edges}
+///     coordinator → rank        lease      {chunk_begin, chunk_end}
+///                                          or lease {done}
+///   rank        → coordinator   report     {dist::RankReport, with the
+///                                           lease table}
 ///   rank        → coordinator   telemetry  {obs::RankTelemetry}
 ///                                          (only if the job set want_trace)
 ///   rank        → coordinator   file       {path, edges}  (want_file)
@@ -19,6 +24,14 @@
 ///                               then the run file's bytes (send_file and
 ///                                          form_runs)
 ///   coordinator → rank          verdict    {keep}  (want_file, !send_file)
+///
+/// Leases are contiguous chunk ranges the coordinator hands out from one
+/// cursor in canonical order to whichever rank asks next; the job carries
+/// each rank's first one, and a job whose first lease is empty (more ranks
+/// than chunks) skips the lease loop. A rank whose lease fails answers with
+/// a failure report in place of lease_done. The rank file holds the leases'
+/// edges back to back in the order they ran, so the report's lease table
+/// (begin, end, edges per lease) locates every segment.
 ///
 /// A streamed rank file is unlinked once sent. A file that stays in place
 /// stays the rank's until the verdict: keep leaves it, discard — or EOF,
@@ -41,8 +54,10 @@
 /// messages into `file`. Version 4 sends only the graph identity in the job
 /// (config encoding v2, C once); the rank's RunOptions stay on the rank.
 /// Version 5 adds the `form_runs` job flag and the report's run table, and
-/// drops the retired `steal` trace phase, which renumbers `budget_park`. The
-/// strict hello makes mismatched peers refuse each other up front instead
+/// drops the retired `steal` trace phase, which renumbers `budget_park`.
+/// Version 6 replaces the static rank ranges with pulled leases: the
+/// `lease` and `lease_done` messages, and the report's lease table in place
+/// of its chunk-range echo. The strict hello makes mismatched peers refuse each other up front instead
 /// of mis-framing mid-run.
 #pragma once
 
@@ -56,15 +71,17 @@
 
 namespace kagen::net {
 
-constexpr u64 kProtocolVersion = 5;
+constexpr u64 kProtocolVersion = 6;
 
 enum class Msg : u64 {
-    hello     = 1,
-    job       = 2,
-    report    = 3,
-    file      = 4,
-    telemetry = 6,
-    verdict   = 7,
+    hello      = 1,
+    job        = 2,
+    report     = 3,
+    file       = 4,
+    telemetry  = 6,
+    verdict    = 7,
+    lease      = 8,
+    lease_done = 9,
 };
 
 // --- hello -----------------------------------------------------------------
@@ -81,7 +98,8 @@ void decode_hello(const std::vector<u8>& payload);
 /// `encode_config` (config.hpp).
 struct JobSpec {
     GraphSpec graph;
-    dist::RankJob task; ///< all but rank_path, which the worker picks itself
+    dist::RankJob task; ///< all but rank_path, which the worker picks
+                        ///< itself; its chunk range is the first lease
     bool want_file  = false; ///< write a rank file at all
     bool send_file  = false; ///< stream it back (gather) vs keep it in place
     bool want_trace = false; ///< record + ship trace spans and metrics
@@ -89,6 +107,26 @@ struct JobSpec {
 
 std::vector<u8> encode_job(const JobSpec& job);
 JobSpec decode_job(const std::vector<u8>& payload);
+
+// --- leases ----------------------------------------------------------------
+
+/// The coordinator's answer to a lease_done: the rank's next lease, or
+/// `done` (an empty range) when the cursor has no chunk left.
+std::vector<u8> encode_lease(u64 chunk_begin, u64 chunk_end);
+
+/// Decodes a lease against the job's C. Returns the granted range with
+/// edges 0, or an empty range for done; throws unless a granted range is
+/// non-empty and within [0, num_chunks).
+dist::Lease decode_lease(const std::vector<u8>& payload, u64 num_chunks);
+
+/// The rank's "lease finished with `edges` edges; what next?".
+std::vector<u8> encode_lease_done(u64 edges);
+u64 decode_lease_done(const std::vector<u8>& payload);
+
+/// The type tag of a message (0 if the payload is too short to hold one):
+/// during the lease phase a rank sends either lease_done or, if its lease
+/// failed, its failure report.
+Msg peek_type(const std::vector<u8>& payload);
 
 // --- report ----------------------------------------------------------------
 

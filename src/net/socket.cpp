@@ -255,6 +255,32 @@ void Socket::recv_payload_to(int out_fd, u64 length, int deadline_ms) {
     if (deadline_ms > 0) set_recv_timeout(fd_, 0);
 }
 
+std::vector<std::size_t> poll_readable(const std::vector<const Socket*>& socks,
+                                       int timeout_ms) {
+    std::vector<struct pollfd> pfds(socks.size());
+    for (std::size_t i = 0; i < socks.size(); ++i) pfds[i] = {socks[i]->fd(), POLLIN, 0};
+    const long long deadline = deadline_at(timeout_ms);
+    for (;;) {
+        int wait_ms = -1;
+        if (deadline >= 0) {
+            const long long remaining = deadline - now_ms();
+            if (remaining <= 0) return {};
+            wait_ms = static_cast<int>(remaining);
+        }
+        const int rc = ::poll(pfds.data(), pfds.size(), wait_ms);
+        if (rc == 0) return {};
+        if (rc < 0) {
+            if (errno == EINTR) continue;
+            throw_errno("poll failed");
+        }
+        std::vector<std::size_t> ready;
+        for (std::size_t i = 0; i < pfds.size(); ++i) {
+            if (pfds[i].revents != 0) ready.push_back(i);
+        }
+        return ready;
+    }
+}
+
 Socket connect_to(const Endpoint& ep, int timeout_ms) {
     if (ep.host.empty()) {
         throw std::invalid_argument("net: connect endpoint needs a host");

@@ -103,6 +103,15 @@ private:
     int fd_ = -1;
 };
 
+/// Waits until at least one of `socks` has something to read — a frame,
+/// EOF or an error, each of which the next receive reports — or until
+/// `timeout_ms` passes (0 = no limit). Returns the indices of the ready
+/// sockets in ascending order; empty when the timeout expired. Throws on
+/// poll failure. The coordinator's lease phase waits on every rank that
+/// holds a lease with this one call.
+std::vector<std::size_t> poll_readable(const std::vector<const Socket*>& socks,
+                                       int timeout_ms);
+
 /// Connects to `ep` within `timeout_ms` (0 = no limit). Connection refusals
 /// and unreachable-host errors are retried until the deadline — workers and
 /// coordinator may start in any order — then throw with the endpoint and

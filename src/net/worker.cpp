@@ -80,9 +80,17 @@ int serve_rank(Socket& sock, const NetWorkerOptions& opt) {
     dist::RankReport report; // a failure report carries only rank and error
     report.rank        = job.task.rank;
     job.task.rank_path = file.path;
+    // Each finished lease asks for the next; the coordinator answers at
+    // once, as it polls every rank that holds a lease.
+    const dist::NextLease next = [&](const dist::Lease& done) {
+        if (opt.lease_hook) opt.lease_hook(job.task.rank, done);
+        sock.send_frame(encode_lease_done(done.edges));
+        return decode_lease(sock.recv_message(opt.io_deadline_ms, "lease"),
+                            job.task.num_chunks);
+    };
     try {
         if (opt.rank_hook) opt.rank_hook(job.task.rank);
-        report = dist::execute_rank_job(job.graph, opt.run, job.task);
+        report = dist::execute_rank_job(job.graph, opt.run, job.task, next);
     } catch (const std::exception& e) {
         report.ok    = false;
         report.error = e.what();
@@ -109,22 +117,21 @@ int serve_rank(Socket& sock, const NetWorkerOptions& opt) {
     // Checked before it is announced, so a bad file fails this rank before
     // any payload byte moves.
     const u64 edges = report.file_edges;
-    dist::copy_rank_file(file.path, edges, -1, false);
+    struct FdGuard {
+        int fd;
+        ~FdGuard() { fileio::close_or_warn(fd, "rank file"); }
+    } rank_fd{dist::open_rank_file(file.path, edges)};
     sock.send_frame(encode_file({absolute_path(file.path), edges}));
     if (job.send_file) {
         // Stream: the payload with its header stripped (the coordinator
-        // writes one global header), then the runs. Once sent, the files
-        // have no further use.
-        dist::copy_rank_file(file.path, edges, sock.fd(), false);
+        // writes one global header and places each lease's segment), then
+        // the runs. Once sent, the files have no further use.
+        fileio::copy_bytes(rank_fd.fd, sock.fd(), 16 * edges, false);
         if (job.task.form_runs) {
             u64 run_edges = 0;
             for (const u64 len : report.runs) run_edges += len;
-            const int fd = dist::open_runs_file(file.path, run_edges);
-            struct FdGuard {
-                int fd;
-                ~FdGuard() { fileio::close_or_warn(fd, "run file"); }
-            } guard{fd};
-            fileio::copy_bytes(fd, sock.fd(), 16 * run_edges, false);
+            const FdGuard runs_fd{dist::open_runs_file(file.path, run_edges)};
+            fileio::copy_bytes(runs_fd.fd, sock.fd(), 16 * run_edges, false);
         }
         return 0;
     }

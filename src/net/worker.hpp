@@ -1,11 +1,12 @@
 /// \file worker.hpp
 /// \brief The rank side of the coordinator protocol: one channel, one job,
-///        one report — then exit.
+///        leases until none is left, one report — then exit.
 ///
 /// `serve_rank` is everything a rank does once it holds a channel to the
 /// coordinator (net/protocol.hpp): hello, job decode, exactly the
 /// rank-execution core `dist::execute_rank_job` (which is why every
-/// transport is byte-identical), report, telemetry, rank file, verdict. A
+/// transport is byte-identical) over the job's first lease and every lease
+/// it then pulls, report, telemetry, rank file, verdict. A
 /// TCP worker (`kagen_tool -worker host:port`, `run_net_worker`) runs it
 /// after reaching the coordinator (dialing "host:port", or — with an empty
 /// host, ":port" — listening for the coordinator to dial in); a forked rank
@@ -23,6 +24,7 @@
 
 #include "common/types.hpp"
 #include "config.hpp"
+#include "dist/report.hpp"
 
 namespace kagen::net {
 
@@ -42,6 +44,11 @@ struct NetWorkerOptions {
     /// decodes, before any generation. Lets tests inject rank-targeted
     /// faults (throw; in a forked rank also _exit or raise).
     std::function<void(u64 rank)> rank_hook;
+
+    /// Test instrumentation: invoked after each lease the rank ran (edges
+    /// filled in), before it asks for the next. Lets tests slow, stall or
+    /// kill a rank in the middle of its lease loop.
+    std::function<void(u64 rank, const dist::Lease& lease)> lease_hook;
 };
 
 /// Serves one job over `sock`. Returns the process exit code (0 = job

@@ -65,6 +65,15 @@ std::vector<u8> reencode_report(const std::vector<u8>& buf) {
     return kagen::net::encode_report(kagen::net::decode_report(buf));
 }
 
+std::vector<u8> reencode_lease(const std::vector<u8>& buf) {
+    const kagen::dist::Lease lease = kagen::net::decode_lease(buf, 64);
+    return kagen::net::encode_lease(lease.chunk_begin, lease.chunk_end);
+}
+
+std::vector<u8> reencode_lease_done(const std::vector<u8>& buf) {
+    return kagen::net::encode_lease_done(kagen::net::decode_lease_done(buf));
+}
+
 /// A spec exercising every field with distinctive values.
 GraphSpec rich_spec() {
     GraphSpec spec;
@@ -108,8 +117,7 @@ kagen::dist::RankReport rich_report() {
     report.stats.workers        = 3;
     report.stats.seconds        = 0.125;
     report.stats.spilled_chunks = 1;
-    report.chunk_begin          = 8;
-    report.chunk_end            = 12;
+    report.leases               = {{8, 12, 60}, {20, 21, 39}};
     report.file_edges           = 99;
     report.runs                 = {40, 30, 20};
     report.count.num_edges      = 99;
@@ -311,6 +319,12 @@ TEST(WireCodec, ReportFramesSurviveTruncationAndBitFlips) {
     sweep("report", kagen::net::encode_report(rich_report()), reencode_report);
     sweep("failure report", kagen::net::encode_report(failure_report()),
           reencode_report);
+}
+
+TEST(WireCodec, LeaseFramesSurviveTruncationAndBitFlips) {
+    sweep("lease", kagen::net::encode_lease(8, 12), reencode_lease);
+    sweep("lease done", kagen::net::encode_lease(12, 12), reencode_lease);
+    sweep("lease_done", kagen::net::encode_lease_done(99), reencode_lease_done);
 }
 
 TEST(WireCodec, BoolsAreCanonical) {

@@ -1,8 +1,9 @@
 // TCP workers: the transport matrix (tests/transport_matrix.hpp) over
 // loopback worker threads, plus what only TCP has — endpoint parsing, the
-// frame layer and message codecs (over socketpairs, no ports needed), a
-// worker that never connects, a torn report frame, and a live worker that
-// stalls past the job deadline — all erroring fast and naming the rank.
+// frame layer, the multi-socket poll and message codecs (over socketpairs,
+// no ports needed), a worker that never connects, a torn report frame, a
+// live worker that stalls past the lease deadline, and lease tables that
+// differ from the leases granted — all erroring fast and naming the rank.
 #include <gtest/gtest.h>
 
 #include "obs/trace.hpp"
@@ -160,16 +161,16 @@ TEST(NetCodec, JobAndReportRoundTrip) {
     EXPECT_EQ(back.graph.seed, job.graph.seed);
 
     dist::RankReport report;
-    report.rank        = 2;
-    report.ok          = false;
-    report.error       = "injected";
-    report.chunk_begin = 8;
-    report.chunk_end   = 12;
+    report.rank   = 2;
+    report.ok     = false;
+    report.error  = "injected";
+    report.leases = {{8, 12, 5}}; // a failure report carries no table
     const dist::RankReport rback =
         net::decode_report(net::encode_report(report));
     EXPECT_EQ(rback.rank, report.rank);
     EXPECT_EQ(rback.ok, report.ok);
     EXPECT_EQ(rback.error, report.error);
+    EXPECT_TRUE(rback.leases.empty());
 
     net::JobSpec bad   = job;
     bad.task.chunk_end = 99; // past num_chunks
@@ -182,12 +183,47 @@ TEST(NetCodec, JobAndReportRoundTrip) {
     ok.rank       = 1;
     ok.file_edges = 10;
     ok.runs       = {6, 3};
-    EXPECT_EQ(net::decode_report(net::encode_report(ok)).runs, ok.runs);
+    ok.leases     = {{0, 3, 4}, {9, 10, 6}};
+    const dist::RankReport okback = net::decode_report(net::encode_report(ok));
+    EXPECT_EQ(okback.runs, ok.runs);
+    EXPECT_EQ(okback.leases, ok.leases);
 
     // A job frame must never decode as a report and vice versa.
     EXPECT_THROW(net::decode_report(net::encode_job(job)), std::runtime_error);
     EXPECT_THROW(net::decode_job(net::encode_report(report)),
                  std::runtime_error);
+}
+
+TEST(NetCodec, LeaseMessagesRoundTripAndRejectBadRanges) {
+    const dist::Lease lease = net::decode_lease(net::encode_lease(3, 9), 16);
+    EXPECT_EQ(lease.chunk_begin, 3u);
+    EXPECT_EQ(lease.chunk_end, 9u);
+    const dist::Lease done = net::decode_lease(net::encode_lease(5, 5), 16);
+    EXPECT_EQ(done.chunk_begin, done.chunk_end) << "done decodes as an empty range";
+    EXPECT_EQ(net::decode_lease_done(net::encode_lease_done(77)), 77u);
+    EXPECT_EQ(net::peek_type(net::encode_lease_done(1)), net::Msg::lease_done);
+    EXPECT_EQ(net::peek_type({}), net::Msg{0});
+    // Past C, or reversed: a malformed range never reaches run_chunked.
+    EXPECT_THROW(net::decode_lease(net::encode_lease(3, 17), 16), std::runtime_error);
+    std::vector<u8> reversed = net::encode_lease(3, 9);
+    reversed[16] = 10; // chunk_begin 10 > chunk_end 9
+    EXPECT_THROW(net::decode_lease(reversed, 16), std::runtime_error);
+    EXPECT_THROW(net::decode_lease_done(net::encode_lease(3, 9)), std::runtime_error);
+    EXPECT_THROW(net::decode_lease(net::encode_lease_done(3), 16), std::runtime_error);
+}
+
+TEST(NetFrame, PollReadableReportsOnlyReadySockets) {
+    SocketPair quiet, busy, closed;
+    busy.a.send_frame({1, 2, 3});
+    closed.a.close(); // EOF counts as readable: the receive reports it
+    const std::vector<const net::Socket*> socks = {&quiet.b, &busy.b, &closed.b};
+    EXPECT_EQ(net::poll_readable(socks, 2000), (std::vector<std::size_t>{1, 2}));
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_TRUE(net::poll_readable({&quiet.b}, 100).empty()) << "timeout: none ready";
+    EXPECT_GE(std::chrono::duration_cast<std::chrono::milliseconds>(
+                  std::chrono::steady_clock::now() - start)
+                  .count(),
+              90);
 }
 
 TEST(NetCodec, FileAndVerdictRoundTripAndRejectCorruption) {
@@ -331,9 +367,126 @@ TEST(NetFailure, SilentWorkerHitsTheJobDeadline) {
     } catch (const std::runtime_error& e) {
         const std::string msg = e.what();
         EXPECT_NE(msg.find("rank 0"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("chunks [0, 1)"), std::string::npos) << msg;
         EXPECT_NE(msg.find("timed out"), std::string::npos) << msg;
     }
     stalled.join();
+}
+
+// A real worker that stalls in the middle of its lease loop: the deadline
+// bounds each lease, so the run fails naming the rank and the lease it held
+// (C = 8 over two workers: rank 1's first lease is [2, 4)), with no output.
+TEST(NetFailure, WorkerStalledMidLeaseHitsTheLeaseDeadline) {
+    Config cfg       = model_config(Model::GnmUndirected);
+    cfg.total_chunks = 8;
+    net::Listener listener(net::parse_endpoint("127.0.0.1:0"));
+    net::NetOptions opts;
+    opts.listener        = &listener;
+    opts.expect_workers  = 2;
+    opts.job_deadline_ms = 300;
+    opts.output_path     = tmp_path("stalled_lease.bin");
+    net::NetWorkerOptions wopts;
+    wopts.lease_hook = [](u64 rank, const dist::Lease&) {
+        if (rank == 1) std::this_thread::sleep_for(std::chrono::milliseconds(1500));
+    };
+    std::string message;
+    {
+        testing::WorkerFleet fleet(listener.port(), 2, wopts);
+        try {
+            net::run_net_coordinator(cfg, opts);
+            ADD_FAILURE() << "a stalled lease must fail the run";
+        } catch (const std::runtime_error& e) {
+            message = e.what();
+        }
+    }
+    EXPECT_NE(message.find("rank 1"), std::string::npos) << message;
+    EXPECT_NE(message.find("chunks [2, 4)"), std::string::npos) << message;
+    EXPECT_NE(message.find("timed out"), std::string::npos) << message;
+    EXPECT_FALSE(file_exists(opts.output_path));
+}
+
+/// A fake TCP worker that runs its leases honestly, `per_lease` edges each,
+/// then sends a report whose lease table `doctor` edits, and waits for the
+/// coordinator to hang up.
+void fake_lease_worker(std::uint16_t port, u64 per_lease,
+                       const std::function<void(dist::RankReport&)>& doctor) {
+    net::Socket sock = net::connect_to(
+        net::parse_endpoint("127.0.0.1:" + std::to_string(port)), 2000);
+    sock.send_frame(net::encode_hello());
+    std::vector<u8> payload;
+    ASSERT_TRUE(sock.recv_frame(payload, 2000));
+    const net::JobSpec job = net::decode_job(sock.recv_message(2000, "job"));
+    dist::RankReport report;
+    report.rank = job.task.rank;
+    dist::Lease lease{job.task.chunk_begin, job.task.chunk_end, per_lease};
+    while (lease.chunk_begin < lease.chunk_end) {
+        report.leases.push_back(lease);
+        report.count.num_edges += per_lease;
+        sock.send_frame(net::encode_lease_done(per_lease));
+        lease       = net::decode_lease(sock.recv_message(2000, "lease"), job.task.num_chunks);
+        lease.edges = per_lease;
+    }
+    report.count.semantics = job.graph.edge_semantics;
+    report.file_edges      = job.want_file ? report.count.num_edges : 0;
+    doctor(report);
+    try {
+        sock.send_frame(net::encode_report(report));
+        (void)sock.recv_frame(payload, 2000); // until the coordinator hangs up
+    } catch (const std::exception&) {
+    }
+}
+
+// The coordinator places every lease segment by the edge counts of the
+// lease_done messages, so a report whose lease table differs from the
+// leases it granted — a gap, an overlap, a lease left out or never granted,
+// a wrong edge count, or edges that do not sum to the rank file's — fails
+// the run naming the rank and the chunk range, with no output left.
+// One worker, C = 4: the leases are [0, 2), [2, 3) and [3, 4), 5 edges each.
+TEST(NetFailure, LeaseTablesThatDifferFromTheGrantAreRejected) {
+    Config cfg       = model_config(Model::GnmUndirected);
+    cfg.total_chunks = 4;
+    struct Case {
+        const char* what;
+        std::function<void(dist::RankReport&)> doctor;
+        const char* expect;
+    };
+    const std::vector<Case> cases = {
+        {"gap", [](dist::RankReport& r) { r.leases.erase(r.leases.begin() + 1); },
+         "lists chunks [3, 4) where it was leased chunks [2, 3)"},
+        {"overlap", [](dist::RankReport& r) { r.leases[1].chunk_begin = 1; },
+         "lists chunks [1, 3) where it was leased chunks [2, 3)"},
+        {"left out", [](dist::RankReport& r) { r.leases.pop_back(); },
+         "omits its lease of chunks [3, 4)"},
+        {"never granted", [](dist::RankReport& r) { r.leases.push_back({4, 5, 0}); },
+         "chunks [4, 5), which were never leased"},
+        {"edge count", [](dist::RankReport& r) { r.leases[2].edges = 6; },
+         "gives chunks [3, 4) 6 edges, its lease_done said 5"},
+        {"sum",
+         [](dist::RankReport& r) {
+             r.count.num_edges = 16;
+             r.file_edges      = 16;
+         },
+         "sum to 15, but its rank file has 16"},
+    };
+    for (const Case& c : cases) {
+        net::Listener listener(net::parse_endpoint("127.0.0.1:0"));
+        net::NetOptions opts;
+        opts.listener       = &listener;
+        opts.expect_workers = 1;
+        opts.output_path    = tmp_path("badleases.bin");
+        std::thread worker(fake_lease_worker, listener.port(), 5, c.doctor);
+        std::string message;
+        try {
+            net::run_net_coordinator(cfg, opts);
+            ADD_FAILURE() << c.what << ": the coordinator accepted the lease table";
+        } catch (const std::runtime_error& e) {
+            message = e.what();
+        }
+        worker.join();
+        EXPECT_NE(message.find("rank 0"), std::string::npos) << c.what << ": " << message;
+        EXPECT_NE(message.find(c.expect), std::string::npos) << c.what << ": " << message;
+        EXPECT_FALSE(file_exists(opts.output_path)) << c.what << ": partial output";
+    }
 }
 
 /// A fake TCP worker on a dedup job: answers with a report of `edges`
@@ -350,10 +503,15 @@ void fake_dedup_worker(std::uint16_t port, u64 edges, std::vector<u64> runs,
     ASSERT_TRUE(sock.recv_frame(payload, 2000));
     const net::JobSpec job = net::decode_job(payload);
     ASSERT_TRUE(job.task.form_runs);
+    // One rank: the job's first lease, then the rest; all edges in the first.
     dist::RankReport report;
+    dist::Lease lease{job.task.chunk_begin, job.task.chunk_end, edges};
+    while (lease.chunk_begin < lease.chunk_end) {
+        report.leases.push_back(lease);
+        sock.send_frame(net::encode_lease_done(lease.edges));
+        lease = net::decode_lease(sock.recv_message(2000, "lease"), job.task.num_chunks);
+    }
     report.rank            = job.task.rank;
-    report.chunk_begin     = job.task.chunk_begin;
-    report.chunk_end       = job.task.chunk_end;
     report.file_edges      = edges;
     report.count.semantics = job.graph.edge_semantics;
     report.count.num_edges = edges;

@@ -3,11 +3,11 @@
 ///        (net/coordinator.hpp): forked ranks and TCP workers.
 ///
 /// Every case here runs on each transport: byte identity against the
-/// in-process chunked engine across models × semantics × ranks × K, merged
-/// statistics, the dedup pass, telemetry, kept rank files, ranks spilling
-/// under their own RunOptions, and failure
-/// containment (the failing rank is named, and no output or rank file
-/// survives). test_dist.cpp instantiates the matrix for forked ranks (ctest
+/// in-process chunked engine across models × semantics × ranks × K, lease
+/// schedules (a slowed rank, more ranks than chunks), merged statistics,
+/// the dedup pass, telemetry, kept rank files, ranks spilling under their
+/// own RunOptions, and failure containment (the failing rank and the lease
+/// it held are named, and no output or rank file survives). test_dist.cpp instantiates the matrix for forked ranks (ctest
 /// label `dist`), test_net.cpp for loopback TCP workers (label `net`). They
 /// stay two executables because the TSan job runs the `net` label and
 /// cannot fork (DESIGN.md §12). Cases that apply to one transport only live
@@ -21,6 +21,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -185,6 +186,7 @@ struct RunSpec {
     /// (the `cfg` passed to run_backend) instead.
     RunOptions worker_run;
     std::function<void(u64 rank)> rank_hook;
+    std::function<void(u64 rank, const dist::Lease& lease)> lease_hook;
 };
 
 inline net::RunResult run_backend(Transport transport, const Config& cfg,
@@ -200,6 +202,7 @@ inline net::RunResult run_backend(Transport transport, const Config& cfg,
         opts.dedup_path       = spec.dedup_path;
         opts.scratch_dir      = spec.scratch_dir;
         opts.rank_hook        = spec.rank_hook;
+        opts.lease_hook       = spec.lease_hook;
         return generate_distributed(cfg, opts);
     }
     net::Listener listener(net::parse_endpoint("127.0.0.1:0"));
@@ -215,6 +218,7 @@ inline net::RunResult run_backend(Transport transport, const Config& cfg,
     wopts.run         = spec.worker_run;
     wopts.scratch_dir = spec.scratch_dir;
     wopts.rank_hook   = spec.rank_hook;
+    wopts.lease_hook  = spec.lease_hook;
     WorkerFleet fleet(listener.port(), spec.ranks, wopts); // joined on throw too
     net::RunResult res = net::run_net_coordinator(cfg, opts);
     fleet.join();
@@ -317,7 +321,7 @@ TEST_P(TransportMatrix, ByteIdenticalAcrossModelsSemanticsRanksAndK) {
 TEST_P(TransportMatrix, MoreRanksThanChunksLeavesEmptyRanks) {
     Config cfg        = model_config(Model::GnmDirected);
     cfg.chunks_per_pe = 1;
-    cfg.total_chunks  = 2; // ranks 2..4 own empty chunk ranges
+    cfg.total_chunks  = 2; // ranks 2..4 never get a lease
     RunSpec spec;
     spec.ranks       = 5;
     spec.pes         = 2;
@@ -325,9 +329,129 @@ TEST_P(TransportMatrix, MoreRanksThanChunksLeavesEmptyRanks) {
     const net::RunResult res = run_backend(GetParam(), cfg, spec);
     EXPECT_EQ(read_bytes(spec.output_path), single_process_bytes(cfg, 2));
     ASSERT_EQ(res.ranks.size(), 5u);
-    EXPECT_EQ(res.ranks[4].chunk_begin, res.ranks[4].chunk_end);
+    EXPECT_TRUE(res.ranks[4].leases.empty());
     EXPECT_EQ(res.ranks[4].file_edges, 0u);
     std::remove(spec.output_path.c_str());
+}
+
+/// The leases of every rank of `res`, sorted by chunk: they must tile
+/// [0, C) with no gap or overlap, and their edges sum to the run's.
+inline void expect_leases_tile(const net::RunResult& res, const std::string& where) {
+    std::vector<dist::Lease> all;
+    u64 chunks = 0;
+    for (const dist::RankReport& rep : res.ranks) {
+        all.insert(all.end(), rep.leases.begin(), rep.leases.end());
+        EXPECT_EQ(rep.stats.num_chunks, [&] {
+            u64 n = 0;
+            for (const dist::Lease& l : rep.leases) n += l.chunk_end - l.chunk_begin;
+            return n;
+        }()) << where << " rank " << rep.rank;
+        chunks += rep.stats.num_chunks;
+    }
+    std::sort(all.begin(), all.end(), [](const dist::Lease& a, const dist::Lease& b) {
+        return a.chunk_begin < b.chunk_begin;
+    });
+    u64 next = 0, edges = 0;
+    for (const dist::Lease& l : all) {
+        EXPECT_EQ(l.chunk_begin, next) << where << ": gap or overlap";
+        EXPECT_LT(l.chunk_begin, l.chunk_end) << where << ": empty lease";
+        next = l.chunk_end;
+        edges += l.edges;
+    }
+    EXPECT_EQ(next, res.num_chunks) << where;
+    EXPECT_EQ(chunks, res.num_chunks) << where;
+    EXPECT_EQ(edges, res.count.num_edges) << where;
+}
+
+/// In-process reference of a run with `-dedup-out`: the -o bytes of
+/// generate_chunked and their em::sort_dedup_file.
+inline std::pair<std::string, std::string> reference_with_dedup(const Config& cfg,
+                                                                u64 pes) {
+    const std::string raw      = single_process_bytes(cfg, pes);
+    const std::string raw_path = tmp_path("lease_ref.bin");
+    const std::string dd_path  = tmp_path("lease_ref.dd");
+    {
+        std::ofstream out(raw_path, std::ios::binary);
+        out << raw;
+    }
+    em::sort_dedup_file(raw_path, dd_path, u64{64} << 20);
+    std::string dedup = read_bytes(dd_path);
+    std::remove(raw_path.c_str());
+    std::remove(dd_path.c_str());
+    return {raw, std::move(dedup)};
+}
+
+// One pull schedule for every chunk count: C = 1 (one rank works), C = W - 1
+// (one rank gets no lease and reports an empty lease table) and C = 64 (about
+// 21 guided leases), under both semantics. -o and -dedup-out stay the
+// in-process bytes and the leases tile [0, C).
+TEST_P(TransportMatrix, LeasesTileEveryChunkCountAndKeepTheBytes) {
+    const u64 ranks = 4;
+    for (const u64 chunks : {u64{1}, ranks - 1, u64{64}}) {
+        for (const EdgeSemantics semantics :
+             {EdgeSemantics::as_generated, EdgeSemantics::exact_once}) {
+            Config cfg         = model_config(Model::GnmUndirected);
+            cfg.total_chunks   = chunks;
+            cfg.edge_semantics = semantics;
+            const auto [ref, ref_dedup] = reference_with_dedup(cfg, 1);
+            RunSpec spec;
+            spec.ranks       = ranks;
+            spec.output_path = tmp_path("lease_tile.bin");
+            spec.dedup_path  = tmp_path("lease_tile.dd");
+            const net::RunResult res = run_backend(GetParam(), cfg, spec);
+            const std::string where  = "C=" + std::to_string(chunks) + " " +
+                                      semantics_name(semantics);
+            EXPECT_EQ(read_bytes(spec.output_path), ref) << where;
+            EXPECT_EQ(read_bytes(spec.dedup_path), ref_dedup) << where;
+            expect_leases_tile(res, where);
+            for (const dist::RankReport& rep : res.ranks) {
+                if (rep.rank >= chunks) {
+                    EXPECT_TRUE(rep.leases.empty()) << where << " rank " << rep.rank;
+                    EXPECT_EQ(rep.file_edges, 0u) << where;
+                }
+            }
+            if (chunks == 64) {
+                u64 leases = 0;
+                for (const dist::RankReport& rep : res.ranks) leases += rep.leases.size();
+                EXPECT_EQ(leases, 21u) << where << ": guided self-scheduling, W = 4";
+            }
+            std::remove(spec.output_path.c_str());
+            std::remove(spec.dedup_path.c_str());
+        }
+    }
+}
+
+// A rank slowed inside its lease loop pulls fewer chunks than the others,
+// and the bytes of -o and -dedup-out do not change. Rank 3 is the one
+// slowed: its first lease is the smallest (6 of 64 chunks, against 8, 7 and
+// 7), so the others outgrow it even if one of them starts late.
+TEST_P(TransportMatrix, SlowRankPullsFewerChunksAndKeepsTheBytes) {
+    for (const EdgeSemantics semantics :
+         {EdgeSemantics::as_generated, EdgeSemantics::exact_once}) {
+        Config cfg         = model_config(Model::GnmUndirected);
+        cfg.total_chunks   = 64;
+        cfg.edge_semantics = semantics;
+        const auto [ref, ref_dedup] = reference_with_dedup(cfg, 1);
+        RunSpec spec;
+        spec.ranks       = 4;
+        spec.output_path = tmp_path("lease_slow.bin");
+        spec.dedup_path  = tmp_path("lease_slow.dd");
+        spec.lease_hook  = [](u64 rank, const dist::Lease&) {
+            if (rank == 3) std::this_thread::sleep_for(std::chrono::milliseconds(300));
+        };
+        const net::RunResult res = run_backend(GetParam(), cfg, spec);
+        const std::string where  = semantics_name(semantics);
+        EXPECT_EQ(read_bytes(spec.output_path), ref) << where;
+        EXPECT_EQ(read_bytes(spec.dedup_path), ref_dedup) << where;
+        expect_leases_tile(res, where);
+        ASSERT_EQ(res.ranks.size(), 4u);
+        for (u64 r = 0; r < 3; ++r) {
+            EXPECT_LT(res.ranks[3].stats.num_chunks, res.ranks[r].stats.num_chunks)
+                << where << ": the slowed rank 3 against rank " << r;
+        }
+        std::remove(spec.output_path.c_str());
+        std::remove(spec.dedup_path.c_str());
+    }
 }
 
 TEST_P(TransportMatrix, PinnedTotalChunksIndependentOfRankCount) {
@@ -557,7 +681,10 @@ TEST_P(TransportMatrix, TelemetryRunStaysByteIdenticalAndMergesEveryRank) {
 }
 
 // Kept rank files (forked keep_rank_files, TCP manifest mode) are listed in
-// the result, and in rank order they concatenate to the reference payload.
+// the result with their lease segments; the segments tile [0, C), and taken
+// in canonical order they concatenate to the reference payload. Over TCP
+// the v2 manifest file lists the same segments, one line each, in that
+// order.
 TEST_P(TransportMatrix, KeptRankFilesAreListedAndConcatenateToTheOutput) {
     Config cfg        = model_config(Model::GnmUndirected);
     cfg.chunks_per_pe = 2;
@@ -572,7 +699,11 @@ TEST_P(TransportMatrix, KeptRankFilesAreListedAndConcatenateToTheOutput) {
 
     ASSERT_EQ(res.manifest.size(), 3u);
     EXPECT_EQ(scratch.entries().size(), 3u);
-    std::string payload;
+    struct Piece {
+        net::ManifestSegment segment;
+        std::string bytes;
+    };
+    std::vector<Piece> pieces;
     for (u64 r = 0; r < res.manifest.size(); ++r) {
         const net::ManifestEntry& entry = res.manifest[r];
         EXPECT_EQ(entry.rank, r);
@@ -580,9 +711,52 @@ TEST_P(TransportMatrix, KeptRankFilesAreListedAndConcatenateToTheOutput) {
         const std::string bytes = read_bytes(entry.path);
         EXPECT_EQ(bytes.size(), entry.bytes);
         EXPECT_EQ(bytes.size(), 8 + 16 * entry.edges);
-        payload += bytes.substr(8);
+        u64 offset = 8;
+        for (const net::ManifestSegment& seg : entry.segments) {
+            EXPECT_EQ(seg.offset, offset) << "segments are back to back";
+            offset += 16 * seg.edges;
+            ASSERT_LE(offset, bytes.size());
+            pieces.push_back({seg, bytes.substr(seg.offset, 16 * seg.edges)});
+        }
+        EXPECT_EQ(offset, bytes.size());
     }
+    std::sort(pieces.begin(), pieces.end(), [](const Piece& a, const Piece& b) {
+        return a.segment.chunk_begin < b.segment.chunk_begin;
+    });
+    std::string payload;
+    u64 next = 0;
+    for (const Piece& piece : pieces) {
+        EXPECT_EQ(piece.segment.chunk_begin, next) << "segments must tile [0, C)";
+        next = piece.segment.chunk_end;
+        payload += piece.bytes;
+    }
+    EXPECT_EQ(next, res.num_chunks);
     EXPECT_EQ(payload, ref.substr(8));
+
+    if (GetParam() == Transport::tcp) {
+        // Reassemble from the manifest text alone, line by line.
+        std::ifstream manifest(spec.output_path);
+        std::string line;
+        ASSERT_TRUE(std::getline(manifest, line));
+        EXPECT_EQ(line, "# kagen partitioned output manifest v2");
+        ASSERT_TRUE(std::getline(manifest, line)); // the run's summary
+        std::string from_text;
+        u64 lines = 0;
+        while (std::getline(manifest, line)) {
+            auto field = [&](const std::string& key) {
+                const std::size_t at = line.find(" " + key + "=");
+                EXPECT_NE(at, std::string::npos) << key << " in: " << line;
+                const std::size_t from = at + key.size() + 2;
+                return line.substr(from, line.find(' ', from) - from);
+            };
+            const std::string bytes = read_bytes(field("path"));
+            from_text += bytes.substr(std::stoull(field("offset")),
+                                      16 * std::stoull(field("edges")));
+            ++lines;
+        }
+        EXPECT_EQ(lines, pieces.size());
+        EXPECT_EQ(from_text, ref.substr(8));
+    }
     std::remove(spec.output_path.c_str());
 }
 
@@ -621,6 +795,44 @@ TEST_P(TransportMatrix, RanksSpillUnderTheirOwnRunOptions) {
         spec.worker_run.spill_path = "/nonexistent_kagen_dir/s.bin";
         const std::string message = run_failing(GetParam(), cfg, spec, "bad_spill");
         EXPECT_NE(message.find("spill"), std::string::npos) << message;
+    }
+}
+
+// A rank whose lease fails is named with the lease's chunk range. With
+// C = 8 and W = 3 the first leases are [0, 2), [2, 3) and [3, 4).
+TEST_P(TransportMatrix, FailureMidLeaseNamesTheLease) {
+    Config cfg        = model_config(Model::GnmUndirected);
+    cfg.chunks_per_pe = 2;
+    RunSpec spec;
+    spec.ranks      = 3;
+    spec.lease_hook = [](u64 rank, const dist::Lease&) {
+        if (rank == 1) throw std::runtime_error("injected fault in a lease");
+    };
+    std::string message = run_failing(GetParam(), cfg, spec, "lease_throw");
+    EXPECT_NE(message.find("rank 1"), std::string::npos) << message;
+    EXPECT_NE(message.find("chunks [2, 3)"), std::string::npos) << message;
+    EXPECT_NE(message.find("injected fault in a lease"), std::string::npos) << message;
+
+    // A forked rank that dies in its lease loop: its channel reads EOF. A
+    // SIGKILL gives it no chance to unlink its rank file, so only the
+    // output is checked here.
+    if (GetParam() == Transport::fork) {
+        const ScratchDir scratch("lease_kill");
+        spec.scratch_dir = scratch.path();
+        spec.output_path = tmp_path("lease_kill_out.bin");
+        spec.lease_hook  = [](u64 rank, const dist::Lease&) {
+            if (rank == 1) ::raise(SIGKILL);
+        };
+        try {
+            run_backend(GetParam(), cfg, spec);
+            ADD_FAILURE() << "a killed rank must fail the run";
+        } catch (const std::runtime_error& e) {
+            message = e.what();
+        }
+        EXPECT_FALSE(file_exists(spec.output_path)) << "partial output left";
+        EXPECT_NE(message.find("rank 1"), std::string::npos) << message;
+        EXPECT_NE(message.find("chunks [2, 3)"), std::string::npos) << message;
+        EXPECT_NE(message.find("signal 9"), std::string::npos) << message;
     }
 }
 
@@ -682,6 +894,8 @@ TEST_P(TransportMatrix, DeadRankErrorsFastNamingIt) {
         EXPECT_FALSE(file_exists(opts.output_path));
     }
     EXPECT_NE(message.find("rank 0"), std::string::npos) << message;
+    EXPECT_NE(message.find("chunks [0, 1)"), std::string::npos)
+        << message << ": the lease the rank held";
     const auto elapsed = std::chrono::steady_clock::now() - start;
     EXPECT_LT(
         std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(), 10000)
