@@ -218,7 +218,7 @@ BinaryFileSink::BinaryFileSink(const std::string& path, std::size_t buffer_edges
     // Large explicit stream buffer: emit batches (tens of KiB) coalesce
     // into ~1 MiB write(2) calls instead of BUFSIZ-sized ones. Must be
     // installed before the first write and outlive fclose (member).
-    stream_buffer_ = std::make_unique<char[]>(kStreamBufferBytes);
+    stream_buffer_ = std::unique_ptr<char[]>(new char[kStreamBufferBytes]);
     std::setvbuf(file_, stream_buffer_.get(), _IOFBF, kStreamBufferBytes);
     const u64 placeholder = 0; // patched by finish()
     if (std::fwrite(&placeholder, sizeof(placeholder), 1, file_) != 1) {
