@@ -81,30 +81,6 @@ std::string chunks_str(const dist::Lease& lease) {
            std::to_string(lease.chunk_end) + ")";
 }
 
-/// The one assignment path: contiguous chunk ranges handed out in canonical
-/// order to whichever rank asks next. Sizes follow guided self-scheduling,
-/// max(1, ceil(remaining / (2·W))): large leases first, where their round
-/// trips would cost the most, shrinking toward the end, where small ones
-/// even out the ranks' finishing times.
-class LeaseCursor {
-public:
-    LeaseCursor(u64 num_chunks, u64 ranks) : num_chunks_(num_chunks), divisor_(2 * ranks) {}
-
-    /// The next lease; an empty range once every chunk is handed out.
-    dist::Lease next() {
-        const u64 remaining = num_chunks_ - next_;
-        const u64 size      = std::max<u64>(1, (remaining + divisor_ - 1) / divisor_);
-        dist::Lease lease{next_, std::min(num_chunks_, next_ + size), 0};
-        next_ = lease.chunk_end;
-        return lease;
-    }
-
-private:
-    u64 num_chunks_;
-    u64 divisor_;
-    u64 next_ = 0;
-};
-
 /// Option checks shared by both transports; run before any rank exists.
 /// Returns the result skeleton of a run over `ranks` ranks.
 RunResult plan_run(const Config& cfg, const NetOptions& opt, u64 ranks) {
@@ -214,20 +190,28 @@ RunResult coordinate(const Config& cfg, const NetOptions& opt, Fleet& fleet,
         obs_base         = obs::begin_rank_telemetry();
         obs_guard.active = true;
     }
-    // Every lease in grant order, which is canonical chunk order, so they
-    // tile [0, C); each rank's leases are indices into it.
+    // The one assignment path: contiguous chunk ranges handed out from one
+    // cursor in canonical order to whichever rank asks next. Sizes follow
+    // guided self-scheduling, max(1, ceil(remaining / 2W)): large leases
+    // first, where a round trip costs least against the work, shrinking to
+    // single chunks at the end, where they even out the finishing times.
+    // `leases` keeps every grant in that order, so they tile [0, C); each
+    // rank's leases are indices into it.
     std::vector<dist::Lease> leases;
     std::vector<std::vector<std::size_t>> rank_leases(W);
-    LeaseCursor cursor(result.num_chunks, W);
+    u64 cursor = 0;
     obs::Counter& lease_counter = obs::Registry::global().counter("coordinator.leases");
     // Grants rank w the cursor's next lease; returns it (empty: none left).
     auto grant = [&](u64 w) {
-        const dist::Lease lease = cursor.next();
+        const u64 remaining = result.num_chunks - cursor;
+        const u64 size      = std::max<u64>(1, (remaining + 2 * W - 1) / (2 * W));
+        const dist::Lease lease{cursor, std::min(result.num_chunks, cursor + size), 0};
         if (lease.chunk_begin < lease.chunk_end) {
             rank_leases[w].push_back(leases.size());
             leases.push_back(lease);
             lease_counter.add(1);
         }
+        cursor = lease.chunk_end;
         return lease;
     };
 
@@ -277,6 +261,8 @@ RunResult coordinate(const Config& cfg, const NetOptions& opt, Fleet& fleet,
         const auto until = [&](long long at) {
             return at == 0 ? 0 : static_cast<int>(std::max<long long>(at - now_ms(), 1));
         };
+        constexpr u64 kMaxEdges = (~u64{0} - 8) / 16; // an output file's limit
+        u64 reported = 0;
         std::vector<u64> active; // ranks holding a lease, ascending
         for (u64 w = 0; w < W; ++w) {
             if (rank_leases[w].empty()) continue;
@@ -316,6 +302,12 @@ RunResult coordinate(const Config& cfg, const NetOptions& opt, Fleet& fleet,
                                                            : "failed: " + failed.error);
                     }
                     lease.edges = decode_lease_done(msg);
+                    // The output offsets are sums of these counts.
+                    if (lease.edges > kMaxEdges - reported) {
+                        throw std::runtime_error(std::to_string(lease.edges) +
+                                                 " edges overflow the output");
+                    }
+                    reported += lease.edges;
                 } catch (const std::exception& e) {
                     throw RankError(w, sock, "running " + chunks_str(lease) + ": " + e.what());
                 }

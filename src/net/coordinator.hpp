@@ -75,7 +75,8 @@ struct NetOptions {
 
     std::string output_path;   ///< gather mode: merged binary edge file
     std::string manifest_path; ///< partitioned mode: workers keep their rank
-                               ///< files; this text manifest names them.
+                               ///< files; this text manifest (v2) lists
+                               ///< their lease segments in canonical order.
                                ///< Mutually exclusive with output_path.
     bool degree_stats = false; ///< also collect + merge per-vertex degrees
 

@@ -334,18 +334,17 @@ TEST_P(TransportMatrix, MoreRanksThanChunksLeavesEmptyRanks) {
     std::remove(spec.output_path.c_str());
 }
 
-/// The leases of every rank of `res`, sorted by chunk: they must tile
-/// [0, C) with no gap or overlap, and their edges sum to the run's.
+/// The leases of every rank of `res`, sorted by chunk, must tile [0, C)
+/// with no gap or overlap; each rank's stats count its leased chunks, and
+/// the leases' edges sum to the run's.
 inline void expect_leases_tile(const net::RunResult& res, const std::string& where) {
     std::vector<dist::Lease> all;
     u64 chunks = 0;
     for (const dist::RankReport& rep : res.ranks) {
+        u64 leased = 0;
+        for (const dist::Lease& l : rep.leases) leased += l.chunk_end - l.chunk_begin;
+        EXPECT_EQ(rep.stats.num_chunks, leased) << where << " rank " << rep.rank;
         all.insert(all.end(), rep.leases.begin(), rep.leases.end());
-        EXPECT_EQ(rep.stats.num_chunks, [&] {
-            u64 n = 0;
-            for (const dist::Lease& l : rep.leases) n += l.chunk_end - l.chunk_begin;
-            return n;
-        }()) << where << " rank " << rep.rank;
         chunks += rep.stats.num_chunks;
     }
     std::sort(all.begin(), all.end(), [](const dist::Lease& a, const dist::Lease& b) {
