@@ -149,6 +149,120 @@ void write_manifest(const Config& cfg, const std::string& path, const RunResult&
     }
 }
 
+/// The one assignment path: contiguous chunk ranges handed out from one
+/// cursor in canonical order to whichever rank asks next. Sizes follow
+/// guided self-scheduling, max(1, ceil(remaining / 2W)): large leases first,
+/// where a round trip costs least against the work, shrinking to single
+/// chunks at the end, where they even out the finishing times.
+struct LeaseBook {
+    LeaseBook(u64 num_chunks, u64 ranks)
+        : num_chunks(num_chunks), divisor(2 * ranks), rank_leases(ranks),
+          counter(obs::Registry::global().counter("coordinator.leases")) {}
+
+    /// Grants rank w the cursor's next lease; returns it (empty: none left).
+    dist::Lease grant(u64 w) {
+        const u64 size = std::max<u64>(1, (num_chunks - cursor + divisor - 1) / divisor);
+        const dist::Lease lease{cursor, std::min(num_chunks, cursor + size), 0};
+        if (lease.chunk_begin < lease.chunk_end) {
+            rank_leases[w].push_back(leases.size());
+            leases.push_back(lease);
+            counter.add(1);
+        }
+        cursor = lease.chunk_end;
+        return lease;
+    }
+
+    u64 num_chunks;
+    u64 divisor;
+    u64 cursor = 0;
+    std::vector<dist::Lease> leases; ///< every grant, in grant order, which
+                                     ///< is canonical order: they tile [0, C)
+    std::vector<std::vector<std::size_t>> rank_leases; ///< indices into leases
+    obs::Counter& counter;
+};
+
+/// The lease phase: polls every rank that holds a lease and answers each
+/// lease_done with the next lease, or with done, until no rank holds one.
+/// Records every lease's edge count in `book`. A rank that got done goes on
+/// to its report, telemetry and file, which wait in its channel
+/// (back-pressure) until the rank-order collection reads them.
+/// `job_deadline_ms` bounds each lease.
+void run_leases(Fleet& fleet, const NetOptions& opt, LeaseBook& book) {
+    const auto now_ms = [] { return static_cast<long long>(obs::monotonic_now() / 1000000u); };
+    const u64 W = fleet.socks.size();
+    std::vector<long long> due(W, 0); // lease deadline in ms; 0 = none
+    const auto arm = [&](u64 w) {
+        if (opt.job_deadline_ms > 0) due[w] = now_ms() + opt.job_deadline_ms;
+    };
+    // Milliseconds to `at` for a receive deadline, at least 1; 0 = none.
+    const auto until = [&](long long at) {
+        return at == 0 ? 0 : static_cast<int>(std::max<long long>(at - now_ms(), 1));
+    };
+    constexpr u64 kMaxEdges = (~u64{0} - 8) / 16; // an output file's limit
+    u64 reported = 0;
+    std::vector<u64> active; // ranks holding a lease, ascending
+    for (u64 w = 0; w < W; ++w) {
+        if (book.rank_leases[w].empty()) continue;
+        active.push_back(w);
+        arm(w);
+    }
+    while (!active.empty()) {
+        std::vector<const Socket*> socks;
+        long long first_due = 0;
+        for (const u64 w : active) {
+            socks.push_back(&fleet.socks[w]);
+            if (due[w] != 0 && (first_due == 0 || due[w] < first_due)) first_due = due[w];
+        }
+        const std::vector<std::size_t> ready = poll_readable(socks, until(first_due));
+        for (const u64 w : active) {
+            if (!ready.empty() || due[w] != first_due) continue;
+            throw RankError(w, fleet.socks[w],
+                            chunks_str(book.leases[book.rank_leases[w].back()]) +
+                                " timed out: no lease_done within " +
+                                std::to_string(opt.job_deadline_ms) + " ms");
+        }
+        std::vector<u64> still;
+        for (std::size_t i = 0, r = 0; i < active.size(); ++i) {
+            const u64 w = active[i];
+            if (r == ready.size() || ready[r] != i) {
+                still.push_back(w);
+                continue;
+            }
+            ++r;
+            Socket& sock       = fleet.socks[w];
+            dist::Lease& lease = book.leases[book.rank_leases[w].back()];
+            try {
+                const std::vector<u8> msg = sock.recv_message(until(due[w]), "lease_done");
+                if (peek_type(msg) == Msg::report) {
+                    const dist::RankReport failed = decode_report(msg);
+                    throw std::runtime_error(failed.ok ? "sent its report early"
+                                                       : "failed: " + failed.error);
+                }
+                lease.edges = decode_lease_done(msg);
+                // The output offsets are sums of these counts.
+                if (lease.edges > kMaxEdges - reported) {
+                    throw std::runtime_error(std::to_string(lease.edges) +
+                                             " edges overflow the output");
+                }
+                reported += lease.edges;
+            } catch (const std::exception& e) {
+                throw RankError(w, sock, "running " + chunks_str(lease) + ": " + e.what());
+            }
+            const dist::Lease next = book.grant(w);
+            try {
+                sock.send_frame(encode_lease(next.chunk_begin, next.chunk_end));
+            } catch (const std::exception& e) {
+                throw RankError(w, sock, std::string("sending its lease failed: ") + e.what());
+            }
+            if (next.chunk_begin < next.chunk_end) {
+                arm(w);
+                still.push_back(w);
+            }
+        }
+        active = std::move(still);
+    }
+}
+
 /// The coordinator proper, over ranks already reached. `result` is
 /// plan_run's skeleton.
 RunResult coordinate(const Config& cfg, const NetOptions& opt, Fleet& fleet,
@@ -190,34 +304,10 @@ RunResult coordinate(const Config& cfg, const NetOptions& opt, Fleet& fleet,
         obs_base         = obs::begin_rank_telemetry();
         obs_guard.active = true;
     }
-    // The one assignment path: contiguous chunk ranges handed out from one
-    // cursor in canonical order to whichever rank asks next. Sizes follow
-    // guided self-scheduling, max(1, ceil(remaining / 2W)): large leases
-    // first, where a round trip costs least against the work, shrinking to
-    // single chunks at the end, where they even out the finishing times.
-    // `leases` keeps every grant in that order, so they tile [0, C); each
-    // rank's leases are indices into it.
-    std::vector<dist::Lease> leases;
-    std::vector<std::vector<std::size_t>> rank_leases(W);
-    u64 cursor = 0;
-    obs::Counter& lease_counter = obs::Registry::global().counter("coordinator.leases");
-    // Grants rank w the cursor's next lease; returns it (empty: none left).
-    auto grant = [&](u64 w) {
-        const u64 remaining = result.num_chunks - cursor;
-        const u64 size      = std::max<u64>(1, (remaining + 2 * W - 1) / (2 * W));
-        const dist::Lease lease{cursor, std::min(result.num_chunks, cursor + size), 0};
-        if (lease.chunk_begin < lease.chunk_end) {
-            rank_leases[w].push_back(leases.size());
-            leases.push_back(lease);
-            lease_counter.add(1);
-        }
-        cursor = lease.chunk_end;
-        return lease;
-    };
-
+    LeaseBook book(result.num_chunks, W);
     std::vector<u64> t_job_sent(W, 0);
     for (u64 w = 0; w < W; ++w) {
-        const dist::Lease first = grant(w); // saves the lease-0 round trip
+        const dist::Lease first = book.grant(w); // saves the lease-0 round trip
         JobSpec job;
         job.graph             = cfg;
         job.task.rank         = w;
@@ -243,91 +333,11 @@ RunResult coordinate(const Config& cfg, const NetOptions& opt, Fleet& fleet,
         }
     }
 
-    // --- lease phase ---------------------------------------------------------
-    // Poll every rank that holds a lease; answer each lease_done with the
-    // cursor's next lease, or with done. A rank that got done goes on to its
-    // report, telemetry and file, which wait in its channel (back-pressure)
-    // until the rank-order collection below reads them. job_deadline_ms
-    // bounds each lease.
-    {
-        const auto now_ms = [] {
-            return static_cast<long long>(obs::monotonic_now() / 1000000u);
-        };
-        std::vector<long long> due(W, 0); // lease deadline in ms; 0 = none
-        const auto arm = [&](u64 w) {
-            if (opt.job_deadline_ms > 0) due[w] = now_ms() + opt.job_deadline_ms;
-        };
-        // Milliseconds to `at` for a receive deadline, at least 1; 0 = none.
-        const auto until = [&](long long at) {
-            return at == 0 ? 0 : static_cast<int>(std::max<long long>(at - now_ms(), 1));
-        };
-        constexpr u64 kMaxEdges = (~u64{0} - 8) / 16; // an output file's limit
-        u64 reported = 0;
-        std::vector<u64> active; // ranks holding a lease, ascending
-        for (u64 w = 0; w < W; ++w) {
-            if (rank_leases[w].empty()) continue;
-            active.push_back(w);
-            arm(w);
-        }
-        while (!active.empty()) {
-            std::vector<const Socket*> socks;
-            long long first_due = 0;
-            for (const u64 w : active) {
-                socks.push_back(&fleet.socks[w]);
-                if (due[w] != 0 && (first_due == 0 || due[w] < first_due)) first_due = due[w];
-            }
-            const std::vector<std::size_t> ready = poll_readable(socks, until(first_due));
-            for (const u64 w : active) {
-                if (!ready.empty() || due[w] != first_due) continue;
-                throw RankError(w, fleet.socks[w],
-                                chunks_str(leases[rank_leases[w].back()]) +
-                                    " timed out: no lease_done within " +
-                                    std::to_string(opt.job_deadline_ms) + " ms");
-            }
-            std::vector<u64> still;
-            for (std::size_t i = 0, r = 0; i < active.size(); ++i) {
-                const u64 w = active[i];
-                if (r == ready.size() || ready[r] != i) {
-                    still.push_back(w);
-                    continue;
-                }
-                ++r;
-                Socket& sock       = fleet.socks[w];
-                dist::Lease& lease = leases[rank_leases[w].back()];
-                try {
-                    const std::vector<u8> msg = sock.recv_message(until(due[w]), "lease_done");
-                    if (peek_type(msg) == Msg::report) {
-                        const dist::RankReport failed = decode_report(msg);
-                        throw std::runtime_error(failed.ok ? "sent its report early"
-                                                           : "failed: " + failed.error);
-                    }
-                    lease.edges = decode_lease_done(msg);
-                    // The output offsets are sums of these counts.
-                    if (lease.edges > kMaxEdges - reported) {
-                        throw std::runtime_error(std::to_string(lease.edges) +
-                                                 " edges overflow the output");
-                    }
-                    reported += lease.edges;
-                } catch (const std::exception& e) {
-                    throw RankError(w, sock, "running " + chunks_str(lease) + ": " + e.what());
-                }
-                const dist::Lease next = grant(w);
-                try {
-                    sock.send_frame(encode_lease(next.chunk_begin, next.chunk_end));
-                } catch (const std::exception& e) {
-                    throw RankError(w, sock,
-                                    std::string("sending its lease failed: ") + e.what());
-                }
-                if (next.chunk_begin < next.chunk_end) {
-                    arm(w);
-                    still.push_back(w);
-                }
-            }
-            active = std::move(still);
-        }
-    }
+    // --- lease phase --------------------------------------------------------
+    run_leases(fleet, opt, book);
     // Every lease's edges are known, so every lease's place in the merged
     // output is a prefix sum in canonical order, before any payload moves.
+    const std::vector<dist::Lease>& leases = book.leases;
     std::vector<u64> out_offset(leases.size());
     u64 placed = 0;
     for (std::size_t i = 0; i < leases.size(); ++i) {
@@ -397,7 +407,7 @@ RunResult coordinate(const Config& cfg, const NetOptions& opt, Fleet& fleet,
             // The lease table must be exactly the leases this rank was
             // granted, with the edge counts its lease_done messages gave:
             // the segment offsets were computed from those.
-            const std::vector<std::size_t>& mine = rank_leases[w];
+            const std::vector<std::size_t>& mine = book.rank_leases[w];
             u64 lease_edges = 0;
             for (std::size_t i = 0; i < std::max(mine.size(), report.leases.size()); ++i) {
                 if (i == mine.size()) {

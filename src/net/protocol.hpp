@@ -57,8 +57,8 @@
 /// drops the retired `steal` trace phase, which renumbers `budget_park`.
 /// Version 6 replaces the static rank ranges with pulled leases: the
 /// `lease` and `lease_done` messages, and the report's lease table in place
-/// of its chunk-range echo. The strict hello makes mismatched peers refuse each other up front instead
-/// of mis-framing mid-run.
+/// of its chunk-range echo. The strict hello makes mismatched peers refuse
+/// each other up front instead of mis-framing mid-run.
 #pragma once
 
 #include <string>

@@ -668,6 +668,17 @@ TEST_P(TransportMatrix, TelemetryRunStaysByteIdenticalAndMergesEveryRank) {
     if (GetParam() == Transport::fork) {
         EXPECT_NE(trace.find("\"name\": \"merge\""), std::string::npos);
     }
+    // The coordinator counts each lease once, never per edge. In-process
+    // TCP worker threads share its registry, so their deltas may count the
+    // leases granted while they ran once more.
+    u64 leases = 0;
+    for (const auto& rep : res.ranks) leases += rep.leases.size();
+    const u64 counted = metrics_counter(cfg.metrics_path, "coordinator.leases");
+    if (GetParam() == Transport::fork) {
+        EXPECT_EQ(counted, leases);
+    } else {
+        EXPECT_GE(counted, leases);
+    }
     const std::string metrics = read_bytes(cfg.metrics_path);
     for (const char* name : {"\"pe.chunks\"", "\"sink.edges_written\"",
                              GetParam() == Transport::fork ? "\"dist.merged_bytes\""
