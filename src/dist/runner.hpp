@@ -42,7 +42,6 @@
 #include <functional>
 #include <string>
 
-#include "common/fileio.hpp"
 #include "common/types.hpp"
 #include "config.hpp"
 #include "dist/report.hpp"
