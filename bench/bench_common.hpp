@@ -4,7 +4,10 @@
 /// Conventions:
 ///  * Scaling benchmarks use manual timing: one "iteration" runs all P
 ///    simulated PEs concurrently on threads and records the makespan — the
-///    quantity an MPI job reports as its running time.
+///    quantity an MPI job reports as its running time. `scaling_run`
+///    drives per-rank functions (the comparison figures, whose baselines
+///    have no sink form); `engine_scaling_run` drives the chunked engine
+///    (bench_scaling.cpp, the weak/strong figures).
 ///  * Each binary prints a header mapping it to the paper figure it
 ///    regenerates and the scale substitutions (see EXPERIMENTS.md for the
 ///    recorded outcomes).
@@ -51,23 +54,31 @@ inline void scaling_run(benchmark::State& state, u64 pes, const pe::RankFn& fn) 
         benchmark::Counter(per_iter / 1e6, benchmark::Counter::kIsIterationInvariantRate);
 }
 
-/// Runs `cfg` through the chunked execution engine per iteration (counting
-/// sink: edges are produced and discarded in a stream, nothing is stored),
-/// reporting makespan-based counters. Returns the last iteration's makespan.
+/// One chunked run of `cfg` over `pes` PEs into a counting sink: edges are
+/// produced and discarded in a stream, nothing is stored.
+struct EngineRun {
+    double seconds = 0.0; ///< makespan of the generation phase
+    u64 edges      = 0;   ///< edges emitted, cross-chunk duplicates included
+};
+
+inline EngineRun engine_run(const Config& cfg, u64 pes) {
+    CountingSink sink;
+    const ChunkStats stats = generate_chunked(cfg, pes, sink);
+    sink.finish();
+    return {stats.seconds, sink.num_edges()};
+}
+
+/// Runs `cfg` through the chunked execution engine per iteration, reporting
+/// makespan-based counters. Returns the last iteration's makespan.
 inline double engine_scaling_run(benchmark::State& state, const Config& cfg, u64 pes) {
-    {
-        CountingSink warmup; // untimed: pool spin-up, page faults
-        generate_chunked(cfg, pes, warmup);
-    }
+    engine_run(cfg, pes); // untimed warmup: pool spin-up, page faults
     double makespan = 0.0;
     u64 edges       = 0;
     for (auto _ : state) {
-        CountingSink sink;
-        const ChunkStats stats = generate_chunked(cfg, pes, sink);
-        sink.finish();
-        makespan = stats.seconds;
-        edges    = sink.num_edges();
-        state.SetIterationTime(stats.seconds);
+        const EngineRun run = engine_run(cfg, pes);
+        makespan            = run.seconds;
+        edges               = run.edges;
+        state.SetIterationTime(run.seconds);
     }
     state.counters["PEs"]    = static_cast<double>(pes);
     state.counters["chunks"] = static_cast<double>(

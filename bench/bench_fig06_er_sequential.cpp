@@ -8,19 +8,27 @@
 // faster at the largest m.
 #include "baselines/sequential_er.hpp"
 #include "bench_common.hpp"
-#include "er/er.hpp"
 
 namespace {
 
 using namespace kagen;
 
+/// G(n,m) with n = 2^range(0), m = 2^range(1), seed 1, on one PE.
+GraphSpec gnm_spec(const benchmark::State& state, Model model) {
+    GraphSpec spec;
+    spec.model = model;
+    spec.n     = u64{1} << state.range(0);
+    spec.m     = u64{1} << state.range(1);
+    spec.seed  = 1;
+    return spec;
+}
+
 void KaGen_Directed(benchmark::State& state) {
-    const u64 n = u64{1} << state.range(0);
-    const u64 m = u64{1} << state.range(1);
+    const GraphSpec spec = gnm_spec(state, Model::GnmDirected);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(er::gnm_directed(n, m, 1, 0, 1));
+        benchmark::DoNotOptimize(generate(spec, 0, 1).edges);
     }
-    state.counters["edges"] = static_cast<double>(m);
+    state.counters["edges"] = static_cast<double>(spec.m);
 }
 
 void Baseline_Directed(benchmark::State& state) {
@@ -33,12 +41,11 @@ void Baseline_Directed(benchmark::State& state) {
 }
 
 void KaGen_Undirected(benchmark::State& state) {
-    const u64 n = u64{1} << state.range(0);
-    const u64 m = u64{1} << state.range(1);
+    const GraphSpec spec = gnm_spec(state, Model::GnmUndirected);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(er::gnm_undirected(n, m, 1, 0, 1));
+        benchmark::DoNotOptimize(generate(spec, 0, 1).edges);
     }
-    state.counters["edges"] = static_cast<double>(m);
+    state.counters["edges"] = static_cast<double>(spec.m);
 }
 
 void Baseline_Undirected(benchmark::State& state) {

@@ -12,7 +12,6 @@
 
 #include "baselines/holtgrewe_rgg.hpp"
 #include "bench_common.hpp"
-#include "rgg/rgg.hpp"
 
 namespace {
 
@@ -26,9 +25,13 @@ double radius_for(u64 n, u64 pes) {
 void KaGen_Rgg2D(benchmark::State& state) {
     const u64 pes = static_cast<u64>(state.range(0));
     const u64 n   = (u64{1} << state.range(1)) * pes;
-    const rgg::Params params{n, radius_for(n, pes), 1};
+    GraphSpec spec;
+    spec.model = Model::Rgg2D;
+    spec.n     = n;
+    spec.r     = radius_for(n, pes);
+    spec.seed  = 1;
     bench::scaling_run(state, pes, [&](u64 rank, u64 size) {
-        return rgg::generate<2>(params, rank, size);
+        return generate(spec, rank, size).edges;
     });
 }
 

@@ -9,7 +9,6 @@
 // sRHG fastest; the gap widens with the edge count.
 #include "baselines/nkgen_like.hpp"
 #include "bench_common.hpp"
-#include "rhg/rhg.hpp"
 
 namespace {
 
@@ -26,6 +25,18 @@ hyp::Params params_for(const benchmark::State& state) {
     return p;
 }
 
+/// The same (n, avg_deg, gamma, seed) as `params_for`, for the facade.
+GraphSpec spec_for(const benchmark::State& state, Model model) {
+    const hyp::Params p = params_for(state);
+    GraphSpec spec;
+    spec.model   = model;
+    spec.n       = p.n;
+    spec.avg_deg = p.avg_deg;
+    spec.gamma   = p.gamma;
+    spec.seed    = p.seed;
+    return spec;
+}
+
 void NkGenLike(benchmark::State& state) {
     const auto params = params_for(state);
     bench::scaling_run(state, kPes, [&](u64 rank, u64 size) {
@@ -34,16 +45,16 @@ void NkGenLike(benchmark::State& state) {
 }
 
 void Rhg_InMemory(benchmark::State& state) {
-    const auto params = params_for(state);
+    const GraphSpec spec = spec_for(state, Model::Rhg);
     bench::scaling_run(state, kPes, [&](u64 rank, u64 size) {
-        return rhg::generate_inmemory(params, rank, size);
+        return generate(spec, rank, size).edges;
     });
 }
 
 void Srhg_Streaming(benchmark::State& state) {
-    const auto params = params_for(state);
+    const GraphSpec spec = spec_for(state, Model::RhgStreaming);
     bench::scaling_run(state, kPes, [&](u64 rank, u64 size) {
-        return rhg::generate_streaming(params, rank, size);
+        return generate(spec, rank, size).edges;
     });
 }
 

@@ -4,7 +4,6 @@
 
 #include "common/math.hpp"
 #include "prng/spooky.hpp"
-#include "sink/sinks.hpp"
 
 namespace kagen::ba {
 namespace {
@@ -43,12 +42,6 @@ void generate(const Params& params, u64 rank, u64 size, EdgeSink& sink) {
         }
     }
     sink.flush();
-}
-
-EdgeList generate(const Params& params, u64 rank, u64 size) {
-    MemorySink sink;
-    generate(params, rank, size, sink);
-    return sink.take();
 }
 
 } // namespace kagen::ba

@@ -16,10 +16,13 @@
 /// As in the original model/algorithm, self-loops and parallel edges may
 /// occur (they are rare); the graph is returned as directed "new -> old"
 /// attachment edges.
+///
+/// Every generator here streams into an `EdgeSink`; the facade
+/// `kagen::generate(cfg, rank, size)` (kagen.hpp) is the one form that
+/// returns an `EdgeList`.
 #pragma once
 
 #include "common/types.hpp"
-#include "graph/edge_list.hpp"
 #include "sink/edge_sink.hpp"
 
 namespace kagen::ba {
@@ -31,10 +34,8 @@ struct Params {
 };
 
 /// Edges (v, target) for all vertices v owned by `rank` (block partition).
-/// The sink overload streams each attachment edge as its dependency chain
-/// resolves; the EdgeList overload is a MemorySink wrapper.
+/// Streams each attachment edge as its dependency chain resolves.
 void generate(const Params& params, u64 rank, u64 size, EdgeSink& sink);
-EdgeList generate(const Params& params, u64 rank, u64 size);
 
 /// Resolves the virtual edge-array entry at `position` (test hook).
 VertexId resolve(const Params& params, u64 position);

@@ -4,7 +4,6 @@
 
 #include "common/math.hpp"
 #include "sampling/sampling.hpp"
-#include "sink/sinks.hpp"
 #include "variates/variates.hpp"
 
 namespace kagen::er {
@@ -202,13 +201,6 @@ void gnm_directed(u64 n, u64 m, u64 seed, u64 rank, u64 size, EdgeSink& sink,
     sink.flush();
 }
 
-EdgeList gnm_directed(u64 n, u64 m, u64 seed, u64 rank, u64 size,
-                      SamplerVersion version) {
-    MemorySink sink;
-    gnm_directed(n, m, seed, rank, size, sink, version);
-    return sink.take();
-}
-
 void gnm_undirected(u64 n, u64 m, u64 seed, u64 rank, u64 size, EdgeSink& sink,
                     SamplerVersion version, EdgeSemantics semantics) {
     assert(n >= 2 && size >= 1 && rank < size);
@@ -216,13 +208,6 @@ void gnm_undirected(u64 n, u64 m, u64 seed, u64 rank, u64 size, EdgeSink& sink,
     UTri ctx{Blocks{n, size}, seed, rank, &sink, version, semantics == EdgeSemantics::exact_once};
     descend_triangle(ctx, 0, size, m);
     sink.flush();
-}
-
-EdgeList gnm_undirected(u64 n, u64 m, u64 seed, u64 rank, u64 size,
-                        SamplerVersion version) {
-    MemorySink sink;
-    gnm_undirected(n, m, seed, rank, size, sink, version);
-    return sink.take();
 }
 
 void gnp_directed(u64 n, double p, u64 seed, u64 rank, u64 size, EdgeSink& sink,
@@ -250,13 +235,6 @@ void gnp_directed(u64 n, double p, u64 seed, u64 rank, u64 size, EdgeSink& sink,
     sorted_sample(rng, static_cast<u64>(universe), count,
                   [&](u64 offset) { emit_directed(row_begin, rows, offset, sink); });
     sink.flush();
-}
-
-EdgeList gnp_directed(u64 n, double p, u64 seed, u64 rank, u64 size,
-                      SamplerVersion version) {
-    MemorySink sink;
-    gnp_directed(n, p, seed, rank, size, sink, version);
-    return sink.take();
 }
 
 void gnp_undirected(u64 n, double p, u64 seed, u64 rank, u64 size, EdgeSink& sink,
@@ -313,13 +291,6 @@ void gnp_undirected(u64 n, double p, u64 seed, u64 rank, u64 size, EdgeSink& sin
                    SamplerVersion::v1);
     }
     sink.flush();
-}
-
-EdgeList gnp_undirected(u64 n, double p, u64 seed, u64 rank, u64 size,
-                        SamplerVersion version) {
-    MemorySink sink;
-    gnp_undirected(n, p, seed, rank, size, sink, version);
-    return sink.take();
 }
 
 } // namespace kagen::er

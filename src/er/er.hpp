@@ -22,11 +22,14 @@
 ///
 /// All functions are pure in (params, seed, rank, size): calling them twice,
 /// or on different "machines", yields bit-identical output.
+///
+/// Every generator here streams into an `EdgeSink`; the facade
+/// `kagen::generate(cfg, rank, size)` (kagen.hpp) is the one form that
+/// returns an `EdgeList`.
 #pragma once
 
 #include "common/math.hpp"
 #include "common/types.hpp"
-#include "graph/edge_list.hpp"
 #include "sampling/sampling.hpp"
 #include "sink/edge_sink.hpp"
 #include "sink/ownership.hpp"
@@ -50,12 +53,8 @@ inline u128 undirected_universe(u64 n) {
 /// into one geometric-skip Bernoulli stream per chunk).
 
 /// Directed G(n,m): edges of PE `rank` of `size`. Edges (u, v) with u local.
-/// The sink overload is the core; the EdgeList overload is a MemorySink
-/// wrapper kept for call-site convenience (bit-identical output).
 void gnm_directed(u64 n, u64 m, u64 seed, u64 rank, u64 size, EdgeSink& sink,
                   SamplerVersion version = SamplerVersion::v1);
-EdgeList gnm_directed(u64 n, u64 m, u64 seed, u64 rank, u64 size,
-                      SamplerVersion version = SamplerVersion::v1);
 
 /// Undirected G(n,m): all edges incident to PE `rank`'s vertices; an edge
 /// {u, v} with owners a != b appears in both PEs' outputs (identically).
@@ -64,22 +63,16 @@ EdgeList gnm_directed(u64 n, u64 m, u64 seed, u64 rank, u64 size,
 void gnm_undirected(u64 n, u64 m, u64 seed, u64 rank, u64 size, EdgeSink& sink,
                     SamplerVersion version = SamplerVersion::v1,
                     EdgeSemantics semantics = EdgeSemantics::as_generated);
-EdgeList gnm_undirected(u64 n, u64 m, u64 seed, u64 rank, u64 size,
-                        SamplerVersion version = SamplerVersion::v1);
 
 /// Directed G(n,p) via per-chunk binomial counts (v1) or a geometric-skip
 /// Bernoulli stream over the row block (v2).
 void gnp_directed(u64 n, double p, u64 seed, u64 rank, u64 size, EdgeSink& sink,
                   SamplerVersion version = SamplerVersion::v1);
-EdgeList gnp_directed(u64 n, double p, u64 seed, u64 rank, u64 size,
-                      SamplerVersion version = SamplerVersion::v1);
 
 /// Undirected G(n,p) via per-chunk binomial counts (v1) or per-chunk
 /// geometric-skip Bernoulli streams (v2); `semantics` as for G(n,m).
 void gnp_undirected(u64 n, double p, u64 seed, u64 rank, u64 size, EdgeSink& sink,
                     SamplerVersion version = SamplerVersion::v1,
                     EdgeSemantics semantics = EdgeSemantics::as_generated);
-EdgeList gnp_undirected(u64 n, double p, u64 seed, u64 rank, u64 size,
-                        SamplerVersion version = SamplerVersion::v1);
 
 } // namespace kagen::er

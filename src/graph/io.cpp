@@ -12,7 +12,6 @@
 #include <unistd.h>
 
 #include "common/fileio.hpp"
-#include "graph/csr.hpp"
 
 namespace kagen::io {
 namespace {
@@ -34,30 +33,6 @@ struct File {
 constexpr std::size_t kBlockEdges = 4096; ///< 64 KiB of edges per I/O call
 
 } // namespace
-
-void write_edge_list(const std::string& path, const EdgeList& edges,
-                     const std::string& comment) {
-    File f(path, "w");
-    if (!comment.empty()) std::fprintf(f.handle, "%% %s\n", comment.c_str());
-    for (const auto& [u, v] : edges) {
-        std::fprintf(f.handle, "%llu %llu\n", static_cast<unsigned long long>(u),
-                     static_cast<unsigned long long>(v));
-    }
-}
-
-EdgeList read_edge_list(const std::string& path) {
-    File f(path, "r");
-    EdgeList edges;
-    char line[256];
-    while (std::fgets(line, sizeof(line), f.handle) != nullptr) {
-        if (line[0] == '%' || line[0] == '\n') continue;
-        unsigned long long u = 0, v = 0;
-        if (std::sscanf(line, "%llu %llu", &u, &v) == 2) {
-            edges.emplace_back(u, v);
-        }
-    }
-    return edges;
-}
 
 void write_edge_list_binary(const std::string& path, const EdgeList& edges) {
     File f(path, "wb");
@@ -154,28 +129,6 @@ u64 stream_edge_list_binary(const std::string& path, EdgeSink& sink) {
         sink.deliver(block.get(), n);
     }
     return in.edges();
-}
-
-void write_metis(const std::string& path, const EdgeList& edges, u64 n) {
-    Csr g = build_csr(edges, n, /*symmetrize=*/true);
-    // Deterministic, human-checkable rows regardless of input edge order.
-    for (VertexId v = 0; v < n; ++v) {
-        std::sort(g.targets.begin() + static_cast<i64>(g.offsets[v]),
-                  g.targets.begin() + static_cast<i64>(g.offsets[v + 1]));
-    }
-    File f(path, "w");
-    std::fprintf(f.handle, "%llu %zu\n", static_cast<unsigned long long>(n),
-                 edges.size());
-    for (VertexId v = 0; v < n; ++v) {
-        const VertexId* t   = g.begin(v);
-        const VertexId* end = g.end(v);
-        for (; t != end; ++t) {
-            // METIS vertices are 1-indexed.
-            std::fprintf(f.handle, t + 1 == end ? "%llu" : "%llu ",
-                         static_cast<unsigned long long>(*t + 1));
-        }
-        std::fputc('\n', f.handle);
-    }
 }
 
 } // namespace kagen::io

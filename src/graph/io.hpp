@@ -1,7 +1,6 @@
 /// \file io.hpp
-/// \brief Graph output/input formats: plain edge lists (text + binary) and
-///        the METIS adjacency format, so generated instances feed directly
-///        into partitioners and benchmark harnesses.
+/// \brief The binary edge-list format: whole-list write/read, a bulk block
+///        reader, and a streaming replay into any `EdgeSink`.
 #pragma once
 
 #include <string>
@@ -10,13 +9,6 @@
 #include "sink/edge_sink.hpp"
 
 namespace kagen::io {
-
-/// Writes "u v" per line; optional '%'-prefixed header comment.
-void write_edge_list(const std::string& path, const EdgeList& edges,
-                     const std::string& comment = {});
-
-/// Reads the text format written by `write_edge_list` ('%' lines skipped).
-EdgeList read_edge_list(const std::string& path);
 
 /// Binary format: u64 count, then count pairs of u64 (host endianness).
 /// `BinaryFileSink` (sink/sinks.hpp) streams the same format edge by edge
@@ -58,9 +50,5 @@ private:
 /// through counting/statistics sinks at O(1) memory). Returns the edge
 /// count; flushes but does not finish the sink.
 u64 stream_edge_list_binary(const std::string& path, EdgeSink& sink);
-
-/// METIS graph format (1-indexed, undirected, canonical single-occurrence
-/// input edges are symmetrized).
-void write_metis(const std::string& path, const EdgeList& edges, u64 n);
 
 } // namespace kagen::io

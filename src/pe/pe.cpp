@@ -579,13 +579,18 @@ ChunkRunStats run_chunked(const ChunkOptions& opt, const ChunkFn& fn, EdgeSink& 
         workers = std::min<u64>(opt.num_pes, std::thread::hardware_concurrency());
     }
     workers = std::max<u64>(workers, 1);
-    ThreadPool& pool = opt.pool != nullptr ? *opt.pool : ThreadPool::global();
+    // A run with one participant never touches the global pool: building it
+    // would spawn hardware_concurrency - 1 threads that never run, in every
+    // single-threaded forked rank and TCP worker.
+    ThreadPool* pool = opt.pool;
+    if (pool == nullptr && std::min(workers, span) > 1) pool = &ThreadPool::global();
 
-    if (opt.pin_threads) pool.pin_workers();
+    if (opt.pin_threads && pool != nullptr) pool->pin_workers();
 
     ChunkRunStats stats;
     stats.num_chunks = span;
-    stats.workers    = std::min<u64>({workers, std::max<u64>(span, 1), pool.num_threads()});
+    stats.workers    = std::min<u64>({workers, std::max<u64>(span, 1),
+                                      pool != nullptr ? pool->num_threads() : 1});
 
     obs::Registry& reg        = obs::Registry::global();
     obs::Histogram& edge_hist = reg.histogram("pe.chunk_edges");
@@ -594,8 +599,9 @@ ChunkRunStats run_chunked(const ChunkOptions& opt, const ChunkFn& fn, EdgeSink& 
     if (!sink.ordered()) {
         // Order-insensitive sink: workers stream straight through private
         // stack-buffered facades; memory stays O(buffer) per worker and no
-        // facade ever touches the heap.
-        pool.parallel_for(span, workers, [&](u64 task) {
+        // facade ever touches the heap. Without a pool the loop runs inline,
+        // as parallel_for does for a single participant.
+        const auto run_task = [&](u64 task) {
             std::array<Edge, EdgeSink::kDefaultBufferEdges> stack_buf;
             ForwardingSink forward(sink, stack_buf.data(), stack_buf.size());
             {
@@ -604,7 +610,12 @@ ChunkRunStats run_chunked(const ChunkOptions& opt, const ChunkFn& fn, EdgeSink& 
                 forward.flush();
             }
             edge_hist.observe(forward.edges_forwarded());
-        });
+        };
+        if (pool != nullptr) {
+            pool->parallel_for(span, workers, run_task);
+        } else {
+            for (u64 task = 0; task < span; ++task) run_task(task);
+        }
     } else if (stats.workers <= 1) {
         // Direct streaming (DESIGN.md §9): a single participant visits the
         // chunks in canonical order, so ordered delivery is automatic and
@@ -643,7 +654,7 @@ ChunkRunStats run_chunked(const ChunkOptions& opt, const ChunkFn& fn, EdgeSink& 
         const u64 base_chains    = buffers.arena().chains();
         OrderedDelivery delivery(span, begin, opt.max_buffered_bytes,
                                  opt.spill_path, sink, buffers);
-        pool.parallel_for(span, workers, [&](u64 task) {
+        pool->parallel_for(span, workers, [&](u64 task) {
             ChunkBuffer buf = buffers.acquire();
             {
                 ArenaSink local(buf);

@@ -103,7 +103,8 @@ struct ChunkOptions {
     u64 total_chunks  = 0; ///< canonical chunk count; 0 = K·P. Pinning this
                            ///< makes the output independent of P and K.
     u64 threads       = 0; ///< worker cap; 0 = min(P, hardware threads)
-    ThreadPool* pool  = nullptr; ///< pool to run on; null = global()
+    ThreadPool* pool  = nullptr; ///< pool to run on; null = global(), built
+                                 ///< only when more than one worker runs
 
     /// Ordered-delivery byte budget: chunks that complete ahead of the
     /// delivery cursor may hold at most this many resident edge bytes

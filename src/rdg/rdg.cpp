@@ -7,7 +7,6 @@
 #include "common/math.hpp"
 #include "delaunay/delaunay.hpp"
 #include "rgg/rgg.hpp"
-#include "sink/sinks.hpp"
 
 namespace kagen::rdg {
 namespace {
@@ -270,13 +269,6 @@ void generate(const Params& params, u64 rank, u64 size, EdgeSink& sink,
 }
 
 template <int D>
-EdgeList generate(const Params& params, u64 rank, u64 size) {
-    MemorySink sink;
-    generate<D>(params, rank, size, sink);
-    return sink.take();
-}
-
-template <int D>
 EdgeList reference(const Params& params, u64 size) {
     if (params.n == 0) return {};
     const PointGrid<D> grid = point_grid<D>(params, size);
@@ -334,8 +326,6 @@ template PointGrid<2> point_grid<2>(const Params&, u64);
 template PointGrid<3> point_grid<3>(const Params&, u64);
 template void generate<2>(const Params&, u64, u64, EdgeSink&, EdgeSemantics);
 template void generate<3>(const Params&, u64, u64, EdgeSink&, EdgeSemantics);
-template EdgeList generate<2>(const Params&, u64, u64);
-template EdgeList generate<3>(const Params&, u64, u64);
 template EdgeList reference<2>(const Params&, u64);
 template EdgeList reference<3>(const Params&, u64);
 

@@ -14,6 +14,10 @@
 ///     inside generated space (§6);
 /// then the star of every local vertex provably coincides with the true
 /// periodic Delaunay triangulation, so all incident edges are exact.
+///
+/// Every generator here streams into an `EdgeSink`; the facade
+/// `kagen::generate(cfg, rank, size)` (kagen.hpp) is the one form that
+/// returns an `EdgeList`.
 #pragma once
 
 #include "common/types.hpp"
@@ -43,14 +47,11 @@ PointGrid<D> point_grid(const Params& params, u64 size);
 /// §6 halo guarantee has both endpoint owners find every Delaunay edge — so
 /// `exact_once` keeps an edge only on the PE owning its lower id: PE
 /// `rank`'s Morton cell block owns one consecutive id interval, as in RGG.
-/// The sink overload streams the (per-PE deduplicated) edges once the halo
-/// triangulation converges; the EdgeList overload wraps a MemorySink.
+/// The (per-PE deduplicated) edges stream out once the halo triangulation
+/// converges.
 template <int D>
 void generate(const Params& params, u64 rank, u64 size, EdgeSink& sink,
               EdgeSemantics semantics = EdgeSemantics::as_generated);
-
-template <int D>
-EdgeList generate(const Params& params, u64 rank, u64 size);
 
 /// Sequential reference: triangulates all 3^D periodic copies and projects
 /// edges back to the quotient torus. Exact ground truth for tests.

@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "common/math.hpp"
-#include "sink/sinks.hpp"
 
 namespace kagen::rgg {
 namespace {
@@ -170,13 +169,6 @@ void generate(const Params& params, u64 rank, u64 size, EdgeSink& sink,
 }
 
 template <int D>
-EdgeList generate(const Params& params, u64 rank, u64 size) {
-    MemorySink sink;
-    generate<D>(params, rank, size, sink);
-    return sink.take();
-}
-
-template <int D>
 EdgeList brute_force(const Params& params, u64 size) {
     const PointGrid<D> grid = point_grid<D>(params, size);
     const auto pts          = grid.all_points();
@@ -203,8 +195,6 @@ template std::pair<u64, u64> cell_range<2>(u32, u64, u64);
 template std::pair<u64, u64> cell_range<3>(u32, u64, u64);
 template void generate<2>(const Params&, u64, u64, EdgeSink&, EdgeSemantics);
 template void generate<3>(const Params&, u64, u64, EdgeSink&, EdgeSemantics);
-template EdgeList generate<2>(const Params&, u64, u64);
-template EdgeList generate<3>(const Params&, u64, u64);
 template EdgeList brute_force<2>(const Params&, u64);
 template EdgeList brute_force<3>(const Params&, u64);
 

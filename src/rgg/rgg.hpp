@@ -13,6 +13,10 @@
 /// Under `exact_once` only the owner of the lower endpoint emits them: ids
 /// follow Morton cell order, so a halo cell below the PE's first cell holds
 /// only lower ids, and the PE never scans (or recomputes) it.
+///
+/// Every generator here streams into an `EdgeSink`; the facade
+/// `kagen::generate(cfg, rank, size)` (kagen.hpp) is the one form that
+/// returns an `EdgeList`.
 #pragma once
 
 #include <utility>
@@ -54,15 +58,11 @@ std::pair<u64, u64> cell_range(u32 levels, u64 rank, u64 size);
 
 /// Edges of PE `rank`: all edges incident to vertices of its chunks
 /// (`exact_once`: those whose lower endpoint is local). Canonical (min-id,
-/// max-id) orientation; each edge appears once per PE. The sink overload
-/// streams edges as the cell sweep finds them; the EdgeList overload is a
-/// MemorySink wrapper (bit-identical output).
+/// max-id) orientation; each edge appears once per PE, streamed as the
+/// cell sweep finds it.
 template <int D>
 void generate(const Params& params, u64 rank, u64 size, EdgeSink& sink,
               EdgeSemantics semantics = EdgeSemantics::as_generated);
-
-template <int D>
-EdgeList generate(const Params& params, u64 rank, u64 size);
 
 /// Theta(n^2) reference over the same point set (tests, small benches).
 template <int D>

@@ -4,7 +4,6 @@
 #include <numbers>
 
 #include "obs/metrics.hpp"
-#include "sink/sinks.hpp"
 
 namespace kagen::rhg {
 namespace {
@@ -158,12 +157,6 @@ void generate_inmemory(const hyp::Params& params, u64 rank, u64 size, EdgeSink& 
     sink.flush();
 }
 
-EdgeList generate_inmemory(const hyp::Params& params, u64 rank, u64 size) {
-    MemorySink sink;
-    generate_inmemory(params, rank, size, sink);
-    return sink.take();
-}
-
 void generate_streaming(const hyp::Params& params, u64 rank, u64 size, EdgeSink& sink) {
     const hyp::HypGrid grid(params, size);
     const auto& space    = grid.space();
@@ -315,12 +308,6 @@ void generate_streaming(const hyp::Params& params, u64 rank, u64 size, EdgeSink&
     sort_unique(edges);
     for (const auto& [u, v] : edges) sink.emit(u, v);
     sink.flush();
-}
-
-EdgeList generate_streaming(const hyp::Params& params, u64 rank, u64 size) {
-    MemorySink sink;
-    generate_streaming(params, rank, size, sink);
-    return sink.take();
 }
 
 EdgeList brute_force(const hyp::Params& params, u64 size) {

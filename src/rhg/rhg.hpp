@@ -21,6 +21,10 @@
 ///    adjacent chunks). Emits each edge from its request source, so the
 ///    union over PEs is the full graph but the output is not partitioned —
 ///    exactly the paper's stated trade-off.
+///
+/// Every generator here streams into an `EdgeSink`; the facade
+/// `kagen::generate(cfg, rank, size)` (kagen.hpp) is the one form that
+/// returns an `EdgeList`.
 #pragma once
 
 #include "common/types.hpp"
@@ -31,9 +35,8 @@
 
 namespace kagen::rhg {
 
-/// In-memory query-centric generator (§7.1). The sink overload streams the
-/// PE's (locally deduplicated) edges; the EdgeList overload wraps a
-/// MemorySink — both orderings and contents are bit-identical. Under
+/// In-memory query-centric generator (§7.1). Streams the PE's (locally
+/// deduplicated) edges, sorted. Under
 /// `exact_once` a query skips every candidate with an id no larger than its
 /// (local) vertex's, local or not, so a cross-chunk edge is kept only by the
 /// chunk owning its lower id. The streaming generator needs no semantics:
@@ -41,11 +44,9 @@ namespace kagen::rhg {
 /// which `tests/test_exact_once.cpp` asserts.
 void generate_inmemory(const hyp::Params& params, u64 rank, u64 size, EdgeSink& sink,
                        EdgeSemantics semantics = EdgeSemantics::as_generated);
-EdgeList generate_inmemory(const hyp::Params& params, u64 rank, u64 size);
 
 /// Streaming request-centric generator (§7.2).
 void generate_streaming(const hyp::Params& params, u64 rank, u64 size, EdgeSink& sink);
-EdgeList generate_streaming(const hyp::Params& params, u64 rank, u64 size);
 
 /// Theta(n^2) all-pairs reference over the same point set.
 EdgeList brute_force(const hyp::Params& params, u64 size);

@@ -4,7 +4,6 @@
 
 #include "common/math.hpp"
 #include "prng/spooky.hpp"
-#include "sink/sinks.hpp"
 
 namespace kagen::rmat {
 namespace {
@@ -55,12 +54,6 @@ void generate(const Params& params, u64 rank, u64 size, EdgeSink& sink) {
     const u64 hi = block_begin(params.m, size, rank + 1);
     for (u64 i = lo; i < hi; ++i) sink.emit(edge_at(params, i));
     sink.flush();
-}
-
-EdgeList generate(const Params& params, u64 rank, u64 size) {
-    MemorySink sink;
-    generate(params, rank, size, sink);
-    return sink.take();
 }
 
 } // namespace kagen::rmat

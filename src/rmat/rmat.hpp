@@ -12,10 +12,13 @@
 /// edge index, so the edge list is independent of the PE count (like the
 /// Graph 500 reference implementation). Self-loops and duplicates are kept,
 /// Graph 500 style.
+///
+/// Every generator here streams into an `EdgeSink`; the facade
+/// `kagen::generate(cfg, rank, size)` (kagen.hpp) is the one form that
+/// returns an `EdgeList`.
 #pragma once
 
 #include "common/types.hpp"
-#include "graph/edge_list.hpp"
 #include "sink/edge_sink.hpp"
 
 namespace kagen::rmat {
@@ -29,10 +32,9 @@ struct Params {
     u64 seed  = 1;
 };
 
-/// The edges with indices in `rank`'s block of [0, m). The sink overload
-/// streams them in index order; the EdgeList overload wraps a MemorySink.
+/// The edges with indices in `rank`'s block of [0, m), streamed in index
+/// order.
 void generate(const Params& params, u64 rank, u64 size, EdgeSink& sink);
-EdgeList generate(const Params& params, u64 rank, u64 size);
 
 /// Single edge by index (test hook; the generator is this, blocked).
 Edge edge_at(const Params& params, u64 index);

@@ -5,7 +5,6 @@
 
 #include "common/math.hpp"
 #include "sampling/sampling.hpp"
-#include "sink/sinks.hpp"
 #include "variates/variates.hpp"
 
 namespace kagen::sbm {
@@ -140,12 +139,6 @@ void generate(const Params& params, u64 rank, u64 size, EdgeSink& sink,
         generate_chunk_pair(params, layout, size, p, rank, sink);
     }
     sink.flush();
-}
-
-EdgeList generate(const Params& params, u64 rank, u64 size) {
-    MemorySink sink;
-    generate(params, rank, size, sink);
-    return sink.take();
 }
 
 } // namespace kagen::sbm

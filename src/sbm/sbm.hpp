@@ -19,13 +19,15 @@
 /// `rank`'s vertices, emitted as (u, v) with u > v; cross-PE edges appear
 /// identically on both owners. Under `exact_once` PE `rank` skips its row
 /// chunks (rank, q < rank), whose lower endpoints PE q keeps.
+///
+/// The generator streams into an `EdgeSink`; the SBM has no facade model,
+/// so a caller that wants an `EdgeList` passes a `MemorySink`.
 #pragma once
 
 #include <vector>
 
 #include "common/math.hpp"
 #include "common/types.hpp"
-#include "graph/edge_list.hpp"
 #include "sink/edge_sink.hpp"
 #include "sink/ownership.hpp"
 
@@ -48,11 +50,9 @@ u64 num_vertices(const Params& params);
 /// (the planted-partition model).
 Params planted_partition(u64 n, u64 blocks, double p_in, double p_out, u64 seed);
 
-/// Edges incident to PE `rank`'s vertex range (block partition of [0, n)).
-/// The sink overload streams region by region; the EdgeList overload wraps
-/// a MemorySink (bit-identical output).
+/// Edges incident to PE `rank`'s vertex range (block partition of [0, n)),
+/// streamed region by region.
 void generate(const Params& params, u64 rank, u64 size, EdgeSink& sink,
               EdgeSemantics semantics = EdgeSemantics::as_generated);
-EdgeList generate(const Params& params, u64 rank, u64 size);
 
 } // namespace kagen::sbm

@@ -72,8 +72,8 @@ struct DegreeStatsSummary {
     friend bool operator==(const DegreeStatsSummary&, const DegreeStatsSummary&) = default;
 };
 
-/// Appends every edge to an EdgeList — the pre-sink behaviour. All legacy
-/// EdgeList-returning generator entry points are thin wrappers over this.
+/// Appends every edge to an EdgeList. The facade's EdgeList form,
+/// `kagen::generate(cfg, rank, size)`, collects a rank's edges through one.
 class MemorySink final : public EdgeSink {
 public:
     /// Owns its edge list.

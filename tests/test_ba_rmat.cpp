@@ -15,15 +15,21 @@
 namespace kagen {
 namespace {
 
+using testing::collect;
+
 class BaPeCounts : public ::testing::TestWithParam<u64> {};
 
 TEST_P(BaPeCounts, OutputIndependentOfPeCount) {
     const u64 P = GetParam();
     const ba::Params params{500, 3, 7};
-    const EdgeList sequential = ba::generate(params, 0, 1);
+    const EdgeList sequential = collect([&](EdgeSink& sink) {
+        ba::generate(params, 0, 1, sink);
+    });
     EdgeList combined;
     for (u64 rank = 0; rank < P; ++rank) {
-        append(combined, ba::generate(params, rank, P));
+        append(combined, collect([&](EdgeSink& sink) {
+            ba::generate(params, rank, P, sink);
+        }));
     }
     EXPECT_EQ(combined, sequential) << "BA must be invariant under P";
 }
@@ -32,7 +38,7 @@ INSTANTIATE_TEST_SUITE_P(PeCounts, BaPeCounts, ::testing::Values(2, 3, 8, 16));
 
 TEST(Ba, ExactEdgeCountAndSources) {
     const ba::Params params{1000, 5, 3};
-    const auto edges = ba::generate(params, 0, 1);
+    const auto edges = collect([&](EdgeSink& sink) { ba::generate(params, 0, 1, sink); });
     ASSERT_EQ(edges.size(), params.n * params.degree);
     for (u64 v = 0; v < params.n; ++v) {
         for (u64 i = 0; i < params.degree; ++i) {
@@ -45,7 +51,10 @@ TEST(Ba, TargetsAreEarlierOrEqualVertices) {
     // Edge i of vertex v resolves through positions < 2(vd+i)+1, so the
     // target can never exceed v.
     const ba::Params params{2000, 4, 11};
-    for (const auto& [v, target] : ba::generate(params, 0, 1)) {
+    const EdgeList edges = collect([&](EdgeSink& sink) {
+        ba::generate(params, 0, 1, sink);
+    });
+    for (const auto& [v, target] : edges) {
         EXPECT_LE(target, v);
     }
 }
@@ -63,7 +72,7 @@ TEST(Ba, DegreeDistributionIsHeavyTailed) {
     // BB preferential attachment yields gamma ~ 3; at minimum the max
     // degree must far exceed the average and early vertices must dominate.
     const ba::Params params{50000, 4, 17};
-    const auto edges = ba::generate(params, 0, 1);
+    const auto edges = collect([&](EdgeSink& sink) { ba::generate(params, 0, 1, sink); });
     std::vector<u64> degs(params.n, 0);
     for (const auto& [u, v] : edges) {
         ++degs[u];
@@ -88,10 +97,14 @@ class RmatPeCounts : public ::testing::TestWithParam<u64> {};
 TEST_P(RmatPeCounts, OutputIndependentOfPeCount) {
     const u64 P = GetParam();
     const rmat::Params params{10, 4000, 0.57, 0.19, 0.19, 5};
-    const EdgeList sequential = rmat::generate(params, 0, 1);
+    const EdgeList sequential = collect([&](EdgeSink& sink) {
+        rmat::generate(params, 0, 1, sink);
+    });
     EdgeList combined;
     for (u64 rank = 0; rank < P; ++rank) {
-        append(combined, rmat::generate(params, rank, P));
+        append(combined, collect([&](EdgeSink& sink) {
+            rmat::generate(params, rank, P, sink);
+        }));
     }
     EXPECT_EQ(combined, sequential);
 }
@@ -100,7 +113,10 @@ INSTANTIATE_TEST_SUITE_P(PeCounts, RmatPeCounts, ::testing::Values(2, 5, 8, 32))
 
 TEST(Rmat, EdgesWithinVertexRange) {
     const rmat::Params params{8, 10000, 0.57, 0.19, 0.19, 9};
-    for (const auto& [u, v] : rmat::generate(params, 0, 1)) {
+    const EdgeList edges = collect([&](EdgeSink& sink) {
+        rmat::generate(params, 0, 1, sink);
+    });
+    for (const auto& [u, v] : edges) {
         EXPECT_LT(u, u64{1} << params.log_n);
         EXPECT_LT(v, u64{1} << params.log_n);
     }
@@ -112,7 +128,10 @@ TEST(Rmat, TopLevelQuadrantProportions) {
     const rmat::Params params{12, 200000, 0.5, 0.2, 0.2, 21};
     const u64 half = u64{1} << (params.log_n - 1);
     std::vector<double> counts(4, 0.0);
-    for (const auto& [u, v] : rmat::generate(params, 0, 1)) {
+    const EdgeList edges = collect([&](EdgeSink& sink) {
+        rmat::generate(params, 0, 1, sink);
+    });
+    for (const auto& [u, v] : edges) {
         const int q = (u >= half ? 2 : 0) + (v >= half ? 1 : 0);
         counts[q] += 1.0;
     }
@@ -123,7 +142,9 @@ TEST(Rmat, TopLevelQuadrantProportions) {
 
 TEST(Rmat, SkewedParametersProduceSkewedDegrees) {
     const rmat::Params params{14, 1u << 18, 0.57, 0.19, 0.19, 33};
-    const auto edges = rmat::generate(params, 0, 1);
+    const auto edges = collect([&](EdgeSink& sink) {
+        rmat::generate(params, 0, 1, sink);
+    });
     const auto degs  = out_degrees(edges, u64{1} << params.log_n);
     const double avg = average_degree(degs);
     EXPECT_GT(max_degree(degs), static_cast<u64>(30 * avg))
@@ -133,7 +154,9 @@ TEST(Rmat, SkewedParametersProduceSkewedDegrees) {
 TEST(Rmat, UniformParametersApproximateEr) {
     // a = b = c = d = 0.25 degenerates R-MAT to uniform edge sampling.
     const rmat::Params params{10, 100000, 0.25, 0.25, 0.25, 41};
-    const auto edges = rmat::generate(params, 0, 1);
+    const auto edges = collect([&](EdgeSink& sink) {
+        rmat::generate(params, 0, 1, sink);
+    });
     const u64 n      = u64{1} << params.log_n;
     std::vector<double> row_counts(16, 0.0);
     for (const auto& e : edges) row_counts[e.first / (n / 16)] += 1.0;
@@ -144,7 +167,9 @@ TEST(Rmat, UniformParametersApproximateEr) {
 
 TEST(Rmat, EdgeAtMatchesGenerate) {
     const rmat::Params params{9, 500, 0.57, 0.19, 0.19, 55};
-    const auto edges = rmat::generate(params, 0, 1);
+    const auto edges = collect([&](EdgeSink& sink) {
+        rmat::generate(params, 0, 1, sink);
+    });
     for (u64 i = 0; i < params.m; i += 37) {
         EXPECT_EQ(edges[i], rmat::edge_at(params, i));
     }

@@ -16,12 +16,17 @@
 namespace kagen {
 namespace {
 
+using testing::collect;
+
 /// The edges of undirected chunk (i, j) alone (i >= j), exactly as PE i
 /// generates them: the full recursion of PE i, then only chunk (i, j)'s
 /// edges. Cheap at test scale; exercises the identical code path.
 EdgeList gnm_undirected_chunk(u64 n, u64 m, u64 seed, u64 size, u64 i, u64 j) {
     EdgeList chunk;
-    for (const auto& [u, v] : er::gnm_undirected(n, m, seed, i, size)) {
+    const EdgeList pe_edges = collect([&](EdgeSink& sink) {
+        er::gnm_undirected(n, m, seed, i, size, sink);
+    });
+    for (const auto& [u, v] : pe_edges) {
         const bool in_rows = u >= block_begin(n, size, i) && u < block_begin(n, size, i + 1);
         const bool in_cols = v >= block_begin(n, size, j) && v < block_begin(n, size, j + 1);
         if (in_rows && in_cols) chunk.push_back({u, v});
@@ -35,7 +40,9 @@ TEST_P(GnmDirected, ExactCountNoLoopsDisjointChunks) {
     const u64 P = GetParam();
     constexpr u64 n = 200, m = 3000;
     const auto per_pe = pe::run_all(P, [&](u64 rank, u64 size) {
-        return er::gnm_directed(n, m, /*seed=*/7, rank, size);
+        return collect([&](EdgeSink& sink) {
+            er::gnm_directed(n, m, /*seed=*/7, rank, size, sink);
+        });
     });
     u64 total = 0;
     std::set<Edge> all;
@@ -63,7 +70,9 @@ TEST(GnmDirectedStat, UniformOverPairUniverse) {
     constexpr u64 n = 20, m = 40, kRuns = 20000;
     std::map<Edge, double> hits;
     for (u64 seed = 0; seed < kRuns; ++seed) {
-        for (const auto& e : er::gnm_directed(n, m, seed, 0, 1)) hits[e] += 1.0;
+        const EdgeList edges =
+            collect([&](EdgeSink& sink) { er::gnm_directed(n, m, seed, 0, 1, sink); });
+        for (const auto& e : edges) hits[e] += 1.0;
     }
     std::vector<double> observed;
     for (u64 u = 0; u < n; ++u) {
@@ -79,8 +88,12 @@ TEST(GnmDirectedStat, UniformOverPairUniverse) {
 }
 
 TEST(GnmDirected, DeterministicPerRank) {
-    const auto a = er::gnm_directed(500, 2000, 3, 2, 4);
-    const auto b = er::gnm_directed(500, 2000, 3, 2, 4);
+    const auto a = collect([&](EdgeSink& sink) {
+        er::gnm_directed(500, 2000, 3, 2, 4, sink);
+    });
+    const auto b = collect([&](EdgeSink& sink) {
+        er::gnm_directed(500, 2000, 3, 2, 4, sink);
+    });
     EXPECT_EQ(a, b);
 }
 
@@ -88,7 +101,9 @@ TEST(GnmDirected, FullUniverse) {
     // m = n(n-1): every ordered pair exactly once.
     constexpr u64 n = 40;
     const u64 m     = n * (n - 1);
-    const auto edges = er::gnm_directed(n, m, 1, 0, 1);
+    const auto edges = collect([&](EdgeSink& sink) {
+        er::gnm_directed(n, m, 1, 0, 1, sink);
+    });
     std::set<Edge> set(edges.begin(), edges.end());
     EXPECT_EQ(set.size(), m);
 }
@@ -99,7 +114,9 @@ TEST_P(GnmUndirected, UnionHasExactlyMEdges) {
     const u64 P = GetParam();
     constexpr u64 n = 150, m = 2000;
     const auto per_pe = pe::run_all(P, [&](u64 rank, u64 size) {
-        return er::gnm_undirected(n, m, 11, rank, size);
+        return collect([&](EdgeSink& sink) {
+            er::gnm_undirected(n, m, 11, rank, size, sink);
+        });
     });
     const auto uni = pe::union_undirected(per_pe);
     EXPECT_EQ(uni.size(), m);
@@ -117,7 +134,9 @@ TEST_P(GnmUndirected, EveryEdgeOnBothOwners) {
     if (P == 1) GTEST_SKIP() << "redundancy only exists for P > 1";
     constexpr u64 n = 120, m = 1500;
     const auto per_pe = pe::run_all(P, [&](u64 rank, u64 size) {
-        return er::gnm_undirected(n, m, 13, rank, size);
+        return collect([&](EdgeSink& sink) {
+            er::gnm_undirected(n, m, 13, rank, size, sink);
+        });
     });
     std::vector<std::set<Edge>> sets(P);
     for (u64 r = 0; r < P; ++r) sets[r].insert(per_pe[r].begin(), per_pe[r].end());
@@ -138,7 +157,9 @@ TEST(GnmUndirected, ChunkIdenticalFromBothOwners) {
             // Extract chunk (i, j) from PE i's run and PE j's run; the
             // pseudorandom recomputation must give identical edges.
             const auto from_i = gnm_undirected_chunk(n, m, 17, P, i, j);
-            EdgeList from_j_all = er::gnm_undirected(n, m, 17, j, P);
+            EdgeList from_j_all = collect([&](EdgeSink& sink) {
+                er::gnm_undirected(n, m, 17, j, P, sink);
+            });
             EdgeList from_j;
             for (const auto& [u, v] : from_j_all) {
                 if (block_owner(n, P, u) == i && block_owner(n, P, v) == j) {
@@ -154,7 +175,9 @@ TEST(GnmUndirected, ChunkIdenticalFromBothOwners) {
 }
 
 TEST(GnmUndirected, LowerTriangleConvention) {
-    const auto edges = er::gnm_undirected(300, 4000, 23, 0, 1);
+    const auto edges = collect([&](EdgeSink& sink) {
+        er::gnm_undirected(300, 4000, 23, 0, 1, sink);
+    });
     for (const auto& [u, v] : edges) EXPECT_GT(u, v);
 }
 
@@ -163,7 +186,9 @@ TEST(GnmUndirectedStat, UniformOverPairUniverse) {
     std::map<Edge, double> hits;
     for (u64 seed = 0; seed < kRuns; ++seed) {
         const auto per_pe = pe::run_all(P, [&](u64 rank, u64 size) {
-            return er::gnm_undirected(n, m, seed, rank, size);
+            return collect([&](EdgeSink& sink) {
+                er::gnm_undirected(n, m, seed, rank, size, sink);
+            });
         });
         for (const auto& e : pe::union_undirected(per_pe)) hits[e] += 1.0;
     }
@@ -181,7 +206,9 @@ TEST(GnmUndirected, SaturatedGraphIsComplete) {
     constexpr u64 n = 30;
     const u64 m = static_cast<u64>(er::undirected_universe(n));
     const auto per_pe = pe::run_all(4, [&](u64 rank, u64 size) {
-        return er::gnm_undirected(n, m, 1, rank, size);
+        return collect([&](EdgeSink& sink) {
+            er::gnm_undirected(n, m, 1, rank, size, sink);
+        });
     });
     EXPECT_EQ(pe::union_undirected(per_pe).size(), m);
 }
@@ -257,13 +284,17 @@ TEST_P(GnpBothKinds, EdgeCountConcentratesAroundMean) {
     constexpr u64 kRuns = 60;
     for (u64 seed = 0; seed < kRuns; ++seed) {
         const auto dir = pe::run_all(P, [&](u64 rank, u64 size) {
-            return er::gnp_directed(n, p, seed, rank, size);
+            return collect([&](EdgeSink& sink) {
+                er::gnp_directed(n, p, seed, rank, size, sink);
+            });
         });
         u64 dir_edges = 0;
         for (const auto& part : dir) dir_edges += part.size();
         dir_sum += static_cast<double>(dir_edges);
         const auto undir = pe::run_all(P, [&](u64 rank, u64 size) {
-            return er::gnp_undirected(n, p, seed, rank, size);
+            return collect([&](EdgeSink& sink) {
+                er::gnp_undirected(n, p, seed, rank, size, sink);
+            });
         });
         undir_sum += static_cast<double>(pe::union_undirected(undir).size());
     }
@@ -280,7 +311,9 @@ INSTANTIATE_TEST_SUITE_P(PeCounts, GnpBothKinds, ::testing::Values(1, 4, 7));
 TEST(GnpUndirected, RedundancyAcrossOwners) {
     constexpr u64 n = 90, P = 6;
     const auto per_pe = pe::run_all(P, [&](u64 rank, u64 size) {
-        return er::gnp_undirected(n, 0.1, 99, rank, size);
+        return collect([&](EdgeSink& sink) {
+            er::gnp_undirected(n, 0.1, 99, rank, size, sink);
+        });
     });
     std::vector<std::set<Edge>> sets(P);
     for (u64 r = 0; r < P; ++r) sets[r].insert(per_pe[r].begin(), per_pe[r].end());
@@ -293,7 +326,9 @@ TEST(GnpUndirected, RedundancyAcrossOwners) {
 }
 
 TEST(GnpDirected, NoSelfLoopsNoDuplicates) {
-    const auto edges = er::gnp_directed(1000, 0.01, 5, 0, 1);
+    const auto edges = collect([&](EdgeSink& sink) {
+        er::gnp_directed(1000, 0.01, 5, 0, 1, sink);
+    });
     EXPECT_FALSE(has_self_loop(edges));
     std::set<Edge> set(edges.begin(), edges.end());
     EXPECT_EQ(set.size(), edges.size());
@@ -302,7 +337,9 @@ TEST(GnpDirected, NoSelfLoopsNoDuplicates) {
 TEST(ErDegrees, GnmDegreeDistributionIsBinomialLike) {
     // In G(n,m) the expected average degree is 2m/n.
     constexpr u64 n = 4000, m = 40000;
-    const auto edges = er::gnm_undirected(n, m, 21, 0, 1);
+    const auto edges = collect([&](EdgeSink& sink) {
+        er::gnm_undirected(n, m, 21, 0, 1, sink);
+    });
     const auto degs  = degrees(undirected_set(edges), n);
     EXPECT_NEAR(average_degree(degs), 2.0 * m / n, 0.01);
 }

@@ -37,6 +37,8 @@
 namespace kagen {
 namespace {
 
+using testing::collect;
+
 Config property_config(Model model, u64 n = 420) {
     Config cfg;
     cfg.model     = model;
@@ -268,7 +270,9 @@ TEST(ExactByConstruction, StreamingRhgPerPeOutputsAreGloballyDisjoint) {
         std::vector<EdgeList> per_pe;
         u64 total = 0;
         for (u64 r = 0; r < P; ++r) {
-            per_pe.push_back(rhg::generate_streaming(params, r, P));
+            per_pe.push_back(collect([&](EdgeSink& sink) {
+                rhg::generate_streaming(params, r, P, sink);
+            }));
             total += per_pe.back().size();
         }
         EXPECT_EQ(total, pe::union_undirected(per_pe).size()) << "P=" << P;
@@ -461,7 +465,9 @@ TEST(SbmOwnership, ExactOnceComposesWithModuleLevelGenerate) {
     std::vector<EdgeList> raw, exact;
     u64 exact_total = 0;
     for (u64 r = 0; r < P; ++r) {
-        raw.push_back(sbm::generate(params, r, P));
+        raw.push_back(collect([&](EdgeSink& sink) {
+            sbm::generate(params, r, P, sink);
+        }));
         MemorySink mem;
         sbm::generate(params, r, P, mem, EdgeSemantics::exact_once);
         exact.push_back(mem.take());

@@ -1,15 +1,17 @@
-// Graph I/O: text/binary round trips, METIS format structure, error paths.
+// Binary edge-list I/O: round trips and error paths.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include "er/er.hpp"
 #include "graph/io.hpp"
+#include "testing.hpp"
 
 namespace kagen {
 namespace {
+
+using testing::collect;
 
 class IoTest : public ::testing::Test {
 protected:
@@ -29,25 +31,10 @@ protected:
     std::vector<std::string> created_;
 };
 
-TEST_F(IoTest, TextRoundTrip) {
-    const EdgeList edges = er::gnm_directed(100, 500, 1, 0, 1);
-    const auto p         = track(path("text.el"));
-    io::write_edge_list(p, edges, "test graph");
-    EXPECT_EQ(io::read_edge_list(p), edges);
-}
-
-TEST_F(IoTest, TextSkipsCommentsAndBlankLines) {
-    const auto p = track(path("comments.el"));
-    {
-        std::ofstream out(p);
-        out << "% header\n\n1 2\n% mid comment\n3 4\n";
-    }
-    const EdgeList expected{{1, 2}, {3, 4}};
-    EXPECT_EQ(io::read_edge_list(p), expected);
-}
-
 TEST_F(IoTest, BinaryRoundTrip) {
-    const EdgeList edges = er::gnm_undirected(200, 1500, 2, 0, 1);
+    const EdgeList edges = collect([&](EdgeSink& sink) {
+        er::gnm_undirected(200, 1500, 2, 0, 1, sink);
+    });
     const auto p         = track(path("bin.el"));
     io::write_edge_list_binary(p, edges);
     EXPECT_EQ(io::read_edge_list_binary(p), edges);
@@ -59,28 +46,7 @@ TEST_F(IoTest, BinaryEmptyList) {
     EXPECT_TRUE(io::read_edge_list_binary(p).empty());
 }
 
-TEST_F(IoTest, MetisFormatStructure) {
-    // Triangle 0-1-2 plus pendant 3 attached to 0.
-    const EdgeList edges{{0, 1}, {1, 2}, {0, 2}, {0, 3}};
-    const auto p = track(path("graph.metis"));
-    io::write_metis(p, edges, 4);
-    std::ifstream in(p);
-    std::string line;
-    std::getline(in, line);
-    EXPECT_EQ(line, "4 4"); // n=4, m=4
-    std::getline(in, line);
-    EXPECT_EQ(line, "2 3 4"); // vertex 1's neighbours (1-indexed): 2,3,4
-    std::getline(in, line);
-    EXPECT_EQ(line, "1 3");
-    std::getline(in, line);
-    EXPECT_EQ(line, "1 2");
-    std::getline(in, line);
-    EXPECT_EQ(line, "1");
-}
-
 TEST_F(IoTest, MissingFileThrows) {
-    EXPECT_THROW(io::read_edge_list("/nonexistent/definitely/missing"),
-                 std::runtime_error);
     EXPECT_THROW(io::read_edge_list_binary("/nonexistent/definitely/missing"),
                  std::runtime_error);
 }
@@ -153,7 +119,9 @@ TEST_F(IoTest, BinaryWriteFailureThrowsInsteadOfTruncating) {
     if (!std::ofstream("/dev/full").good()) {
         GTEST_SKIP() << "/dev/full not available";
     }
-    const EdgeList edges = er::gnm_directed(100, 500, 1, 0, 1);
+    const EdgeList edges = collect([&](EdgeSink& sink) {
+        er::gnm_directed(100, 500, 1, 0, 1, sink);
+    });
     EXPECT_THROW(io::write_edge_list_binary("/dev/full", edges),
                  std::runtime_error);
 }

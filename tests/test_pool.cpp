@@ -3,13 +3,18 @@
 // (byte-identical to sequential, recycling engaged — including in
 // bounded-memory mode, where released slabs decommit instead of the pool
 // switching off), canonical-order claiming (exact subrange slices, a
-// resident window of a few chunks), and worker pinning.
+// resident window of a few chunks), worker pinning, and one-worker runs
+// that build no pool.
 // ctest label: pool (re-run under ASan in CI).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <thread>
 #include <vector>
 
 #include "kagen.hpp"
@@ -319,6 +324,62 @@ TEST(PinWorkers, PinnedChunkedRunMatchesUnpinned) {
     MemorySink pinned;
     generate_chunked(cfg, 4, pinned, /*threads=*/4, &pool);
     EXPECT_EQ(pinned.take(), plain.take());
+}
+
+// ---------------------------------------------------------------------------
+// One-worker runs build no pool
+// ---------------------------------------------------------------------------
+
+u64 thread_count() {
+    u64 count = 0;
+    for ([[maybe_unused]] const auto& task :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+        ++count;
+    }
+    return count;
+}
+
+/// Runs a one-worker run_chunked into `sink` and exits 0 iff the process
+/// gained no thread. Meant for a fresh death-test child, where no earlier
+/// test has built the global pool.
+[[noreturn]] void one_worker_run_and_exit(EdgeSink& sink) {
+    const u64 before = thread_count();
+    pe::ChunkOptions opt;
+    opt.num_pes       = 4;
+    opt.chunks_per_pe = 4;
+    opt.threads       = 1;
+    const auto stats  = pe::run_chunked(
+        opt, [](u64 chunk, u64, EdgeSink& out) { out.emit(chunk, chunk + 1); }, sink);
+    const u64 after = thread_count();
+    std::fprintf(stderr, "workers=%llu threads before=%llu after=%llu\n",
+                 static_cast<unsigned long long>(stats.workers),
+                 static_cast<unsigned long long>(before),
+                 static_cast<unsigned long long>(after));
+    std::exit(stats.workers == 1 && after == before ? 0 : 1);
+}
+
+TEST(ThreadPool, OneWorkerRunSpawnsNoThreads) {
+    if (!std::filesystem::exists("/proc/self/task")) {
+        GTEST_SKIP() << "/proc/self/task not available";
+    }
+    if (std::thread::hardware_concurrency() <= 1) {
+        GTEST_SKIP() << "the global pool has no workers on one hardware thread";
+    }
+    // threadsafe re-executes the binary for this test alone, so the child
+    // starts without the global pool whatever ran before in this process.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(
+        {
+            MemorySink ordered;
+            one_worker_run_and_exit(ordered);
+        },
+        ::testing::ExitedWithCode(0), "");
+    EXPECT_EXIT(
+        {
+            CountingSink unordered;
+            one_worker_run_and_exit(unordered);
+        },
+        ::testing::ExitedWithCode(0), "");
 }
 
 } // namespace

@@ -19,6 +19,8 @@
 namespace kagen {
 namespace {
 
+using testing::collect;
+
 // ---- Distributed sampler: the per-chunk counts across *any* chunking
 // follow the multivariate hypergeometric marginals.
 class ChunkedSamplerSweep : public ::testing::TestWithParam<u64> {};
@@ -76,7 +78,9 @@ TEST(ErProperties, DegreesAreExchangeableAcrossChunkBoundaries) {
     std::vector<double> sums(n, 0.0);
     for (u64 seed = 0; seed < kRuns; ++seed) {
         const auto per_pe = pe::run_all(P, [&](u64 r, u64 s) {
-            return er::gnm_undirected(n, m, seed, r, s);
+            return collect([&](EdgeSink& sink) {
+                er::gnm_undirected(n, m, seed, r, s, sink);
+            });
         });
         for (const auto& [u, v] : pe::union_undirected(per_pe)) {
             sums[u] += 1.0;
@@ -96,7 +100,7 @@ TEST_P(SeedSweep, RggUnionExactness) {
     const u64 seed = GetParam();
     const rgg::Params params{400, 0.07, seed};
     const auto per_pe = pe::run_all(5, [&](u64 r, u64 s) {
-        return rgg::generate<2>(params, r, s);
+        return collect([&](EdgeSink& sink) { rgg::generate<2>(params, r, s, sink); });
     });
     EXPECT_EQ(pe::union_undirected(per_pe), undirected_set(rgg::brute_force<2>(params, 5)));
 }
@@ -105,7 +109,7 @@ TEST_P(SeedSweep, RdgUnionExactness) {
     const u64 seed = GetParam();
     const rdg::Params params{250, seed};
     const auto per_pe = pe::run_all(4, [&](u64 r, u64 s) {
-        return rdg::generate<2>(params, r, s);
+        return collect([&](EdgeSink& sink) { rdg::generate<2>(params, r, s, sink); });
     });
     EXPECT_EQ(pe::union_undirected(per_pe), rdg::reference<2>(params, 4));
 }
@@ -114,10 +118,14 @@ TEST_P(SeedSweep, RhgStreamingMatchesInMemory) {
     const u64 seed = GetParam();
     const hyp::Params params{700, 10, 2.7, seed};
     const auto a = pe::union_undirected(pe::run_all(3, [&](u64 r, u64 s) {
-        return rhg::generate_inmemory(params, r, s);
+        return collect([&](EdgeSink& sink) {
+            rhg::generate_inmemory(params, r, s, sink);
+        });
     }));
     const auto b = pe::union_undirected(pe::run_all(3, [&](u64 r, u64 s) {
-        return rhg::generate_streaming(params, r, s);
+        return collect([&](EdgeSink& sink) {
+            rhg::generate_streaming(params, r, s, sink);
+        });
     }));
     EXPECT_EQ(a, b) << "the two generators must produce the same graph";
 }

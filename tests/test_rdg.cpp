@@ -9,9 +9,12 @@
 #include "pe/pe.hpp"
 #include "rdg/rdg.hpp"
 #include "rgg/rgg.hpp"
+#include "testing.hpp"
 
 namespace kagen {
 namespace {
+
+using testing::collect;
 
 struct RdgCase {
     u64 n;
@@ -25,7 +28,9 @@ TEST_P(Rdg2D, UnionEqualsPeriodicReference) {
     const auto [n, P] = GetParam();
     const rdg::Params params{n, /*seed=*/11};
     const auto per_pe = pe::run_all(P, [&](u64 rank, u64 size) {
-        return rdg::generate<2>(params, rank, size);
+        return collect([&](EdgeSink& sink) {
+            rdg::generate<2>(params, rank, size, sink);
+        });
     });
     const EdgeList got  = pe::union_undirected(per_pe);
     const EdgeList want = rdg::reference<2>(params, P);
@@ -36,7 +41,9 @@ TEST_P(Rdg3D, UnionEqualsPeriodicReference) {
     const auto [n, P] = GetParam();
     const rdg::Params params{n, /*seed=*/12};
     const auto per_pe = pe::run_all(P, [&](u64 rank, u64 size) {
-        return rdg::generate<3>(params, rank, size);
+        return collect([&](EdgeSink& sink) {
+            rdg::generate<3>(params, rank, size, sink);
+        });
     });
     const EdgeList got  = pe::union_undirected(per_pe);
     const EdgeList want = rdg::reference<3>(params, P);
@@ -69,7 +76,9 @@ TEST(Rdg, TorusEulerIdentity2D) {
     for (u64 seed : {1u, 2u, 3u}) {
         const rdg::Params params{500, seed};
         const auto per_pe = pe::run_all(4, [&](u64 rank, u64 size) {
-            return rdg::generate<2>(params, rank, size);
+            return collect([&](EdgeSink& sink) {
+                rdg::generate<2>(params, rank, size, sink);
+            });
         });
         EXPECT_EQ(pe::union_undirected(per_pe).size(), 3 * params.n) << "seed " << seed;
     }
@@ -79,12 +88,12 @@ TEST(Rdg, MinimumDegreeOnTorus) {
     // Every vertex of a 2D triangulation has degree >= 3; in 3D >= 4.
     const rdg::Params params{400, 9};
     const auto e2 = pe::union_undirected(pe::run_all(4, [&](u64 r, u64 s) {
-        return rdg::generate<2>(params, r, s);
+        return collect([&](EdgeSink& sink) { rdg::generate<2>(params, r, s, sink); });
     }));
     for (const u64 d : degrees(e2, params.n)) EXPECT_GE(d, 3u);
     const rdg::Params params3{200, 9};
     const auto e3 = pe::union_undirected(pe::run_all(8, [&](u64 r, u64 s) {
-        return rdg::generate<3>(params3, r, s);
+        return collect([&](EdgeSink& sink) { rdg::generate<3>(params3, r, s, sink); });
     }));
     for (const u64 d : degrees(e3, params3.n)) EXPECT_GE(d, 4u);
 }
@@ -92,15 +101,17 @@ TEST(Rdg, MinimumDegreeOnTorus) {
 TEST(Rdg, TorusGraphIsConnected) {
     const rdg::Params params{600, 21};
     const auto edges = pe::union_undirected(pe::run_all(4, [&](u64 r, u64 s) {
-        return rdg::generate<2>(params, r, s);
+        return collect([&](EdgeSink& sink) { rdg::generate<2>(params, r, s, sink); });
     }));
     EXPECT_EQ(connected_components(edges, params.n), 1u);
 }
 
 TEST(Rdg, DeterministicPerRank) {
     const rdg::Params params{300, 5};
-    EXPECT_EQ(rdg::generate<2>(params, 1, 4), rdg::generate<2>(params, 1, 4));
-    EXPECT_EQ(rdg::generate<3>(params, 3, 8), rdg::generate<3>(params, 3, 8));
+    const auto rdg2 = [&](EdgeSink& sink) { rdg::generate<2>(params, 1, 4, sink); };
+    const auto rdg3 = [&](EdgeSink& sink) { rdg::generate<3>(params, 3, 8, sink); };
+    EXPECT_EQ(collect(rdg2), collect(rdg2));
+    EXPECT_EQ(collect(rdg3), collect(rdg3));
 }
 
 TEST(Rdg, CrossPeEdgesAppearOnBothOwners) {
@@ -116,7 +127,9 @@ TEST(Rdg, CrossPeEdgesAppearOnBothOwners) {
         for (const auto& p : grid.cell_points(cell)) owner[p.id] = pe;
     }
     const auto per_pe = pe::run_all(P, [&](u64 rank, u64 size) {
-        return rdg::generate<2>(params, rank, size);
+        return collect([&](EdgeSink& sink) {
+            rdg::generate<2>(params, rank, size, sink);
+        });
     });
     std::vector<std::set<Edge>> sets(P);
     for (u64 r = 0; r < P; ++r) sets[r].insert(per_pe[r].begin(), per_pe[r].end());
@@ -130,7 +143,7 @@ TEST(Rdg, AverageDegreeNearSixOnTorus2D) {
     // E = 3V  =>  average degree exactly 6 on the torus.
     const rdg::Params params{1000, 77};
     const auto edges = pe::union_undirected(pe::run_all(9, [&](u64 r, u64 s) {
-        return rdg::generate<2>(params, r, s);
+        return collect([&](EdgeSink& sink) { rdg::generate<2>(params, r, s, sink); });
     }));
     const auto degs = degrees(edges, params.n);
     EXPECT_NEAR(average_degree(degs), 6.0, 0.05);

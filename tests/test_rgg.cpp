@@ -10,9 +10,12 @@
 #include "graph/stats.hpp"
 #include "pe/pe.hpp"
 #include "rgg/rgg.hpp"
+#include "testing.hpp"
 
 namespace kagen {
 namespace {
+
+using testing::collect;
 
 struct RggCase {
     u64 n;
@@ -27,7 +30,9 @@ TEST_P(Rgg2D, UnionEqualsBruteForce) {
     const auto [n, r, P] = GetParam();
     const rgg::Params params{n, r, /*seed=*/42};
     const auto per_pe = pe::run_all(P, [&](u64 rank, u64 size) {
-        return rgg::generate<2>(params, rank, size);
+        return collect([&](EdgeSink& sink) {
+            rgg::generate<2>(params, rank, size, sink);
+        });
     });
     const EdgeList got  = pe::union_undirected(per_pe);
     const EdgeList want = undirected_set(rgg::brute_force<2>(params, P));
@@ -38,7 +43,9 @@ TEST_P(Rgg3D, UnionEqualsBruteForce) {
     const auto [n, r, P] = GetParam();
     const rgg::Params params{n, r, /*seed=*/43};
     const auto per_pe = pe::run_all(P, [&](u64 rank, u64 size) {
-        return rgg::generate<3>(params, rank, size);
+        return collect([&](EdgeSink& sink) {
+            rgg::generate<3>(params, rank, size, sink);
+        });
     });
     const EdgeList got  = pe::union_undirected(per_pe);
     const EdgeList want = undirected_set(rgg::brute_force<3>(params, P));
@@ -73,7 +80,9 @@ TEST(Rgg, EdgesRespectRadiusExactly) {
     std::vector<Vec2> pos(params.n);
     for (const auto& p : grid.all_points()) pos[p.id] = p.pos;
     const auto per_pe = pe::run_all(4, [&](u64 rank, u64 size) {
-        return rgg::generate<2>(params, rank, size);
+        return collect([&](EdgeSink& sink) {
+            rgg::generate<2>(params, rank, size, sink);
+        });
     });
     for (const auto& [u, v] : pe::union_undirected(per_pe)) {
         EXPECT_LE(distance(pos[u], pos[v]), params.r * 1.0000001);
@@ -83,7 +92,9 @@ TEST(Rgg, EdgesRespectRadiusExactly) {
 TEST(Rgg, NoSelfLoopsNoDuplicatesPerPe) {
     const rgg::Params params{2000, 0.03, 123};
     const auto per_pe = pe::run_all(8, [&](u64 rank, u64 size) {
-        return rgg::generate<2>(params, rank, size);
+        return collect([&](EdgeSink& sink) {
+            rgg::generate<2>(params, rank, size, sink);
+        });
     });
     for (const auto& part : per_pe) {
         EXPECT_FALSE(has_self_loop(part));
@@ -106,7 +117,9 @@ TEST(Rgg, CrossPeEdgesAppearOnBothOwners) {
         for (const auto& p : grid.cell_points(cell)) owner[p.id] = pe;
     }
     const auto per_pe = pe::run_all(P, [&](u64 rank, u64 size) {
-        return rgg::generate<2>(params, rank, size);
+        return collect([&](EdgeSink& sink) {
+            rgg::generate<2>(params, rank, size, sink);
+        });
     });
     std::vector<std::set<Edge>> sets(P);
     for (u64 r = 0; r < P; ++r) sets[r].insert(per_pe[r].begin(), per_pe[r].end());
@@ -118,15 +131,19 @@ TEST(Rgg, CrossPeEdgesAppearOnBothOwners) {
 
 TEST(Rgg, DeterministicPerRank) {
     const rgg::Params params{3000, 0.02, 77};
-    EXPECT_EQ(rgg::generate<2>(params, 2, 8), rgg::generate<2>(params, 2, 8));
-    EXPECT_EQ(rgg::generate<3>(params, 3, 8), rgg::generate<3>(params, 3, 8));
+    const auto rgg2 = [&](EdgeSink& sink) { rgg::generate<2>(params, 2, 8, sink); };
+    const auto rgg3 = [&](EdgeSink& sink) { rgg::generate<3>(params, 3, 8, sink); };
+    EXPECT_EQ(collect(rgg2), collect(rgg2));
+    EXPECT_EQ(collect(rgg3), collect(rgg3));
 }
 
 TEST(Rgg, ExpectedDegreeMatchesTheory2D) {
     // Interior vertices have expected degree n*pi*r^2 (paper §2.1.2).
     const rgg::Params params{20000, 0.02, 9};
     const auto per_pe = pe::run_all(4, [&](u64 rank, u64 size) {
-        return rgg::generate<2>(params, rank, size);
+        return collect([&](EdgeSink& sink) {
+            rgg::generate<2>(params, rank, size, sink);
+        });
     });
     const auto edges = pe::union_undirected(per_pe);
     const auto grid  = rgg::point_grid<2>(params, 4);
@@ -154,7 +171,9 @@ TEST(Rgg, ExpectedDegreeMatchesTheory3D) {
     // d_bar = n * (4/3) pi r^3 for interior vertices.
     const rgg::Params params{20000, 0.06, 11};
     const auto per_pe = pe::run_all(8, [&](u64 rank, u64 size) {
-        return rgg::generate<3>(params, rank, size);
+        return collect([&](EdgeSink& sink) {
+            rgg::generate<3>(params, rank, size, sink);
+        });
     });
     const auto edges = pe::union_undirected(per_pe);
     const auto grid  = rgg::point_grid<3>(params, 8);
@@ -186,7 +205,9 @@ TEST(Rgg, GiantComponentAtThresholdRadius) {
     const double r  = 0.55 * std::sqrt(std::log(static_cast<double>(n)) / n);
     const rgg::Params params{n, r, 2024};
     const auto per_pe = pe::run_all(4, [&](u64 rank, u64 size) {
-        return rgg::generate<2>(params, rank, size);
+        return collect([&](EdgeSink& sink) {
+            rgg::generate<2>(params, rank, size, sink);
+        });
     });
     const u64 components = connected_components(pe::union_undirected(per_pe), n);
     EXPECT_LE(components, n / 500) << "expected a giant component plus stragglers";

@@ -18,6 +18,8 @@
 namespace kagen {
 namespace {
 
+using testing::collect;
+
 struct RhgCase {
     u64 n;
     double avg_deg;
@@ -46,7 +48,11 @@ TEST_P(RhgBoth, InMemoryRankEmitsExactlyItsIncidentEdges) {
         for (const auto& e : all) {
             if (owner[e.first] == rank || owner[e.second] == rank) expect.push_back(e);
         }
-        EXPECT_EQ(rhg::generate_inmemory(params, rank, P), expect) << "rank " << rank;
+        EXPECT_EQ(collect([&](EdgeSink& sink) {
+                      rhg::generate_inmemory(params, rank, P, sink);
+                  }),
+                  expect)
+            << "rank " << rank;
     }
 }
 
@@ -54,7 +60,9 @@ TEST_P(RhgBoth, StreamingUnionEqualsBruteForce) {
     const auto [n, d, g, P] = GetParam();
     const hyp::Params params{n, d, g, /*seed=*/5};
     const auto per_pe = pe::run_all(P, [&](u64 rank, u64 size) {
-        return rhg::generate_streaming(params, rank, size);
+        return collect([&](EdgeSink& sink) {
+            rhg::generate_streaming(params, rank, size, sink);
+        });
     });
     EXPECT_EQ(pe::union_undirected(per_pe), rhg::brute_force(params, P));
 }
@@ -193,7 +201,9 @@ TEST(RhgStats, AverageDegreeTracksTarget) {
     for (const double target : {8.0, 16.0, 32.0}) {
         const hyp::Params params{n, target, 2.9, 4242};
         const auto per_pe = pe::run_all(8, [&](u64 rank, u64 size) {
-            return rhg::generate_streaming(params, rank, size);
+            return collect([&](EdgeSink& sink) {
+                rhg::generate_streaming(params, rank, size, sink);
+            });
         });
         const auto edges  = pe::union_undirected(per_pe);
         const double mean = 2.0 * static_cast<double>(edges.size()) /
@@ -208,7 +218,9 @@ TEST(RhgStats, AverageDegreeTracksTarget) {
 TEST(RhgStats, PowerLawExponentNearGamma) {
     const hyp::Params params{60000, 12, 2.6, 31};
     const auto per_pe = pe::run_all(8, [&](u64 rank, u64 size) {
-        return rhg::generate_streaming(params, rank, size);
+        return collect([&](EdgeSink& sink) {
+            rhg::generate_streaming(params, rank, size, sink);
+        });
     });
     const auto degs = degrees(pe::union_undirected(per_pe), params.n);
     const double est = power_law_exponent_mle(degs, 12);
@@ -219,7 +231,9 @@ TEST(RhgStats, HighDegreeVerticesSitAtSmallRadii) {
     const hyp::Params params{20000, 16, 2.5, 7};
     const hyp::HypGrid grid(params, 4);
     const auto per_pe = pe::run_all(4, [&](u64 rank, u64 size) {
-        return rhg::generate_inmemory(params, rank, size);
+        return collect([&](EdgeSink& sink) {
+            rhg::generate_inmemory(params, rank, size, sink);
+        });
     });
     const auto degs = degrees(pe::union_undirected(per_pe), params.n);
     // Compare mean radius of the top-decile degree vertices vs the rest.
@@ -241,10 +255,14 @@ TEST(RhgStats, HighDegreeVerticesSitAtSmallRadii) {
 
 TEST(RhgGenerators, DeterministicPerRank) {
     const hyp::Params params{2000, 8, 2.8, 3};
-    EXPECT_EQ(rhg::generate_inmemory(params, 2, 4),
-              rhg::generate_inmemory(params, 2, 4));
-    EXPECT_EQ(rhg::generate_streaming(params, 2, 4),
-              rhg::generate_streaming(params, 2, 4));
+    const auto inmemory = [&](EdgeSink& sink) {
+        rhg::generate_inmemory(params, 2, 4, sink);
+    };
+    const auto streaming = [&](EdgeSink& sink) {
+        rhg::generate_streaming(params, 2, 4, sink);
+    };
+    EXPECT_EQ(collect(inmemory), collect(inmemory));
+    EXPECT_EQ(collect(streaming), collect(streaming));
 }
 
 TEST(RhgCounters, CountQueriesCandidatesAndRecomputedPoints) {
@@ -258,7 +276,9 @@ TEST(RhgCounters, CountQueriesCandidatesAndRecomputedPoints) {
         const obs::Snapshot base = reg.snapshot();
         u64 emitted              = 0;
         for (u64 rank = 0; rank < P; ++rank) {
-            emitted += rhg::generate_inmemory(params, rank, P).size();
+            emitted += collect([&](EdgeSink& sink) {
+                           rhg::generate_inmemory(params, rank, P, sink);
+                       }).size();
         }
         const obs::Snapshot delta = reg.snapshot().subtract(base);
         EXPECT_EQ(delta.counter_or("rhg.queries"), params.n * grid.num_annuli()) << P;

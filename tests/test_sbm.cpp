@@ -15,16 +15,18 @@
 namespace kagen {
 namespace {
 
+using testing::collect;
+
 class SbmPeCounts : public ::testing::TestWithParam<u64> {};
 
 TEST_P(SbmPeCounts, UnionIndependentOfPeCount) {
     const u64 P       = GetParam();
     const auto params = sbm::planted_partition(300, 4, 0.1, 0.01, 7);
     const auto seq    = pe::union_undirected(pe::run_all(1, [&](u64 r, u64 s) {
-        return sbm::generate(params, r, s);
+        return collect([&](EdgeSink& sink) { sbm::generate(params, r, s, sink); });
     }));
     const auto par    = pe::union_undirected(pe::run_all(P, [&](u64 r, u64 s) {
-        return sbm::generate(params, r, s);
+        return collect([&](EdgeSink& sink) { sbm::generate(params, r, s, sink); });
     }));
     // Region seeds depend only on global matrix coordinates of the overlay,
     // but the overlay itself depends on P; equality therefore holds at the
@@ -37,7 +39,7 @@ TEST_P(SbmPeCounts, UnionIndependentOfPeCount) {
     }
     // The raw per-PE outputs use the lower-triangle convention (u > v).
     for (const auto& part : pe::run_all(P, [&](u64 r, u64 s) {
-             return sbm::generate(params, r, s);
+             return collect([&](EdgeSink& sink) { sbm::generate(params, r, s, sink); });
          })) {
         for (const auto& [u, v] : part) EXPECT_GT(u, v);
     }
@@ -65,7 +67,7 @@ TEST(Sbm, BlockPairDensitiesMatchProbabilities) {
     for (int run = 0; run < kRuns; ++run) {
         params.seed       = 100 + run;
         const auto per_pe = pe::run_all(4, [&](u64 r, u64 s) {
-            return sbm::generate(params, r, s);
+            return collect([&](EdgeSink& sink) { sbm::generate(params, r, s, sink); });
         });
         auto block_of = [&](u64 v) { return v < 200 ? 0 : (v < 500 ? 1 : 2); };
         for (const auto& [u, v] : pe::union_undirected(per_pe)) {
@@ -100,11 +102,15 @@ TEST(Sbm, SingleBlockMatchesGnpDistribution) {
         params.seed        = 500 + run;
         sbm_sum += static_cast<double>(
             pe::union_undirected(pe::run_all(3, [&](u64 r, u64 s) {
-                return sbm::generate(params, r, s);
+                return collect([&](EdgeSink& sink) {
+                    sbm::generate(params, r, s, sink);
+                });
             })).size());
         gnp_sum += static_cast<double>(
             pe::union_undirected(pe::run_all(3, [&](u64 r, u64 s) {
-                return er::gnp_undirected(n, p, 500 + run, r, s);
+                return collect([&](EdgeSink& sink) {
+                    er::gnp_undirected(n, p, 500 + run, r, s, sink);
+                });
             })).size());
     }
     const double expected = static_cast<double>(n) * (n - 1) / 2 * p;
@@ -118,7 +124,7 @@ TEST(Sbm, RedundancyAcrossOwners) {
     const u64 n       = sbm::num_vertices(params);
     constexpr u64 P   = 5;
     const auto per_pe = pe::run_all(P, [&](u64 r, u64 s) {
-        return sbm::generate(params, r, s);
+        return collect([&](EdgeSink& sink) { sbm::generate(params, r, s, sink); });
     });
     // Compare in canonical (min, max) form: the generator emits (u > v).
     std::vector<std::set<Edge>> sets(P);
@@ -137,7 +143,7 @@ TEST(Sbm, CommunityStructureIsDetectable) {
     // Strong planted partition: intra-block degree must dominate.
     const auto params = sbm::planted_partition(600, 3, 0.2, 0.002, 13);
     const auto edges  = pe::union_undirected(pe::run_all(4, [&](u64 r, u64 s) {
-        return sbm::generate(params, r, s);
+        return collect([&](EdgeSink& sink) { sbm::generate(params, r, s, sink); });
     }));
     u64 intra = 0, inter = 0;
     for (const auto& [u, v] : edges) {
@@ -152,7 +158,7 @@ TEST(Sbm, ZeroAndOneProbabilities) {
     params.probs       = {{1.0, 0.0}, {0.0, 1.0}};
     params.seed        = 1;
     const auto edges   = pe::union_undirected(pe::run_all(2, [&](u64 r, u64 s) {
-        return sbm::generate(params, r, s);
+        return collect([&](EdgeSink& sink) { sbm::generate(params, r, s, sink); });
     }));
     // Two disjoint cliques of 10: 2 * C(10,2) = 90 edges, none crossing.
     EXPECT_EQ(edges.size(), 90u);
@@ -161,7 +167,8 @@ TEST(Sbm, ZeroAndOneProbabilities) {
 
 TEST(Sbm, DeterministicPerRank) {
     const auto params = sbm::planted_partition(500, 5, 0.05, 0.01, 21);
-    EXPECT_EQ(sbm::generate(params, 2, 4), sbm::generate(params, 2, 4));
+    const auto rank2 = [&](EdgeSink& sink) { sbm::generate(params, 2, 4, sink); };
+    EXPECT_EQ(collect(rank2), collect(rank2));
 }
 
 TEST(Sbm, UnevenBlockAndChunkBoundaries) {
@@ -172,7 +179,7 @@ TEST(Sbm, UnevenBlockAndChunkBoundaries) {
     params.seed = 9;
     const u64 n = sbm::num_vertices(params);
     const auto edges = pe::union_undirected(pe::run_all(7, [&](u64 r, u64 s) {
-        return sbm::generate(params, r, s);
+        return collect([&](EdgeSink& sink) { sbm::generate(params, r, s, sink); });
     }));
     EXPECT_FALSE(has_self_loop(edges));
     for (const auto& [u, v] : edges) {

@@ -16,8 +16,18 @@
 #include "hyperbolic/hyperbolic.hpp"
 #include "rdg/rdg.hpp"
 #include "rgg/rgg.hpp"
+#include "sink/sinks.hpp"
 
 namespace kagen::testing {
+
+/// The edges a sink-taking generator call emits, collected in order:
+/// `collect([&](EdgeSink& sink) { er::gnm_directed(n, m, seed, r, P, sink); })`.
+template <typename Generate>
+EdgeList collect(Generate&& generate) {
+    MemorySink sink;
+    generate(sink);
+    return sink.take();
+}
 
 /// Half-open vertex-id interval [lo, hi).
 struct IdInterval {
