@@ -342,10 +342,10 @@ int run_coordinated_sink(const Config& cfg, const std::string& kind, u64 ranks,
                 static_cast<unsigned long long>(res.edges_written), out_path, unit,
                 static_cast<unsigned long long>(res.num_ranks),
                 static_cast<unsigned long long>(res.num_chunks), res.seconds,
-                static_cast<unsigned long long>(res.peak_buffered_bytes),
-                static_cast<unsigned long long>(res.spilled_chunks),
-                static_cast<unsigned long long>(res.spilled_bytes),
-                static_cast<unsigned long long>(res.buffers_recycled),
+                static_cast<unsigned long long>(res.stats.peak_buffered_bytes),
+                static_cast<unsigned long long>(res.stats.spilled_chunks),
+                static_cast<unsigned long long>(res.stats.spilled_bytes),
+                static_cast<unsigned long long>(res.stats.buffers_recycled),
                 static_cast<unsigned long long>(res.merged_bytes),
                 static_cast<unsigned long long>(res.copy_file_range_bytes),
                 res.copy_file_range_used() ? 1 : 0);

@@ -18,7 +18,7 @@
 #include "common/fileio.hpp"
 #include "graph/em_sort.hpp"
 #include "kagen.hpp"
-#include "pe/chunk_pool.hpp"
+#include "pe/arena.hpp"
 
 namespace kagen::dist {
 namespace {
@@ -54,21 +54,6 @@ private:
     DegreeStatsSink* degrees_;
     std::atomic<u64> edges_{0}; // unordered delivery consumes concurrently
 };
-
-/// Folds one lease's run into the rank's: work sums, peaks max, and the
-/// seconds add up to the rank's busy generation time.
-void fold(pe::ChunkRunStats& into, const pe::ChunkRunStats& s) {
-    into.num_chunks += s.num_chunks;
-    into.workers = std::max(into.workers, s.workers);
-    into.seconds += s.seconds;
-    into.peak_buffered_bytes = std::max(into.peak_buffered_bytes, s.peak_buffered_bytes);
-    into.spilled_chunks += s.spilled_chunks;
-    into.spilled_bytes += s.spilled_bytes;
-    into.buffers_recycled += s.buffers_recycled;
-    into.buffers_allocated += s.buffers_allocated;
-    into.arena_chains += s.arena_chains;
-    into.arena_slab_bytes = std::max(into.arena_slab_bytes, s.arena_slab_bytes);
-}
 
 void put_chunk_run_stats(std::vector<u8>& out, const pe::ChunkRunStats& s) {
     bytes::put_u64(out, s.num_chunks);
@@ -184,14 +169,14 @@ RankReport execute_rank_job(const GraphSpec& graph, const RunOptions& run,
     // whose slabs stay warm from lease to lease. Both are built only if the
     // rank holds a lease at all.
     std::unique_ptr<pe::ThreadPool> pool;
-    std::unique_ptr<pe::ChunkBufferPool> arena;
+    std::unique_ptr<pe::SlabArena> arena;
     copt.threads = std::max<u64>(job.threads, 1);
     Lease lease{job.chunk_begin, job.chunk_end, 0};
     if (copt.threads > 1 && lease.chunk_begin < lease.chunk_end) {
         pool      = std::make_unique<pe::ThreadPool>(copt.threads - 1);
         copt.pool = pool.get();
         // Same layout as run_chunked's own per-run arena.
-        arena      = std::make_unique<pe::ChunkBufferPool>(
+        arena = std::make_unique<pe::SlabArena>(
             run.arena_slab_bytes, /*populate=*/false,
             /*decommit_on_release=*/run.max_buffered_bytes != 0);
         copt.arena = arena.get();
@@ -200,12 +185,12 @@ RankReport execute_rank_job(const GraphSpec& graph, const RunOptions& run,
         copt.chunk_begin = lease.chunk_begin;
         copt.chunk_end   = lease.chunk_end;
         const u64 before = sink.edges();
-        fold(report.stats, pe::run_chunked(
-                               copt,
-                               [&graph](u64 chunk, u64 total, EdgeSink& chunk_sink) {
-                                   generate(graph, chunk, total, chunk_sink);
-                               },
-                               sink));
+        report.stats.merge(pe::run_chunked(
+            copt,
+            [&graph](u64 chunk, u64 total, EdgeSink& chunk_sink) {
+                generate(graph, chunk, total, chunk_sink);
+            },
+            sink));
         lease.edges = sink.edges() - before;
         report.leases.push_back(lease);
         lease = next(lease);

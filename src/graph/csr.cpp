@@ -1,7 +1,5 @@
 #include "graph/csr.hpp"
 
-#include <limits>
-
 namespace kagen {
 
 Csr build_csr(const EdgeList& edges, u64 n, bool symmetrize) {
@@ -19,32 +17,6 @@ Csr build_csr(const EdgeList& edges, u64 n, bool symmetrize) {
         if (symmetrize) g.targets[cursor[v]++] = u;
     }
     return g;
-}
-
-std::vector<u64> bfs(const Csr& g, VertexId source, u64* reached) {
-    constexpr u64 kUnreached = std::numeric_limits<u64>::max();
-    std::vector<u64> dist(g.num_vertices(), kUnreached);
-    std::vector<VertexId> frontier{source};
-    std::vector<VertexId> next;
-    dist[source] = 0;
-    u64 count    = 1;
-    u64 level    = 0;
-    while (!frontier.empty()) {
-        ++level;
-        next.clear();
-        for (VertexId v : frontier) {
-            for (const VertexId* t = g.begin(v); t != g.end(v); ++t) {
-                if (dist[*t] == kUnreached) {
-                    dist[*t] = level;
-                    next.push_back(*t);
-                    ++count;
-                }
-            }
-        }
-        frontier.swap(next);
-    }
-    if (reached != nullptr) *reached = count;
-    return dist;
 }
 
 } // namespace kagen

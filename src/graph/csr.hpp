@@ -1,6 +1,6 @@
 /// \file csr.hpp
-/// \brief Compressed-sparse-row adjacency plus BFS (used by the Graph500-
-///        style example and by clustering/statistics code).
+/// \brief Compressed-sparse-row adjacency (used by the clustering
+///        coefficient in graph/stats.cpp).
 #pragma once
 
 #include <vector>
@@ -24,9 +24,5 @@ struct Csr {
 /// (u, v) is inserted in both directions (for undirected edge lists in
 /// canonical single-occurrence form).
 Csr build_csr(const EdgeList& edges, u64 n, bool symmetrize);
-
-/// BFS from `source`; returns distance per vertex (max u64 = unreached) and
-/// the number of reached vertices via `reached`.
-std::vector<u64> bfs(const Csr& g, VertexId source, u64* reached = nullptr);
 
 } // namespace kagen

@@ -169,25 +169,8 @@ inline Result generate(const GraphSpec& cfg, u64 rank, u64 size) {
     return out;
 }
 
-struct ChunkStats {
-    u64 n          = 0;   ///< global vertex count
-    u64 num_chunks = 0;   ///< canonical chunks executed
-    u64 workers    = 0;   ///< parallel participants used
-    double seconds = 0.0; ///< makespan of the generation phase
-
-    // Ordered-delivery accounting (zero for unordered sinks and for
-    // single-worker runs, which stream directly — no chunk buffers).
-    u64 peak_buffered_bytes = 0; ///< max resident chunk-buffer bytes
-    u64 spilled_chunks      = 0; ///< chunks parked on disk
-    u64 spilled_bytes       = 0; ///< edge bytes written to the spill file
-
-    // Chunk-arena accounting (multi-worker ordered runs only). A "buffer"
-    // is a slab of the chunk arena (pe/arena.hpp).
-    u64 buffers_recycled  = 0; ///< slab acquires served from the freelist
-    u64 buffers_allocated = 0; ///< slabs freshly reserved (mmap/fallback)
-    u64 arena_chains      = 0; ///< chunks that chained a second+ slab
-    u64 arena_slab_bytes  = 0; ///< per-slab size the run used
-};
+/// Stats of a chunked run: the engine's own per-run struct (pe/pe.hpp).
+using ChunkStats = pe::ChunkRunStats;
 
 /// Whole-graph chunked engine: runs every canonical chunk (total_chunks,
 /// or chunks_per_pe·num_pes when unset) of the graph through the generator
@@ -207,28 +190,12 @@ struct ChunkStats {
 inline ChunkStats generate_chunked(const Config& cfg, u64 num_pes, EdgeSink& sink,
                                    u64 threads = 0, pe::ThreadPool* pool = nullptr) {
     const u64 num_chunks = resolve_num_chunks(cfg, num_pes);
-    ChunkStats out;
-    out.n = num_vertices(cfg); // validates the config before any chunk runs
+    (void)num_vertices(cfg); // validates the config before any chunk runs
 
-    // Telemetry scope (DESIGN.md §13): arm the recorder and take a metrics
-    // base before the run; drain + write after. The guard disarms on every
-    // exit path so an exception never leaves the process-global recorder
-    // armed for an un-instrumented caller.
+    // Telemetry scope (DESIGN.md §13): the trace and the metrics delta
+    // cover this run only.
     const bool want_obs = !cfg.trace_path.empty() || !cfg.metrics_path.empty();
-    obs::Snapshot obs_base;
-    struct RecorderGuard {
-        bool active = false;
-        ~RecorderGuard() {
-            if (active) obs::TraceRecorder::global().enable(false);
-        }
-    } guard;
-    if (want_obs) {
-        obs_base = obs::Registry::global().snapshot();
-        std::vector<obs::TraceEvent> stale;
-        obs::TraceRecorder::global().drain(stale); // trace covers this run only
-        obs::TraceRecorder::global().enable(true);
-        guard.active = true;
-    }
+    obs::TelemetryScope telemetry(want_obs);
 
     pe::ChunkOptions opt;
     opt.num_pes            = num_pes;
@@ -239,40 +206,21 @@ inline ChunkStats generate_chunked(const Config& cfg, u64 num_pes, EdgeSink& sin
     opt.spill_path         = cfg.spill_path;
     opt.arena_slab_bytes   = cfg.arena_slab_bytes;
     opt.pin_threads        = cfg.pin_threads;
-    const auto stats       = pe::run_chunked(
+    const ChunkStats stats = pe::run_chunked(
         opt,
         [&cfg](u64 chunk, u64 num_chunks, EdgeSink& chunk_sink) {
             generate(cfg, chunk, num_chunks, chunk_sink);
         },
         sink);
-    out.num_chunks          = stats.num_chunks;
-    out.workers             = stats.workers;
-    out.seconds             = stats.seconds;
-    out.peak_buffered_bytes = stats.peak_buffered_bytes;
-    out.spilled_chunks      = stats.spilled_chunks;
-    out.spilled_bytes       = stats.spilled_bytes;
-    out.buffers_recycled    = stats.buffers_recycled;
-    out.buffers_allocated   = stats.buffers_allocated;
-    out.arena_chains        = stats.arena_chains;
-    out.arena_slab_bytes    = stats.arena_slab_bytes;
 
     if (want_obs) {
-        obs::TraceRecorder::global().enable(false);
-        guard.active = false;
+        obs::RankTelemetry t = telemetry.end(0);
         if (!cfg.trace_path.empty()) {
-            obs::RankTimeline timeline;
-            timeline.rank  = 0;
-            timeline.label = "rank 0";
-            obs::TraceRecorder::global().drain(timeline.events);
-            obs::write_chrome_trace(cfg.trace_path, {timeline});
+            obs::write_chrome_trace(cfg.trace_path, {{0, 0, "rank 0", std::move(t.events)}});
         }
-        if (!cfg.metrics_path.empty()) {
-            obs::write_metrics_file(
-                cfg.metrics_path,
-                obs::Registry::global().snapshot().subtract(obs_base));
-        }
+        if (!cfg.metrics_path.empty()) obs::write_metrics_file(cfg.metrics_path, t.metrics);
     }
-    return out;
+    return stats;
 }
 
 /// Multi-process distributed run (dist/runner.hpp): forks

@@ -9,6 +9,7 @@
 #include <optional>
 #include <stdexcept>
 
+#include <dirent.h>
 #include <fcntl.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
@@ -74,6 +75,24 @@ struct Fleet {
         return status;
     }
 };
+
+/// Unlinks every file whose path starts with `prefix` (a directory plus a
+/// file-name prefix).
+void remove_files_with_prefix(const std::string& prefix) {
+    const std::size_t slash = prefix.rfind('/');
+    const std::string dir   = prefix.substr(0, slash);
+    const std::string name  = prefix.substr(slash + 1);
+    std::vector<std::string> doomed; // collected first: no unlink mid-readdir
+    if (DIR* d = ::opendir(dir.c_str())) {
+        while (const dirent* e = ::readdir(d)) {
+            if (std::strncmp(e->d_name, name.c_str(), name.size()) == 0) {
+                doomed.push_back(dir + "/" + e->d_name);
+            }
+        }
+        ::closedir(d);
+    }
+    for (const std::string& path : doomed) fileio::unlink_or_warn(path.c_str(), "rank file");
+}
 
 /// "chunks [8, 15)": how errors name a lease.
 std::string chunks_str(const dist::Lease& lease) {
@@ -293,17 +312,7 @@ RunResult coordinate(const Config& cfg, const NetOptions& opt, Fleet& fleet,
     // Armed only now: after the forks (a forked rank copies the recorder's
     // state, so earlier events would be duplicated into every rank), and
     // before the first lease is counted.
-    obs::Snapshot obs_base;
-    struct ObsGuard {
-        bool active = false;
-        ~ObsGuard() {
-            if (active) obs::TraceRecorder::global().enable(false);
-        }
-    } obs_guard;
-    if (want_telemetry) {
-        obs_base         = obs::begin_rank_telemetry();
-        obs_guard.active = true;
-    }
+    obs::TelemetryScope telemetry_scope(want_telemetry);
     LeaseBook book(result.num_chunks, W);
     std::vector<u64> t_job_sent(W, 0);
     for (u64 w = 0; w < W; ++w) {
@@ -557,11 +566,7 @@ RunResult coordinate(const Config& cfg, const NetOptions& opt, Fleet& fleet,
 
             result.edges_written += report.file_edges;
             result.seconds = std::max(result.seconds, report.stats.seconds);
-            result.peak_buffered_bytes =
-                std::max(result.peak_buffered_bytes, report.stats.peak_buffered_bytes);
-            result.spilled_chunks += report.stats.spilled_chunks;
-            result.spilled_bytes += report.stats.spilled_bytes;
-            result.buffers_recycled += report.stats.buffers_recycled;
+            result.stats.merge(report.stats);
             result.ranks[w] = std::move(report);
         }
 
@@ -633,8 +638,7 @@ RunResult coordinate(const Config& cfg, const NetOptions& opt, Fleet& fleet,
     if (want_telemetry) {
         // The coordinator is one more timeline: pid W, holding the merge and
         // em_sort spans.
-        obs::RankTelemetry own = obs::end_rank_telemetry(W, obs_base);
-        obs_guard.active       = false;
+        obs::RankTelemetry own = telemetry_scope.end(W);
         if (!cfg.trace_path.empty()) {
             std::vector<obs::RankTimeline> timelines;
             timelines.reserve(telemetry.size() + 1);
@@ -750,13 +754,26 @@ RunResult run_forked(const Config& cfg, const NetOptions& opt, u64 ranks,
         fleet.pids.push_back(pid);
     }
 
+    // A failed run leaves no rank file: once every rank has exited, what a
+    // rank killed by a signal could not unlink itself is removed here.
+    const std::vector<pid_t> pids = fleet.pids; // reap() clears them
+    const auto reap_failed        = [&] {
+        const std::vector<int> status = fleet.reap();
+        for (u64 r = 0; r < ranks; ++r) {
+            remove_files_with_prefix(rank_file_prefix(worker, r, pids[r]));
+        }
+        return status;
+    };
     try {
         result = coordinate(cfg, opt, fleet, keep_rank_files, std::move(result));
     } catch (const RankError& e) {
-        const std::vector<int> status = fleet.reap();
+        const std::vector<int> status = reap_failed();
         throw std::runtime_error(std::string(e.what()) + "; rank " +
                                  std::to_string(e.rank) + " " +
                                  describe_status(status[e.rank]));
+    } catch (...) {
+        reap_failed();
+        throw;
     }
     // Every rank got its last frame; what it does after the verdict cannot
     // change the validated result, so its exit status is only reaped.

@@ -123,13 +123,11 @@ struct RunResult {
     u64 num_chunks = 0; ///< canonical chunks C of the decomposition
     u64 num_ranks  = 0; ///< forked ranks or TCP workers
 
-    double seconds          = 0.0; ///< largest rank busy time (summed
-                                   ///< lease run times; the distributed
-                                   ///< job's critical path)
-    u64 peak_buffered_bytes = 0;   ///< max over ranks
-    u64 spilled_chunks      = 0;   ///< summed over ranks
-    u64 spilled_bytes       = 0;   ///< summed over ranks
-    u64 buffers_recycled    = 0;   ///< summed over ranks (chunk-buffer pool)
+    double seconds = 0.0;    ///< largest rank busy time (summed lease run
+                             ///< times; the distributed job's critical path)
+    pe::ChunkRunStats stats; ///< every rank's stats, merged (ChunkRunStats::
+                             ///< merge: stats.seconds is the fleet's summed
+                             ///< busy time)
 
     u64 edges_written = 0; ///< edges in the merged output file (0 = no file)
     u64 dedup_edges   = 0; ///< unique edges after the optional dedup pass

@@ -22,12 +22,6 @@ namespace {
 /// worker threads); the pid alone covers concurrent processes.
 std::atomic<u64> g_job_counter{0};
 
-std::string scratch_base(const NetWorkerOptions& opt) {
-    if (!opt.scratch_dir.empty()) return opt.scratch_dir;
-    const char* tmpdir = std::getenv("TMPDIR");
-    return tmpdir && *tmpdir ? tmpdir : "/tmp";
-}
-
 std::string absolute_path(const std::string& path) {
     char buf[PATH_MAX];
     if (::realpath(path.c_str(), buf) != nullptr) return buf;
@@ -50,6 +44,15 @@ struct RankFile {
 
 } // namespace
 
+std::string rank_file_prefix(const NetWorkerOptions& opt, u64 rank, long pid) {
+    std::string dir = opt.scratch_dir;
+    if (dir.empty()) {
+        const char* tmpdir = std::getenv("TMPDIR");
+        dir                = tmpdir && *tmpdir ? tmpdir : "/tmp";
+    }
+    return dir + "/kagen_rank" + std::to_string(rank) + "." + std::to_string(pid) + ".";
+}
+
 int serve_rank(Socket& sock, const NetWorkerOptions& opt) {
     // A coordinator that died mid-conversation must surface as an EPIPE
     // error from send, not kill the worker with SIGPIPE. MSG_NOSIGNAL covers
@@ -67,13 +70,11 @@ int serve_rank(Socket& sock, const NetWorkerOptions& opt) {
     // it is one clock read and keeps the stamp as close to the job frame's
     // arrival as possible.
     const u64 clock_base_ns = obs::monotonic_now();
-    obs::Snapshot obs_base;
-    if (job.want_trace) obs_base = obs::begin_rank_telemetry();
+    obs::TelemetryScope telemetry_scope(job.want_trace);
 
     RankFile file;
     if (job.want_file) {
-        file.path = scratch_base(opt) + "/kagen_rank" + std::to_string(job.task.rank) +
-                    "." + std::to_string(::getpid()) + "." +
+        file.path = rank_file_prefix(opt, job.task.rank, ::getpid()) +
                     std::to_string(g_job_counter.fetch_add(1)) + ".bin";
     }
 
@@ -103,7 +104,7 @@ int serve_rank(Socket& sock, const NetWorkerOptions& opt) {
     // with a test harness must never leave recording enabled behind.
     obs::RankTelemetry telemetry;
     if (job.want_trace) {
-        telemetry               = obs::end_rank_telemetry(job.task.rank, obs_base);
+        telemetry               = telemetry_scope.end(job.task.rank);
         telemetry.clock_base_ns = clock_base_ns;
     }
 

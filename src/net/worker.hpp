@@ -51,6 +51,12 @@ struct NetWorkerOptions {
     std::function<void(u64 rank, const dist::Lease& lease)> lease_hook;
 };
 
+/// Where rank `rank` of process `pid` keeps its files: each one (rank file,
+/// run file) is named `<scratch dir>/kagen_rank<rank>.<pid>.` plus a job
+/// number. After a failed forked run the coordinator removes whatever a
+/// rank killed by a signal left under it.
+std::string rank_file_prefix(const NetWorkerOptions& opt, u64 rank, long pid);
+
 /// Serves one job over `sock`. Returns the process exit code (0 = job
 /// succeeded, 1 = job failed but was reported); throws std::runtime_error
 /// on transport failures.

@@ -117,22 +117,27 @@ namespace {
 constexpr u64 kMaxPhase = static_cast<u64>(Phase::budget_park);
 } // namespace
 
-Snapshot begin_rank_telemetry() {
-    Snapshot base = Registry::global().snapshot();
+TelemetryScope::TelemetryScope(bool on) : armed_(on) {
+    if (!armed_) return;
+    base_ = Registry::global().snapshot();
     std::vector<TraceEvent> stale;
     TraceRecorder::global().drain(stale); // this run's trace starts empty
     TraceRecorder::global().enable(true);
-    return base;
 }
 
-RankTelemetry end_rank_telemetry(u64 rank, const Snapshot& base) {
+TelemetryScope::~TelemetryScope() {
+    if (armed_) TraceRecorder::global().enable(false);
+}
+
+RankTelemetry TelemetryScope::end(u64 rank) {
+    armed_             = false;
     TraceRecorder& rec = TraceRecorder::global();
     rec.enable(false);
     RankTelemetry t;
     t.rank    = rank;
     t.dropped = rec.dropped();
     rec.drain(t.events);
-    t.metrics = Registry::global().snapshot().subtract(base);
+    t.metrics = Registry::global().snapshot().subtract(base_);
     return t;
 }
 

@@ -174,14 +174,26 @@ struct RankTelemetry {
     Snapshot metrics;
 };
 
-/// Arms the process recorder for one rank-scoped run: drains stale events,
-/// captures and returns the metrics base, enables recording.
-Snapshot begin_rank_telemetry();
+/// One rank-scoped telemetry window. Construction with `on` drains stale
+/// events, takes the metrics base and arms the process recorder; `end`
+/// disarms it and packages everything recorded since (the caller stamps
+/// `clock_base_ns`; 0 = same machine as the merger). Every other way out
+/// disarms too, so an exception never leaves the process-global recorder
+/// armed for an un-instrumented caller.
+class TelemetryScope {
+public:
+    explicit TelemetryScope(bool on);
+    ~TelemetryScope();
+    TelemetryScope(const TelemetryScope&)            = delete;
+    TelemetryScope& operator=(const TelemetryScope&) = delete;
 
-/// Disarms the recorder and packages everything recorded since `base` was
-/// taken. The caller stamps `clock_base_ns` (0 = same machine as the
-/// merger).
-RankTelemetry end_rank_telemetry(u64 rank, const Snapshot& base);
+    /// Only on a scope constructed with `on`, and only once.
+    RankTelemetry end(u64 rank);
+
+private:
+    bool armed_;
+    Snapshot base_;
+};
 
 std::vector<u8> serialize_telemetry(const RankTelemetry& t);
 

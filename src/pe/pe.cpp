@@ -18,7 +18,6 @@
 
 #include "obs/trace.hpp"
 #include "pe/arena.hpp"
-#include "pe/chunk_pool.hpp"
 #include "sink/spill.hpp"
 
 namespace kagen::pe {
@@ -353,9 +352,9 @@ class OrderedDelivery {
 public:
     OrderedDelivery(u64 num_chunks, u64 chunk_base, u64 max_buffered_bytes,
                     const std::string& spill_path, EdgeSink& sink,
-                    ChunkBufferPool& pool)
+                    SlabArena& arena)
         : slots_(num_chunks), chunk_base_(chunk_base),
-          budget_(max_buffered_bytes), pool_(pool), sink_(sink) {
+          budget_(max_buffered_bytes), arena_(arena), sink_(sink) {
         // The spill file is only ever touched in bounded mode; create it
         // eagerly so producers never race on lazy construction.
         if (budget_ != 0) {
@@ -364,7 +363,7 @@ public:
     }
 
     ~OrderedDelivery() {
-        if (scratch_ != nullptr) pool_.arena().release(scratch_);
+        if (scratch_ != nullptr) arena_.release(scratch_);
     }
 
     /// Called by the producing worker when chunk `chunk` has finished
@@ -513,7 +512,7 @@ private:
                     // Replay through a held scratch slab: the replay path
                     // allocates nothing, and the bounded-memory footprint
                     // stays budget + one chunk + one slab.
-                    if (scratch_ == nullptr) scratch_ = pool_.arena().acquire();
+                    if (scratch_ == nullptr) scratch_ = arena_.acquire();
                     parked->replay(sink_, scratch_->edges(), scratch_->capacity);
                 }
                 ++cur;
@@ -552,7 +551,7 @@ private:
     std::atomic<u64> spilled_chunks_{0};
     std::atomic<u64> spilled_bytes_{0};
     std::unique_ptr<spill::SpillFile> spill_;
-    ChunkBufferPool& pool_;
+    SlabArena& arena_;
     EdgeSink& sink_;
     Slab* scratch_ = nullptr; ///< drainer-owned spill-replay scratch slab
 };
@@ -595,7 +594,11 @@ ChunkRunStats run_chunked(const ChunkOptions& opt, const ChunkFn& fn, EdgeSink& 
     obs::Registry& reg        = obs::Registry::global();
     obs::Histogram& edge_hist = reg.histogram("pe.chunk_edges");
 
-    const u64 start = obs::monotonic_now();
+    // Arena layout of the ordered multi-worker path: registry-only, since
+    // nothing folds them across leases or ranks.
+    u64 arena_chains = 0;
+    u64 slab_bytes   = 0;
+    const u64 start  = obs::monotonic_now();
     if (!sink.ordered()) {
         // Order-insensitive sink: workers stream straight through private
         // stack-buffered facades; memory stays O(buffer) per worker and no
@@ -641,21 +644,20 @@ ChunkRunStats run_chunked(const ChunkOptions& opt, const ChunkFn& fn, EdgeSink& 
         // `max_buffered_bytes` ahead of the cursor park on disk, so peak
         // memory is budget + one chunk instead of O(completion skew).
         // Recycling stays on in bounded mode too: released slabs decommit
-        // their payload pages (chunk_pool.hpp), so retained capacity is no
+        // their payload pages (pe/arena.hpp), so retained capacity is no
         // longer invisible resident memory and the strict bound survives.
-        ChunkBufferPool local_buffers(opt.arena_slab_bytes, /*populate=*/false,
-                                      /*decommit=*/opt.max_buffered_bytes != 0);
-        ChunkBufferPool& buffers =
-            opt.arena != nullptr ? *opt.arena : local_buffers;
+        SlabArena local_arena(opt.arena_slab_bytes, /*populate=*/false,
+                              /*decommit_on_release=*/opt.max_buffered_bytes != 0);
+        SlabArena& arena = opt.arena != nullptr ? *opt.arena : local_arena;
         // Stats are deltas: an external arena (ChunkOptions::arena) carries
         // warm slabs and counters across runs.
-        const u64 base_recycled  = buffers.buffers_recycled();
-        const u64 base_allocated = buffers.buffers_allocated();
-        const u64 base_chains    = buffers.arena().chains();
+        const u64 base_hits     = arena.freelist_hits();
+        const u64 base_reserved = arena.slabs_reserved();
+        const u64 base_chains   = arena.chains();
         OrderedDelivery delivery(span, begin, opt.max_buffered_bytes,
-                                 opt.spill_path, sink, buffers);
+                                 opt.spill_path, sink, arena);
         pool->parallel_for(span, workers, [&](u64 task) {
-            ChunkBuffer buf = buffers.acquire();
+            ChunkBuffer buf(&arena);
             {
                 ArenaSink local(buf);
                 obs::Span gen(obs::Phase::generate, begin + task);
@@ -669,10 +671,10 @@ ChunkRunStats run_chunked(const ChunkOptions& opt, const ChunkFn& fn, EdgeSink& 
         stats.peak_buffered_bytes = delivery.peak_buffered_bytes();
         stats.spilled_chunks      = delivery.spilled_chunks();
         stats.spilled_bytes       = delivery.spilled_bytes();
-        stats.buffers_recycled    = buffers.buffers_recycled() - base_recycled;
-        stats.buffers_allocated   = buffers.buffers_allocated() - base_allocated;
-        stats.arena_chains        = buffers.arena().chains() - base_chains;
-        stats.arena_slab_bytes    = buffers.arena().slab_bytes();
+        stats.buffers_recycled    = arena.freelist_hits() - base_hits;
+        stats.buffers_allocated   = arena.slabs_reserved() - base_reserved;
+        arena_chains              = arena.chains() - base_chains;
+        slab_bytes                = arena.slab_bytes();
     }
     stats.seconds = static_cast<double>(obs::monotonic_now() - start) * 1e-9;
 
@@ -687,11 +689,9 @@ ChunkRunStats run_chunked(const ChunkOptions& opt, const ChunkFn& fn, EdgeSink& 
         .record_max(stats.peak_buffered_bytes);
     reg.counter("pe.arena.freelist_hits").add(stats.buffers_recycled);
     reg.counter("pe.arena.slabs_reserved").add(stats.buffers_allocated);
-    reg.counter("pe.arena.slab_bytes_reserved")
-        .add(stats.buffers_allocated * stats.arena_slab_bytes);
-    reg.counter("pe.arena.chains").add(stats.arena_chains);
-    reg.counter("pe.arena.slab_bytes", obs::MergeKind::max)
-        .record_max(stats.arena_slab_bytes);
+    reg.counter("pe.arena.slab_bytes_reserved").add(stats.buffers_allocated * slab_bytes);
+    reg.counter("pe.arena.chains").add(arena_chains);
+    reg.counter("pe.arena.slab_bytes", obs::MergeKind::max).record_max(slab_bytes);
     return stats;
 }
 

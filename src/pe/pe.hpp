@@ -19,6 +19,7 @@
 /// PE or 16. DESIGN.md §5 has the full argument.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <string>
 #include <vector>
@@ -29,7 +30,7 @@
 
 namespace kagen::pe {
 
-class ChunkBufferPool; // pe/chunk_pool.hpp (arena-backed chunk buffers)
+class SlabArena; // pe/arena.hpp (chunk buffers of the ordered path)
 
 /// Work a single PE performs: produce its local edge list.
 using RankFn = std::function<EdgeList(u64 rank, u64 size)>;
@@ -140,17 +141,22 @@ struct ChunkOptions {
     /// only — the output stream is byte-identical for every value.
     u64 arena_slab_bytes = 0;
 
-    /// External chunk arena to run on; null = a per-run pool-owned arena.
-    /// Passing one keeps slab mappings warm across runs (the steady-state
-    /// zero-allocation property then spans runs, not just chunks) — the
-    /// future daemon's mode, and what the allocation-gate test drives.
-    ChunkBufferPool* arena = nullptr;
+    /// External chunk arena to run on; null = a per-run arena. Passing one
+    /// keeps slab mappings warm across runs (the steady-state
+    /// zero-allocation property then spans runs, not just chunks) — what a
+    /// rank does across its leases, and what the allocation-gate test drives.
+    SlabArena* arena = nullptr;
 };
 
 /// Generator body of one logical chunk: stream chunk `chunk` of
 /// `num_chunks` into `sink`. Must be pure in (chunk, num_chunks).
 using ChunkFn = std::function<void(u64 chunk, u64 num_chunks, EdgeSink& sink)>;
 
+/// The one per-run stats type: what `run_chunked` returns, what
+/// `generate_chunked` returns, what a rank folds over its leases and ships
+/// in its report (dist/report.hpp), and what the coordinator folds over the
+/// ranks. Every field crosses the wire; the registry (obs/metrics.hpp)
+/// mirrors it cumulatively and holds the arena layout counters besides.
 struct ChunkRunStats {
     u64 num_chunks = 0;    ///< canonical chunks executed
     u64 workers    = 0;    ///< parallel participants used
@@ -169,8 +175,21 @@ struct ChunkRunStats {
     // the chunk arena (pe/arena.hpp).
     u64 buffers_recycled  = 0; ///< slab acquires served from the freelist
     u64 buffers_allocated = 0; ///< slabs freshly reserved (mmap/fallback)
-    u64 arena_chains      = 0; ///< chunks that chained a second+ slab
-    u64 arena_slab_bytes  = 0; ///< per-slab size the run used
+
+    /// Folds another run in: work sums, peaks max, and `seconds` sums to
+    /// the busy time of the runs folded (a rank's leases, a fleet's ranks).
+    void merge(const ChunkRunStats& o) {
+        num_chunks += o.num_chunks;
+        workers = std::max(workers, o.workers);
+        seconds += o.seconds;
+        peak_buffered_bytes = std::max(peak_buffered_bytes, o.peak_buffered_bytes);
+        spilled_chunks += o.spilled_chunks;
+        spilled_bytes += o.spilled_bytes;
+        buffers_recycled += o.buffers_recycled;
+        buffers_allocated += o.buffers_allocated;
+    }
+
+    bool operator==(const ChunkRunStats&) const = default;
 };
 
 /// Runs every canonical chunk through `fn` and streams the results into

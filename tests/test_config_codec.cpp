@@ -112,12 +112,16 @@ kagen::net::JobSpec rich_job() {
 
 kagen::dist::RankReport rich_report() {
     kagen::dist::RankReport report;
-    report.rank                 = 2;
-    report.stats.num_chunks     = 4;
-    report.stats.workers        = 3;
-    report.stats.seconds        = 0.125;
-    report.stats.spilled_chunks = 1;
-    report.leases               = {{8, 12, 60}, {20, 21, 39}};
+    report.rank                       = 2;
+    report.stats.num_chunks           = 4;
+    report.stats.workers              = 3;
+    report.stats.seconds              = 0.125;
+    report.stats.peak_buffered_bytes  = 4096;
+    report.stats.spilled_chunks       = 1;
+    report.stats.spilled_bytes        = 960;
+    report.stats.buffers_recycled     = 5;
+    report.stats.buffers_allocated    = 6;
+    report.leases                     = {{8, 12, 60}, {20, 21, 39}};
     report.file_edges           = 99;
     report.runs                 = {40, 30, 20};
     report.count.num_edges      = 99;
@@ -319,6 +323,14 @@ TEST(WireCodec, ReportFramesSurviveTruncationAndBitFlips) {
     sweep("report", kagen::net::encode_report(rich_report()), reencode_report);
     sweep("failure report", kagen::net::encode_report(failure_report()),
           reencode_report);
+}
+
+// Every ChunkRunStats field crosses the wire: a report's stats decode to
+// exactly what the rank folded.
+TEST(WireCodec, ReportCarriesEveryStatsField) {
+    const kagen::dist::RankReport report = rich_report();
+    EXPECT_EQ(kagen::net::decode_report(kagen::net::encode_report(report)).stats,
+              report.stats);
 }
 
 TEST(WireCodec, LeaseFramesSurviveTruncationAndBitFlips) {

@@ -47,11 +47,9 @@ TEST_P(AllModels, UnionAcrossPesIsNonEmptyAndConsumable) {
     const EdgeList all = pe::union_undirected(per_pe);
     ASSERT_FALSE(all.empty()) << model_name(cfg.model);
     const u64 n = generate(cfg, 0, 1).n;
-    // Downstream pipeline: CSR + BFS + components must all work.
+    // Downstream pipeline: CSR + components must both work.
     const Csr csr = build_csr(all, n, /*symmetrize=*/true);
-    u64 reached   = 0;
-    bfs(csr, all.front().first, &reached);
-    EXPECT_GE(reached, 1u);
+    EXPECT_EQ(csr.num_vertices(), n);
     EXPECT_GE(connected_components(all, n), 1u);
 }
 
@@ -126,15 +124,11 @@ TEST(PeHarness, RunTimedReturnsPositive) {
     EXPECT_GT(t, 0.0);
 }
 
-TEST(GraphStats, CsrAndBfsOnKnownGraph) {
+TEST(GraphStats, CsrAndComponentsOnKnownGraph) {
     // Path 0-1-2-3 plus isolated 4.
     const EdgeList edges{{0, 1}, {1, 2}, {2, 3}};
     const Csr g = build_csr(edges, 5, true);
     EXPECT_EQ(g.degree(1), 2u);
-    u64 reached = 0;
-    const auto dist = bfs(g, 0, &reached);
-    EXPECT_EQ(reached, 4u);
-    EXPECT_EQ(dist[3], 3u);
     EXPECT_EQ(connected_components(edges, 5), 2u);
 }
 

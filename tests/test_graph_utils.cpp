@@ -1,8 +1,6 @@
 // Direct unit coverage for the graph utility substrate: union-find, CSR
-// construction, BFS corner cases, and edge-list helpers.
+// construction, and edge-list helpers.
 #include <gtest/gtest.h>
-
-#include <limits>
 
 #include "graph/csr.hpp"
 #include "graph/edge_list.hpp"
@@ -55,26 +53,6 @@ TEST(Csr, EmptyGraph) {
     const Csr g = build_csr({}, 4, true);
     EXPECT_EQ(g.num_vertices(), 4u);
     for (VertexId v = 0; v < 4; ++v) EXPECT_EQ(g.degree(v), 0u);
-}
-
-TEST(Bfs, DistancesOnCycle) {
-    // 6-cycle: distance to the opposite vertex is 3.
-    EdgeList edges;
-    for (u64 v = 0; v < 6; ++v) edges.emplace_back(v, (v + 1) % 6);
-    const Csr g = build_csr(edges, 6, true);
-    u64 reached = 0;
-    const auto dist = bfs(g, 0, &reached);
-    EXPECT_EQ(reached, 6u);
-    EXPECT_EQ(dist[3], 3u);
-    EXPECT_EQ(dist[5], 1u);
-}
-
-TEST(Bfs, UnreachedVerticesAreMarked) {
-    const Csr g = build_csr({{0, 1}}, 3, true);
-    u64 reached = 0;
-    const auto dist = bfs(g, 0, &reached);
-    EXPECT_EQ(reached, 2u);
-    EXPECT_EQ(dist[2], std::numeric_limits<u64>::max());
 }
 
 TEST(EdgeListHelpers, CanonicalizeSortUnique) {

@@ -1,5 +1,5 @@
-// Hot-path scheduling + slab recycling (DESIGN.md §9, §14): arena-backed
-// ChunkBufferPool units, recycled multi-worker ordered delivery
+// Hot-path scheduling + slab recycling (DESIGN.md §9, §14): chunk buffers
+// on a SlabArena, recycled multi-worker ordered delivery
 // (byte-identical to sequential, recycling engaged — including in
 // bounded-memory mode, where released slabs decommit instead of the pool
 // switching off), canonical-order claiming (exact subrange slices, a
@@ -18,7 +18,8 @@
 #include <vector>
 
 #include "kagen.hpp"
-#include "pe/chunk_pool.hpp"
+#include "obs/metrics.hpp"
+#include "pe/arena.hpp"
 #include "pe/pe.hpp"
 #include "sink/sinks.hpp"
 
@@ -35,66 +36,66 @@ EdgeList some_edges(u64 count, u64 salt = 0) {
 }
 
 // ---------------------------------------------------------------------------
-// ChunkBufferPool units
+// Chunk buffers on a SlabArena
 // ---------------------------------------------------------------------------
 
-TEST(ChunkBufferPool, RecyclesSlabsAndCountsHits) {
-    pe::ChunkBufferPool pool;
+TEST(ArenaChunkBuffer, RecyclesSlabsAndCountsHits) {
+    pe::SlabArena arena;
 
-    pe::ChunkBuffer a = pool.acquire();
-    EXPECT_EQ(pool.buffers_allocated(), 0u) << "no slab until first write";
+    pe::ChunkBuffer a(&arena);
+    EXPECT_EQ(arena.slabs_reserved(), 0u) << "no slab until first write";
 
     const EdgeList src = some_edges(1000);
     a.append(src.data(), src.size());
-    EXPECT_EQ(pool.buffers_allocated(), 1u);
-    EXPECT_EQ(pool.buffers_recycled(), 0u);
+    EXPECT_EQ(arena.slabs_reserved(), 1u);
+    EXPECT_EQ(arena.freelist_hits(), 0u);
     const Edge* data = nullptr;
     a.for_each_segment([&](EdgeSpan seg) { data = seg.data; });
     ASSERT_NE(data, nullptr);
-    pool.release(a);
-    EXPECT_EQ(pool.buffers_retained(), 1u);
+    a.release();
+    EXPECT_EQ(arena.freelist_size(), 1u);
 
-    pe::ChunkBuffer b = pool.acquire();
+    pe::ChunkBuffer b(&arena);
     b.append(src.data(), src.size());
-    EXPECT_EQ(pool.buffers_recycled(), 1u);
-    EXPECT_EQ(pool.buffers_allocated(), 1u) << "reuse must not map a new slab";
+    EXPECT_EQ(arena.freelist_hits(), 1u);
+    EXPECT_EQ(arena.slabs_reserved(), 1u) << "reuse must not map a new slab";
     const Edge* data2 = nullptr;
     b.for_each_segment([&](EdgeSpan seg) { data2 = seg.data; });
     EXPECT_EQ(data2, data) << "freelist must hand back the same slab";
 }
 
-TEST(ChunkBufferPool, FreelistHoldsAllReleasedSlabs) {
+TEST(ArenaChunkBuffer, FreelistHoldsAllReleasedSlabs) {
     // The arena has no retention cap: a released slab keeps its mapping on
     // the freelist for the lifetime of the arena (bounded-memory runs
     // decommit the payload pages instead of unmapping — see below).
-    pe::ChunkBufferPool pool;
+    pe::SlabArena arena;
     const EdgeList src = some_edges(16);
     std::vector<pe::ChunkBuffer> bufs;
     for (int i = 0; i < 5; ++i) {
-        pe::ChunkBuffer b = pool.acquire();
+        pe::ChunkBuffer b(&arena);
         b.append(src.data(), src.size());
         bufs.push_back(std::move(b));
     }
-    for (auto& b : bufs) pool.release(b);
-    EXPECT_EQ(pool.buffers_retained(), 5u);
-    EXPECT_EQ(pool.buffers_allocated(), 5u);
+    for (auto& b : bufs) b.release();
+    EXPECT_EQ(arena.freelist_size(), 5u);
+    EXPECT_EQ(arena.slabs_reserved(), 5u);
 }
 
-TEST(ChunkBufferPool, DecommitModeStillRecycles) {
+TEST(ArenaChunkBuffer, DecommitModeStillRecycles) {
     // Bounded-memory mode: released slabs give their payload pages back to
     // the kernel but keep the mapping, so recycling stays on — the
     // pre-arena pool had to switch itself off here entirely.
-    pe::ChunkBufferPool pool(0, /*populate=*/false, /*decommit_on_release=*/true);
+    pe::SlabArena arena(0, /*populate=*/false, /*decommit_on_release=*/true);
     const EdgeList src = some_edges(8);
-    pe::ChunkBuffer a  = pool.acquire();
+    pe::ChunkBuffer a(&arena);
     a.append(src.data(), src.size());
-    pool.release(a);
-    EXPECT_EQ(pool.buffers_retained(), 1u);
+    a.release();
+    EXPECT_EQ(arena.freelist_size(), 1u);
 
-    pe::ChunkBuffer b = pool.acquire();
+    pe::ChunkBuffer b(&arena);
     b.append(src.data(), src.size());
-    EXPECT_EQ(pool.buffers_recycled(), 1u);
-    EXPECT_EQ(pool.buffers_allocated(), 1u);
+    EXPECT_EQ(arena.freelist_hits(), 1u);
+    EXPECT_EQ(arena.slabs_reserved(), 1u);
     // The decommitted-and-reused payload must read back intact.
     u64 i = 0;
     b.for_each_segment([&](EdgeSpan seg) {
@@ -103,13 +104,13 @@ TEST(ChunkBufferPool, DecommitModeStillRecycles) {
     EXPECT_EQ(i, src.size());
 }
 
-TEST(ChunkBufferPool, UntouchedBuffersHoldNoSlab) {
-    pe::ChunkBufferPool pool;
-    pe::ChunkBuffer b = pool.acquire();
+TEST(ArenaChunkBuffer, UntouchedBuffersHoldNoSlab) {
+    pe::SlabArena arena;
+    pe::ChunkBuffer b(&arena);
     EXPECT_EQ(b.slabs_held(), 0u);
-    pool.release(b); // nothing to hand back
-    EXPECT_EQ(pool.buffers_retained(), 0u);
-    EXPECT_EQ(pool.buffers_allocated(), 0u);
+    b.release(); // nothing to hand back
+    EXPECT_EQ(arena.freelist_size(), 0u);
+    EXPECT_EQ(arena.slabs_reserved(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -146,12 +147,14 @@ TEST(RecycledDelivery, MultiWorkerOutputMatchesSequentialAndRecycles) {
         pe::ChunkOptions opt = seq;
         opt.threads          = 4;
         MemorySink sink;
+        obs::Counter& chains = obs::Registry::global().counter("pe.arena.chains");
+        const u64 chains_before = chains.value();
         const auto stats = pe::run_chunked(opt, chunk_fn(), sink);
         EXPECT_EQ(sink.take(), reference);
         // Every chunk here fits one slab, so exactly one slab per chunk.
         EXPECT_EQ(stats.buffers_recycled + stats.buffers_allocated, kChunks)
             << "every chunk binds exactly one slab";
-        EXPECT_EQ(stats.arena_chains, 0u);
+        EXPECT_EQ(chains.value(), chains_before) << "no chunk chains a second slab";
         recycled = stats.buffers_recycled;
     }
     EXPECT_GT(recycled, 0u) << "arena never recycled a slab";

@@ -652,8 +652,8 @@ TEST_P(TransportMatrix, TelemetryRunStaysByteIdenticalAndMergesEveryRank) {
 
     u64 recycled = 0;
     for (const auto& rep : res.ranks) recycled += rep.stats.buffers_recycled;
-    EXPECT_EQ(res.buffers_recycled, recycled);
-    EXPECT_EQ(res.spilled_chunks, 0u);
+    EXPECT_EQ(res.stats.buffers_recycled, recycled);
+    EXPECT_EQ(res.stats.spilled_chunks, 0u);
 
     // One timeline per rank plus the coordinator's, with the ranks' generate
     // spans. The coordinator's merge spans are checked for forked ranks only:
@@ -824,8 +824,8 @@ TEST_P(TransportMatrix, FailureMidLeaseNamesTheLease) {
     EXPECT_NE(message.find("injected fault in a lease"), std::string::npos) << message;
 
     // A forked rank that dies in its lease loop: its channel reads EOF. A
-    // SIGKILL gives it no chance to unlink its rank file, so only the
-    // output is checked here.
+    // SIGKILL gives it no chance to unlink its rank file; the coordinator
+    // removes it once the failed fleet is reaped.
     if (GetParam() == Transport::fork) {
         const ScratchDir scratch("lease_kill");
         spec.scratch_dir = scratch.path();
@@ -840,6 +840,9 @@ TEST_P(TransportMatrix, FailureMidLeaseNamesTheLease) {
             message = e.what();
         }
         EXPECT_FALSE(file_exists(spec.output_path)) << "partial output left";
+        EXPECT_TRUE(scratch.entries().empty())
+            << scratch.entries().size() << " rank file(s) left behind, e.g. "
+            << (scratch.entries().empty() ? "" : scratch.entries().front());
         EXPECT_NE(message.find("rank 1"), std::string::npos) << message;
         EXPECT_NE(message.find("chunks [2, 3)"), std::string::npos) << message;
         EXPECT_NE(message.find("signal 9"), std::string::npos) << message;
