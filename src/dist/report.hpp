@@ -5,8 +5,9 @@
 /// The paper's generators need *zero* communication to produce the graph;
 /// besides its job, its lease requests, its rank file and the sorted runs
 /// of a dedup job, the only bytes a rank ever sends are this one report —
-/// its `pe::ChunkRunStats` folded over its leases, its lease table, the
-/// edge count of its rank file, the run table of a dedup job, and the
+/// its `pe::ChunkRunStats` merged over its leases (every field of it, so
+/// the coordinator's fold sees exactly what the rank ran), its lease table,
+/// the edge count of its rank file, the run table of a dedup job, and the
 /// mergeable sink summaries (sink/sinks.hpp) — or, if the rank failed, the
 /// error message. The payload uses the explicit little-endian
 /// layout of common/bytes.hpp; net/protocol.hpp frames it as the `report`
@@ -43,8 +44,7 @@ struct RankReport {
     bool ok = true;
     std::string error;
 
-    pe::ChunkRunStats stats;     ///< folded over the leases: chunks, spills
-                                 ///< and buffers summed, peaks maxed,
+    pe::ChunkRunStats stats;     ///< ChunkRunStats::merge over the leases;
                                  ///< seconds = summed lease run time (busy)
     std::vector<Lease> leases;   ///< every lease the rank ran, in the order
                                  ///< it ran them (= canonical order); its

@@ -128,7 +128,7 @@ using NextLease = std::function<Lease(const Lease& finished)>;
 /// then sorts the finished rank file into runs (em::form_runs under
 /// `run.sort_memory`, key width from the graph's n) at
 /// runs_path_of(rank_path). Returns the finished RankReport (ok == true)
-/// with the lease table and the stats folded over the leases. The single
+/// with the lease table and the stats merged over the leases. The single
 /// rank-execution core shared by forked and TCP workers — byte-identity of
 /// both transports rests on them running literally this function. Throws
 /// on any failure; the caller owns turning that into a failure report.

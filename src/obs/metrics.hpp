@@ -2,17 +2,17 @@
 /// \brief Process-wide metrics registry: named monotonic counters and
 ///        log-bucketed histograms with mergeable, serializable snapshots.
 ///
-/// The engine's runtime accounting used to be hand-threaded structs
-/// (`pe::ChunkRunStats`, ad-hoc fields on `DistResult`/`NetResult`) — every
-/// new counter meant touching the struct, the report codec, and every
-/// printer. The registry replaces that plumbing with named instruments:
-/// hot paths `add()` to a cached `Counter&` (one relaxed atomic RMW), and
+/// Hot paths `add()` to a cached `Counter&` (one relaxed atomic RMW), and
 /// orchestration code takes a `Snapshot` — a deterministic, sorted
-/// name→value map that serializes over the dist/net report channel, merges
-/// across ranks exactly like the sink summaries (sum for monotonic
+/// name→value map that serializes over the dist/net telemetry channel,
+/// merges across ranks exactly like the sink summaries (sum for monotonic
 /// counters, max for peak gauges), and renders to JSON for `-metrics FILE`.
-/// `ChunkRunStats` survives as a thin per-run view for API compatibility;
-/// the registry is the superset.
+///
+/// The registry is the cumulative mirror of `pe::ChunkRunStats`, not its
+/// replacement. That struct stays the per-run unit because it is exact per
+/// rank even when ranks share a process: TCP workers run as threads of one
+/// process in tests and in the benchmark's net probe, and a registry delta
+/// taken by one of them would count the others' work too.
 ///
 /// Because the registry is process-global and lives across runs (tests,
 /// the future daemon), per-run numbers are taken as *deltas*: capture a
