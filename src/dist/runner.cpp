@@ -177,8 +177,7 @@ RankReport execute_rank_job(const GraphSpec& graph, const RunOptions& run,
         copt.pool = pool.get();
         // Same layout as run_chunked's own per-run arena.
         arena = std::make_unique<pe::SlabArena>(
-            run.arena_slab_bytes, /*populate=*/false,
-            /*decommit_on_release=*/run.max_buffered_bytes != 0);
+            run.arena_slab_bytes, /*decommit_on_release=*/run.max_buffered_bytes != 0);
         copt.arena = arena.get();
     }
     while (lease.chunk_begin < lease.chunk_end) {

@@ -17,9 +17,7 @@
 /// NUMA discipline: slabs are not pre-touched by default, so the first
 /// writer — the pinned worker generating into the slab under `-pin-threads`
 /// — faults the pages in and the kernel's first-touch policy places them on
-/// that worker's node. `populate == true` opts into `MAP_POPULATE`
-/// (pre-faulted on the constructing thread) for callers that prefer
-/// predictable latency over locality.
+/// that worker's node.
 ///
 /// Bounded-memory interaction: with `decommit_on_release`, a slab returning
 /// to the freelist gives its payload pages back to the kernel
@@ -89,19 +87,16 @@ public:
 
     /// \param slab_bytes  per-slab mapping size; 0 = kDefaultSlabBytes.
     ///        Values below kMinSlabBytes are clamped up.
-    /// \param populate    pre-fault pages at mmap time (MAP_POPULATE)
-    ///        instead of first-touch by the writing worker.
     /// \param decommit_on_release  return payload pages to the kernel when
     ///        a slab enters the freelist (bounded-memory mode).
     /// \param max_mapped_slabs  test hook: cap on kernel-backed slabs; past
     ///        it every acquire takes the heap-fallback path. 0 = no cap.
-    explicit SlabArena(u64 slab_bytes = 0, bool populate = false,
-                       bool decommit_on_release = false, u64 max_mapped_slabs = 0)
+    explicit SlabArena(u64 slab_bytes = 0, bool decommit_on_release = false,
+                       u64 max_mapped_slabs = 0)
         : slab_bytes_(std::max(slab_bytes != 0 ? slab_bytes : kDefaultSlabBytes,
                                kMinSlabBytes)),
           capacity_edges_((slab_bytes_ - Slab::kHeaderBytes) / sizeof(Edge)),
-          populate_(populate), decommit_(decommit_on_release),
-          max_mapped_(max_mapped_slabs) {
+          decommit_(decommit_on_release), max_mapped_(max_mapped_slabs) {
         slabs_.reserve(16);
     }
 
@@ -177,11 +172,6 @@ public:
         std::lock_guard<std::mutex> lock(mutex_);
         return slabs_.size();
     }
-    /// Total bytes reserved across all slabs.
-    u64 bytes_reserved() const {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return slabs_.size() * slab_bytes_;
-    }
     /// Acquires served from the freelist (the recycling hit count).
     u64 freelist_hits() const {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -215,17 +205,8 @@ private:
             if (max_mapped_ != 0 && mapped_ >= max_mapped_) heap = true;
         }
         if (!heap) {
-            int flags = MAP_PRIVATE | MAP_ANONYMOUS;
-#ifdef MAP_POPULATE
-            if (populate_) flags |= MAP_POPULATE;
-#endif
-            mem = ::mmap(nullptr, slab_bytes_, PROT_READ | PROT_WRITE, flags, -1, 0);
-            if (mem == MAP_FAILED && populate_) {
-                // MAP_POPULATE can fail where plain anonymous maps succeed
-                // (cgroup limits); locality is best-effort, retry without.
-                mem = ::mmap(nullptr, slab_bytes_, PROT_READ | PROT_WRITE,
-                             MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-            }
+            mem = ::mmap(nullptr, slab_bytes_, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
             if (mem == MAP_FAILED) {
                 mem  = nullptr;
                 heap = true; // graceful fallback below
@@ -271,7 +252,6 @@ private:
     std::vector<Slab*> slabs_;   ///< every slab ever reserved (for teardown)
     const u64 slab_bytes_;
     const u64 capacity_edges_;
-    const bool populate_;
     const bool decommit_;
     const u64 max_mapped_;
     u64 mapped_         = 0;

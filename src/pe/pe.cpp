@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <cassert>
 #include <condition_variable>
 #include <cstdio>
 #include <memory>
@@ -325,36 +324,25 @@ private:
     u64 forwarded_ = 0;
 };
 
-/// Bounded-memory ordered delivery over a lock-free ready queue: completed
-/// chunks publish their slab chains into fixed per-chunk slots (in RAM
-/// while the byte budget allows, on disk past it), and a single
-/// *designated drainer* streams the contiguous ready prefix into the sink.
-/// There is no bookkeeping mutex any more: budget admission is a CAS on
-/// the resident byte count, slot publication is one release store, and
-/// drainer election is a CAS on a flag — producers never serialize against
-/// each other or against sink/spill I/O, and slab recycling happens on the
-/// arena's own freelist with no delivery state held (DESIGN.md §14).
+/// Bounded-memory ordered delivery (DESIGN.md §5): completed chunks park
+/// their slab chains in per-chunk slots (in RAM while the byte budget
+/// allows, on disk past it), and a single *designated drainer* streams the
+/// contiguous ready prefix into the sink in canonical chunk order, so the
+/// output is byte-identical to a sequential run.
 ///
-/// Memory-ordering argument: a producer fills its slot's payload fields,
-/// then publishes with `state.store(release)`; the drainer reads
-/// `state.load(acquire)` before touching the payload, so every fill
-/// happens-before its drain. Drainer election: the `draining_` CAS
-/// (acq_rel) admits exactly one drainer, so sink delivery stays serialized
-/// and in canonical chunk order — the output is byte-identical to a
-/// sequential run. A producer whose CAS fails walks away and relies on the
-/// active drainer's re-check loop: the drainer clears the flag *then*
-/// re-examines the cursor slot, so a slot published concurrently with the
-/// hand-off is never stranded. The cursor advances only inside the drainer
-/// (release store), after the chunk's bytes left the resident count, so at
-/// most one cursor-exempt chunk is ever resident and the documented
-/// "budget + one chunk" peak bound is exact.
+/// One mutex guards the slots, the cursor, the `draining_` flag and the
+/// byte and spill counts; it is never held across sink delivery, spill
+/// parking or spill replay. A producer publishes its slot and tests
+/// `draining_` under the same lock the drainer takes to re-check the cursor
+/// slot before it gives the role up, so no ready slot is ever stranded.
 class OrderedDelivery {
 public:
+    /// Writes the ordered-delivery fields of `stats` (peak, spills).
     OrderedDelivery(u64 num_chunks, u64 chunk_base, u64 max_buffered_bytes,
                     const std::string& spill_path, EdgeSink& sink,
-                    SlabArena& arena)
+                    SlabArena& arena, ChunkRunStats& stats)
         : slots_(num_chunks), chunk_base_(chunk_base),
-          budget_(max_buffered_bytes), arena_(arena), sink_(sink) {
+          budget_(max_buffered_bytes), arena_(arena), sink_(sink), stats_(stats) {
         // The spill file is only ever touched in bounded mode; create it
         // eagerly so producers never race on lazy construction.
         if (budget_ != 0) {
@@ -370,17 +358,20 @@ public:
     /// generating. Takes ownership of the slab chain in `buf`.
     void complete(u64 chunk, ChunkBuffer buf) {
         const u64 bytes = buf.bytes();
-        Slot& slot      = slots_[chunk];
-        // After a sink failure the run is unwinding (parallel_for cancels
-        // pending tasks, the drainer's exception is propagating) — park in
-        // RAM without spill I/O and never re-enter the drain: the cursor
-        // slot was already consumed by the failed delivery.
-        const bool failed = failed_.load(std::memory_order_acquire);
-        if (!failed && bytes > 0 && !admit(chunk, bytes)) {
+        std::unique_lock<std::mutex> lock(mutex_);
+        Slot& slot = slots_[chunk];
+        // The cursor chunk, while no drainer runs, is about to leave through
+        // the sink and never worth a disk round-trip: the "+ one chunk" of
+        // the bound. After a sink failure the run is unwinding: park in RAM
+        // without spill I/O and never re-enter the drain, whose cursor slot
+        // the failed delivery already consumed.
+        const bool at_cursor = chunk == cursor_ && !draining_;
+        if (!failed_ && budget_ != 0 && bytes > 0 && resident_ + bytes > budget_ &&
+            !at_cursor) {
+            lock.unlock();
             obs::instant(obs::Phase::budget_park, chunk_base_ + chunk);
-            // Spill with no delivery state held: SpillFile::append only
-            // serializes its offset reservation, so concurrent spillers
-            // overlap their writes and non-spilling producers are untouched.
+            // SpillFile::append only serializes its offset reservation, so
+            // concurrent spillers overlap their writes.
             auto parked = std::make_unique<spill::SpillSink>(*spill_);
             {
                 obs::Span park_span(obs::Phase::spill_park, chunk_base_ + chunk);
@@ -390,178 +381,105 @@ public:
                 parked->finish();
             }
             buf.release(); // chain back to the freelist before publishing
+            lock.lock();
             slot.spilled = std::move(parked);
-            spilled_chunks_.fetch_add(1, std::memory_order_relaxed);
-            spilled_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-            slot.state.store(Slot::kSpilled, std::memory_order_release);
+            ++stats_.spilled_chunks;
+            stats_.spilled_bytes += bytes;
         } else {
-            slot.bytes = bytes;
             slot.buf   = std::move(buf);
-            slot.state.store(Slot::kBuffered, std::memory_order_release);
+            slot.bytes = bytes;
+            resident_ += bytes;
+            stats_.peak_buffered_bytes = std::max(stats_.peak_buffered_bytes, resident_);
         }
-        if (!failed) maybe_drain();
+        slot.ready = true;
+        if (!draining_ && !failed_) drain(lock);
     }
 
-    u64 delivered_chunks() const {
-        return cursor_.load(std::memory_order_acquire);
-    }
-    u64 peak_buffered_bytes() const {
-        return peak_.load(std::memory_order_acquire);
-    }
-    u64 spilled_chunks() const {
-        return spilled_chunks_.load(std::memory_order_relaxed);
-    }
-    u64 spilled_bytes() const {
-        return spilled_bytes_.load(std::memory_order_relaxed);
-    }
+    /// Chunks handed to the sink; read after the parallel section joined.
+    u64 delivered_chunks() const { return cursor_; }
 
 private:
-    /// One chunk's ready-queue slot. The producing worker fills the payload
-    /// fields and publishes with the `state` release store; only the
-    /// drainer reads them afterwards. Cache-line alignment keeps
-    /// concurrently-publishing neighbours off one line.
-    struct alignas(64) Slot {
-        static constexpr u8 kPending  = 0;
-        static constexpr u8 kBuffered = 1;
-        static constexpr u8 kSpilled  = 2;
-        std::atomic<u8> state{kPending};
-        u64 bytes = 0;                             ///< resident edge bytes
+    struct Slot {
+        bool ready = false;
+        u64 bytes  = 0;                            ///< resident edge bytes
         ChunkBuffer buf;                           ///< buffered payload
         std::unique_ptr<spill::SpillSink> spilled; ///< spilled payload
     };
 
-    /// Budget admission: CAS-reserves `bytes` on the resident count, so the
-    /// count never transiently includes a chunk that then spills — the peak
-    /// statistic is exact, not a racy over-read. Returns false when the
-    /// chunk must spill. The cursor chunk (while no drainer is active) is
-    /// exempt: it is about to leave through the sink anyway and is never
-    /// worth a disk round-trip — the "+ one chunk" allowance of the bound.
-    bool admit(u64 chunk, u64 bytes) {
-        const bool at_cursor =
-            budget_ != 0 && chunk == cursor_.load(std::memory_order_acquire) &&
-            !draining_.load(std::memory_order_acquire);
-        u64 cur = resident_.load(std::memory_order_relaxed);
-        for (;;) {
-            if (budget_ != 0 && cur + bytes > budget_ && !at_cursor) {
-                return false;
-            }
-            if (resident_.compare_exchange_weak(cur, cur + bytes,
-                                                std::memory_order_acq_rel,
-                                                std::memory_order_relaxed)) {
-                update_peak(cur + bytes);
-                return true;
-            }
-        }
-    }
-
-    /// Drainer election: claim the flag when the cursor slot is ready. The
-    /// post-drain re-check closes the hand-off race — a producer that
-    /// published while we still held the flag saw its CAS fail and walked
-    /// away; its slot must not be stranded.
-    void maybe_drain() {
-        for (;;) {
-            if (failed_.load(std::memory_order_acquire)) return;
-            const u64 cur = cursor_.load(std::memory_order_acquire);
-            if (cur >= slots_.size() ||
-                slots_[cur].state.load(std::memory_order_acquire) ==
-                    Slot::kPending) {
-                return;
-            }
-            bool expected = false;
-            if (!draining_.compare_exchange_strong(expected, true,
-                                                   std::memory_order_acq_rel)) {
-                return; // the active drainer re-checks after clearing
-            }
-            drain_loop();
-            draining_.store(false, std::memory_order_release);
-        }
-    }
-
-    /// Streams the contiguous ready prefix into the sink. Runs with the
-    /// drainer flag held; no lock exists. Sink delivery, spill replay and
-    /// slab recycling all happen right here, fully concurrent with
-    /// producers filling and publishing later slots.
-    void drain_loop() {
-        u64 cur = cursor_.load(std::memory_order_relaxed); // sole writer
+    /// Streams the contiguous ready prefix into the sink. Entered with the
+    /// lock held and no drainer active; the lock is dropped around every
+    /// delivery and re-taken to advance the cursor, so chunks parked
+    /// meanwhile are picked up in the same pass. The loop condition is the
+    /// re-check, under the lock that clears `draining_`.
+    void drain(std::unique_lock<std::mutex>& lock) {
+        draining_ = true;
         try {
-            while (cur < slots_.size()) {
-                Slot& slot  = slots_[cur];
-                const u8 st = slot.state.load(std::memory_order_acquire);
-                if (st == Slot::kPending) break;
-                if (st == Slot::kBuffered) {
-                    ChunkBuffer buf = std::move(slot.buf);
-                    const u64 bytes = slot.bytes;
-                    {
-                        obs::Span span(obs::Phase::deliver, chunk_base_ + cur);
-                        buf.for_each_segment([&](EdgeSpan seg) {
-                            sink_.deliver(seg.data, seg.count);
-                        });
-                    }
-                    // Recycle the chain: producers pull these very slabs
-                    // off the arena freelist for their next chunk — the
-                    // zero-steady-state-allocation cycle (DESIGN.md §14).
+            while (cursor_ < slots_.size() && slots_[cursor_].ready) {
+                Slot& slot      = slots_[cursor_];
+                const u64 chunk = chunk_base_ + cursor_;
+                ChunkBuffer buf = std::move(slot.buf);
+                auto parked     = std::move(slot.spilled);
+                lock.unlock();
+                if (parked == nullptr) {
+                    obs::Span span(obs::Phase::deliver, chunk);
+                    buf.for_each_segment([&](EdgeSpan seg) {
+                        sink_.deliver(seg.data, seg.count);
+                    });
+                    // Recycle the chain: producers pull these very slabs off
+                    // the arena freelist for their next chunk (DESIGN.md §14).
                     buf.release();
-                    // Subtract *before* advancing the cursor: the next
-                    // chunk's cursor exemption must never overlap this
-                    // chunk's resident bytes, or the peak bound would read
-                    // budget + two chunks.
-                    resident_.fetch_sub(bytes, std::memory_order_acq_rel);
                 } else {
-                    auto parked = std::move(slot.spilled);
-                    obs::Span span(obs::Phase::spill_replay, chunk_base_ + cur);
+                    obs::Span span(obs::Phase::spill_replay, chunk);
                     // Replay through a held scratch slab: the replay path
                     // allocates nothing, and the bounded-memory footprint
                     // stays budget + one chunk + one slab.
                     if (scratch_ == nullptr) scratch_ = arena_.acquire();
                     parked->replay(sink_, scratch_->edges(), scratch_->capacity);
                 }
-                ++cur;
-                cursor_.store(cur, std::memory_order_release);
+                lock.lock();
+                // The bytes leave the count in the critical section that
+                // advances the cursor, so the next chunk's cursor exemption
+                // never overlaps them: budget + one chunk, never + two.
+                resident_ -= slot.bytes;
+                ++cursor_;
             }
         } catch (...) {
             // A failing sink (e.g. ENOSPC in BinaryFileSink) must not leave
-            // a phantom drainer behind: producers would park forever and
-            // the error would surface as a hang instead of the thrown
-            // exception. Order matters — `failed_` must be visible before
-            // the flag clears, or a producer could slip in and re-drain the
-            // cursor slot whose payload this attempt already consumed.
-            failed_.store(true, std::memory_order_release);
-            draining_.store(false, std::memory_order_release);
+            // a phantom drainer behind: producers would park forever and the
+            // error would surface as a hang instead of the thrown exception.
+            if (!lock.owns_lock()) lock.lock();
+            failed_   = true;
+            draining_ = false;
             throw;
         }
+        draining_ = false;
     }
 
-    void update_peak(u64 value) {
-        u64 cur = peak_.load(std::memory_order_relaxed);
-        while (cur < value &&
-               !peak_.compare_exchange_weak(cur, value,
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_relaxed)) {
-        }
-    }
-
+    std::mutex mutex_;
     std::vector<Slot> slots_;
-    const u64 chunk_base_; ///< absolute id of slot 0 (trace span labels)
-    std::atomic<u64> cursor_{0};       ///< next chunk owed to the sink
-    std::atomic<bool> draining_{false}; ///< a designated drainer is active
-    std::atomic<bool> failed_{false};   ///< a delivery threw; stop draining
-    const u64 budget_; ///< resident-byte budget; 0 = unbounded
-    std::atomic<u64> resident_{0}; ///< parked + in-flight-to-sink bytes
-    std::atomic<u64> peak_{0};
-    std::atomic<u64> spilled_chunks_{0};
-    std::atomic<u64> spilled_bytes_{0};
+    const u64 chunk_base_;  ///< absolute id of slot 0 (trace span labels)
+    u64 cursor_    = 0;     ///< next chunk owed to the sink
+    bool draining_ = false; ///< a designated drainer is active
+    bool failed_   = false; ///< a delivery threw; stop draining
+    const u64 budget_;      ///< resident-byte budget; 0 = unbounded
+    u64 resident_ = 0;      ///< parked + in-flight-to-sink bytes
     std::unique_ptr<spill::SpillFile> spill_;
     SlabArena& arena_;
     EdgeSink& sink_;
+    ChunkRunStats& stats_;
     Slab* scratch_ = nullptr; ///< drainer-owned spill-replay scratch slab
 };
 
 } // namespace
 
 ChunkRunStats run_chunked(const ChunkOptions& opt, const ChunkFn& fn, EdgeSink& sink) {
-    assert(opt.num_pes >= 1 && opt.chunks_per_pe >= 1);
     const u64 num_chunks =
         opt.total_chunks != 0 ? opt.total_chunks : opt.num_pes * opt.chunks_per_pe;
+    if (num_chunks == 0) {
+        throw std::invalid_argument(
+            "pe::run_chunked: no chunks to run (num_pes = " + std::to_string(opt.num_pes) +
+            ", chunks_per_pe = " + std::to_string(opt.chunks_per_pe) + ")");
+    }
     // Subrange selection: tasks cover [begin, end) of the canonical chunks;
     // fn still sees the full decomposition (chunk id, num_chunks), so the
     // emitted stream is the exact slice of the whole-graph stream.
@@ -643,10 +561,9 @@ ChunkRunStats run_chunked(const ChunkOptions& opt, const ChunkFn& fn, EdgeSink& 
         // one chunk per worker; chunks completing more than
         // `max_buffered_bytes` ahead of the cursor park on disk, so peak
         // memory is budget + one chunk instead of O(completion skew).
-        // Recycling stays on in bounded mode too: released slabs decommit
-        // their payload pages (pe/arena.hpp), so retained capacity is no
-        // longer invisible resident memory and the strict bound survives.
-        SlabArena local_arena(opt.arena_slab_bytes, /*populate=*/false,
+        // In bounded mode released slabs decommit their payload pages
+        // (pe/arena.hpp), so the bound holds for resident memory too.
+        SlabArena local_arena(opt.arena_slab_bytes,
                               /*decommit_on_release=*/opt.max_buffered_bytes != 0);
         SlabArena& arena = opt.arena != nullptr ? *opt.arena : local_arena;
         // Stats are deltas: an external arena (ChunkOptions::arena) carries
@@ -655,7 +572,7 @@ ChunkRunStats run_chunked(const ChunkOptions& opt, const ChunkFn& fn, EdgeSink& 
         const u64 base_reserved = arena.slabs_reserved();
         const u64 base_chains   = arena.chains();
         OrderedDelivery delivery(span, begin, opt.max_buffered_bytes,
-                                 opt.spill_path, sink, arena);
+                                 opt.spill_path, sink, arena, stats);
         pool->parallel_for(span, workers, [&](u64 task) {
             ChunkBuffer buf(&arena);
             {
@@ -667,14 +584,16 @@ ChunkRunStats run_chunked(const ChunkOptions& opt, const ChunkFn& fn, EdgeSink& 
             edge_hist.observe(buf.size());
             delivery.complete(task, std::move(buf));
         });
-        assert(delivery.delivered_chunks() == span);
-        stats.peak_buffered_bytes = delivery.peak_buffered_bytes();
-        stats.spilled_chunks      = delivery.spilled_chunks();
-        stats.spilled_bytes       = delivery.spilled_bytes();
-        stats.buffers_recycled    = arena.freelist_hits() - base_hits;
-        stats.buffers_allocated   = arena.slabs_reserved() - base_reserved;
-        arena_chains              = arena.chains() - base_chains;
-        slab_bytes                = arena.slab_bytes();
+        if (delivery.delivered_chunks() != span) {
+            throw std::logic_error(
+                "pe::run_chunked: ordered delivery handed " +
+                std::to_string(delivery.delivered_chunks()) + " of " +
+                std::to_string(span) + " chunks to the sink");
+        }
+        stats.buffers_recycled  = arena.freelist_hits() - base_hits;
+        stats.buffers_allocated = arena.slabs_reserved() - base_reserved;
+        arena_chains            = arena.chains() - base_chains;
+        slab_bytes              = arena.slab_bytes();
     }
     stats.seconds = static_cast<double>(obs::monotonic_now() - start) * 1e-9;
 

@@ -198,12 +198,14 @@ struct ChunkRunStats {
 /// streams each chunk *directly* into the sink — canonical order is
 /// automatic, so no chunk is ever materialized (zero chunk buffers, zero
 /// copies; DESIGN.md §9). With several workers, completed chunks park in
-/// recycled pool buffers in RAM — or, past `max_buffered_bytes`, on disk —
+/// recycled arena slabs in RAM — or, past `max_buffered_bytes`, on disk —
 /// and a single designated drainer streams the contiguous ready prefix
-/// into the sink *outside* the bookkeeping lock, so producers never stall
-/// on sink I/O. Unordered sinks (`ordered() == false`) get concurrent
-/// delivery with O(buffer) memory per worker. The caller is responsible
-/// for `sink.finish()`.
+/// into the sink *outside* the one bookkeeping lock, so producers never
+/// stall on sink I/O (DESIGN.md §5). Unordered sinks (`ordered() == false`)
+/// get concurrent delivery with O(buffer) memory per worker. The caller is
+/// responsible for `sink.finish()`. Throws std::invalid_argument for zero
+/// chunks or a chunk range outside them, and std::logic_error if ordered
+/// delivery handed the sink fewer chunks than it ran.
 ChunkRunStats run_chunked(const ChunkOptions& opt, const ChunkFn& fn, EdgeSink& sink);
 
 } // namespace kagen::pe

@@ -70,7 +70,7 @@ TEST(SlabArena, ExhaustionFallsBackToHeapGracefully) {
     // Cap kernel-backed slabs at 1: the second acquire must take the heap
     // path and still behave like a slab end to end, including recycling
     // through the same freelist.
-    pe::SlabArena arena(4096, /*populate=*/false, /*decommit_on_release=*/false,
+    pe::SlabArena arena(4096, /*decommit_on_release=*/false,
                         /*max_mapped_slabs=*/1);
     pe::Slab* a = arena.acquire();
     pe::Slab* b = arena.acquire();
@@ -92,7 +92,7 @@ TEST(SlabArena, ExhaustionFallsBackToHeapGracefully) {
 }
 
 TEST(SlabArena, DecommitKeepsPayloadUsableAfterReuse) {
-    pe::SlabArena arena(4096, /*populate=*/false, /*decommit_on_release=*/true);
+    pe::SlabArena arena(4096, /*decommit_on_release=*/true);
     pe::Slab* s = arena.acquire();
     const u64 cap = s->capacity;
     for (u64 i = 0; i < cap; ++i) s->edges()[i] = Edge{i, i};

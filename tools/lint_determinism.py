@@ -46,8 +46,9 @@ Rules (ids are what the allowlist references):
                       make_unique/make_shared, push_back/emplace_back/
                       reserve/resize) in the chunked-engine sources (pe/) —
                       the steady-state emit->deliver->write loop is
-                      allocation-free by design (arena slabs + lock-free
-                      delivery, DESIGN.md §14, gated by test_alloc_gate).
+                      allocation-free by design (arena slabs recycled
+                      through the ordered-delivery queue, DESIGN.md §14,
+                      gated by test_alloc_gate).
                       Setup/teardown and cold-path allocations are fine but
                       must be allowlisted with a justification saying why
                       they are not per-chunk or per-edge.
