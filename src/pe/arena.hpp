@@ -14,7 +14,7 @@
 /// slabs; nothing is ever `realloc`ed, so no edge is ever copied because a
 /// buffer grew.
 ///
-/// NUMA discipline: slabs are not pre-touched by default, so the first
+/// NUMA discipline: slabs are never pre-touched, so the first
 /// writer — the pinned worker generating into the slab under `-pin-threads`
 /// — faults the pages in and the kernel's first-touch policy places them on
 /// that worker's node.

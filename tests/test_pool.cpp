@@ -6,7 +6,7 @@
 // resident window of a few chunks), an ordered-delivery hand-off that
 // never strands the tail of a run, worker pinning, and one-worker runs
 // that build no pool.
-// ctest label: pool (re-run under ASan in CI).
+// ctest label: pool (re-run under ASan and TSan in CI).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +19,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "kagen.hpp"
@@ -325,9 +326,8 @@ TEST(OrderedDelivery, ShortRunsDeliverEveryChunk) {
     // Regression for a lost tail: tiny chunks finish close together, so the
     // drainer hands its role back while producers publish. A hand-off that
     // strands a ready cursor slot ends the run with that chunk and every
-    // later one undelivered. The lock-free queue this test was written
-    // against came up short in 12 of 1,200,000 such runs (11 of 60
-    // invocations failed), usually by the last 1-3 chunks.
+    // later one undelivered. Such a race showed in about 1 of 100,000 runs
+    // of this shape (DESIGN.md §5), hence the run count.
 #if defined(__SANITIZE_THREAD__)
     constexpr u64 kRuns = 2000;
 #else
