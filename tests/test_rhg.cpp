@@ -265,6 +265,52 @@ TEST(RhgGenerators, DeterministicPerRank) {
     EXPECT_EQ(collect(streaming), collect(streaming));
 }
 
+// The in-memory bytes at the benchmark's scale, where the fixtures (n ≤ 3000)
+// and the brute-force spectrum (n ≤ 2000) do not reach: a 64-bit FNV-1a
+// digest of every chunk's stream, in chunk order, and the edge total. Any
+// change to the query, the recompute or the sort that moves one byte
+// changes a digest.
+struct RhgDigestCase {
+    double avg_deg;
+    double gamma;
+    u64 chunks;
+    EdgeSemantics semantics;
+    u64 edges;
+    u64 digest;
+};
+
+TEST(RhgDigest, InMemoryStreamsAtBenchmarkScale) {
+    const RhgDigestCase cases[] = {
+        {16, 2.6, 64, EdgeSemantics::as_generated, 585932, 0x405cf06da5f9d111ull},
+        {16, 2.6, 64, EdgeSemantics::exact_once, 527221, 0xa1539e9b068bcf20ull},
+        // Windows reach π:
+        {8, 2.1, 7, EdgeSemantics::as_generated, 141629, 0x975c3979ee584659ull},
+        {8, 2.1, 7, EdgeSemantics::exact_once, 121516, 0x1047465c62e261f7ull},
+    };
+    for (const auto& c : cases) {
+        const hyp::Params params{u64{1} << 16, c.avg_deg, c.gamma, /*seed=*/1};
+        u64 edges  = 0;
+        u64 digest = 0xcbf29ce484222325ull;
+        for (u64 rank = 0; rank < c.chunks; ++rank) {
+            for (const auto& [u, v] : collect([&](EdgeSink& sink) {
+                     rhg::generate_inmemory(params, rank, c.chunks, sink, c.semantics);
+                 })) {
+                for (const u64 id : {u, v}) {
+                    for (int b = 0; b < 64; b += 8) {
+                        digest = (digest ^ ((id >> b) & 0xff)) * 0x100000001b3ull;
+                    }
+                }
+                ++edges;
+            }
+        }
+        SCOPED_TRACE(::testing::Message() << "d=" << c.avg_deg << " gamma=" << c.gamma
+                                          << " C=" << c.chunks << " "
+                                          << semantics_name(c.semantics));
+        EXPECT_EQ(edges, c.edges);
+        EXPECT_EQ(digest, c.digest) << "digest 0x" << std::hex << digest;
+    }
+}
+
 TEST(RhgCounters, CountQueriesCandidatesAndRecomputedPoints) {
     // The live §7.1 cost counters: one query per (vertex, annulus), at least
     // one candidate per emitted edge (Lemma 10 only overestimates), and no
