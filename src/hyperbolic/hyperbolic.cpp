@@ -91,8 +91,7 @@ std::vector<HypPoint> HypGrid::chunk_points(u32 a, u64 chunk) const {
 
     const double c_begin = chunk_begin(chunk);
     const double c_width = chunk_width() / static_cast<double>(cells);
-    const double r_lo    = annulus_lower(a);
-    const double r_hi    = annulus_upper(a);
+    const auto radii     = space_.radial_range(annulus_lower(a), annulus_upper(a));
     u64 next_id = annulus_first_id(a) + node.prefix;
     std::vector<std::pair<double, double>> cell_pts; // (theta, radius)
     for (u64 cell = 0; cell < cells; ++cell) {
@@ -102,7 +101,7 @@ std::vector<HypPoint> HypGrid::chunk_points(u32 a, u64 chunk) const {
         for (u64 i = 0; i < cell_count[cell]; ++i) {
             const double theta =
                 c_begin + (static_cast<double>(cell) + rng.uniform()) * c_width;
-            const double r = space_.inv_radial(r_lo, r_hi, rng.uniform());
+            const double r = space_.inv_radial(radii, rng.uniform());
             cell_pts.emplace_back(theta, r);
         }
         // Sort inside the cell so ids are angle-monotone within the chunk —

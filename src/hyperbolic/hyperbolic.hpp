@@ -20,7 +20,10 @@
 /// additions (Eq. 9) instead of trigonometric calls. The query windows
 /// (`Space::delta_theta`, Eq. A.3) get the same treatment: cosh/sinh of
 /// every radius involved are computed once (`RadialTerms`; the grid keeps
-/// them for each annulus' lower boundary), so a window costs one acos.
+/// them for each annulus' lower boundary), so a window costs one acos. The
+/// in-memory generator takes every window between two lower boundaries:
+/// k² acos per chunk for k annuli. Point generation hoists the cosh of an
+/// annulus' two boundaries out of its inverse-cdf draws (`RadialRange`).
 #pragma once
 
 #include <algorithm>
@@ -86,9 +89,23 @@ public:
 
     /// Inverse radial cdf restricted to [a, b): maps u in [0,1).
     double inv_radial(double a, double b, double u) const {
-        const double ca = std::cosh(alpha_ * a);
-        const double cb = std::cosh(alpha_ * b);
-        return std::acosh(ca + u * (cb - ca)) / alpha_;
+        return inv_radial(radial_range(a, b), u);
+    }
+
+    /// cosh(α·a) and cosh(α·b) of a radial range [a, b), computed once for
+    /// every draw inside it.
+    struct RadialRange {
+        double cosh_lo = 0.0;
+        double cosh_hi = 0.0;
+    };
+    RadialRange radial_range(double a, double b) const {
+        return {std::cosh(alpha_ * a), std::cosh(alpha_ * b)};
+    }
+
+    /// The same inverse cdf from the range's precomputed cosh terms.
+    /// Bit-identical to the (a, b, u) form, which delegates here.
+    double inv_radial(const RadialRange& range, double u) const {
+        return std::acosh(range.cosh_lo + u * (range.cosh_hi - range.cosh_lo)) / alpha_;
     }
 
     /// Maximum angular deviation of a neighbour at radius `b` from a point

@@ -29,43 +29,55 @@ void generate_inmemory(const hyp::Params& params, u64 rank, u64 size, EdgeSink& 
     const hyp::HypGrid grid(params, size);
     const bool exact_once = semantics == EdgeSemantics::exact_once;
     const auto& space    = grid.space();
+    const u32 annuli     = grid.num_annuli();
     const auto chunks    = static_cast<i64>(grid.num_chunks());
     const double c_width = grid.chunk_width();
 
-    // The chunk's vertices of every annulus (annulus a's are
-    // local[first[a], first[a + 1])), with cosh/sinh of their radii.
+    // The chunk's vertices of every annulus, sorted by angle: annulus a's
+    // are local[first[a], first[a + 1]).
     std::vector<hyp::HypPoint> local;
     std::vector<std::size_t> first{0};
-    for (u32 a = 0; a < grid.num_annuli(); ++a) {
+    for (u32 a = 0; a < annuli; ++a) {
         const auto pts = grid.chunk_points(a, rank);
         local.insert(local.end(), pts.begin(), pts.end());
         first.push_back(local.size());
     }
-    std::vector<hyp::RadialTerms> terms;
-    terms.reserve(local.size());
-    for (const auto& v : local) terms.push_back(hyp::RadialTerms::of(v.r));
 
+    u64 queries    = 0;
     u64 candidates = 0;
     u64 recomputed = 0;
     EdgeList edges;
-    std::vector<double> widths(local.size());
-    std::vector<hyp::HypPoint> pts; // target annulus' span, sorted by angle
-    std::vector<double> keys;       // pts' angles, unwrapped past 0/2π
-    for (u32 j = 0; j < grid.num_annuli() && !local.empty(); ++j) {
-        // Every local vertex's window into annulus j — the Lemma-10
-        // overestimate from j's lower boundary (§7.1) — and their span.
-        // Each window contains its vertex's angle, which lies in the local
-        // chunk, so the span is the union of the windows plus at most the
-        // local chunk.
+    std::vector<double> widths(annuli); // w(a, j) of the current target j
+    std::vector<hyp::HypPoint> pts;     // target annulus' span, sorted by angle
+    std::vector<double> keys;           // pts' angles, unwrapped past 0/2π
+    for (u32 j = 0; j < annuli; ++j) {
+        // Ids are annulus-major, so a target annulus j < a holds only ids
+        // lower than any of annulus a's, and exact_once would skip them all:
+        // it queries from the source annuli a <= j only.
+        const u32 sources = exact_once ? j + 1 : annuli;
+
+        // One window per (source a, target j), the Lemma-10 overestimate
+        // from both lower boundaries (§7.1): θmax(r, b) does not increase
+        // with r, so every vertex of annulus a, at r >= its lower boundary,
+        // finds its neighbours in j inside w(a, j). Each window contains its
+        // vertex's angle, which lies in the local chunk, so the span is the
+        // union of the first and last vertex's windows of every source
+        // annulus plus at most the local chunk.
         double lo  = kTwoPi;
         double hi  = 0.0;
         bool whole = false;
-        for (std::size_t i = 0; i < local.size(); ++i) {
-            widths[i] = space.delta_theta(terms[i], grid.annulus_lower_terms(j));
-            whole     = whole || widths[i] >= std::numbers::pi;
-            lo        = std::min(lo, local[i].theta - widths[i]);
-            hi        = std::max(hi, local[i].theta + widths[i]);
+        u64 here   = 0; // this target's queries
+        for (u32 a = 0; a < sources; ++a) {
+            if (first[a] == first[a + 1]) continue;
+            widths[a] = space.delta_theta(grid.annulus_lower_terms(a),
+                                          grid.annulus_lower_terms(j));
+            whole     = whole || widths[a] >= std::numbers::pi;
+            lo        = std::min(lo, local[first[a]].theta - widths[a]);
+            hi        = std::max(hi, local[first[a + 1] - 1].theta + widths[a]);
+            here += first[a + 1] - first[a];
         }
+        if (here == 0) continue;
+        queries += here;
         auto c_lo = static_cast<i64>(std::floor(lo / c_width));
         auto c_hi = static_cast<i64>(std::floor(hi / c_width));
         if (whole || c_hi - c_lo + 1 >= chunks) {
@@ -103,9 +115,7 @@ void generate_inmemory(const hyp::Params& params, u64 rank, u64 size, EdgeSink& 
         // owning the lower id keeps a cross-chunk pair too, so every query
         // skips the lower ids.
         const auto [own_lo, own_hi] = grid.chunk_id_range(j, rank);
-        const auto scan = [&](const hyp::HypPoint& v, double from, double to) {
-            auto q = static_cast<std::size_t>(
-                std::lower_bound(keys.begin(), keys.end(), from) - keys.begin());
+        const auto scan = [&](const hyp::HypPoint& v, std::size_t q, double to) {
             for (; q < keys.size() && keys[q] <= to; ++q) {
                 const hyp::HypPoint& u = pts[q];
                 if (u.id <= v.id && (exact_once || (u.id >= own_lo && u.id < own_hi))) {
@@ -117,36 +127,47 @@ void generate_inmemory(const hyp::Params& params, u64 rank, u64 size, EdgeSink& 
                 }
             }
         };
-        for (std::size_t i = 0; i < local.size(); ++i) {
-            const hyp::HypPoint& v = local[i];
-            double from            = v.theta - widths[i];
-            double to              = v.theta + widths[i];
-            if (whole) { // keys are the plain angles in [0, 2π)
-                if (widths[i] >= std::numbers::pi) {
-                    from = 0.0;
-                    to   = kTwoPi;
-                } else if (from < 0.0) {
-                    scan(v, from + kTwoPi, kTwoPi);
-                    from = 0.0;
-                } else if (to > kTwoPi) {
-                    scan(v, 0.0, to - kTwoPi);
-                    to = kTwoPi;
+        for (u32 a = 0; a < sources; ++a) {
+            const double w = widths[a];
+            // The window is fixed and the vertices ascend by angle, so
+            // window starts do not decrease: one cursor that only moves
+            // forward stops where lower_bound would.
+            std::size_t cursor = 0;
+            for (std::size_t i = first[a]; i < first[a + 1]; ++i) {
+                const hyp::HypPoint& v = local[i];
+                double from            = v.theta - w;
+                double to              = v.theta + w;
+                if (whole) { // keys are the plain angles in [0, 2π)
+                    if (w >= std::numbers::pi) {
+                        from = 0.0;
+                        to   = kTwoPi;
+                    } else if (from < 0.0) {
+                        const auto wrap = std::lower_bound(keys.begin(), keys.end(),
+                                                           from + kTwoPi);
+                        scan(v, static_cast<std::size_t>(wrap - keys.begin()), kTwoPi);
+                        from = 0.0;
+                    } else if (to > kTwoPi) {
+                        scan(v, 0, to - kTwoPi);
+                        to = kTwoPi;
+                    }
                 }
+                while (cursor < keys.size() && keys[cursor] < from) ++cursor;
+                scan(v, cursor, to);
             }
-            scan(v, from, to);
         }
     }
 
-    // Per chunk, never per edge: the Lemma-10 overestimation is
-    // rhg.candidates / emitted edges of an as_generated run (exact_once
-    // skips the lower-id candidates before counting them), the §7.1
-    // recompute volume rhg.points_recomputed.
+    // Per chunk, never per edge: the queries made (one per local vertex
+    // and target annulus it queries), the Lemma-10 overestimation from
+    // both lower boundaries as rhg.candidates / emitted edges of an
+    // as_generated run (exact_once skips the lower-id candidates before
+    // counting them), and the §7.1 recompute volume rhg.points_recomputed.
     static obs::Counter& queries_ctr = obs::Registry::global().counter("rhg.queries");
     static obs::Counter& candidates_ctr =
         obs::Registry::global().counter("rhg.candidates");
     static obs::Counter& recomputed_ctr =
         obs::Registry::global().counter("rhg.points_recomputed");
-    queries_ctr.add(local.size() * grid.num_annuli());
+    queries_ctr.add(queries);
     candidates_ctr.add(candidates);
     recomputed_ctr.add(recomputed);
 

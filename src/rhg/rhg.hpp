@@ -6,9 +6,11 @@
 ///
 ///  * `generate_inmemory` (§7.1, "RHG") — query-centric: each PE generates
 ///    its chunk's vertices, then for every vertex performs an annulus-wise
-///    neighbourhood query (outward *and* inward). Per target annulus the
-///    chunks the queries reach are recomputed once into one angle-sorted
-///    array, so each query is a binary search plus a linear scan. Produces a
+///    neighbourhood query (outward *and* inward). A query's window depends
+///    only on its source and target annulus (taken from both lower
+///    boundaries). Per target annulus the chunks the queries reach are
+///    recomputed once into one angle-sorted array, so each query is a step
+///    of one forward cursor per annulus pair plus a linear scan. Produces a
 ///    partitioned output: every edge incident to a local vertex is emitted
 ///    locally (`exact_once`: only those whose lower id is local).
 ///
@@ -39,7 +41,8 @@ namespace kagen::rhg {
 /// deduplicated) edges, sorted. Under
 /// `exact_once` a query skips every candidate with an id no larger than its
 /// (local) vertex's, local or not, so a cross-chunk edge is kept only by the
-/// chunk owning its lower id. The streaming generator needs no semantics:
+/// chunk owning its lower id; annuli below the vertex's, which hold only
+/// lower ids, are not queried. The streaming generator needs no semantics:
 /// its request-execution rules already hand every edge to exactly one PE,
 /// which `tests/test_exact_once.cpp` asserts.
 void generate_inmemory(const hyp::Params& params, u64 rank, u64 size, EdgeSink& sink,

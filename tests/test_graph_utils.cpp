@@ -5,6 +5,7 @@
 #include "graph/csr.hpp"
 #include "graph/edge_list.hpp"
 #include "graph/union_find.hpp"
+#include "prng/rng.hpp"
 
 namespace kagen {
 namespace {
@@ -63,6 +64,58 @@ TEST(EdgeListHelpers, CanonicalizeSortUnique) {
     sort_unique(edges);
     EXPECT_EQ(edges.size(), 2u);
     EXPECT_EQ(edges, (EdgeList{{1, 3}, {2, 5}}));
+}
+
+// sort_unique radix-sorts packed keys in the list's own storage while
+// 2 · bits(max id) <= 64 and falls back to std::sort past that; either way
+// it must equal std::sort + std::unique. `pe::union_*`, the tests'
+// reference union, rests on it.
+EdgeList reference_sort_unique(EdgeList edges) {
+    std::sort(edges.begin(), edges.end());
+    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+    return edges;
+}
+
+EdgeList sorted_uniquely(EdgeList edges) {
+    sort_unique(edges);
+    return edges;
+}
+
+TEST(EdgeListHelpers, SortUniqueMatchesStdSortOnRandomLists) {
+    // Max id 2^32 - 1 is the widest 64-bit key; 2^32 and 2^63 take the
+    // fallback. Odd and even lengths, few and many passes: the sorted keys
+    // end in either half of the storage.
+    const u64 max_ids[] = {0, 1, u64{1} << 17, (u64{1} << 32) - 1, u64{1} << 32,
+                           u64{1} << 63};
+    Rng rng(7);
+    for (const u64 max_id : max_ids) {
+        for (const std::size_t n : {1, 2, 3, 17, 1000, 4097}) {
+            SCOPED_TRACE(::testing::Message() << "max id " << max_id << ", " << n
+                                              << " edges");
+            EdgeList edges{{max_id, rng.range(max_id + 1)}};
+            while (edges.size() < n) {
+                if (rng.range(4) == 0) { // a repeat of an earlier edge
+                    edges.push_back(edges[rng.range(edges.size())]);
+                } else {
+                    edges.emplace_back(rng.range(max_id + 1), rng.range(max_id + 1));
+                }
+            }
+            EXPECT_EQ(sorted_uniquely(edges), reference_sort_unique(edges));
+        }
+    }
+}
+
+TEST(EdgeListHelpers, SortUniqueEdgeCases) {
+    EXPECT_EQ(sorted_uniquely({}), EdgeList{});
+    EXPECT_EQ(sorted_uniquely({{5, 3}}), (EdgeList{{5, 3}}));
+    EdgeList ascending;
+    for (u64 u = 0; u < 300; ++u) {
+        ascending.emplace_back(u, u * 7 % 300);
+        ascending.emplace_back(u, u * 7 % 300 + 1);
+    }
+    EXPECT_EQ(sorted_uniquely(ascending), ascending);
+    const EdgeList descending(ascending.rbegin(), ascending.rend());
+    EXPECT_EQ(sorted_uniquely(descending), ascending);
 }
 
 TEST(EdgeListHelpers, SelfLoopDetection) {

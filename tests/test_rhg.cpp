@@ -312,27 +312,40 @@ TEST(RhgDigest, InMemoryStreamsAtBenchmarkScale) {
 }
 
 TEST(RhgCounters, CountQueriesCandidatesAndRecomputedPoints) {
-    // The live §7.1 cost counters: one query per (vertex, annulus), at least
-    // one candidate per emitted edge (Lemma 10 only overestimates), and no
-    // recomputation when a single chunk holds every point.
+    // The live §7.1 cost counters: one query per (vertex, target annulus)
+    // — every annulus as_generated; under exact_once only the annuli
+    // j >= a of a vertex in annulus a, as the lower ones hold only lower
+    // ids — at least one candidate per emitted edge (Lemma 10 only
+    // overestimates), and no recomputation when a single chunk holds every
+    // point.
     const hyp::Params params{3000, 12, 2.6, 21};
-    for (const u64 P : {u64{1}, u64{8}}) {
-        const hyp::HypGrid grid(params, P);
-        obs::Registry& reg       = obs::Registry::global();
-        const obs::Snapshot base = reg.snapshot();
-        u64 emitted              = 0;
-        for (u64 rank = 0; rank < P; ++rank) {
-            emitted += collect([&](EdgeSink& sink) {
-                           rhg::generate_inmemory(params, rank, P, sink);
-                       }).size();
-        }
-        const obs::Snapshot delta = reg.snapshot().subtract(base);
-        EXPECT_EQ(delta.counter_or("rhg.queries"), params.n * grid.num_annuli()) << P;
-        EXPECT_GE(delta.counter_or("rhg.candidates"), emitted) << P;
-        if (P == 1) {
-            EXPECT_EQ(delta.counter_or("rhg.points_recomputed"), 0u);
-        } else {
-            EXPECT_GT(delta.counter_or("rhg.points_recomputed"), 0u);
+    for (const EdgeSemantics semantics :
+         {EdgeSemantics::as_generated, EdgeSemantics::exact_once}) {
+        for (const u64 P : {u64{1}, u64{8}}) {
+            SCOPED_TRACE(::testing::Message() << semantics_name(semantics) << " P=" << P);
+            const hyp::HypGrid grid(params, P);
+            const bool exact_once = semantics == EdgeSemantics::exact_once;
+            const u32 k           = grid.num_annuli();
+            u64 queries           = 0;
+            for (u32 a = 0; a < k; ++a) {
+                queries += grid.annulus_count(a) * (exact_once ? k - a : k);
+            }
+            obs::Registry& reg       = obs::Registry::global();
+            const obs::Snapshot base = reg.snapshot();
+            u64 emitted              = 0;
+            for (u64 rank = 0; rank < P; ++rank) {
+                emitted += collect([&](EdgeSink& sink) {
+                               rhg::generate_inmemory(params, rank, P, sink, semantics);
+                           }).size();
+            }
+            const obs::Snapshot delta = reg.snapshot().subtract(base);
+            EXPECT_EQ(delta.counter_or("rhg.queries"), queries);
+            EXPECT_GE(delta.counter_or("rhg.candidates"), emitted);
+            if (P == 1) {
+                EXPECT_EQ(delta.counter_or("rhg.points_recomputed"), 0u);
+            } else {
+                EXPECT_GT(delta.counter_or("rhg.points_recomputed"), 0u);
+            }
         }
     }
 }
