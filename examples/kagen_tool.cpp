@@ -39,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fileio.hpp"
 #include "graph/em_sort.hpp"
 #include "graph/io.hpp"
 #include "kagen.hpp"
@@ -52,14 +53,16 @@ namespace {
 
 u64 g_verbose = 0; // -v LEVEL
 
-// -v: per-worker pool utilization (busy ns, tasks) straight
-// from the metrics registry. In-process pools only — forked/TCP workers
-// count in their own address space; use -metrics for the merged view.
+// -v: per-worker pool utilization (busy ns, tasks), the chunk arena's
+// layout and the chunks written in place, straight from the metrics
+// registry. In-process pools only — forked/TCP workers count in their own
+// address space; use -metrics for the merged view.
 void print_verbose_metrics() {
     if (g_verbose == 0) return;
     const obs::Snapshot snap = obs::Registry::global().snapshot();
     for (const auto& [name, c] : snap.counters) {
-        if (name.rfind("pool.", 0) == 0 || name.rfind("pe.arena.", 0) == 0) {
+        if (name.rfind("pool.", 0) == 0 || name.rfind("pe.arena.", 0) == 0 ||
+            name == "pe.chunks_in_place") {
             std::printf("%s=%llu\n", name.c_str(),
                         static_cast<unsigned long long>(c.value));
         }
@@ -458,9 +461,16 @@ int run_chunked_sink(const Config& cfg, const std::string& kind, u64 pes,
         if (dedup_out != nullptr) {
             // External-memory dedup: canonical undirected edge set of the
             // file just written, at bounded memory — union_undirected for
-            // graphs that never fit in RAM.
-            const em::SortStats sorted =
-                em::sort_dedup_file(out_path, dedup_out, cfg.sort_memory);
+            // graphs that never fit in RAM. If it fails, so does the run,
+            // and the output written above goes too (sort_dedup_file
+            // removes its own partial output).
+            em::SortStats sorted;
+            try {
+                sorted = em::sort_dedup_file(out_path, dedup_out, cfg.sort_memory);
+            } catch (...) {
+                fileio::unlink_or_warn(out_path, "output of a failed run");
+                throw;
+            }
             std::printf("dedup -> %s unique_edges=%llu runs=%llu "
                         "sort_memory_bytes=%llu\n",
                         dedup_out, static_cast<unsigned long long>(sorted.output_edges),

@@ -79,6 +79,20 @@ void write_all(int fd, const void* data, std::size_t bytes) {
     }
 }
 
+void pwrite_all(int fd, const void* data, std::size_t bytes, u64 offset) {
+    const char* p = static_cast<const char*>(data);
+    while (bytes > 0) {
+        const ssize_t n = ::pwrite(fd, p, bytes, static_cast<off_t>(offset));
+        if (n < 0) {
+            if (errno == EINTR) continue;
+            throw_errno("pwrite failed");
+        }
+        p += n;
+        bytes -= static_cast<std::size_t>(n);
+        offset += static_cast<u64>(n);
+    }
+}
+
 CopyStats copy_bytes(int in_fd, int out_fd, u64 length,
                      bool allow_copy_file_range) {
     CopyStats stats;

@@ -24,6 +24,12 @@ namespace kagen::fileio {
 /// writes. Throws std::runtime_error (with errno text) on failure.
 void write_all(int fd, const void* data, std::size_t bytes);
 
+/// Writes exactly `bytes` bytes to `fd` at file offset `offset` with
+/// pwrite(2), retrying on EINTR and short writes; the descriptor's own
+/// offset is untouched, so several threads may fill disjoint ranges of one
+/// file at once. Throws std::runtime_error (with errno text) on failure.
+void pwrite_all(int fd, const void* data, std::size_t bytes, u64 offset);
+
 /// Closes `fd` (if >= 0) on a path where failure cannot change the
 /// outcome — destructors, error-unwind cleanup, read-only descriptors —
 /// and reports a failure to stderr instead of swallowing it. close(2)

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,6 +35,11 @@ using Edge = std::pair<VertexId, VertexId>;
 /// `MemorySink` rendering — prefer sinks when the consumer does not need
 /// every edge in memory at once.
 using EdgeList = std::vector<Edge>;
+
+/// Runs `task(t)` for every t in [0, num_tasks), possibly concurrently: how
+/// the chunked engine lends its workers to a model's setup pass.
+using ForEachTask =
+    std::function<void(u64 num_tasks, const std::function<void(u64)>& task)>;
 
 /// Renders a u128 in decimal (no standard operator<< exists for __int128).
 inline std::string to_string(u128 value) {

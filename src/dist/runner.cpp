@@ -36,6 +36,22 @@ public:
 
     bool ordered() const override { return file_ != nullptr; }
 
+    // Positional delivery lands in the rank file; the statistics sinks take
+    // the same batches concurrently, as on the unordered path.
+    bool accepts_write_at() const override { return file_ != nullptr; }
+
+    u64 reserve_slots(u64 count) override {
+        flush();
+        return file_->reserve_slots(count);
+    }
+
+    void write_at(u64 index, const Edge* edges, std::size_t count) override {
+        file_->write_at(index, edges, count);
+        count_.deliver(edges, count);
+        if (degrees_ != nullptr) degrees_->deliver(edges, count);
+        edges_.fetch_add(count, std::memory_order_relaxed);
+    }
+
     /// Edges consumed so far; run_chunked has delivered every edge of a
     /// lease by the time it returns, so differences are lease edge counts.
     u64 edges() const { return edges_.load(std::memory_order_relaxed); }
@@ -179,6 +195,16 @@ RankReport execute_rank_job(const GraphSpec& graph, const RunOptions& run,
         arena = std::make_unique<pe::SlabArena>(
             run.arena_slab_bytes, /*decommit_on_release=*/run.max_buffered_bytes != 0);
         copt.arena = arena.get();
+    }
+    // The chunk edge counts are one table per job: computed by the first
+    // lease that runs in place, reused by the rest.
+    std::vector<u64> chunk_edges;
+    if (auto counts_of = chunk_edges_of(graph)) {
+        copt.chunk_edges = [&chunk_edges, counts_of](u64 num_chunks,
+                                                     const ForEachTask& for_each) {
+            if (chunk_edges.empty()) chunk_edges = counts_of(num_chunks, for_each);
+            return chunk_edges;
+        };
     }
     while (lease.chunk_begin < lease.chunk_end) {
         copt.chunk_begin = lease.chunk_begin;

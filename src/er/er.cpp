@@ -1,6 +1,9 @@
 #include "er/er.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cassert>
+#include <vector>
 
 #include "common/math.hpp"
 #include "sampling/sampling.hpp"
@@ -126,65 +129,129 @@ void emit_chunk(const Blocks& blocks, u64 i, u64 j, u64 count, u64 seed, EdgeSin
 }
 
 /// --- Undirected G(n,m) divide and conquer --------------------------------
+///
+/// One recursion, two visitors: `ChunkEmitter` walks only the subtrees a PE
+/// needs and draws their edges; `ChunkCounter` walks every subtree once and
+/// tallies what each PE will emit. Both see the same hash-seeded variates
+/// at every node, so the tally is exact by construction. A visitor answers
+/// `enters_rect` / `enters_triangle` (prune a subtree holding k samples)
+/// and `leaf(i, j, k)` (chunk (i, j) holds k samples).
 
-struct UTri {
+struct URec {
     Blocks blocks;
     u64 seed;
-    u64 pe;        // the chunk row/column this PE owns
-    EdgeSink* out;
-    SamplerVersion version;
-    bool columns_only; // exact_once: skip the row chunks (pe, j < pe)
 };
 
-/// Rectangle of chunks rows [rlo, rhi) x cols [clo, chi); the PE needs either
-/// one chunk row (pe in rows) or one chunk column (pe in cols) of it; under
-/// exact_once only the column (a row chunk's lower endpoints are not local).
-void descend_rect(const UTri& ctx, u64 rlo, u64 rhi, u64 clo, u64 chi, u64 k) {
-    if (k == 0) return;
-    const bool in_rows = ctx.pe >= rlo && ctx.pe < rhi;
-    const bool in_cols = ctx.pe >= clo && ctx.pe < chi;
-    if (!in_cols && (!in_rows || ctx.columns_only)) return;
+/// Rectangle of chunks rows [rlo, rhi) x cols [clo, chi).
+template <typename Visitor>
+void descend_rect(const URec& rec, Visitor& visit, u64 rlo, u64 rhi, u64 clo, u64 chi,
+                  u64 k) {
+    if (k == 0 || !visit.enters_rect(rlo, rhi, clo, chi, k)) return;
     if (rhi - rlo == 1 && chi - clo == 1) {
-        emit_chunk(ctx.blocks, rlo, clo, k, ctx.seed, *ctx.out, ctx.version);
+        visit.leaf(rlo, clo, k);
         return;
     }
-    const u128 total = static_cast<u128>(ctx.blocks.span(rlo, rhi)) * ctx.blocks.span(clo, chi);
-    Rng rng = Rng::for_ids(ctx.seed, {kTagRectNode, rlo, rhi, clo, chi});
+    const u128 total = static_cast<u128>(rec.blocks.span(rlo, rhi)) * rec.blocks.span(clo, chi);
+    Rng rng = Rng::for_ids(rec.seed, {kTagRectNode, rlo, rhi, clo, chi});
     if (rhi - rlo >= chi - clo) {
         const u64 rmid  = rlo + (rhi - rlo) / 2;
-        const u128 top  = static_cast<u128>(ctx.blocks.span(rlo, rmid)) * ctx.blocks.span(clo, chi);
+        const u128 top  = static_cast<u128>(rec.blocks.span(rlo, rmid)) * rec.blocks.span(clo, chi);
         const u64 k_top = hypergeometric(rng, total, top, k);
-        descend_rect(ctx, rlo, rmid, clo, chi, k_top);
-        descend_rect(ctx, rmid, rhi, clo, chi, k - k_top);
+        descend_rect(rec, visit, rlo, rmid, clo, chi, k_top);
+        descend_rect(rec, visit, rmid, rhi, clo, chi, k - k_top);
     } else {
         const u64 cmid   = clo + (chi - clo) / 2;
-        const u128 left  = static_cast<u128>(ctx.blocks.span(rlo, rhi)) * ctx.blocks.span(clo, cmid);
+        const u128 left  = static_cast<u128>(rec.blocks.span(rlo, rhi)) * rec.blocks.span(clo, cmid);
         const u64 k_left = hypergeometric(rng, total, left, k);
-        descend_rect(ctx, rlo, rhi, clo, cmid, k_left);
-        descend_rect(ctx, rlo, rhi, cmid, chi, k - k_left);
+        descend_rect(rec, visit, rlo, rhi, clo, cmid, k_left);
+        descend_rect(rec, visit, rlo, rhi, cmid, chi, k - k_left);
     }
 }
 
 /// Triangular region of chunk rows/cols [lo, hi). Splits into the top
 /// triangle, the rectangle, and the bottom triangle (paper Fig. 1, right).
-void descend_triangle(const UTri& ctx, u64 lo, u64 hi, u64 k) {
+template <typename Visitor>
+void descend_triangle(const URec& rec, Visitor& visit, u64 lo, u64 hi, u64 k) {
     if (k == 0) return;
     if (hi - lo == 1) {
-        emit_chunk(ctx.blocks, lo, lo, k, ctx.seed, *ctx.out, ctx.version);
+        visit.leaf(lo, lo, k);
         return;
     }
     const u64 mid     = lo + (hi - lo) / 2;
-    const u128 total  = triangle(ctx.blocks.span(lo, hi));
-    const u128 t_top  = triangle(ctx.blocks.span(lo, mid));
-    const u128 rect   = static_cast<u128>(ctx.blocks.span(mid, hi)) * ctx.blocks.span(lo, mid);
-    Rng rng           = Rng::for_ids(ctx.seed, {kTagTriangleNode, lo, hi});
+    const u128 total  = triangle(rec.blocks.span(lo, hi));
+    const u128 t_top  = triangle(rec.blocks.span(lo, mid));
+    const u128 rect   = static_cast<u128>(rec.blocks.span(mid, hi)) * rec.blocks.span(lo, mid);
+    Rng rng           = Rng::for_ids(rec.seed, {kTagTriangleNode, lo, hi});
     const u64 k_top   = hypergeometric(rng, total, t_top, k);
     const u64 k_rect  = hypergeometric(rng, total - t_top, rect, k - k_top);
     const u64 k_bot   = k - k_top - k_rect;
-    if (ctx.pe < mid) descend_triangle(ctx, lo, mid, k_top);
-    descend_rect(ctx, mid, hi, lo, mid, k_rect);
-    if (ctx.pe >= mid) descend_triangle(ctx, mid, hi, k_bot);
+    if (visit.enters_triangle(lo, mid, k_top)) descend_triangle(rec, visit, lo, mid, k_top);
+    descend_rect(rec, visit, mid, hi, lo, mid, k_rect);
+    if (visit.enters_triangle(mid, hi, k_bot)) descend_triangle(rec, visit, mid, hi, k_bot);
 }
+
+/// Draws the chunks of one PE: it needs either one chunk row (pe in rows) or
+/// one chunk column (pe in cols) of a rectangle; under exact_once only the
+/// column (a row chunk's lower endpoints are not local).
+struct ChunkEmitter {
+    const URec& rec;
+    u64 pe;
+    EdgeSink& out;
+    SamplerVersion version;
+    bool columns_only; // exact_once: skip the row chunks (pe, j < pe)
+
+    bool enters_rect(u64 rlo, u64 rhi, u64 clo, u64 chi, u64 /*k*/) const {
+        const bool in_rows = pe >= rlo && pe < rhi;
+        const bool in_cols = pe >= clo && pe < chi;
+        return in_cols || (in_rows && !columns_only);
+    }
+    bool enters_triangle(u64 lo, u64 hi, u64 /*k*/) const { return pe >= lo && pe < hi; }
+    void leaf(u64 i, u64 j, u64 k) { emit_chunk(rec.blocks, i, j, k, rec.seed, out, version); }
+};
+
+/// Tallies every PE's edge count: chunk (i, j) is emitted by its column PE
+/// j and, under as_generated, also by its row PE i. Subtrees may be
+/// tallied concurrently, so the adds are atomic.
+struct ChunkCounter {
+    std::vector<u64>& counts;
+    bool columns_only;
+
+    bool enters_rect(u64, u64, u64, u64, u64) const { return true; }
+    bool enters_triangle(u64, u64, u64) const { return true; }
+    void leaf(u64 i, u64 j, u64 k) {
+        std::atomic_ref<u64>(counts[j]).fetch_add(k, std::memory_order_relaxed);
+        if (i != j && !columns_only) {
+            std::atomic_ref<u64>(counts[i]).fetch_add(k, std::memory_order_relaxed);
+        }
+    }
+};
+
+/// A subtree of the recursion: a triangle [lo, hi) (rlo = clo = lo,
+/// rhi = chi = hi) or a rectangle, holding k samples.
+struct Subtree {
+    bool triangle;
+    u64 rlo, rhi, clo, chi, k;
+};
+
+/// Cuts the recursion into subtrees of at most `grain` chunks each, the
+/// tasks of a parallel count pass; walks only the nodes above them.
+struct SubtreeCollector {
+    std::vector<Subtree>& tasks;
+    u64 grain;
+
+    bool enters_rect(u64 rlo, u64 rhi, u64 clo, u64 chi, u64 k) {
+        if ((rhi - rlo) * (chi - clo) > grain) return true;
+        tasks.push_back({false, rlo, rhi, clo, chi, k});
+        return false;
+    }
+    bool enters_triangle(u64 lo, u64 hi, u64 k) {
+        if (k == 0) return false;
+        if (triangle(hi - lo + 1) > grain) return true; // hi - lo chunks a side
+        tasks.push_back({true, lo, hi, lo, hi, k});
+        return false;
+    }
+    void leaf(u64 i, u64 j, u64 k) { tasks.push_back({false, i, i + 1, j, j + 1, k}); }
+};
 
 } // namespace
 
@@ -205,9 +272,42 @@ void gnm_undirected(u64 n, u64 m, u64 seed, u64 rank, u64 size, EdgeSink& sink,
                     SamplerVersion version, EdgeSemantics semantics) {
     assert(n >= 2 && size >= 1 && rank < size);
     assert(static_cast<u128>(m) <= undirected_universe(n));
-    UTri ctx{Blocks{n, size}, seed, rank, &sink, version, semantics == EdgeSemantics::exact_once};
-    descend_triangle(ctx, 0, size, m);
+    const URec rec{Blocks{n, size}, seed};
+    ChunkEmitter visit{rec, rank, sink, version, semantics == EdgeSemantics::exact_once};
+    descend_triangle(rec, visit, 0, size, m);
     sink.flush();
+}
+
+std::vector<u64> gnm_directed_chunk_counts(u64 n, u64 m, u64 seed, u64 size) {
+    assert(n >= 2 && size >= 1);
+    return ChunkedSampler(seed, make_row_universe(n, size, n - 1), m).chunk_counts();
+}
+
+std::vector<u64> gnm_undirected_chunk_counts(u64 n, u64 m, u64 seed, u64 size,
+                                             EdgeSemantics semantics,
+                                             const ForEachTask& for_each) {
+    assert(n >= 2 && size >= 1);
+    std::vector<u64> counts(size, 0);
+    const URec rec{Blocks{n, size}, seed};
+    ChunkCounter counter{counts, semantics == EdgeSemantics::exact_once};
+    if (!for_each) {
+        descend_triangle(rec, counter, 0, size, m);
+        return counts;
+    }
+    // About 64 subtrees of near-equal area: enough for the pool's cursor to
+    // balance them, few enough that walking the nodes above them is free.
+    std::vector<Subtree> tasks;
+    SubtreeCollector collect{tasks, std::max<u64>(static_cast<u64>(triangle(size + 1) / 64), 1)};
+    if (collect.enters_triangle(0, size, m)) descend_triangle(rec, collect, 0, size, m);
+    for_each(tasks.size(), [&](u64 t) {
+        const Subtree& sub = tasks[t];
+        if (sub.triangle) {
+            descend_triangle(rec, counter, sub.rlo, sub.rhi, sub.k);
+        } else {
+            descend_rect(rec, counter, sub.rlo, sub.rhi, sub.clo, sub.chi, sub.k);
+        }
+    });
+    return counts;
 }
 
 void gnp_directed(u64 n, double p, u64 seed, u64 rank, u64 size, EdgeSink& sink,

@@ -28,6 +28,8 @@
 /// returns an `EdgeList`.
 #pragma once
 
+#include <vector>
+
 #include "common/math.hpp"
 #include "common/types.hpp"
 #include "sampling/sampling.hpp"
@@ -63,6 +65,20 @@ void gnm_directed(u64 n, u64 m, u64 seed, u64 rank, u64 size, EdgeSink& sink,
 void gnm_undirected(u64 n, u64 m, u64 seed, u64 rank, u64 size, EdgeSink& sink,
                     SamplerVersion version = SamplerVersion::v1,
                     EdgeSemantics semantics = EdgeSemantics::as_generated);
+
+/// Edge counts of the `size` chunks of directed G(n,m): `[rank]` is exactly
+/// what `gnm_directed(n, m, seed, rank, size, ...)` emits, for either
+/// sampler. One pass over the hypergeometric split, O(size) variates.
+std::vector<u64> gnm_directed_chunk_counts(u64 n, u64 m, u64 seed, u64 size);
+
+/// Edge counts of the `size` chunks of undirected G(n,m) under `semantics`,
+/// for either sampler. One pass over the triangle/rectangle recursion: each
+/// node draws its variates once, O(size^2) leaves at most, which is 0.5 s
+/// of CPU at size 1024 — so the pass is cut into subtrees that `for_each`
+/// may tally concurrently (null = one thread).
+std::vector<u64> gnm_undirected_chunk_counts(u64 n, u64 m, u64 seed, u64 size,
+                                             EdgeSemantics semantics,
+                                             const ForEachTask& for_each = nullptr);
 
 /// Directed G(n,p) via per-chunk binomial counts (v1) or a geometric-skip
 /// Bernoulli stream over the row block (v2).

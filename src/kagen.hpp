@@ -35,6 +35,7 @@
 /// er/, rgg/, rdg/, rhg/, ba/, rmat/ have algorithmic detail.
 #pragma once
 
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -169,6 +170,34 @@ inline Result generate(const GraphSpec& cfg, u64 rank, u64 size) {
     return out;
 }
 
+/// Edge counts of the `num_chunks` chunks of `cfg`, for the models whose
+/// count layer fixes them before any edge is drawn: directed and
+/// undirected G(n,m) (either sampler, either semantics). `[c]` is exactly
+/// what generate(cfg, c, num_chunks, sink) emits. `for_each` may run the
+/// undirected count pass's tasks concurrently (null = one thread).
+inline std::vector<u64> chunk_edge_counts(const GraphSpec& cfg, u64 num_chunks,
+                                          const ForEachTask& for_each = nullptr) {
+    switch (cfg.model) {
+        case Model::GnmDirected:
+            return er::gnm_directed_chunk_counts(cfg.n, cfg.m, cfg.seed, num_chunks);
+        case Model::GnmUndirected:
+            return er::gnm_undirected_chunk_counts(cfg.n, cfg.m, cfg.seed, num_chunks,
+                                                   cfg.edge_semantics, for_each);
+        default:
+            throw std::invalid_argument(std::string("kagen: ") + model_name(cfg.model) +
+                                        " does not fix its chunk edge counts up front");
+    }
+}
+
+/// The `pe::ChunkOptions::chunk_edges` input for `cfg`: chunk_edge_counts
+/// for the models that have them, null for every other model.
+inline decltype(pe::ChunkOptions::chunk_edges) chunk_edges_of(const GraphSpec& cfg) {
+    if (cfg.model != Model::GnmDirected && cfg.model != Model::GnmUndirected) return {};
+    return [spec = cfg](u64 num_chunks, const ForEachTask& for_each) {
+        return chunk_edge_counts(spec, num_chunks, for_each);
+    };
+}
+
 /// Stats of a chunked run: the engine's own per-run struct (pe/pe.hpp).
 using ChunkStats = pe::ChunkRunStats;
 
@@ -206,6 +235,7 @@ inline ChunkStats generate_chunked(const Config& cfg, u64 num_pes, EdgeSink& sin
     opt.spill_path         = cfg.spill_path;
     opt.arena_slab_bytes   = cfg.arena_slab_bytes;
     opt.pin_threads        = cfg.pin_threads;
+    opt.chunk_edges        = chunk_edges_of(cfg);
     const ChunkStats stats = pe::run_chunked(
         opt,
         [&cfg](u64 chunk, u64 num_chunks, EdgeSink& chunk_sink) {

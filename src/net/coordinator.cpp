@@ -608,64 +608,73 @@ RunResult coordinate(const Config& cfg, const NetOptions& opt, Fleet& fleet,
         reg.counter("dist.copy_file_range_bytes").add(result.copy_file_range_bytes);
     }
 
-    if (listing) write_manifest(cfg, opt.manifest_path, result);
+    // The merged output is complete, but the run can still fail (manifest,
+    // verdicts, dedup, telemetry): then every file it wrote goes, so a
+    // failed run never leaves one that looks valid. (merge_runs removes a
+    // partial dedup output itself.)
+    try {
+        if (listing) write_manifest(cfg, opt.manifest_path, result);
 
-    // --- verdicts ----------------------------------------------------------
-    // The output is complete: every rank whose file stayed in place learns
-    // whether to keep it. A discard that cannot be delivered is moot — that
-    // rank already lost its channel — but a keep must arrive, or a listed
-    // file may vanish.
-    for (u64 w = 0; want_file && !stream && w < W; ++w) {
-        try {
-            fleet.socks[w].send_frame(encode_verdict(keep));
-        } catch (const std::exception& e) {
-            if (!keep) continue;
-            if (listing) fileio::unlink_or_warn(opt.manifest_path.c_str(), "manifest");
-            throw RankError(w, fleet.socks[w],
-                            std::string("sending verdict failed: ") + e.what());
-        }
-    }
-
-    if (dedup) {
-        // merge_runs removes its partial output on any failure.
-        try {
-            result.dedup_edges = em::merge_runs(runs, opt.dedup_path);
-        } catch (const em::RunOrderError& e) {
-            throw RankError(e.source, fleet.socks[e.source], e.what());
-        }
-    }
-
-    if (want_telemetry) {
-        // The coordinator is one more timeline: pid W, holding the merge and
-        // em_sort spans.
-        obs::RankTelemetry own = telemetry_scope.end(W);
-        if (!cfg.trace_path.empty()) {
-            std::vector<obs::RankTimeline> timelines;
-            timelines.reserve(telemetry.size() + 1);
-            for (obs::RankTelemetry& t : telemetry) {
-                obs::RankTimeline tl;
-                tl.rank = t.rank;
-                // Align the rank's monotonic clock to the coordinator's: its
-                // clock base was stamped (one flight after) the job send the
-                // coordinator timed.
-                tl.offset_ns = static_cast<i64>(t_job_sent[t.rank]) -
-                               static_cast<i64>(t.clock_base_ns);
-                tl.label  = "rank " + std::to_string(t.rank);
-                tl.events = std::move(t.events);
-                timelines.push_back(std::move(tl));
+        // --- verdicts -------------------------------------------------------
+        // The output is complete: every rank whose file stayed in place
+        // learns whether to keep it. A discard that cannot be delivered is
+        // moot — that rank already lost its channel — but a keep must
+        // arrive, or a listed file may vanish.
+        for (u64 w = 0; want_file && !stream && w < W; ++w) {
+            try {
+                fleet.socks[w].send_frame(encode_verdict(keep));
+            } catch (const std::exception& e) {
+                if (!keep) continue;
+                throw RankError(w, fleet.socks[w],
+                                std::string("sending verdict failed: ") + e.what());
             }
-            obs::RankTimeline coord;
-            coord.rank   = W;
-            coord.label  = "coordinator";
-            coord.events = std::move(own.events);
-            timelines.push_back(std::move(coord));
-            obs::write_chrome_trace(cfg.trace_path, timelines);
         }
-        if (!cfg.metrics_path.empty()) {
-            obs::Snapshot merged = own.metrics;
-            for (const obs::RankTelemetry& t : telemetry) merged.merge(t.metrics);
-            obs::write_metrics_file(cfg.metrics_path, merged);
+
+        if (dedup) {
+            try {
+                result.dedup_edges = em::merge_runs(runs, opt.dedup_path);
+            } catch (const em::RunOrderError& e) {
+                throw RankError(e.source, fleet.socks[e.source], e.what());
+            }
         }
+
+        if (want_telemetry) {
+            // The coordinator is one more timeline: pid W, holding the merge
+            // and em_sort spans.
+            obs::RankTelemetry own = telemetry_scope.end(W);
+            if (!cfg.trace_path.empty()) {
+                std::vector<obs::RankTimeline> timelines;
+                timelines.reserve(telemetry.size() + 1);
+                for (obs::RankTelemetry& t : telemetry) {
+                    obs::RankTimeline tl;
+                    tl.rank = t.rank;
+                    // Align the rank's monotonic clock to the coordinator's:
+                    // its clock base was stamped (one flight after) the job
+                    // send the coordinator timed.
+                    tl.offset_ns = static_cast<i64>(t_job_sent[t.rank]) -
+                                   static_cast<i64>(t.clock_base_ns);
+                    tl.label  = "rank " + std::to_string(t.rank);
+                    tl.events = std::move(t.events);
+                    timelines.push_back(std::move(tl));
+                }
+                obs::RankTimeline coord;
+                coord.rank   = W;
+                coord.label  = "coordinator";
+                coord.events = std::move(own.events);
+                timelines.push_back(std::move(coord));
+                obs::write_chrome_trace(cfg.trace_path, timelines);
+            }
+            if (!cfg.metrics_path.empty()) {
+                obs::Snapshot merged = own.metrics;
+                for (const obs::RankTelemetry& t : telemetry) merged.merge(t.metrics);
+                obs::write_metrics_file(cfg.metrics_path, merged);
+            }
+        }
+    } catch (...) {
+        if (gather) fileio::unlink_or_warn(opt.output_path.c_str(), "output of a failed run");
+        if (listing) fileio::unlink_or_warn(opt.manifest_path.c_str(), "manifest");
+        if (dedup) fileio::unlink_or_warn(opt.dedup_path.c_str(), "dedup output");
+        throw;
     }
     return result;
 }

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <stdexcept>
 #include <thread>
 
@@ -324,6 +325,80 @@ private:
     u64 forwarded_ = 0;
 };
 
+/// Chunk facade of the in-place path (DESIGN.md §5): emits into a worker's
+/// reused batch buffer (external-buffer mode) and writes each full batch at
+/// the chunk's next slot of the target. Past the advertised count it only
+/// counts: a miscounting chunk never writes into its neighbour's slots,
+/// and the run can name both counts.
+class InPlaceSink final : public EdgeSink {
+public:
+    InPlaceSink(EdgeSink& target, u64 first_slot, u64 advertised, Edge* buffer,
+                std::size_t capacity)
+        : EdgeSink(buffer, capacity), target_(target), first_slot_(first_slot),
+          advertised_(advertised) {}
+
+    /// Edges emitted so far (exact after flush()).
+    u64 emitted() const { return emitted_; }
+
+protected:
+    void consume(const Edge* edges, std::size_t count) override {
+        if (emitted_ + count <= advertised_) {
+            target_.write_at(first_slot_ + emitted_, edges, count);
+        }
+        emitted_ += count;
+    }
+
+private:
+    EdgeSink& target_;
+    const u64 first_slot_;
+    const u64 advertised_;
+    u64 emitted_ = 0;
+};
+
+/// Batch buffers of the in-place path, one per participant, handed from
+/// chunk to chunk. Raw storage, never zero-filled: a page is first touched
+/// by the edges emitted into it.
+class BatchBuffers {
+public:
+    BatchBuffers(u64 count, std::size_t capacity)
+        : storage_(static_cast<Edge*>(::operator new(count * capacity * sizeof(Edge)))),
+          free_(count), available_(count) {
+        for (u64 i = 0; i < count; ++i) free_[i] = storage_.get() + i * capacity;
+    }
+
+    /// One buffer for the length of a chunk. A run has no more chunks in
+    /// flight than participants, so the free stack never runs dry.
+    class Held {
+    public:
+        explicit Held(BatchBuffers& owner) : owner_(owner) {
+            const std::lock_guard<std::mutex> lock(owner_.mutex_);
+            buffer_ = owner_.free_[--owner_.available_];
+        }
+        ~Held() {
+            const std::lock_guard<std::mutex> lock(owner_.mutex_);
+            owner_.free_[owner_.available_++] = buffer_;
+        }
+        Held(const Held&)            = delete;
+        Held& operator=(const Held&) = delete;
+
+        Edge* get() const { return buffer_; }
+
+    private:
+        BatchBuffers& owner_;
+        Edge* buffer_ = nullptr;
+    };
+
+private:
+    struct OperatorDelete {
+        void operator()(Edge* p) const { ::operator delete(p); }
+    };
+
+    std::unique_ptr<Edge, OperatorDelete> storage_;
+    std::mutex mutex_;
+    std::vector<Edge*> free_; ///< stack of free buffers: [0, available_)
+    u64 available_;
+};
+
 /// Bounded-memory ordered delivery (DESIGN.md §5): completed chunks park
 /// their slab chains in per-chunk slots (in RAM while the byte budget
 /// allows, on disk past it), and a single *designated drainer* streams the
@@ -514,8 +589,9 @@ ChunkRunStats run_chunked(const ChunkOptions& opt, const ChunkFn& fn, EdgeSink& 
 
     // Arena layout of the ordered multi-worker path: registry-only, since
     // nothing folds them across leases or ranks.
-    u64 arena_chains = 0;
-    u64 slab_bytes   = 0;
+    u64 arena_chains    = 0;
+    u64 slab_bytes      = 0;
+    u64 chunks_in_place = 0;
     const u64 start  = obs::monotonic_now();
     if (!sink.ordered()) {
         // Order-insensitive sink: workers stream straight through private
@@ -550,6 +626,54 @@ ChunkRunStats run_chunked(const ChunkOptions& opt, const ChunkFn& fn, EdgeSink& 
             fn(begin + task, num_chunks, sink);
         }
         sink.flush();
+    } else if (opt.chunk_edges && sink.accepts_write_at()) {
+        // In-place delivery (DESIGN.md §5): the model fixed every chunk's
+        // edge count before drawing any edge, so each chunk's place in the
+        // stream is a prefix sum known before generation starts. Workers
+        // write their chunks straight there, in batches of up to one slab
+        // through one reused buffer each: nothing parks, nothing waits for
+        // the cursor, nothing spills, and the order the chunks finish in
+        // cannot show in the output.
+        const std::vector<u64> counts = opt.chunk_edges(
+            num_chunks, [&](u64 num_tasks, const std::function<void(u64)>& task) {
+                pool->parallel_for(num_tasks, workers, task);
+            });
+        if (counts.size() != num_chunks) {
+            throw std::logic_error("pe::run_chunked: " + std::to_string(counts.size()) +
+                                   " chunk edge counts for " +
+                                   std::to_string(num_chunks) + " chunks");
+        }
+        std::vector<u64> first_slot(span);
+        u64 total   = 0;
+        u64 largest = 0;
+        for (u64 task = 0; task < span; ++task) {
+            first_slot[task] = total;
+            total += counts[begin + task];
+            largest = std::max(largest, counts[begin + task]);
+        }
+        const u64 base = sink.reserve_slots(total);
+        const auto capacity = static_cast<std::size_t>(
+            std::clamp<u64>(largest, 1, SlabArena::kDefaultSlabBytes / sizeof(Edge)));
+        BatchBuffers buffers(stats.workers, capacity);
+        pool->parallel_for(span, workers, [&](u64 task) {
+            const u64 chunk = begin + task;
+            const BatchBuffers::Held buffer(buffers);
+            InPlaceSink local(sink, base + first_slot[task], counts[chunk], buffer.get(),
+                              capacity);
+            {
+                obs::Span gen(obs::Phase::generate, chunk);
+                fn(chunk, num_chunks, local);
+                local.flush();
+            }
+            if (local.emitted() != counts[chunk]) {
+                throw std::logic_error(
+                    "pe::run_chunked: chunk " + std::to_string(chunk) + " emitted " +
+                    std::to_string(local.emitted()) + " edges but advertised " +
+                    std::to_string(counts[chunk]));
+            }
+            edge_hist.observe(local.emitted());
+        });
+        chunks_in_place = span;
     } else {
         // Ordered sink, parallel run: chunks generate *directly into* arena
         // slab chains (ArenaSink aliases the tail slab's free space, so
@@ -602,6 +726,7 @@ ChunkRunStats run_chunked(const ChunkOptions& opt, const ChunkFn& fn, EdgeSink& 
     // and the `-metrics` report consume.
     reg.counter("pe.runs").add(1);
     reg.counter("pe.chunks").add(span);
+    reg.counter("pe.chunks_in_place").add(chunks_in_place);
     reg.counter("pe.spilled_chunks").add(stats.spilled_chunks);
     reg.counter("pe.spilled_bytes").add(stats.spilled_bytes);
     reg.counter("pe.peak_buffered_bytes", obs::MergeKind::max)

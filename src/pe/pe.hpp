@@ -146,6 +146,17 @@ struct ChunkOptions {
     /// zero-allocation property then spans runs, not just chunks) — what a
     /// rank does across its leases, and what the allocation-gate test drives.
     SlabArena* arena = nullptr;
+
+    /// Edge counts of all chunks, for models that fix them before drawing
+    /// any edge (G(n,m); kagen.hpp `chunk_edge_counts`):
+    /// `chunk_edges(C, for_each)[c]` is exactly what chunk c of C emits;
+    /// `for_each` runs the count pass's tasks on the run's workers. With
+    /// them, a multi-worker run into a sink that accepts writes at an edge
+    /// index writes every chunk straight to its place in the stream: no
+    /// arena, no ordered delivery, no spill (DESIGN.md §5). Called at most
+    /// once per run, and only for that path. Null = counts unknown.
+    std::function<std::vector<u64>(u64 num_chunks, const ForEachTask& for_each)>
+        chunk_edges;
 };
 
 /// Generator body of one logical chunk: stream chunk `chunk` of
@@ -162,15 +173,16 @@ struct ChunkRunStats {
     u64 workers    = 0;    ///< parallel participants used
     double seconds = 0.0;  ///< wall clock of the parallel section (makespan)
 
-    // Ordered-delivery accounting (all zero for unordered sinks and for
+    // Ordered-delivery accounting (all zero for unordered sinks, for
     // single-worker runs, which stream chunks straight into the sink with
-    // no chunk buffers at all — DESIGN.md §9).
+    // no chunk buffers at all — DESIGN.md §9 — and for in-place runs,
+    // which park nothing — §5).
     u64 peak_buffered_bytes = 0; ///< max resident chunk-buffer bytes
                                  ///< (parked + in-flight) at any instant
     u64 spilled_chunks = 0;      ///< chunks parked on disk
     u64 spilled_bytes  = 0;      ///< edge bytes written to the spill file
 
-    // Chunk-arena accounting (multi-worker ordered runs only; deltas of
+    // Chunk-arena accounting (multi-worker parked runs only; deltas of
     // this run when an external arena was passed). A "buffer" is a slab of
     // the chunk arena (pe/arena.hpp).
     u64 buffers_recycled  = 0; ///< slab acquires served from the freelist
@@ -197,15 +209,19 @@ struct ChunkRunStats {
 /// output for any thread count). With one effective worker the engine
 /// streams each chunk *directly* into the sink — canonical order is
 /// automatic, so no chunk is ever materialized (zero chunk buffers, zero
-/// copies; DESIGN.md §9). With several workers, completed chunks park in
-/// recycled arena slabs in RAM — or, past `max_buffered_bytes`, on disk —
-/// and a single designated drainer streams the contiguous ready prefix
-/// into the sink *outside* the one bookkeeping lock, so producers never
-/// stall on sink I/O (DESIGN.md §5). Unordered sinks (`ordered() == false`)
-/// get concurrent delivery with O(buffer) memory per worker. The caller is
+/// copies; DESIGN.md §9). With several workers and known chunk edge counts
+/// (`chunk_edges`) into a sink that accepts writes at an edge index, each
+/// worker writes its chunk at the chunk's precomputed place through one
+/// reused batch buffer. Otherwise completed chunks park in recycled arena
+/// slabs in RAM — or, past `max_buffered_bytes`, on disk — and a single
+/// designated drainer streams the contiguous ready prefix into the sink
+/// *outside* the one bookkeeping lock, so producers never stall on sink
+/// I/O (DESIGN.md §5). Unordered sinks (`ordered() == false`) get
+/// concurrent delivery with O(buffer) memory per worker. The caller is
 /// responsible for `sink.finish()`. Throws std::invalid_argument for zero
 /// chunks or a chunk range outside them, and std::logic_error if ordered
-/// delivery handed the sink fewer chunks than it ran.
+/// delivery handed the sink fewer chunks than it ran or a chunk emitted
+/// another number of edges than `chunk_edges` advertised.
 ChunkRunStats run_chunked(const ChunkOptions& opt, const ChunkFn& fn, EdgeSink& sink);
 
 } // namespace kagen::pe

@@ -45,18 +45,27 @@ ChunkedSampler::ChunkedSampler(u64 seed, ChunkUniverse universe, u64 samples)
     assert(static_cast<u128>(samples_) <= universe_.range_size(0, universe_.num_chunks));
 }
 
+namespace {
+
+/// Samples of node [lo, hi) that fall into its left half [lo, mid).
+/// Per-subtree seed: PEs descending through the same (lo, hi) node draw the
+/// identical variate regardless of which child they follow.
+u64 left_samples(u64 seed, const ChunkUniverse& universe, u64 lo, u64 mid, u64 hi,
+                 u64 k) {
+    Rng rng = Rng::for_ids(seed, {0x5eedc0deULL, lo, hi});
+    return hypergeometric(rng, universe.range_size(lo, hi),
+                          universe.range_size(lo, mid), k);
+}
+
+} // namespace
+
 u64 ChunkedSampler::descend(u64 chunk) const {
     u64 lo = 0;
     u64 hi = universe_.num_chunks;
     u64 k  = samples_;
     while (hi - lo > 1 && k > 0) {
-        const u64 mid         = lo + (hi - lo) / 2;
-        const u128 total      = universe_.range_size(lo, hi);
-        const u128 left_size  = universe_.range_size(lo, mid);
-        // Per-subtree seed: PEs descending through the same (lo, hi) node
-        // draw the identical variate regardless of which child they follow.
-        Rng rng     = Rng::for_ids(seed_, {0x5eedc0deULL, lo, hi});
-        const u64 h = hypergeometric(rng, total, left_size, k);
+        const u64 mid = lo + (hi - lo) / 2;
+        const u64 h   = left_samples(seed_, universe_, lo, mid, hi, k);
         if (chunk < mid) {
             hi = mid;
             k  = h;
@@ -71,6 +80,24 @@ u64 ChunkedSampler::descend(u64 chunk) const {
 u64 ChunkedSampler::samples_in_chunk(u64 chunk) const {
     assert(chunk < universe_.num_chunks);
     return descend(chunk);
+}
+
+std::vector<u64> ChunkedSampler::chunk_counts() const {
+    std::vector<u64> out(universe_.num_chunks, 0);
+    count_subtree(0, universe_.num_chunks, samples_, out);
+    return out;
+}
+
+void ChunkedSampler::count_subtree(u64 lo, u64 hi, u64 k, std::vector<u64>& out) const {
+    if (k == 0) return;
+    if (hi - lo == 1) {
+        out[lo] = k;
+        return;
+    }
+    const u64 mid = lo + (hi - lo) / 2;
+    const u64 h   = left_samples(seed_, universe_, lo, mid, hi, k);
+    count_subtree(lo, mid, h, out);
+    count_subtree(mid, hi, k - h, out);
 }
 
 } // namespace kagen

@@ -342,6 +342,11 @@ public:
     /// `seed`; identical on every PE). O(log num_chunks) variates.
     u64 samples_in_chunk(u64 chunk) const;
 
+    /// Sample counts of all chunks, `[c] == samples_in_chunk(c)`, from one
+    /// pass over the recursion: each tree node draws its variate once, so
+    /// the whole table costs O(num_chunks) variates.
+    std::vector<u64> chunk_counts() const;
+
     /// Emits the samples of chunk `chunk` as offsets *within* the chunk,
     /// in increasing order. Deterministic in `seed` (and, for v2, in
     /// `version` — the hypergeometric count layer above is engine-agnostic,
@@ -362,6 +367,9 @@ private:
     /// Recursion over chunk index ranges; returns the sample count of the
     /// subtree containing `chunk` at its leaf.
     u64 descend(u64 chunk) const;
+
+    /// Writes the counts of chunks [lo, hi), a subtree holding k samples.
+    void count_subtree(u64 lo, u64 hi, u64 k, std::vector<u64>& out) const;
 
     u64 seed_;
     ChunkUniverse universe_;

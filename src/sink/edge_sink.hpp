@@ -21,11 +21,13 @@
 /// Threading contract: a sink instance is single-writer. The chunked
 /// execution engine (pe/pe.hpp) gives each worker a private buffer and
 /// serializes delivery; sinks that opt into unordered delivery
-/// (`ordered() == false`) must make `consume` thread-safe themselves.
+/// (`ordered() == false`) must make `consume` thread-safe themselves, and
+/// sinks that accept writes at an edge index make `write_at` thread-safe.
 #pragma once
 
 #include <cstddef>
 #include <memory>
+#include <stdexcept>
 
 #include "common/types.hpp"
 
@@ -70,6 +72,26 @@ public:
     /// accept concurrent `consume` calls, enabling fully streaming parallel
     /// consumption with O(buffer) memory.
     virtual bool ordered() const { return true; }
+
+    /// Positional delivery (DESIGN.md §5): a sink whose output is a flat
+    /// array of edges, the binary file, can take edges at a stream index,
+    /// from several threads at once. A run that knows every chunk's edge
+    /// count up front then writes each chunk straight to its place instead
+    /// of parking it for ordered delivery.
+    virtual bool accepts_write_at() const { return false; }
+
+    /// Flushes, then appends `count` edge slots to the stream and returns
+    /// the stream index of the first. `write_at` must fill every slot
+    /// before anything else is emitted or delivered, and before `finish`.
+    virtual u64 reserve_slots(u64 /*count*/) {
+        throw std::logic_error("EdgeSink: this sink does not accept writes at an edge index");
+    }
+
+    /// Writes `count` edges to the reserved slots from stream index
+    /// `index` on. Thread-safe for disjoint slot ranges.
+    virtual void write_at(u64 /*index*/, const Edge* /*edges*/, std::size_t /*count*/) {
+        throw std::logic_error("EdgeSink: this sink does not accept writes at an edge index");
+    }
 
     /// Inline-buffer capacity this sink was constructed with.
     std::size_t buffer_capacity() const { return capacity_; }

@@ -240,11 +240,14 @@ BinaryFileSink::~BinaryFileSink() {
     // an abort/exception path where the output is already invalid (header
     // still holds the placeholder count). finish() is where a close error
     // must be (and is) surfaced; here a warning is all a destructor can do.
-    if (file_ != nullptr && std::fclose(file_) != 0) {
+    // The file goes too: a 0-edge header reads as a valid empty graph.
+    if (file_ == nullptr) return;
+    if (std::fclose(file_) != 0) {
         std::fprintf(stderr,
                      "kagen: warning: close of abandoned output '%s' failed\n",
                      path_.c_str());
     }
+    fileio::unlink_or_warn(path_.c_str(), "abandoned output");
 }
 
 void BinaryFileSink::consume(const Edge* edges, std::size_t count) {
@@ -263,6 +266,38 @@ void BinaryFileSink::consume(const Edge* edges, std::size_t count) {
     }
     num_edges_ += count;
     bytes_written_ += count * sizeof(Edge);
+    edges_ctr.add(count);
+    bytes_ctr.add(count * sizeof(Edge));
+}
+
+u64 BinaryFileSink::reserve_slots(u64 count) {
+    flush();
+    const u64 first = num_edges_;
+    // What stdio holds lands before the slots; the stream resumes after
+    // them, and write_at fills them with pwrite in between.
+    const off_t resume =
+        static_cast<off_t>(sizeof(u64) + (first + count) * sizeof(Edge));
+    if (std::fflush(file_) != 0 || ::fseeko(file_, resume, SEEK_SET) != 0) {
+        throw std::runtime_error("cannot reserve " + std::to_string(count) +
+                                 " edges in '" + path_ + "'");
+    }
+    num_edges_ += count;
+    bytes_written_ += count * sizeof(Edge);
+    return first;
+}
+
+void BinaryFileSink::write_at(u64 index, const Edge* edges, std::size_t count) {
+    static obs::Counter& edges_ctr =
+        obs::Registry::global().counter("sink.edges_written");
+    static obs::Counter& bytes_ctr =
+        obs::Registry::global().counter("sink.bytes_written");
+    const obs::Span span(obs::Phase::sink_write, count * sizeof(Edge));
+    try {
+        fileio::pwrite_all(::fileno(file_), edges, count * sizeof(Edge),
+                           sizeof(u64) + index * sizeof(Edge));
+    } catch (const std::runtime_error& e) {
+        throw std::runtime_error("short write to '" + path_ + "': " + e.what());
+    }
     edges_ctr.add(count);
     bytes_ctr.add(count * sizeof(Edge));
 }

@@ -197,6 +197,15 @@ private:
 /// (header, payload, and the finish() back-patch), for throughput
 /// accounting.
 ///
+/// Positional delivery (`write_at`) goes around stdio: `reserve_slots`
+/// flushes the stream and moves it past the reserved slots, and each
+/// `write_at` is one pwrite(2) at the slots' file offset, so the chunked
+/// engine's workers write their chunks concurrently (DESIGN.md §5).
+///
+/// A sink destroyed without finish() (an error unwind) removes its file:
+/// the header would still claim 0 edges, which reads as a valid empty
+/// graph.
+///
 /// The descriptor is opened with O_CLOEXEC: the distributed runner (dist/)
 /// forks workers out of a process that may hold open output sinks, and a
 /// worker that execs a subprocess must not leak a writable descriptor onto
@@ -214,8 +223,13 @@ public:
     void finish() override;
     u64 num_edges() const { return num_edges_; }
 
-    /// Total bytes handed to the stream so far (header + edge payload +,
-    /// after finish(), the back-patched header again).
+    bool accepts_write_at() const override { return true; }
+    u64 reserve_slots(u64 count) override;
+    void write_at(u64 index, const Edge* edges, std::size_t count) override;
+
+    /// Total bytes handed to the stream so far (header + edge payload,
+    /// reserved slots included, +, after finish(), the back-patched header
+    /// again).
     u64 bytes_written() const { return bytes_written_; }
 
     /// Underlying descriptor (diagnostics/tests; -1 after finish()).

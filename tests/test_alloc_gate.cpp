@@ -18,6 +18,10 @@
 // least one allocation per added chunk (84 across the 12→96 sweep), an
 // order of magnitude above it.
 //
+// The G(n,m) run passes the model's chunk edge counts, so it gates the
+// in-place path (count pass, batch buffers, positional writes); the RGG run
+// gates the ordered arena path into the same file sink.
+//
 // Generator internals are out of the pipeline's scope (some models allocate
 // per chunk inside `generate`); the model runs suppress counting inside the
 // generator call only — emit/consume/deliver on the worker threads outside
@@ -40,6 +44,7 @@
 #include <unistd.h>
 
 #include "kagen.hpp"
+#include "obs/metrics.hpp"
 #include "pe/arena.hpp"
 #include "pe/pe.hpp"
 #include "sink/sinks.hpp"
@@ -156,12 +161,16 @@ void prewarm_arena(pe::SlabArena& arena, u64 slabs) {
     for (pe::Slab* s : held) arena.release(s);
 }
 
+using ChunkEdgesFn = decltype(pe::ChunkOptions::chunk_edges);
+
 /// One armed run on the warm external arena: P=4, K=3, threads=3 per the
 /// gate's pinned configuration; `total_chunks` scales the chunk count
-/// without touching anything else.
+/// without touching anything else. A model with known chunk edge counts
+/// passes them (`chunk_edges`), which puts a file sink on the in-place
+/// path: then the count pass and the batch buffers are what is gated.
 unsigned long long armed_run(pe::ThreadPool& pool, pe::SlabArena& arena,
                              u64 total_chunks, const pe::ChunkFn& fn,
-                             EdgeSink& sink) {
+                             EdgeSink& sink, const ChunkEdgesFn& chunk_edges) {
     pe::ChunkOptions opt;
     opt.num_pes       = 4;
     opt.chunks_per_pe = 3;
@@ -169,6 +178,7 @@ unsigned long long armed_run(pe::ThreadPool& pool, pe::SlabArena& arena,
     opt.threads       = 3;
     opt.pool          = &pool;
     opt.arena         = &arena;
+    opt.chunk_edges   = chunk_edges;
     alloc_gate::g_count.store(0);
     alloc_gate::g_armed.store(true);
     pe::run_chunked(opt, fn, sink);
@@ -180,11 +190,12 @@ unsigned long long armed_run(pe::ThreadPool& pool, pe::SlabArena& arena,
 template <typename MakeSinkFn>
 unsigned long long max_count(pe::ThreadPool& pool, pe::SlabArena& arena,
                              u64 total_chunks, const pe::ChunkFn& fn,
-                             MakeSinkFn&& make_sink) {
+                             MakeSinkFn&& make_sink, const ChunkEdgesFn& chunk_edges = {}) {
     unsigned long long best = 0;
     for (int i = 0; i < kSamples; ++i) {
         auto sink = make_sink();
-        best      = std::max(best, armed_run(pool, arena, total_chunks, fn, *sink));
+        best      = std::max(best, armed_run(pool, arena, total_chunks, fn, *sink,
+                                             chunk_edges));
         sink->finish();
     }
     return best;
@@ -269,6 +280,8 @@ TEST(AllocGate, GnmPipelineIndependentOfChunksAndEdges) {
     Config cfg4m = cfg;
     cfg4m.m      = 64000;
 
+    obs::Counter& in_place = obs::Registry::global().counter("pe.chunks_in_place");
+    const u64 in_place_before = in_place.value();
     const std::string path = std::string("/tmp/kagen_alloc_gate_") +
                              std::to_string(::getpid()) + ".bin";
     const auto make_sink = [&path] {
@@ -277,6 +290,9 @@ TEST(AllocGate, GnmPipelineIndependentOfChunksAndEdges) {
 
     const pe::ChunkFn fn    = model_fn(cfg);
     const pe::ChunkFn fn_4m = model_fn(cfg4m);
+    // G(n,m) advertises its chunk edge counts, so these runs write in place.
+    const ChunkEdgesFn counts    = chunk_edges_of(cfg);
+    const ChunkEdgesFn counts_4m = chunk_edges_of(cfg4m);
 
     { // warm-up at the largest scale, unarmed
         BinaryFileSink warm(path);
@@ -287,17 +303,20 @@ TEST(AllocGate, GnmPipelineIndependentOfChunksAndEdges) {
         opt.threads       = 3;
         opt.pool          = &pool;
         opt.arena         = &arena;
+        opt.chunk_edges   = counts_4m;
         pe::run_chunked(opt, fn_4m, warm);
         warm.finish();
     }
 
-    const auto base        = max_count(pool, arena, 12, fn, make_sink);
-    const auto more_chunks = max_count(pool, arena, 48, fn, make_sink);
-    const auto more_edges  = max_count(pool, arena, 12, fn_4m, make_sink);
+    const auto base        = max_count(pool, arena, 12, fn, make_sink, counts);
+    const auto more_chunks = max_count(pool, arena, 48, fn, make_sink, counts);
+    const auto more_edges  = max_count(pool, arena, 12, fn_4m, make_sink, counts_4m);
     EXPECT_TRUE(counts_close(base, more_chunks))
         << "G(n,m): allocations scale with chunks";
     EXPECT_TRUE(counts_close(base, more_edges))
         << "G(n,m): allocations scale with edges";
+    EXPECT_EQ(in_place.value() - in_place_before, 48 + kSamples * (12 + 48 + 12))
+        << "every G(n,m) chunk must have been written in place";
     std::remove(path.c_str());
 }
 

@@ -114,9 +114,10 @@ TEST(DistFailure, RankKilledAfterItsReportLeavesNoFiles) {
 
 // RunOptions never cross the wire: a forked rank gets the coordinator's
 // through NetWorkerOptions::run in the fork image. The ranks' merged metrics
-// record the slab size their arenas used.
+// record the slab size their arenas used. (An unsized model: G(n,m) knows
+// its chunk edge counts and writes in place, without an arena.)
 TEST(Dist, ForkedRanksRunTheCoordinatorsRunOptions) {
-    Config cfg           = model_config(Model::GnmUndirected);
+    Config cfg           = model_config(Model::Rgg2D);
     cfg.chunks_per_pe    = 4;
     cfg.arena_slab_bytes = 65536;
     cfg.metrics_path     = tmp_path("arena.metrics.json");

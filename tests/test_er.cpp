@@ -2,12 +2,14 @@
 // cross-PE redundancy consistency, uniformity over the pair universe.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <set>
 
 #include "common/math.hpp"
 #include "er/er.hpp"
 #include "graph/stats.hpp"
+#include "kagen.hpp"
 #include "pe/pe.hpp"
 #include "sink/ownership.hpp"
 #include "sink/sinks.hpp"
@@ -252,6 +254,48 @@ void expect_skip_equals_filter(const SkipShape& s, u64 expected_total, Generate 
             total += edges.size();
         }
         if (expected_total != 0) EXPECT_EQ(total, expected_total) << "n=" << s.n;
+    }
+}
+
+// Count contract of in-place delivery: the edge count a G(n,m) chunk
+// advertises before generating (kagen::chunk_edge_counts, one pass over
+// the count layer) is exactly what generate() then emits for it — for
+// both kinds, both semantics, both samplers, dense and sparse graphs, and
+// whether or not the undirected pass runs its subtrees on a pool.
+TEST(GnmChunkCounts, AdvertisedCountsEqualEmittedEdges) {
+    pe::ThreadPool pool(3);
+    const ForEachTask on_pool = [&pool](u64 tasks, const std::function<void(u64)>& task) {
+        pool.parallel_for(tasks, 0, task);
+    };
+    for (const Model model : {Model::GnmDirected, Model::GnmUndirected}) {
+        for (const EdgeSemantics semantics :
+             {EdgeSemantics::as_generated, EdgeSemantics::exact_once}) {
+            for (const SamplerVersion version : {SamplerVersion::v1, SamplerVersion::v2}) {
+                for (const auto& [n, m] : {std::pair<u64, u64>{3000, 20000}, {5000, 50}}) {
+                    for (const u64 chunks : {1, 7, 64}) {
+                        GraphSpec cfg;
+                        cfg.model           = model;
+                        cfg.n               = n;
+                        cfg.m               = m;
+                        cfg.seed            = 11;
+                        cfg.sampler_version = version;
+                        cfg.edge_semantics  = semantics;
+                        const std::vector<u64> counts = chunk_edge_counts(cfg, chunks);
+                        ASSERT_EQ(counts.size(), chunks);
+                        EXPECT_EQ(chunk_edge_counts(cfg, chunks, on_pool), counts);
+                        for (u64 c = 0; c < chunks; ++c) {
+                            CountingSink emitted;
+                            generate(cfg, c, chunks, emitted);
+                            emitted.finish();
+                            EXPECT_EQ(emitted.num_edges(), counts[c])
+                                << model_name(model) << " " << semantics_name(semantics)
+                                << " v" << (version == SamplerVersion::v1 ? 1 : 2)
+                                << " m=" << m << " chunk " << c << " of " << chunks;
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 

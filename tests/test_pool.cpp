@@ -4,8 +4,9 @@
 // bounded-memory mode, where released slabs decommit instead of the pool
 // switching off), canonical-order claiming (exact subrange slices, a
 // resident window of a few chunks), an ordered-delivery hand-off that
-// never strands the tail of a run, worker pinning, and one-worker runs
-// that build no pool.
+// never strands the tail of a run, in-place delivery of chunks with known
+// edge counts (byte-identical, nothing parked, miscounts rejected), worker
+// pinning, and one-worker runs that build no pool.
 // ctest label: pool (re-run under ASan and TSan in CI).
 #include <gtest/gtest.h>
 
@@ -16,11 +17,14 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "kagen.hpp"
 #include "obs/metrics.hpp"
@@ -228,6 +232,144 @@ TEST(RecycledDelivery, SingleWorkerStreamsWithoutChunkBuffers) {
         for (u64 c = 0; c < 8; ++c) total += 200 + (c * 53) % 300;
         return total;
     }());
+}
+
+// ---------------------------------------------------------------------------
+// In-place delivery: chunks with known edge counts written at their places
+// ---------------------------------------------------------------------------
+
+/// chunk_fn's per-chunk edge counts, advertised up front the way G(n,m)
+/// advertises its hypergeometric split.
+std::vector<u64> chunk_fn_counts(u64 num_chunks) {
+    std::vector<u64> counts(num_chunks);
+    for (u64 c = 0; c < num_chunks; ++c) counts[c] = 200 + (c * 53) % 300;
+    return counts;
+}
+
+std::string pool_tmp(const std::string& name) {
+    return (std::filesystem::temp_directory_path() /
+            ("kagen_pool_" + std::to_string(::getpid()) + "_" + name))
+        .string();
+}
+
+std::string slurp(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// The sequential file every in-place run must reproduce.
+std::string sequential_file(u64 num_chunks) {
+    const std::string path = pool_tmp("sequential.bin");
+    {
+        BinaryFileSink sink(path);
+        pe::ChunkOptions seq;
+        seq.total_chunks = num_chunks;
+        seq.threads      = 1;
+        pe::run_chunked(seq, chunk_fn(), sink);
+        sink.finish();
+    }
+    std::string bytes = slurp(path);
+    std::remove(path.c_str());
+    return bytes;
+}
+
+pe::ChunkOptions in_place_options(pe::ThreadPool& pool, u64 num_chunks) {
+    pe::ChunkOptions opt;
+    opt.total_chunks = num_chunks;
+    opt.threads      = 4;
+    opt.pool         = &pool;
+    opt.chunk_edges  = [](u64 chunks, const ForEachTask&) {
+        return chunk_fn_counts(chunks);
+    };
+    return opt;
+}
+
+TEST(InPlaceDelivery, FileMatchesSequentialAndParksNothing) {
+    constexpr u64 kChunks = 24;
+    pe::ThreadPool pool(3);
+    pe::ChunkOptions opt = in_place_options(pool, kChunks);
+    // The budget and an unusable spill path change nothing: nothing parks,
+    // so no spill file is ever opened.
+    opt.max_buffered_bytes = 64;
+    opt.spill_path         = "/nonexistent_kagen_dir/spill.bin";
+
+    obs::Counter& in_place = obs::Registry::global().counter("pe.chunks_in_place");
+    const u64 before       = in_place.value();
+    const std::string path = pool_tmp("in_place.bin");
+    BinaryFileSink sink(path);
+    const auto stats = pe::run_chunked(opt, chunk_fn(), sink);
+    sink.finish();
+    EXPECT_EQ(slurp(path), sequential_file(kChunks));
+    EXPECT_EQ(in_place.value() - before, kChunks) << "one count per chunk written in place";
+    EXPECT_EQ(stats.peak_buffered_bytes, 0u);
+    EXPECT_EQ(stats.spilled_chunks, 0u);
+    EXPECT_EQ(stats.buffers_allocated, 0u) << "no arena slab";
+    EXPECT_EQ(stats.buffers_recycled, 0u);
+    std::remove(path.c_str());
+}
+
+TEST(InPlaceDelivery, LeasesAppendBehindEarlierEdges) {
+    // A rank's leases are successive subrange runs into one file; each
+    // reservation starts behind everything already in the stream,
+    // including edges still in the sink's own emit buffer.
+    constexpr u64 kChunks = 30;
+    pe::ThreadPool pool(3);
+    const std::string path = pool_tmp("leases.bin");
+    const std::string ref  = pool_tmp("leases_ref.bin");
+    const EdgeList head    = some_edges(7, 99);
+    for (const bool in_place : {false, true}) {
+        BinaryFileSink sink(in_place ? path : ref);
+        for (const Edge& e : head) sink.emit(e);
+        pe::ChunkOptions opt = in_place_options(pool, kChunks);
+        if (!in_place) {
+            opt.threads     = 1;
+            opt.chunk_edges = nullptr;
+        }
+        for (const auto& [b, e] : {std::pair<u64, u64>{0, 11}, {11, 12}, {12, 30}}) {
+            opt.chunk_begin = b;
+            opt.chunk_end   = e;
+            pe::run_chunked(opt, chunk_fn(), sink);
+        }
+        sink.finish();
+    }
+    EXPECT_EQ(slurp(path), slurp(ref));
+    std::remove(path.c_str());
+    std::remove(ref.c_str());
+}
+
+TEST(InPlaceDelivery, MiscountedChunkThrowsNamingItAndLeavesNoFile) {
+    // A chunk that emits one edge more, or one fewer, than it advertised
+    // must fail the run with both counts — never write into a neighbour's
+    // slots or patch a header over a hole.
+    constexpr u64 kChunks = 16;
+    constexpr u64 kBad    = 5;
+    pe::ThreadPool pool(3);
+    for (const int delta : {+1, -1}) {
+        const pe::ChunkFn miscounting = [delta](u64 chunk, u64 num_chunks, EdgeSink& sink) {
+            if (chunk != kBad) return chunk_fn()(chunk, num_chunks, sink);
+            EdgeList edges = some_edges(200 + (chunk * 53) % 300, chunk);
+            if (delta > 0) edges.emplace_back(1, 2);
+            else edges.pop_back();
+            for (const Edge& e : edges) sink.emit(e);
+        };
+        const u64 advertised = chunk_fn_counts(kChunks)[kBad];
+        const std::string path = pool_tmp("miscount.bin");
+        std::string message;
+        try {
+            BinaryFileSink sink(path);
+            pe::run_chunked(in_place_options(pool, kChunks), miscounting, sink);
+            sink.finish();
+        } catch (const std::logic_error& e) {
+            message = e.what();
+        }
+        EXPECT_NE(message.find("chunk " + std::to_string(kBad) + " emitted " +
+                               std::to_string(advertised + delta) +
+                               " edges but advertised " + std::to_string(advertised)),
+                  std::string::npos)
+            << "delta " << delta << ": '" << message << "'";
+        EXPECT_FALSE(std::filesystem::exists(path))
+            << "a failed run left its output behind";
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -774,9 +774,10 @@ TEST_P(TransportMatrix, KeptRankFilesAreListedAndConcatenateToTheOutput) {
 // the ranks' own RunOptions leave the merged bytes unchanged on both
 // transports. A TCP coordinator's own spill path is never sent to its
 // workers (the coordinator's directory need not exist on theirs), while a
-// worker's own unusable spill path fails that worker.
+// worker's own unusable spill path fails that worker. (An unsized model:
+// G(n,m) knows its chunk edge counts and writes in place, never spilling.)
 TEST_P(TransportMatrix, RanksSpillUnderTheirOwnRunOptions) {
-    Config cfg        = model_config(Model::GnmUndirected);
+    Config cfg        = model_config(Model::Rgg2D);
     cfg.chunks_per_pe = 8;
     const std::string ref = single_process_bytes(cfg, 4);
     const ScratchDir spill_dir("spill");
