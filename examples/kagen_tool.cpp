@@ -338,8 +338,8 @@ int run_coordinated_sink(const Config& cfg, const std::string& kind, u64 ranks,
     std::printf("model=%s n=%llu edges[%s]=%llu -> %s (binary) %s=%llu "
                 "chunks=%llu seconds=%.6f peak_buffered_bytes=%llu "
                 "spilled_chunks=%llu spilled_bytes=%llu buffers_recycled=%llu "
-                "merged_bytes=%llu copy_file_range_bytes=%llu "
-                "copy_file_range_used=%d\n",
+                "merged_bytes=%llu placed_bytes=%llu gathered_bytes=%llu "
+                "copy_file_range_bytes=%llu copy_file_range_used=%d\n",
                 model_name(cfg.model), static_cast<unsigned long long>(res.n),
                 semantics_name(cfg.edge_semantics),
                 static_cast<unsigned long long>(res.edges_written), out_path, unit,
@@ -350,6 +350,8 @@ int run_coordinated_sink(const Config& cfg, const std::string& kind, u64 ranks,
                 static_cast<unsigned long long>(res.stats.spilled_bytes),
                 static_cast<unsigned long long>(res.stats.buffers_recycled),
                 static_cast<unsigned long long>(res.merged_bytes),
+                static_cast<unsigned long long>(res.placed_bytes),
+                static_cast<unsigned long long>(res.gathered_bytes),
                 static_cast<unsigned long long>(res.copy_file_range_bytes),
                 res.copy_file_range_used() ? 1 : 0);
     if (dedup_out != nullptr) {

@@ -17,9 +17,11 @@ namespace {
                              std::strerror(errno));
 }
 
-/// Userspace fallback: EINTR-safe read/write loop through a 1 MiB buffer.
-u64 copy_user(int in_fd, int out_fd, u64 length) {
-    std::vector<char> buf(std::min<u64>(length, u64{1} << 20));
+/// Userspace fallback: EINTR-safe read/write loop through `buf`, grown to
+/// at most 1 MiB (never shrunk, so a reused buffer is zero-filled once).
+u64 copy_user(int in_fd, int out_fd, u64 length, std::vector<u8>& buf) {
+    const auto want_size = static_cast<std::size_t>(std::min<u64>(length, u64{1} << 20));
+    if (buf.size() < want_size) buf.resize(want_size);
     u64 copied = 0;
     while (copied < length) {
         const std::size_t want =
@@ -94,7 +96,7 @@ void pwrite_all(int fd, const void* data, std::size_t bytes, u64 offset) {
 }
 
 CopyStats copy_bytes(int in_fd, int out_fd, u64 length,
-                     bool allow_copy_file_range) {
+                     bool allow_copy_file_range, std::vector<u8>* buffer) {
     CopyStats stats;
     if (length == 0) return stats;
 #ifndef __linux__
@@ -124,7 +126,9 @@ CopyStats copy_bytes(int in_fd, int out_fd, u64 length,
     }
 #endif
     if (stats.bytes_copied < length) {
-        stats.bytes_copied += copy_user(in_fd, out_fd, length - stats.bytes_copied);
+        std::vector<u8> own;
+        stats.bytes_copied += copy_user(in_fd, out_fd, length - stats.bytes_copied,
+                                        buffer != nullptr ? *buffer : own);
     }
     return stats;
 }

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "common/types.hpp"
 
@@ -59,9 +60,11 @@ struct CopyStats {
 /// `allow_copy_file_range = false` forces the fallback — the test hook for
 /// pinning byte-identity of both paths, and what the
 /// KAGEN_DISABLE_COPY_FILE_RANGE environment variable toggles in the
-/// distributed runner. Throws std::runtime_error on any I/O failure,
-/// including premature EOF on `in_fd`.
+/// distributed runner. The fallback copies through `buffer`, grown to at
+/// most 1 MiB and kept for the caller's next copy; null = a buffer of this
+/// call's own. Throws std::runtime_error on any I/O failure, including
+/// premature EOF on `in_fd`.
 CopyStats copy_bytes(int in_fd, int out_fd, u64 length,
-                     bool allow_copy_file_range = true);
+                     bool allow_copy_file_range = true, std::vector<u8>* buffer = nullptr);
 
 } // namespace kagen::fileio

@@ -3,8 +3,9 @@
 ///        its job, over whichever transport reached it.
 ///
 /// The paper's generators need *zero* communication to produce the graph;
-/// besides its job, its lease requests, its rank file and the sorted runs
-/// of a dedup job, the only bytes a rank ever sends are this one report —
+/// besides its job, its lease requests, its edges (a rank file, or a placed
+/// job's lease data) and the sorted runs of a dedup job, the only bytes a
+/// rank ever sends are this one report —
 /// its `pe::ChunkRunStats` merged over its leases (every field of it, so
 /// the coordinator's fold sees exactly what the rank ran), its lease table,
 /// the edge count of its rank file, the run table of a dedup job, and the
@@ -24,13 +25,16 @@
 
 namespace kagen::dist {
 
-/// One lease: a contiguous range of canonical chunks a rank ran, in one
-/// `pe::run_chunked` call appended to its rank file, and the edges that
-/// range emitted.
+/// One lease: a contiguous range of canonical chunks a rank ran in one
+/// `pe::run_chunked` call, and the edges that range emitted.
 struct Lease {
     u64 chunk_begin = 0;
     u64 chunk_end   = 0;
     u64 edges       = 0;
+    /// Placed jobs (net/protocol.hpp): the output slot of the lease's first
+    /// edge, granted with the lease along with its edge count. The report's
+    /// lease table leaves it out: the coordinator granted it.
+    u64 first_slot = 0;
 
     bool operator==(const Lease&) const = default;
 };
@@ -47,8 +51,8 @@ struct RankReport {
     pe::ChunkRunStats stats;     ///< ChunkRunStats::merge over the leases;
                                  ///< seconds = summed lease run time (busy)
     std::vector<Lease> leases;   ///< every lease the rank ran, in the order
-                                 ///< it ran them (= canonical order); its
-                                 ///< rank file holds their edges back to back
+                                 ///< it ran them (= canonical order); a rank
+                                 ///< file holds their edges back to back
     u64 file_edges  = 0;         ///< edges written to the rank file (0 = none)
     std::vector<u64> runs;       ///< run table of a dedup job: edges per sorted
                                  ///< run the rank formed from its rank file

@@ -18,56 +18,128 @@
 #include "common/fileio.hpp"
 #include "graph/em_sort.hpp"
 #include "kagen.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "pe/arena.hpp"
 
 namespace kagen::dist {
 namespace {
 
-/// Worker-side fan-out sink: forwards every batch to the rank's binary file
-/// (when writing one) and to the local statistics sinks. With a file the
-/// stream must be ordered (canonical chunk order is what makes rank-file
-/// concatenation byte-identical to the single-process run); without one the
+/// Worker-side fan-out sink: forwards every batch to the rank's output —
+/// its binary file, or a placed job's granted slots — and to the local
+/// statistics sinks. With an output the stream must be ordered (canonical
+/// chunk order is what makes the rank file's segments, and a streamed
+/// lease, byte-identical to the single-process run); without one the
 /// statistics sinks take concurrent delivery themselves, so the engine can
 /// stream fully parallel.
 class RankSink final : public EdgeSink {
 public:
-    RankSink(BinaryFileSink* file, CountingSink& count, DegreeStatsSink* degrees)
-        : file_(file), count_(count), degrees_(degrees) {}
+    /// Batch of a streamed lease, and so its lease_data frame: 256 KiB. A
+    /// quarter of the frames of the default 64 KiB batch cut gnm_tcp_v1's
+    /// wall by 5–8% (EXPERIMENTS.md).
+    static constexpr std::size_t kStreamBatchEdges = 16384;
 
-    bool ordered() const override { return file_ != nullptr; }
+    RankSink(BinaryFileSink* file, const Placement& placed, CountingSink& count,
+             DegreeStatsSink* degrees)
+        : EdgeSink(placed.send ? kStreamBatchEdges : 0), file_(file), placed_(placed),
+          count_(count), degrees_(degrees) {}
 
-    // Positional delivery lands in the rank file; the statistics sinks take
-    // the same batches concurrently, as on the unordered path.
-    bool accepts_write_at() const override { return file_ != nullptr; }
+    bool ordered() const override { return file_ != nullptr || placed_.active(); }
+
+    // Positional delivery lands in the rank file or the inherited output;
+    // the statistics sinks take the same batches concurrently, as on the
+    // unordered path. A streamed lease goes out in order.
+    bool accepts_write_at() const override {
+        return file_ != nullptr || placed_.output_fd >= 0;
+    }
+
+    /// A placed job: the slots of the lease about to run. Every edge it
+    /// emits must land in them.
+    void begin_lease(const Lease& lease) {
+        slot_begin_ = cursor_ = lease.first_slot;
+        slot_end_             = lease.first_slot + lease.edges;
+    }
 
     u64 reserve_slots(u64 count) override {
         flush();
-        return file_->reserve_slots(count);
+        if (file_ != nullptr) return file_->reserve_slots(count);
+        if (count != slot_end_ - slot_begin_) {
+            throw std::runtime_error("the lease's chunks count " + std::to_string(count) +
+                                     " edges, its grant " +
+                                     std::to_string(slot_end_ - slot_begin_));
+        }
+        return slot_begin_;
     }
 
     void write_at(u64 index, const Edge* edges, std::size_t count) override {
-        file_->write_at(index, edges, count);
-        count_.deliver(edges, count);
-        if (degrees_ != nullptr) degrees_->deliver(edges, count);
-        edges_.fetch_add(count, std::memory_order_relaxed);
+        if (file_ != nullptr) {
+            file_->write_at(index, edges, count);
+        } else {
+            if (index < slot_begin_ || index > slot_end_ || count > slot_end_ - index) {
+                overflow(count);
+            }
+            place(index, edges, count);
+        }
+        tally(edges, count);
     }
 
-    /// Edges consumed so far; run_chunked has delivered every edge of a
-    /// lease by the time it returns, so differences are lease edge counts.
+    /// Edges consumed so far; with the closing flush after each lease,
+    /// differences are lease edge counts.
     u64 edges() const { return edges_.load(std::memory_order_relaxed); }
 
 protected:
     void consume(const Edge* edges, std::size_t count) override {
-        if (file_ != nullptr) file_->deliver(edges, count);
+        if (file_ != nullptr) {
+            file_->deliver(edges, count);
+        } else if (placed_.active()) {
+            // In stream order: the lease's next slots.
+            if (count > slot_end_ - cursor_) overflow(count);
+            if (placed_.output_fd >= 0) {
+                place(cursor_, edges, count);
+            } else {
+                const obs::Span span(obs::Phase::sink_write, count * sizeof(Edge));
+                placed_.send(edges, count);
+            }
+            cursor_ += count;
+        }
+        tally(edges, count);
+    }
+
+private:
+    void tally(const Edge* edges, std::size_t count) {
         count_.deliver(edges, count);
         if (degrees_ != nullptr) degrees_->deliver(edges, count);
         edges_.fetch_add(count, std::memory_order_relaxed);
     }
 
-private:
+    /// pwrite into the inherited output, counted like a file sink's write.
+    void place(u64 slot, const Edge* edges, std::size_t count) {
+        static obs::Counter& edges_ctr =
+            obs::Registry::global().counter("sink.edges_written");
+        static obs::Counter& bytes_ctr =
+            obs::Registry::global().counter("sink.bytes_written");
+        const obs::Span span(obs::Phase::sink_write, count * sizeof(Edge));
+        fileio::pwrite_all(placed_.output_fd, edges, count * sizeof(Edge),
+                           sizeof(u64) + slot * sizeof(Edge));
+        edges_ctr.add(count);
+        bytes_ctr.add(count * sizeof(Edge));
+    }
+
+    [[noreturn]] void overflow(u64 count) const {
+        throw std::runtime_error("a batch of " + std::to_string(count) +
+                                 " edges runs past the lease's granted slots [" +
+                                 std::to_string(slot_begin_) + ", " +
+                                 std::to_string(slot_end_) + ")");
+    }
+
     BinaryFileSink* file_;
+    const Placement& placed_;
     CountingSink& count_;
     DegreeStatsSink* degrees_;
+    // Placed: the running lease's slots, and the next one in stream order.
+    u64 slot_begin_ = 0;
+    u64 slot_end_   = 0;
+    u64 cursor_     = 0;
     std::atomic<u64> edges_{0}; // unordered delivery consumes concurrently
 };
 
@@ -167,7 +239,7 @@ RankReport execute_rank_job(const GraphSpec& graph, const RunOptions& run,
         degrees = std::make_unique<DegreeStatsSink>(num_vertices(graph),
                                                     graph.edge_semantics);
     }
-    RankSink sink(file.get(), count, degrees.get());
+    RankSink sink(file.get(), job.placed, count, degrees.get());
 
     pe::ChunkOptions copt;
     copt.total_chunks       = job.num_chunks; // pins the decomposition
@@ -187,7 +259,7 @@ RankReport execute_rank_job(const GraphSpec& graph, const RunOptions& run,
     std::unique_ptr<pe::ThreadPool> pool;
     std::unique_ptr<pe::SlabArena> arena;
     copt.threads = std::max<u64>(job.threads, 1);
-    Lease lease{job.chunk_begin, job.chunk_end, 0};
+    Lease lease = job.first;
     if (copt.threads > 1 && lease.chunk_begin < lease.chunk_end) {
         pool      = std::make_unique<pe::ThreadPool>(copt.threads - 1);
         copt.pool = pool.get();
@@ -210,13 +282,22 @@ RankReport execute_rank_job(const GraphSpec& graph, const RunOptions& run,
         copt.chunk_begin = lease.chunk_begin;
         copt.chunk_end   = lease.chunk_end;
         const u64 before = sink.edges();
+        sink.begin_lease(lease);
         report.stats.merge(pe::run_chunked(
             copt,
             [&graph](u64 chunk, u64 total, EdgeSink& chunk_sink) {
                 generate(graph, chunk, total, chunk_sink);
             },
             sink));
-        lease.edges = sink.edges() - before;
+        sink.flush(); // a streamed lease is sent in full before lease_done
+        const u64 emitted = sink.edges() - before;
+        if (job.placed.active() && emitted != lease.edges) {
+            throw std::runtime_error("chunks [" + std::to_string(lease.chunk_begin) + ", " +
+                                     std::to_string(lease.chunk_end) + ") emitted " +
+                                     std::to_string(emitted) + " edges, their grant " +
+                                     std::to_string(lease.edges));
+        }
+        lease.edges = emitted;
         report.leases.push_back(lease);
         lease = next(lease);
     }

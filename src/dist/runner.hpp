@@ -16,17 +16,21 @@
 ///    slow one. Nothing is shared while a lease runs: no memory writes, no
 ///    locks, no messages.
 ///  * `execute_rank_job` is that per-rank work, identical for forked and TCP
-///    ranks: `pe::run_chunked` over each lease in turn, appended to one
-///    per-rank binary edge file plus local statistics sinks, returning a
+///    ranks: `pe::run_chunked` over each lease in turn, written to the
+///    lease's granted output slots (a placed job) or appended to one
+///    per-rank binary edge file, plus local statistics sinks, returning a
 ///    dist::RankReport with the rank's lease table. The graph comes from
 ///    the job frame, the RunOptions from the fork image
 ///    (`NetWorkerOptions::run`, copied from the coordinator's Config).
-///  * Forked ranks share the coordinator's filesystem, so the coordinator
-///    copies their rank files by path (copy_file_range), each lease's
-///    segment to its own offset in the output. Because every lease's stream
-///    is exactly the [chunk_begin, chunk_end) slice of the canonical chunk
-///    stream, and the offsets are the prefix sums of the leases' edge counts
-///    in canonical order, the merged file is **byte-identical** to a
+///  * A G(n,m) gather is placed: the coordinator creates the output before
+///    the fork, and each forked rank pwrites its leases straight into it.
+///    Otherwise forked ranks share the coordinator's filesystem, so the
+///    coordinator copies their rank files by path (copy_file_range), each
+///    lease's segment to its own offset in the output. Because every
+///    lease's stream is exactly the [chunk_begin, chunk_end) slice of the
+///    canonical chunk stream, and the offsets are the prefix sums of the
+///    leases' edge counts in canonical order, the merged file is
+///    **byte-identical** to a
 ///    single-process `generate_chunked` run into a `BinaryFileSink` — for
 ///    every (ranks, P, K) combination, every schedule, and under both edge
 ///    semantics.
@@ -39,6 +43,7 @@
 /// output file behind. See DESIGN.md §8 and tests/test_dist.cpp.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <string>
 
@@ -96,19 +101,34 @@ using DistResult = net::RunResult;
 /// rank failure (descriptive, no hang, no partial files left behind).
 DistResult run_distributed(const Config& cfg, const DistOptions& opts);
 
+/// Where the leases of a placed job put their edges (net/protocol.hpp):
+/// each lease fills exactly the output slots it was granted, with no rank
+/// file. Set by the rank itself, from its transport.
+struct Placement {
+    /// A forked rank: the coordinator's output, inherited across fork;
+    /// edge slot s is written at byte 8 + 16·s.
+    int output_fd = -1;
+    /// A TCP rank: hands each batch of a lease's edges, in stream order, to
+    /// the coordinator.
+    std::function<void(const Edge* edges, std::size_t count)> send;
+
+    bool active() const { return output_fd >= 0 || static_cast<bool>(send); }
+};
+
 /// One rank's share of a distributed run, transport-agnostic: everything a
 /// worker needs to know to execute its leases, decoded from its job frame
 /// (net/protocol.hpp).
 struct RankJob {
-    u64 rank        = 0;
-    u64 num_chunks  = 0; ///< canonical chunk count C of the decomposition
-    u64 chunk_begin = 0; ///< the rank's first lease [chunk_begin, chunk_end);
-    u64 chunk_end   = 0; ///< empty = no lease at all (C < ranks)
-    u64 threads     = 1; ///< pool threads inside the worker (own pool)
+    u64 rank       = 0;
+    u64 num_chunks = 0; ///< canonical chunk count C of the decomposition
+    Lease first;        ///< the rank's first lease; an empty range = no
+                        ///< lease at all (C < ranks)
+    u64 threads    = 1; ///< pool threads inside the worker (own pool)
     bool degree_stats = false;   ///< also collect the O(n) degree summary
     bool form_runs    = false;   ///< sort the rank file into runs for the
                                  ///< coordinator's dedup merge
-    std::string rank_path;       ///< binary edge file to write; empty = stats only
+    std::string rank_path;       ///< binary edge file to write; empty = none
+    Placement placed;            ///< placed job: where the edges go instead
 };
 
 /// Where a rank parks the sorted runs of its rank file: beside it.
@@ -122,8 +142,10 @@ using NextLease = std::function<Lease(const Lease& finished)>;
 
 /// Executes one rank job: runs `pe::run_chunked` over the job's first lease
 /// and then every lease `next` grants, in turn, of `graph` with this rank's
-/// `run` options, appending each to the one rank file (when requested) and
-/// to local statistics sinks. The thread pool (and, with threads > 1, the
+/// `run` options, appending each to the one rank file (when requested) or
+/// writing it to its granted slots (a placed job; a lease that emits
+/// another count than its grant fails without writing outside its slots),
+/// and to local statistics sinks. The thread pool (and, with threads > 1, the
 /// chunk arena) is built once per job, not per lease. With `form_runs` it
 /// then sorts the finished rank file into runs (em::form_runs under
 /// `run.sort_memory`, key width from the graph's n) at

@@ -8,10 +8,13 @@
 #include <cstring>
 #include <optional>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 
 #include <dirent.h>
 #include <fcntl.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -100,6 +103,54 @@ std::string chunks_str(const dist::Lease& lease) {
            std::to_string(lease.chunk_end) + ")";
 }
 
+/// The merged output: created before any rank exists (the forked ranks of a
+/// placed job inherit its descriptor and write into it), its header written
+/// last. Only the coordinator removes it: a run that does not commit it
+/// unlinks it here.
+class OutputFile {
+public:
+    explicit OutputFile(std::string path) : path_(std::move(path)) {
+        if (path_.empty()) return;
+        fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+        if (fd_ < 0) throw_errno("cannot open output '" + path_ + "'");
+    }
+    ~OutputFile() {
+        if (fd_ < 0) return;
+        fileio::close_or_warn(fd_, "merged output (error unwind)");
+        fileio::unlink_or_warn(path_.c_str(), "partial output");
+    }
+    OutputFile(const OutputFile&)            = delete;
+    OutputFile& operator=(const OutputFile&) = delete;
+
+    int fd() const { return fd_; }
+
+    /// Writes the header, checks that the file holds exactly `edges` edges
+    /// and closes it.
+    void commit(u64 edges) {
+        fileio::pwrite_all(fd_, &edges, sizeof(edges), 0);
+        struct stat st{};
+        if (::fstat(fd_, &st) != 0) throw_errno("cannot stat '" + path_ + "'");
+        if (static_cast<u64>(st.st_size) != 8 + 16 * edges) {
+            throw std::runtime_error("coordinator: '" + path_ + "' holds " +
+                                     std::to_string(st.st_size) + " bytes, not the " +
+                                     std::to_string(8 + 16 * edges) + " of its " +
+                                     std::to_string(edges) + " edges");
+        }
+        // Released before the check: close(2) frees the descriptor even when
+        // it reports an error, so the destructor must never close it again.
+        const int fd = fd_;
+        fd_          = -1;
+        if (::close(fd) != 0) {
+            fileio::unlink_or_warn(path_.c_str(), "output of a failed run");
+            throw_errno("cannot close '" + path_ + "'");
+        }
+    }
+
+private:
+    std::string path_;
+    int fd_ = -1;
+};
+
 /// Option checks shared by both transports; run before any rank exists.
 /// Returns the result skeleton of a run over `ranks` ranks.
 RunResult plan_run(const Config& cfg, const NetOptions& opt, u64 ranks) {
@@ -172,17 +223,25 @@ void write_manifest(const Config& cfg, const std::string& path, const RunResult&
 /// cursor in canonical order to whichever rank asks next. Sizes follow
 /// guided self-scheduling, max(1, ceil(remaining / 2W)): large leases first,
 /// where a round trip costs least against the work, shrinking to single
-/// chunks at the end, where they even out the finishing times.
+/// chunks at the end, where they even out the finishing times. In a placed
+/// run every grant also carries its first output slot and its edge count.
 struct LeaseBook {
-    LeaseBook(u64 num_chunks, u64 ranks)
-        : num_chunks(num_chunks), divisor(2 * ranks), rank_leases(ranks),
+    LeaseBook(u64 num_chunks, u64 ranks, std::vector<u64> slots)
+        : num_chunks(num_chunks), divisor(2 * ranks), slots(std::move(slots)),
+          rank_leases(ranks),
           counter(obs::Registry::global().counter("coordinator.leases")) {}
+
+    bool placed() const { return !slots.empty(); }
 
     /// Grants rank w the cursor's next lease; returns it (empty: none left).
     dist::Lease grant(u64 w) {
         const u64 size = std::max<u64>(1, (num_chunks - cursor + divisor - 1) / divisor);
-        const dist::Lease lease{cursor, std::min(num_chunks, cursor + size), 0};
+        dist::Lease lease{cursor, std::min(num_chunks, cursor + size), 0};
         if (lease.chunk_begin < lease.chunk_end) {
+            if (placed()) {
+                lease.first_slot = slots[lease.chunk_begin];
+                lease.edges      = slots[lease.chunk_end] - lease.first_slot;
+            }
             rank_leases[w].push_back(leases.size());
             leases.push_back(lease);
             counter.add(1);
@@ -194,19 +253,50 @@ struct LeaseBook {
     u64 num_chunks;
     u64 divisor;
     u64 cursor = 0;
+    /// Placed runs: slots[c] is chunk c's first output slot, slots[C] the
+    /// total; empty otherwise.
+    std::vector<u64> slots;
     std::vector<dist::Lease> leases; ///< every grant, in grant order, which
                                      ///< is canonical order: they tile [0, C)
     std::vector<std::vector<std::size_t>> rank_leases; ///< indices into leases
     obs::Counter& counter;
 };
 
+/// The chunk count table of a placed run, as prefix sums (LeaseBook::slots).
+/// The undirected count pass walks O(C²) nodes, so it runs on a pool of
+/// this job's own; the directed one stays on this thread.
+std::vector<u64> chunk_slots(const Config& cfg, u64 num_chunks) {
+    std::unique_ptr<pe::ThreadPool> pool;
+    ForEachTask for_each;
+    if (cfg.model == Model::GnmUndirected) {
+        const u64 threads = std::max(1u, std::thread::hardware_concurrency());
+        pool              = std::make_unique<pe::ThreadPool>(threads - 1);
+        for_each = [&pool, threads](u64 num_tasks, const std::function<void(u64)>& task) {
+            pool->parallel_for(num_tasks, threads, task);
+        };
+    }
+    const std::vector<u64> counts = chunk_edge_counts(cfg, num_chunks, for_each);
+    std::vector<u64> slots(num_chunks + 1, 0);
+    for (u64 c = 0; c < num_chunks; ++c) {
+        if (counts[c] > kMaxOutputEdges - slots[c]) {
+            throw std::runtime_error("coordinator: the chunk edge counts overflow the output");
+        }
+        slots[c + 1] = slots[c] + counts[c];
+    }
+    return slots;
+}
+
 /// The lease phase: polls every rank that holds a lease and answers each
 /// lease_done with the next lease, or with done, until no rank holds one.
-/// Records every lease's edge count in `book`. A rank that got done goes on
-/// to its report, telemetry and file, which wait in its channel
+/// Records every lease's edge count in `book`. In a placed run over TCP
+/// (`out_fd` >= 0) the ranks' lease_data frames arrive in between, and each
+/// is pwritten at its lease's next slots as it arrives, through `buffer`,
+/// the coordinator's one receive buffer. A rank that got done goes on to
+/// its report, telemetry and file, which wait in its channel
 /// (back-pressure) until the rank-order collection reads them.
 /// `job_deadline_ms` bounds each lease.
-void run_leases(Fleet& fleet, const NetOptions& opt, LeaseBook& book) {
+void run_leases(Fleet& fleet, const NetOptions& opt, LeaseBook& book, int out_fd,
+                std::vector<u8>& buffer) {
     const auto now_ms = [] { return static_cast<long long>(obs::monotonic_now() / 1000000u); };
     const u64 W = fleet.socks.size();
     std::vector<long long> due(W, 0); // lease deadline in ms; 0 = none
@@ -217,9 +307,10 @@ void run_leases(Fleet& fleet, const NetOptions& opt, LeaseBook& book) {
     const auto until = [&](long long at) {
         return at == 0 ? 0 : static_cast<int>(std::max<long long>(at - now_ms(), 1));
     };
-    constexpr u64 kMaxEdges = (~u64{0} - 8) / 16; // an output file's limit
+    obs::Counter& placed_ctr = obs::Registry::global().counter("coordinator.placed_bytes");
     u64 reported = 0;
-    std::vector<u64> active; // ranks holding a lease, ascending
+    std::vector<u64> received(W, 0); // edges of the rank's lease placed so far
+    std::vector<u64> active;         // ranks holding a lease, ascending
     for (u64 w = 0; w < W; ++w) {
         if (book.rank_leases[w].empty()) continue;
         active.push_back(w);
@@ -251,25 +342,65 @@ void run_leases(Fleet& fleet, const NetOptions& opt, LeaseBook& book) {
             Socket& sock       = fleet.socks[w];
             dist::Lease& lease = book.leases[book.rank_leases[w].back()];
             try {
-                const std::vector<u8> msg = sock.recv_message(until(due[w]), "lease_done");
-                if (peek_type(msg) == Msg::report) {
-                    const dist::RankReport failed = decode_report(msg);
+                if (!sock.recv_frame(buffer, until(due[w]), kLeaseFrameBytes)) {
+                    throw std::runtime_error("net: " + sock.peer() +
+                                             " closed the connection before sending its "
+                                             "lease_done");
+                }
+                const Msg type = peek_type(buffer);
+                if (type == Msg::lease_data && out_fd >= 0) {
+                    // Straight to the lease's next slots: nothing waits for
+                    // another rank's segment.
+                    const LeaseData data = decode_lease_data(buffer);
+                    if (data.edges > lease.edges - received[w]) {
+                        throw std::runtime_error(
+                            "sent " + std::to_string(received[w] + data.edges) +
+                            " edges, past the " + std::to_string(lease.edges) +
+                            " of its slots");
+                    }
+                    {
+                        const obs::Span span(obs::Phase::merge, w);
+                        fileio::pwrite_all(out_fd, data.bytes, 16 * data.edges,
+                                           8 + 16 * (lease.first_slot + received[w]));
+                    }
+                    received[w] += data.edges;
+                    still.push_back(w);
+                    continue;
+                }
+                if (type == Msg::report) {
+                    const dist::RankReport failed = decode_report(buffer);
                     throw std::runtime_error(failed.ok ? "sent its report early"
                                                        : "failed: " + failed.error);
                 }
-                lease.edges = decode_lease_done(msg);
-                // The output offsets are sums of these counts.
-                if (lease.edges > kMaxEdges - reported) {
-                    throw std::runtime_error(std::to_string(lease.edges) +
-                                             " edges overflow the output");
+                const u64 edges = decode_lease_done(buffer);
+                if (book.placed()) {
+                    if (edges != lease.edges) {
+                        throw std::runtime_error("lease_done counts " + std::to_string(edges) +
+                                                 " edges, the chunk counts " +
+                                                 std::to_string(lease.edges));
+                    }
+                    if (out_fd >= 0 && received[w] != lease.edges) {
+                        throw std::runtime_error("finished after sending " +
+                                                 std::to_string(received[w]) + " of its " +
+                                                 std::to_string(lease.edges) + " edges");
+                    }
+                    received[w] = 0;
+                    placed_ctr.add(16 * edges);
+                } else {
+                    // The output offsets are sums of these counts.
+                    if (edges > kMaxOutputEdges - reported) {
+                        throw std::runtime_error(std::to_string(edges) +
+                                                 " edges overflow the output");
+                    }
+                    reported += edges;
+                    lease.edges = edges;
                 }
-                reported += lease.edges;
             } catch (const std::exception& e) {
                 throw RankError(w, sock, "running " + chunks_str(lease) + ": " + e.what());
             }
             const dist::Lease next = book.grant(w);
             try {
-                sock.send_frame(encode_lease(next.chunk_begin, next.chunk_end));
+                sock.send_frame(encode_lease(next));
             } catch (const std::exception& e) {
                 throw RankError(w, sock, std::string("sending its lease failed: ") + e.what());
             }
@@ -283,17 +414,20 @@ void run_leases(Fleet& fleet, const NetOptions& opt, LeaseBook& book) {
 }
 
 /// The coordinator proper, over ranks already reached. `result` is
-/// plan_run's skeleton.
+/// plan_run's skeleton; `out` the output of a gather run.
 RunResult coordinate(const Config& cfg, const NetOptions& opt, Fleet& fleet,
-                     bool keep_rank_files, RunResult result) {
+                     bool keep_rank_files, RunResult result, OutputFile& out) {
     const u64 W        = fleet.socks.size();
     const bool local   = !fleet.pids.empty();
     const bool gather  = !opt.output_path.empty();
     const bool listing = !opt.manifest_path.empty();
-    const bool want_file = gather || listing;
+    const bool keep    = listing || keep_rank_files;
+    const bool dedup   = !opt.dedup_path.empty();
+    // A model that fixes its chunk edge counts up front places every lease
+    // at its final offset while leases run; the others gather rank files.
+    const bool placed    = gather && !dedup && !keep && chunk_edges_of(cfg) != nullptr;
+    const bool want_file = (gather || listing) && !placed;
     const bool stream    = gather && !local;
-    const bool keep      = listing || keep_rank_files;
-    const bool dedup     = !opt.dedup_path.empty();
     const bool want_telemetry = !cfg.trace_path.empty() || !cfg.metrics_path.empty();
 
     auto recv = [&](u64 w, int deadline_ms, const char* what) {
@@ -304,7 +438,10 @@ RunResult coordinate(const Config& cfg, const NetOptions& opt, Fleet& fleet,
         }
     };
 
-    // --- handshake + job fan-out -----------------------------------------
+    // --- count table, handshake + job fan-out -----------------------------
+    // The count pass runs while the ranks start up; every grant needs it.
+    LeaseBook book(result.num_chunks, W,
+                   placed ? chunk_slots(cfg, result.num_chunks) : std::vector<u64>{});
     for (u64 w = 0; w < W; ++w) {
         decode_hello(recv(w, opt.connect_timeout_ms, "hello"));
         fleet.socks[w].send_frame(encode_hello());
@@ -313,20 +450,18 @@ RunResult coordinate(const Config& cfg, const NetOptions& opt, Fleet& fleet,
     // state, so earlier events would be duplicated into every rank), and
     // before the first lease is counted.
     obs::TelemetryScope telemetry_scope(want_telemetry);
-    LeaseBook book(result.num_chunks, W);
     std::vector<u64> t_job_sent(W, 0);
     for (u64 w = 0; w < W; ++w) {
-        const dist::Lease first = book.grant(w); // saves the lease-0 round trip
         JobSpec job;
         job.graph             = cfg;
         job.task.rank         = w;
         job.task.num_chunks   = result.num_chunks;
-        job.task.chunk_begin  = first.chunk_begin;
-        job.task.chunk_end    = first.chunk_end;
+        job.task.first        = book.grant(w); // saves the lease-0 round trip
         job.task.threads      = std::max<u64>(opt.threads_per_worker, 1);
         job.task.degree_stats = opt.degree_stats;
         job.task.form_runs    = dedup;
         job.want_file         = want_file;
+        job.place             = placed;
         job.send_file         = stream;
         job.want_trace        = want_telemetry;
         try {
@@ -343,28 +478,32 @@ RunResult coordinate(const Config& cfg, const NetOptions& opt, Fleet& fleet,
     }
 
     // --- lease phase --------------------------------------------------------
-    run_leases(fleet, opt, book);
+    // The coordinator's one payload buffer: lease-phase frames, then the
+    // gather's segments.
+    std::vector<u8> buffer;
+    run_leases(fleet, opt, book, placed && stream ? out.fd() : -1, buffer);
+    if (placed) result.placed_bytes = 16 * book.slots.back();
     // Every lease's edges are known, so every lease's place in the merged
-    // output is a prefix sum in canonical order, before any payload moves.
+    // output is a prefix sum in canonical order, before any rank file moves.
     const std::vector<dist::Lease>& leases = book.leases;
     std::vector<u64> out_offset(leases.size());
-    u64 placed = 0;
+    u64 edges_before = 0;
     for (std::size_t i = 0; i < leases.size(); ++i) {
-        out_offset[i] = 8 + 16 * placed;
-        placed += leases[i].edges;
+        out_offset[i] = 8 + 16 * edges_before;
+        edges_before += leases[i].edges;
     }
 
     std::vector<obs::RankTelemetry> telemetry;
 
     // --- collect reports (and files) in rank order ------------------------
-    // Gathered payloads land behind a placeholder header; the real total is
-    // pwritten once every rank arrived. Any failure unlinks the partial file
-    // before rethrowing — no partial outputs, ever.
+    // Gathered payloads land at their offsets; the header is pwritten once
+    // every rank arrived.
     // Test/ops escape hatch: force the local merge onto the userspace
     // read/write fallback (pins byte identity of both paths in CI).
     const char* no_cfr   = std::getenv("KAGEN_DISABLE_COPY_FILE_RANGE");
     const bool allow_cfr = no_cfr == nullptr || *no_cfr == '\0' || *no_cfr == '0';
-    int out_fd = -1;
+    const int out_fd     = out.fd();
+    obs::Counter& gathered_ctr = obs::Registry::global().counter("coordinator.gathered_bytes");
     // Every rank's runs, in rank order: forked ranks' run files taken over
     // by path (open, then unlink, so no run file outlives its handover),
     // streamed ranks' runs back to back in one anonymous scratch file.
@@ -378,229 +517,212 @@ RunResult coordinate(const Config& cfg, const NetOptions& opt, Fleet& fleet,
     std::optional<spill::SpillFile> streamed_runs;
     if (dedup && stream) streamed_runs.emplace();
     u64 streamed_bytes = 0;
-    try {
-        if (gather) {
-            out_fd = ::open(opt.output_path.c_str(),
-                            O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-            if (out_fd < 0) throw_errno("cannot open output '" + opt.output_path + "'");
-            const u64 placeholder = 0;
-            fileio::write_all(out_fd, &placeholder, sizeof(placeholder));
+    result.ranks.resize(W);
+    for (u64 w = 0; w < W; ++w) {
+        Socket& sock = fleet.socks[w];
+        auto fail = [&](const std::string& what) { throw RankError(w, sock, what); };
+        dist::RankReport report = decode_report(recv(w, opt.job_deadline_ms, "report"));
+        if (!report.ok) fail("failed: " + report.error);
+        // Validate every field the merge is about to trust.
+        if (report.rank != w) {
+            fail("report carries wrong rank id " + std::to_string(report.rank));
+        }
+        if (report.count.semantics != cfg.edge_semantics) {
+            fail(std::string("report semantics '") +
+                 semantics_name(report.count.semantics) +
+                 "' do not match the run's '" + semantics_name(cfg.edge_semantics) +
+                 "'");
+        }
+        if (opt.degree_stats &&
+            (!report.has_degrees || report.degrees.degrees.size() != result.n)) {
+            fail("degree summary missing or sized for the wrong n");
+        }
+        if (want_file && report.file_edges != report.count.num_edges) {
+            fail("rank file has " + std::to_string(report.file_edges) +
+                 " edges but the rank counted " +
+                 std::to_string(report.count.num_edges));
+        }
+        // The lease table must be exactly the leases this rank was
+        // granted, with the edge counts its lease_done messages gave:
+        // the segment offsets were computed from those.
+        const std::vector<std::size_t>& mine = book.rank_leases[w];
+        u64 lease_edges = 0;
+        for (std::size_t i = 0; i < std::max(mine.size(), report.leases.size()); ++i) {
+            if (i == mine.size()) {
+                fail("lease table lists " + chunks_str(report.leases[i]) +
+                     ", which were never leased to it");
+            }
+            const dist::Lease& granted = leases[mine[i]];
+            if (i == report.leases.size()) {
+                fail("lease table omits its lease of " + chunks_str(granted));
+            }
+            const dist::Lease& listed = report.leases[i];
+            if (listed.chunk_begin != granted.chunk_begin ||
+                listed.chunk_end != granted.chunk_end) {
+                fail("lease table lists " + chunks_str(listed) + " where it was leased " +
+                     chunks_str(granted));
+            }
+            if (listed.edges != granted.edges) {
+                fail("lease table gives " + chunks_str(listed) + " " +
+                     std::to_string(listed.edges) + " edges, its lease_done said " +
+                     std::to_string(granted.edges));
+            }
+            lease_edges += listed.edges;
+        }
+        if (lease_edges != report.count.num_edges) {
+            std::string held;
+            for (const std::size_t i : mine) {
+                held += (held.empty() ? "" : ", ") + chunks_str(leases[i]);
+            }
+            fail("the edges of its leases (" + held + ") sum to " +
+                 std::to_string(lease_edges) + ", but " +
+                 (want_file ? "its rank file has " : "it counted ") +
+                 std::to_string(report.count.num_edges));
+        }
+        // The run table: dedup within a run only shrinks it, so the
+        // runs hold at most the file's edges, and at least one of them
+        // when the file has any.
+        u64 run_edges = 0;
+        if (!dedup && !report.runs.empty()) {
+            fail("report carries an unrequested run table");
+        }
+        for (std::size_t i = 0; i < report.runs.size(); ++i) {
+            if (report.runs[i] == 0) fail("run " + std::to_string(i) + " is empty");
+            if (report.runs[i] > report.file_edges - run_edges) {
+                fail("run table holds more edges than the rank file's " +
+                     std::to_string(report.file_edges));
+            }
+            run_edges += report.runs[i];
+        }
+        if (dedup && report.file_edges > 0 && report.runs.empty()) {
+            fail("rank file has edges but the report has no runs");
         }
 
-        result.ranks.resize(W);
-        for (u64 w = 0; w < W; ++w) {
-            Socket& sock = fleet.socks[w];
-            auto fail = [&](const std::string& what) { throw RankError(w, sock, what); };
-            dist::RankReport report =
-                decode_report(recv(w, opt.job_deadline_ms, "report"));
-            if (!report.ok) fail("failed: " + report.error);
-            // Validate every field the merge is about to trust.
-            if (report.rank != w) {
-                fail("report carries wrong rank id " + std::to_string(report.rank));
+        if (want_telemetry) {
+            obs::RankTelemetry t =
+                decode_telemetry(recv(w, opt.connect_timeout_ms, "telemetry"));
+            if (t.rank != w) {
+                fail("telemetry carries wrong rank id " + std::to_string(t.rank));
             }
-            if (report.count.semantics != cfg.edge_semantics) {
-                fail(std::string("report semantics '") +
-                     semantics_name(report.count.semantics) +
-                     "' do not match the run's '" + semantics_name(cfg.edge_semantics) +
-                     "'");
-            }
-            if (opt.degree_stats &&
-                (!report.has_degrees || report.degrees.degrees.size() != result.n)) {
-                fail("degree summary missing or sized for the wrong n");
-            }
-            if (want_file && report.file_edges != report.count.num_edges) {
-                fail("rank file has " + std::to_string(report.file_edges) +
-                     " edges but the rank counted " +
-                     std::to_string(report.count.num_edges));
-            }
-            // The lease table must be exactly the leases this rank was
-            // granted, with the edge counts its lease_done messages gave:
-            // the segment offsets were computed from those.
-            const std::vector<std::size_t>& mine = book.rank_leases[w];
-            u64 lease_edges = 0;
-            for (std::size_t i = 0; i < std::max(mine.size(), report.leases.size()); ++i) {
-                if (i == mine.size()) {
-                    fail("lease table lists " + chunks_str(report.leases[i]) +
-                         ", which were never leased to it");
-                }
-                const dist::Lease& granted = leases[mine[i]];
-                if (i == report.leases.size()) {
-                    fail("lease table omits its lease of " + chunks_str(granted));
-                }
-                const dist::Lease& listed = report.leases[i];
-                if (listed.chunk_begin != granted.chunk_begin ||
-                    listed.chunk_end != granted.chunk_end) {
-                    fail("lease table lists " + chunks_str(listed) + " where it was leased " +
-                         chunks_str(granted));
-                }
-                if (listed.edges != granted.edges) {
-                    fail("lease table gives " + chunks_str(listed) + " " +
-                         std::to_string(listed.edges) + " edges, its lease_done said " +
-                         std::to_string(granted.edges));
-                }
-                lease_edges += listed.edges;
-            }
-            if (lease_edges != report.count.num_edges) {
-                std::string held;
-                for (const std::size_t i : mine) {
-                    held += (held.empty() ? "" : ", ") + chunks_str(leases[i]);
-                }
-                fail("the edges of its leases (" + held + ") sum to " +
-                     std::to_string(lease_edges) + ", but " +
-                     (want_file ? "its rank file has " : "it counted ") +
-                     std::to_string(report.count.num_edges));
-            }
-            // The run table: dedup within a run only shrinks it, so the
-            // runs hold at most the file's edges, and at least one of them
-            // when the file has any.
-            u64 run_edges = 0;
-            if (!dedup && !report.runs.empty()) {
-                fail("report carries an unrequested run table");
-            }
-            for (std::size_t i = 0; i < report.runs.size(); ++i) {
-                if (report.runs[i] == 0) fail("run " + std::to_string(i) + " is empty");
-                if (report.runs[i] > report.file_edges - run_edges) {
-                    fail("run table holds more edges than the rank file's " +
-                         std::to_string(report.file_edges));
-                }
-                run_edges += report.runs[i];
-            }
-            if (dedup && report.file_edges > 0 && report.runs.empty()) {
-                fail("rank file has edges but the report has no runs");
-            }
+            telemetry.push_back(std::move(t));
+        }
 
-            if (want_telemetry) {
-                obs::RankTelemetry t =
-                    decode_telemetry(recv(w, opt.connect_timeout_ms, "telemetry"));
-                if (t.rank != w) {
-                    fail("telemetry carries wrong rank id " + std::to_string(t.rank));
-                }
-                telemetry.push_back(std::move(t));
+        if (want_file) {
+            const FileInfo info =
+                decode_file(recv(w, opt.connect_timeout_ms, "file"));
+            if (info.edges != report.file_edges) {
+                fail("file message announces " + std::to_string(info.edges) +
+                     " edges, report said " + std::to_string(report.file_edges));
             }
-
-            if (want_file) {
-                const FileInfo info =
-                    decode_file(recv(w, opt.connect_timeout_ms, "file"));
-                if (info.edges != report.file_edges) {
-                    fail("file message announces " + std::to_string(info.edges) +
-                         " edges, report said " + std::to_string(report.file_edges));
-                }
-                if (info.edges > (~u64{0} - 8) / 16) {
-                    fail("file of " + std::to_string(info.edges) + " edges overflows");
-                }
-                const u64 payload_bytes = 16 * info.edges;
-                if (gather) {
-                    const obs::Span span(obs::Phase::merge, w);
-                    // Each lease segment goes to its own offset; the rank
-                    // file (or stream) holds them back to back in lease order.
-                    auto seek = [&](std::size_t lease) {
-                        if (::lseek(out_fd, static_cast<off_t>(out_offset[lease]),
-                                    SEEK_SET) < 0) {
-                            throw_errno("cannot seek the output");
+            if (info.edges > kMaxOutputEdges) {
+                fail("file of " + std::to_string(info.edges) + " edges overflows");
+            }
+            const u64 payload_bytes = 16 * info.edges;
+            if (gather) {
+                const obs::Span span(obs::Phase::merge, w);
+                // Each lease segment goes to its own offset; the rank
+                // file (or stream) holds them back to back in lease order.
+                auto seek = [&](std::size_t lease) {
+                    if (::lseek(out_fd, static_cast<off_t>(out_offset[lease]),
+                                SEEK_SET) < 0) {
+                        throw_errno("cannot seek the output");
+                    }
+                };
+                try {
+                    if (local) {
+                        const int in_fd = dist::open_rank_file(info.path, info.edges);
+                        struct FdGuard {
+                            int fd;
+                            ~FdGuard() { fileio::close_or_warn(fd, "rank file"); }
+                        } guard{in_fd};
+                        for (const std::size_t lease : mine) {
+                            seek(lease);
+                            result.copy_file_range_bytes +=
+                                fileio::copy_bytes(in_fd, out_fd, 16 * leases[lease].edges,
+                                                   allow_cfr, &buffer)
+                                    .cfr_bytes;
+                            gathered_ctr.add(16 * leases[lease].edges);
                         }
-                    };
+                        // Merged, so no longer needed: gone even if its
+                        // rank dies before the discard verdict.
+                        if (!keep) {
+                            fileio::unlink_or_warn(info.path.c_str(), "rank file");
+                        }
+                    } else {
+                        for (const std::size_t lease : mine) {
+                            seek(lease);
+                            sock.recv_payload_to(out_fd, 16 * leases[lease].edges,
+                                                 opt.connect_timeout_ms, buffer);
+                            gathered_ctr.add(16 * leases[lease].edges);
+                        }
+                    }
+                } catch (const std::exception& e) {
+                    fail(std::string("merging its rank file: ") + e.what());
+                }
+                if (dedup) {
+                    em::RunFile rf;
+                    rf.lengths = report.runs;
                     try {
                         if (local) {
-                            const int in_fd = dist::open_rank_file(info.path, info.edges);
-                            struct FdGuard {
-                                int fd;
-                                ~FdGuard() { fileio::close_or_warn(fd, "rank file"); }
-                            } guard{in_fd};
-                            for (const std::size_t lease : mine) {
-                                seek(lease);
-                                result.copy_file_range_bytes +=
-                                    fileio::copy_bytes(in_fd, out_fd, 16 * leases[lease].edges,
-                                                       allow_cfr)
-                                        .cfr_bytes;
-                            }
-                            // Merged, so no longer needed: gone even if its
-                            // rank dies before the discard verdict.
-                            if (!keep) {
-                                fileio::unlink_or_warn(info.path.c_str(), "rank file");
-                            }
+                            rf.fd = dist::open_runs_file(info.path, run_edges);
+                            run_fds.fds.push_back(rf.fd);
+                            fileio::unlink_or_warn(
+                                dist::runs_path_of(info.path).c_str(), "run file");
                         } else {
-                            for (const std::size_t lease : mine) {
-                                seek(lease);
-                                sock.recv_payload_to(out_fd, 16 * leases[lease].edges,
-                                                     opt.connect_timeout_ms);
-                            }
+                            rf.fd     = streamed_runs->fd();
+                            rf.offset = streamed_bytes;
+                            sock.recv_payload_to(rf.fd, 16 * run_edges,
+                                                 opt.connect_timeout_ms, buffer);
+                            streamed_bytes += 16 * run_edges;
                         }
                     } catch (const std::exception& e) {
-                        fail(std::string("merging its rank file: ") + e.what());
+                        fail(std::string("taking its runs: ") + e.what());
                     }
-                    if (dedup) {
-                        em::RunFile rf;
-                        rf.lengths = report.runs;
-                        try {
-                            if (local) {
-                                rf.fd = dist::open_runs_file(info.path, run_edges);
-                                run_fds.fds.push_back(rf.fd);
-                                fileio::unlink_or_warn(
-                                    dist::runs_path_of(info.path).c_str(), "run file");
-                            } else {
-                                rf.fd     = streamed_runs->fd();
-                                rf.offset = streamed_bytes;
-                                sock.recv_payload_to(rf.fd, 16 * run_edges,
-                                                     opt.connect_timeout_ms);
-                                streamed_bytes += 16 * run_edges;
-                            }
-                        } catch (const std::exception& e) {
-                            fail(std::string("taking its runs: ") + e.what());
-                        }
-                        runs.push_back(std::move(rf));
-                    }
-                    result.merged_bytes += payload_bytes;
+                    runs.push_back(std::move(rf));
                 }
-                if (keep) {
-                    ManifestEntry entry{w, sock.peer(), info.path, info.edges,
-                                        8 + payload_bytes, {}};
-                    u64 offset = 8;
-                    for (const std::size_t lease : mine) {
-                        const dist::Lease& l = leases[lease];
-                        entry.segments.push_back({l.chunk_begin, l.chunk_end, offset, l.edges});
-                        offset += 16 * l.edges;
-                    }
-                    result.manifest.push_back(std::move(entry));
+                result.gathered_bytes += payload_bytes;
+            }
+            if (keep) {
+                ManifestEntry entry{w, sock.peer(), info.path, info.edges,
+                                    8 + payload_bytes, {}};
+                u64 offset = 8;
+                for (const std::size_t lease : mine) {
+                    const dist::Lease& l = leases[lease];
+                    entry.segments.push_back({l.chunk_begin, l.chunk_end, offset, l.edges});
+                    offset += 16 * l.edges;
                 }
+                result.manifest.push_back(std::move(entry));
             }
-
-            result.edges_written += report.file_edges;
-            result.seconds = std::max(result.seconds, report.stats.seconds);
-            result.stats.merge(report.stats);
-            result.ranks[w] = std::move(report);
         }
 
-        // --- merge summaries ----------------------------------------------
-        // Rank 0's summaries seed the merge (they carry the semantics/n tags
-        // the checks compare against). Per-rank degree vectors are released
-        // once merged — keeping them would make the result O(n·ranks).
-        result.count       = result.ranks[0].count;
-        result.has_degrees = opt.degree_stats;
-        if (opt.degree_stats) result.degrees = std::move(result.ranks[0].degrees);
-        for (u64 w = 1; w < W; ++w) {
-            result.count.merge(result.ranks[w].count);
-            if (opt.degree_stats) result.degrees.merge(result.ranks[w].degrees);
-        }
-        for (auto& rep : result.ranks) std::vector<u64>().swap(rep.degrees.degrees);
+        // Checked above: they are the rank file's, or the placed slots'.
+        result.edges_written += lease_edges;
+        result.seconds = std::max(result.seconds, report.stats.seconds);
+        result.stats.merge(report.stats);
+        result.ranks[w] = std::move(report);
+    }
 
-        if (gather) {
-            if (::pwrite(out_fd, &result.edges_written, sizeof(u64), 0) !=
-                static_cast<ssize_t>(sizeof(u64))) {
-                throw_errno("cannot finalize output header");
-            }
-            // Close outside the error unwind: close(2) releases the
-            // descriptor even when it reports an error, so the catch below
-            // must never see an already-released (possibly recycled) fd.
-            const int fd = out_fd;
-            out_fd       = -1;
-            if (::close(fd) != 0) throw_errno("cannot close '" + opt.output_path + "'");
-        }
-    } catch (...) {
-        fileio::close_or_warn(out_fd, "merged output (error unwind)");
-        if (gather) fileio::unlink_or_warn(opt.output_path.c_str(), "partial output");
-        throw;
+    // --- merge summaries ----------------------------------------------
+    // Rank 0's summaries seed the merge (they carry the semantics/n tags
+    // the checks compare against). Per-rank degree vectors are released
+    // once merged — keeping them would make the result O(n·ranks).
+    result.count       = result.ranks[0].count;
+    result.has_degrees = opt.degree_stats;
+    if (opt.degree_stats) result.degrees = std::move(result.ranks[0].degrees);
+    for (u64 w = 1; w < W; ++w) {
+        result.count.merge(result.ranks[w].count);
+        if (opt.degree_stats) result.degrees.merge(result.ranks[w].degrees);
+    }
+    for (auto& rep : result.ranks) std::vector<u64>().swap(rep.degrees.degrees);
+
+    if (gather) {
+        // The header goes last: the output is whole only now.
+        const obs::Span span(obs::Phase::merge, W);
+        out.commit(result.edges_written);
     }
     if (!gather) result.edges_written = 0;
+    result.merged_bytes         = result.placed_bytes + result.gathered_bytes;
+    result.receive_buffer_bytes = buffer.capacity();
     obs::Registry& reg = obs::Registry::global();
     reg.counter(local ? "dist.merged_bytes" : "net.merged_bytes")
         .add(result.merged_bytes);
@@ -705,6 +827,7 @@ RunResult run_net_coordinator(const Config& cfg, const NetOptions& opt) {
     // on its socket, never as SIGPIPE killing the coordinator.
     ::signal(SIGPIPE, SIG_IGN);
 
+    OutputFile out(opt.output_path);
     Fleet fleet;
     std::optional<Listener> owned;
     if (listening && opt.listener == nullptr) owned.emplace(parse_endpoint(opt.listen));
@@ -720,12 +843,16 @@ RunResult run_net_coordinator(const Config& cfg, const NetOptions& opt) {
                 (listening ? " never connected: " : ": ") + e.what());
         }
     }
-    return coordinate(cfg, opt, fleet, false, std::move(result));
+    return coordinate(cfg, opt, fleet, false, std::move(result), out);
 }
 
 RunResult run_forked(const Config& cfg, const NetOptions& opt, u64 ranks,
-                     const NetWorkerOptions& worker, bool keep_rank_files) {
+                     const NetWorkerOptions& worker_opt, bool keep_rank_files) {
     RunResult result = plan_run(cfg, opt, ranks); // before any fork
+    // Before any fork too: the ranks of a placed job write into it.
+    OutputFile out(opt.output_path);
+    NetWorkerOptions worker = worker_opt;
+    worker.output_fd        = out.fd();
 
     // The children inherit the parent's stdio buffers. They leave via _exit,
     // which does not flush, but any library printf inside a rank must not
@@ -774,7 +901,7 @@ RunResult run_forked(const Config& cfg, const NetOptions& opt, u64 ranks,
         return status;
     };
     try {
-        result = coordinate(cfg, opt, fleet, keep_rank_files, std::move(result));
+        result = coordinate(cfg, opt, fleet, keep_rank_files, std::move(result), out);
     } catch (const RankError& e) {
         const std::vector<int> status = reap_failed();
         throw std::runtime_error(std::string(e.what()) + "; rank " +

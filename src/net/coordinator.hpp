@@ -8,21 +8,27 @@
 /// cursor, to whichever rank asks next (guided self-scheduling, lease size
 /// max(1, ceil(remaining / 2R)); the job carries each rank's first lease).
 /// So a fast rank takes more chunks than a slow one, with no rank↔rank
-/// communication. Once every lease's edge count is known, each lease's
-/// offset in the merged output is a prefix sum in canonical order; the
-/// coordinator validates the ranks' reports against the leases it granted
-/// and places every lease's segment at its offset — so the merged file is
-/// byte-identical to a single-process `generate_chunked` run for every
-/// (ranks, P, K) × semantics combination and every schedule, whichever
-/// transport carried it.
+/// communication. Each lease's offset in the merged output is a prefix sum
+/// of edge counts in canonical order: for G(n,m), whose chunk counts are
+/// fixed before any edge is drawn, the coordinator knows it at the grant
+/// and every lease lands at its final offset while leases run (a *placed*
+/// gather); otherwise it is known once every lease has reported, and the
+/// coordinator places the rank files' segments after the lease phase. It
+/// validates the ranks' reports against the leases it granted — so the
+/// merged file is byte-identical to a single-process `generate_chunked`
+/// run for every (ranks, P, K) × semantics combination and every schedule,
+/// whichever transport carried it.
 ///
 /// `run_forked` forks R local ranks, each running `serve_rank`
 /// (net/worker.hpp) over its end of a socketpair; `run_net_coordinator`
 /// reaches R TCP workers running the same function. From then on both share
 /// every line. What differs follows from what the transport can observe:
 ///
-///  * the gather strategy. Forked ranks share the coordinator's filesystem,
-///    so their rank files are appended by path (*local merge*,
+///  * the gather strategy. A placed gather's forked ranks pwrite their
+///    leases into the output they inherited; its TCP ranks stream each
+///    lease as it runs, and the coordinator pwrites every frame at its
+///    slots on arrival. Otherwise forked ranks share the coordinator's
+///    filesystem, so their rank files are appended by path (*local merge*,
 ///    copy_file_range). TCP ranks stream their payload back (*stream*, -o)
 ///    or keep it node-local and are named in a manifest (*manifest*) — the
 ///    small-cluster deployment shape of Gupta's external-memory distributed
@@ -40,11 +46,12 @@
 /// Every report is validated (rank id, lease table against the granted
 /// leases, semantics/n of the summaries, file edge counts); receives carry
 /// deadlines; a dead channel or a torn frame errors naming the rank, and
-/// the chunk range of the lease it held. Each rank with a file owns it until
-/// the coordinator's final verdict — keep (manifest, keep_rank_files) or
-/// discard. A failed run closes every channel instead, so every rank
-/// discards: no rank file and no partial output survive a failure. See
-/// DESIGN.md §8.
+/// the chunk range of the lease it held. The coordinator creates the merged
+/// output before any rank exists and is the only process that removes it.
+/// Each rank with a file owns it until the coordinator's final verdict —
+/// keep (manifest, keep_rank_files) or discard. A failed run closes every
+/// channel instead, so every rank discards: no rank file and no partial
+/// output survive a failure. See DESIGN.md §8.
 #pragma once
 
 #include <string>
@@ -132,16 +139,23 @@ struct RunResult {
     u64 edges_written = 0; ///< edges in the merged output file (0 = no file)
     u64 dedup_edges   = 0; ///< unique edges after the optional dedup pass
 
-    // Merge accounting (DESIGN.md §9): how the rank files' payload bytes
-    // reached the merged output.
-    u64 merged_bytes          = 0; ///< rank-file payload bytes gathered
-    u64 copy_file_range_bytes = 0; ///< of those, moved kernel-side via
-                                   ///< copy_file_range (local merge only;
-                                   ///< the rest went through read/write)
+    // Merge accounting (DESIGN.md §8, §9): how the payload bytes reached
+    // the merged output.
+    u64 merged_bytes   = 0; ///< payload bytes in the output: placed + gathered
+    u64 placed_bytes   = 0; ///< written at their slots while leases ran
+                            ///< (placed jobs: by forked ranks, or by the
+                            ///< coordinator as TCP ranks' lease_data arrived)
+    u64 gathered_bytes = 0; ///< moved from rank files after the last lease
+    u64 copy_file_range_bytes = 0; ///< of the gathered bytes, moved
+                                   ///< kernel-side via copy_file_range (local
+                                   ///< merge only; the rest went through
+                                   ///< read/write)
+    u64 receive_buffer_bytes = 0;  ///< capacity of the coordinator's one
+                                   ///< payload buffer at the end of the run
 
-    /// Whether the kernel-side zero-copy path carried the whole merge.
+    /// Whether the kernel-side zero-copy path carried the whole gather.
     bool copy_file_range_used() const {
-        return merged_bytes > 0 && copy_file_range_bytes == merged_bytes;
+        return gathered_bytes > 0 && copy_file_range_bytes == gathered_bytes;
     }
 
     CountingSummary count;    ///< merged counting summary (all ranks)
@@ -163,9 +177,11 @@ RunResult run_net_coordinator(const Config& cfg, const NetOptions& opts);
 /// Forks `ranks` local workers, each serving its job with `worker` (whose
 /// `run` the caller sets — dist::run_distributed copies `cfg`'s) over a
 /// socketpair, and coordinates them like `run_net_coordinator` does TCP
-/// workers (the listen/connect fields of `opts` are unused). Rank files
-/// merge locally into `opts.output_path`; `keep_rank_files` keeps them
-/// afterwards. A rank failure's error ends with the rank's waitpid cause.
+/// workers (the listen/connect fields of `opts` are unused). The ranks of
+/// a placed gather write into `opts.output_path`, opened before the fork;
+/// other rank files merge locally into it, and `keep_rank_files` keeps
+/// them afterwards. A rank failure's error ends with the rank's waitpid
+/// cause.
 RunResult run_forked(const Config& cfg, const NetOptions& opts, u64 ranks,
                      const NetWorkerOptions& worker, bool keep_rank_files);
 

@@ -1,8 +1,10 @@
 #include "net/protocol.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "common/bytes.hpp"
+#include "net/socket.hpp"
 
 namespace kagen::net {
 namespace {
@@ -17,6 +19,7 @@ const char* msg_name(Msg type) {
         case Msg::verdict:    return "verdict";
         case Msg::lease:      return "lease";
         case Msg::lease_done: return "lease_done";
+        case Msg::lease_data: return "lease_data";
     }
     return "unknown";
 }
@@ -38,6 +41,41 @@ void expect_consumed(const u8* p, const u8* end, Msg type) {
         throw std::runtime_error("net: trailing bytes in " +
                                  std::string(msg_name(type)) + " message");
     }
+}
+
+void put_lease(std::vector<u8>& out, const dist::Lease& lease) {
+    bytes::put_u64(out, lease.chunk_begin);
+    bytes::put_u64(out, lease.chunk_end);
+    bytes::put_u64(out, lease.first_slot);
+    bytes::put_u64(out, lease.edges);
+}
+
+/// Reads a lease; an empty range is allowed only where `may_be_empty`
+/// (a job's first lease when there are more ranks than chunks).
+dist::Lease get_lease(const u8*& p, const u8* end, u64 num_chunks, bool may_be_empty,
+                      const char* what) {
+    dist::Lease lease;
+    lease.chunk_begin = bytes::get_u64(p, end);
+    lease.chunk_end   = bytes::get_u64(p, end);
+    lease.first_slot  = bytes::get_u64(p, end);
+    lease.edges       = bytes::get_u64(p, end);
+    const bool empty  = lease.chunk_begin == lease.chunk_end;
+    if (lease.chunk_begin > lease.chunk_end || lease.chunk_end > num_chunks ||
+        (empty && !may_be_empty)) {
+        throw std::runtime_error("net: " + std::string(what) +
+                                 " carries malformed chunk range [" +
+                                 std::to_string(lease.chunk_begin) + ", " +
+                                 std::to_string(lease.chunk_end) + ") of " +
+                                 std::to_string(num_chunks) + " chunks");
+    }
+    if (lease.first_slot > kMaxOutputEdges ||
+        lease.edges > kMaxOutputEdges - lease.first_slot) {
+        throw std::runtime_error("net: " + std::string(what) + " carries slots [" +
+                                 std::to_string(lease.first_slot) + ", +" +
+                                 std::to_string(lease.edges) +
+                                 ") past the end of any output file");
+    }
+    return lease;
 }
 
 } // namespace
@@ -67,10 +105,10 @@ std::vector<u8> encode_job(const JobSpec& job) {
     bytes::put_u64(out, static_cast<u64>(Msg::job));
     encode_config(out, job.graph, job.task.num_chunks);
     bytes::put_u64(out, job.task.rank);
-    bytes::put_u64(out, job.task.chunk_begin);
-    bytes::put_u64(out, job.task.chunk_end);
+    put_lease(out, job.task.first);
     bytes::put_u64(out, job.task.threads);
     bytes::put_u64(out, job.want_file ? 1 : 0);
+    bytes::put_u64(out, job.place ? 1 : 0);
     bytes::put_u64(out, job.send_file ? 1 : 0);
     bytes::put_u64(out, job.task.degree_stats ? 1 : 0);
     bytes::put_u64(out, job.want_trace ? 1 : 0);
@@ -85,10 +123,10 @@ JobSpec decode_job(const std::vector<u8>& payload) {
     JobSpec job;
     job.graph             = decode_config(p, end, &job.task.num_chunks);
     job.task.rank         = bytes::get_u64(p, end);
-    job.task.chunk_begin  = bytes::get_u64(p, end);
-    job.task.chunk_end    = bytes::get_u64(p, end);
+    job.task.first        = get_lease(p, end, job.task.num_chunks, true, "job");
     job.task.threads      = bytes::get_u64(p, end);
     job.want_file         = bytes::get_bool(p, end);
+    job.place             = bytes::get_bool(p, end);
     job.send_file         = bytes::get_bool(p, end);
     job.task.degree_stats = bytes::get_bool(p, end);
     job.want_trace        = bytes::get_bool(p, end);
@@ -97,25 +135,18 @@ JobSpec decode_job(const std::vector<u8>& payload) {
     if (job.task.form_runs && !job.want_file) {
         throw std::runtime_error("net: job asks for sorted runs without a rank file");
     }
-    if (job.task.chunk_begin > job.task.chunk_end ||
-        job.task.chunk_end > job.task.num_chunks) {
-        throw std::runtime_error("net: job carries malformed chunk range [" +
-                                 std::to_string(job.task.chunk_begin) + ", " +
-                                 std::to_string(job.task.chunk_end) + ") of " +
-                                 std::to_string(job.task.num_chunks) + " chunks");
+    if (job.place && job.want_file) {
+        throw std::runtime_error("net: job asks to place its edges and to write a rank file");
     }
     return job;
 }
 
-std::vector<u8> encode_lease(u64 chunk_begin, u64 chunk_end) {
+std::vector<u8> encode_lease(const dist::Lease& lease) {
     std::vector<u8> out;
     bytes::put_u64(out, static_cast<u64>(Msg::lease));
-    const bool done = chunk_begin == chunk_end;
+    const bool done = lease.chunk_begin == lease.chunk_end;
     bytes::put_u64(out, done ? 1 : 0);
-    if (!done) {
-        bytes::put_u64(out, chunk_begin);
-        bytes::put_u64(out, chunk_end);
-    }
+    if (!done) put_lease(out, lease);
     return out;
 }
 
@@ -124,16 +155,7 @@ dist::Lease decode_lease(const std::vector<u8>& payload, u64 num_chunks) {
     const u8* end = p + payload.size();
     expect_type(p, end, Msg::lease);
     dist::Lease lease;
-    if (!bytes::get_bool(p, end)) {
-        lease.chunk_begin = bytes::get_u64(p, end);
-        lease.chunk_end   = bytes::get_u64(p, end);
-        if (lease.chunk_begin >= lease.chunk_end || lease.chunk_end > num_chunks) {
-            throw std::runtime_error("net: lease carries malformed chunk range [" +
-                                     std::to_string(lease.chunk_begin) + ", " +
-                                     std::to_string(lease.chunk_end) + ") of " +
-                                     std::to_string(num_chunks) + " chunks");
-        }
-    }
+    if (!bytes::get_bool(p, end)) lease = get_lease(p, end, num_chunks, false, "lease");
     expect_consumed(p, end, Msg::lease);
     return lease;
 }
@@ -152,6 +174,30 @@ u64 decode_lease_done(const std::vector<u8>& payload) {
     const u64 edges = bytes::get_u64(p, end);
     expect_consumed(p, end, Msg::lease_done);
     return edges;
+}
+
+void send_lease_data(Socket& sock, const Edge* edges, std::size_t count) {
+    std::vector<u8> head;
+    bytes::put_u64(head, static_cast<u64>(Msg::lease_data));
+    while (count > 0) {
+        const std::size_t part = std::min(count, kLeaseDataEdges);
+        sock.send_frame(head, edges, part * sizeof(Edge));
+        edges += part;
+        count -= part;
+    }
+}
+
+LeaseData decode_lease_data(const std::vector<u8>& payload) {
+    const u8* p   = payload.data();
+    const u8* end = p + payload.size();
+    expect_type(p, end, Msg::lease_data);
+    const auto bytes = static_cast<u64>(end - p);
+    if (bytes == 0 || bytes % sizeof(Edge) != 0 || bytes / sizeof(Edge) > kLeaseDataEdges) {
+        throw std::runtime_error("net: lease_data of " + std::to_string(bytes) +
+                                 " bytes is not 1 to " + std::to_string(kLeaseDataEdges) +
+                                 " whole edges");
+    }
+    return {p, bytes / sizeof(Edge)};
 }
 
 Msg peek_type(const std::vector<u8>& payload) {

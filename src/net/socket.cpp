@@ -160,10 +160,11 @@ std::string Socket::peer() const {
     return std::string(host) + ":" + port;
 }
 
-void Socket::send_all(const void* data, std::size_t bytes) {
-    const char* p = static_cast<const char*>(data);
+void Socket::send_all(const void* data, std::size_t bytes, bool more) {
+    const char* p   = static_cast<const char*>(data);
+    const int flags = MSG_NOSIGNAL | (more ? MSG_MORE : 0);
     while (bytes > 0) {
-        const ssize_t n = ::send(fd_, p, bytes, MSG_NOSIGNAL);
+        const ssize_t n = ::send(fd_, p, bytes, flags);
         if (n < 0) {
             if (errno == EINTR) continue;
             throw_errno("send failed");
@@ -174,11 +175,17 @@ void Socket::send_all(const void* data, std::size_t bytes) {
 }
 
 void Socket::send_frame(const std::vector<u8>& payload) {
+    send_frame(payload, nullptr, 0);
+}
+
+void Socket::send_frame(const std::vector<u8>& head, const void* body,
+                        std::size_t body_bytes) {
     std::vector<u8> header;
     bytes::put_u64(header, kFrameMagic);
-    bytes::put_u64(header, payload.size());
-    send_all(header.data(), header.size());
-    if (!payload.empty()) send_all(payload.data(), payload.size());
+    bytes::put_u64(header, head.size() + body_bytes);
+    send_all(header.data(), header.size(), !head.empty() || body_bytes > 0);
+    if (!head.empty()) send_all(head.data(), head.size(), body_bytes > 0);
+    if (body_bytes > 0) send_all(body, body_bytes);
 }
 
 bool Socket::recv_exact(void* data, std::size_t bytes, long long deadline_at_ms,
@@ -186,11 +193,14 @@ bool Socket::recv_exact(void* data, std::size_t bytes, long long deadline_at_ms,
     char* p          = static_cast<char*>(data);
     std::size_t done = 0;
     while (done < bytes) {
-        if (!poll_until(fd_, POLLIN, deadline_at_ms)) {
+        // Without a deadline a blocking receive of the whole rest is one
+        // call where poll + recv would be two or more.
+        const bool bounded = deadline_at_ms >= 0;
+        if (bounded && !poll_until(fd_, POLLIN, deadline_at_ms)) {
             throw std::runtime_error("net: receive timed out (peer " + peer() +
                                      " sent nothing before the deadline)");
         }
-        const ssize_t n = ::recv(fd_, p + done, bytes - done, 0);
+        const ssize_t n = ::recv(fd_, p + done, bytes - done, bounded ? 0 : MSG_WAITALL);
         if (n < 0) {
             if (errno == EINTR) continue;
             throw_errno("recv failed");
@@ -207,7 +217,7 @@ bool Socket::recv_exact(void* data, std::size_t bytes, long long deadline_at_ms,
     return true;
 }
 
-bool Socket::recv_frame(std::vector<u8>& payload, int deadline_ms) {
+bool Socket::recv_frame(std::vector<u8>& payload, int deadline_ms, u64 max_bytes) {
     const long long deadline = deadline_at(deadline_ms);
     u8 header[16];
     if (!recv_exact(header, sizeof(header), deadline, /*eof_ok=*/true)) {
@@ -221,9 +231,10 @@ bool Socket::recv_frame(std::vector<u8>& payload, int deadline_ms) {
         throw std::runtime_error("net: bad frame magic from " + peer() +
                                  " (not a kagen peer?)");
     }
-    if (size > kMaxFrameBytes) {
-        throw std::runtime_error("net: implausible frame size " +
-                                 std::to_string(size) + " from " + peer());
+    if (size > max_bytes) {
+        throw std::runtime_error("net: frame of " + std::to_string(size) + " bytes from " +
+                                 peer() + " exceeds the " + std::to_string(max_bytes) +
+                                 " this message allows");
     }
     payload.resize(size);
     if (size > 0) {
@@ -241,10 +252,11 @@ std::vector<u8> Socket::recv_message(int deadline_ms, const char* what) {
     return payload;
 }
 
-void Socket::recv_payload_to(int out_fd, u64 length, int deadline_ms) {
+void Socket::recv_payload_to(int out_fd, u64 length, int deadline_ms,
+                             std::vector<u8>& buffer) {
     if (deadline_ms > 0) set_recv_timeout(fd_, deadline_ms);
     try {
-        fileio::copy_bytes(fd_, out_fd, length, /*allow_copy_file_range=*/false);
+        fileio::copy_bytes(fd_, out_fd, length, /*allow_copy_file_range=*/false, &buffer);
     } catch (const std::exception& e) {
         if (deadline_ms > 0) set_recv_timeout(fd_, 0);
         // EAGAIN from the SO_RCVTIMEO bound reads as a generic read failure

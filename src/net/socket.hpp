@@ -74,24 +74,32 @@ public:
     /// SIGPIPE (MSG_NOSIGNAL). Throws on I/O error.
     void send_frame(const std::vector<u8>& payload);
 
-    /// Reads one frame into `payload` within `deadline_ms`. Returns false
-    /// on clean EOF before the first header byte (peer closed between
-    /// frames); throws on a torn frame (EOF mid-frame), bad magic, an
-    /// implausible length, the deadline expiring, or an I/O error.
-    bool recv_frame(std::vector<u8>& payload, int deadline_ms);
+    /// Writes one frame whose payload is `head` followed by `body`, without
+    /// first copying them into one buffer (how a rank streams its edges).
+    void send_frame(const std::vector<u8>& head, const void* body, std::size_t body_bytes);
+
+    /// Reads one frame into `payload` within `deadline_ms`, reusing its
+    /// capacity. Returns false on clean EOF before the first header byte
+    /// (peer closed between frames); throws on a torn frame (EOF
+    /// mid-frame), bad magic, a length above `max_bytes`, the deadline
+    /// expiring, or an I/O error.
+    bool recv_frame(std::vector<u8>& payload, int deadline_ms,
+                    u64 max_bytes = kMaxFrameBytes);
 
     /// recv_frame for a frame the protocol requires: EOF before it throws
     /// "<peer> closed the connection before sending its <what>".
     std::vector<u8> recv_message(int deadline_ms, const char* what);
 
     /// Streams exactly `length` bytes from the socket into `out_fd` at its
-    /// current offset via fileio::copy_bytes. `deadline_ms` bounds each
-    /// read's inactivity (SO_RCVTIMEO), so a stalled or dead peer throws
-    /// instead of hanging.
-    void recv_payload_to(int out_fd, u64 length, int deadline_ms);
+    /// current offset via fileio::copy_bytes, through `buffer` (reused
+    /// across calls). `deadline_ms` bounds each read's inactivity
+    /// (SO_RCVTIMEO), so a stalled or dead peer throws instead of hanging.
+    void recv_payload_to(int out_fd, u64 length, int deadline_ms, std::vector<u8>& buffer);
 
 private:
-    void send_all(const void* data, std::size_t bytes);
+    /// `more` = another part of the same frame follows (MSG_MORE: TCP holds
+    /// the part back so header and payload leave in full segments).
+    void send_all(const void* data, std::size_t bytes, bool more = false);
 
     /// Reads exactly `bytes` within the absolute deadline. Returns false on
     /// EOF at offset 0 when `eof_ok`; throws on mid-buffer EOF, timeout, or

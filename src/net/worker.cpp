@@ -81,6 +81,14 @@ int serve_rank(Socket& sock, const NetWorkerOptions& opt) {
     dist::RankReport report; // a failure report carries only rank and error
     report.rank        = job.task.rank;
     job.task.rank_path = file.path;
+    if (job.place && job.send_file) {
+        // Each batch goes out as it is generated, ahead of its lease_done.
+        job.task.placed.send = [&sock](const Edge* edges, std::size_t count) {
+            send_lease_data(sock, edges, count);
+        };
+    } else if (job.place) {
+        job.task.placed.output_fd = opt.output_fd;
+    }
     // Each finished lease asks for the next; the coordinator answers at
     // once, as it polls every rank that holds a lease.
     const dist::NextLease next = [&](const dist::Lease& done) {
@@ -91,6 +99,10 @@ int serve_rank(Socket& sock, const NetWorkerOptions& opt) {
     };
     try {
         if (opt.rank_hook) opt.rank_hook(job.task.rank);
+        if (job.place && !job.task.placed.active()) {
+            throw std::runtime_error("the job places its edges in the coordinator's output, "
+                                     "which this rank did not inherit");
+        }
         report = dist::execute_rank_job(job.graph, opt.run, job.task, next);
     } catch (const std::exception& e) {
         report.ok    = false;
@@ -126,13 +138,15 @@ int serve_rank(Socket& sock, const NetWorkerOptions& opt) {
     if (job.send_file) {
         // Stream: the payload with its header stripped (the coordinator
         // writes one global header and places each lease's segment), then
-        // the runs. Once sent, the files have no further use.
-        fileio::copy_bytes(rank_fd.fd, sock.fd(), 16 * edges, false);
+        // the runs, through one copy buffer. Once sent, the files have no
+        // further use.
+        std::vector<u8> buffer;
+        fileio::copy_bytes(rank_fd.fd, sock.fd(), 16 * edges, false, &buffer);
         if (job.task.form_runs) {
             u64 run_edges = 0;
             for (const u64 len : report.runs) run_edges += len;
             const FdGuard runs_fd{dist::open_runs_file(file.path, run_edges)};
-            fileio::copy_bytes(runs_fd.fd, sock.fd(), 16 * run_edges, false);
+            fileio::copy_bytes(runs_fd.fd, sock.fd(), 16 * run_edges, false, &buffer);
         }
         return 0;
     }

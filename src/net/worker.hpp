@@ -6,7 +6,9 @@
 /// coordinator (net/protocol.hpp): hello, job decode, exactly the
 /// rank-execution core `dist::execute_rank_job` (which is why every
 /// transport is byte-identical) over the job's first lease and every lease
-/// it then pulls, report, telemetry, rank file, verdict. A
+/// it then pulls, report, telemetry, rank file, verdict. A placed job has
+/// no rank file: its leases go out as lease_data frames (TCP) or into the
+/// output the rank inherited (`output_fd`, a forked rank). A
 /// TCP worker (`kagen_tool -worker host:port`, `run_net_worker`) runs it
 /// after reaching the coordinator (dialing "host:port", or — with an empty
 /// host, ":port" — listening for the coordinator to dial in); a forked rank
@@ -34,6 +36,9 @@ struct NetWorkerOptions {
     RunOptions run;                ///< how this rank runs its job (the
                                    ///< coordinator writes the telemetry)
     std::string scratch_dir;       ///< rank-file location; empty = $TMPDIR
+    int output_fd = -1;            ///< a forked rank: the coordinator's
+                                   ///< output, inherited across fork, which
+                                   ///< a placed job writes into (-1 = none)
     int connect_timeout_ms = 10000; ///< connect/accept + handshake deadline
     int io_deadline_ms     = 0;     ///< job-frame receive deadline; 0 = none
                                     ///< (the coordinator sends jobs only

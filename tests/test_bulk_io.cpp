@@ -328,8 +328,10 @@ INSTANTIATE_TEST_SUITE_P(AllModels, HotPathIdentity,
 TEST_F(BulkIoTest, DistributedMergeFallbackPathIsByteIdentical) {
     // KAGEN_DISABLE_COPY_FILE_RANGE forces the coordinator onto the
     // read/write fallback; the merged file must not change by a byte and
-    // the cfr counter must stay zero.
-    Config cfg        = matrix_config(Model::GnmUndirected, 500);
+    // the cfr counter must stay zero. An unsized model, whose ranks write
+    // rank files for the coordinator to merge (G(n,m) ranks write their
+    // leases into the output in place: no merge at all).
+    Config cfg        = matrix_config(Model::Rgg2D, 500);
     cfg.chunks_per_pe = 4;
 
     dist::DistOptions opts;

@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "kagen.hpp"
 #include "net/protocol.hpp"
 
@@ -66,8 +67,20 @@ std::vector<u8> reencode_report(const std::vector<u8>& buf) {
 }
 
 std::vector<u8> reencode_lease(const std::vector<u8>& buf) {
-    const kagen::dist::Lease lease = kagen::net::decode_lease(buf, 64);
-    return kagen::net::encode_lease(lease.chunk_begin, lease.chunk_end);
+    return kagen::net::encode_lease(kagen::net::decode_lease(buf, 64));
+}
+
+/// A lease_data payload: the type tag, then the edges' bytes.
+std::vector<u8> lease_data_payload(const std::vector<u8>& edge_bytes) {
+    std::vector<u8> out;
+    kagen::bytes::put_u64(out, static_cast<u64>(kagen::net::Msg::lease_data));
+    out.insert(out.end(), edge_bytes.begin(), edge_bytes.end());
+    return out;
+}
+
+std::vector<u8> reencode_lease_data(const std::vector<u8>& buf) {
+    const kagen::net::LeaseData data = kagen::net::decode_lease_data(buf);
+    return lease_data_payload(std::vector<u8>(data.bytes, data.bytes + 16 * data.edges));
 }
 
 std::vector<u8> reencode_lease_done(const std::vector<u8>& buf) {
@@ -99,8 +112,7 @@ kagen::net::JobSpec rich_job() {
     job.graph             = rich_spec();
     job.task.rank         = 2;
     job.task.num_chunks   = 64;
-    job.task.chunk_begin  = 8;
-    job.task.chunk_end    = 12;
+    job.task.first        = {8, 12, 5000, 1234};
     job.task.threads      = 3;
     job.task.degree_stats = true;
     job.task.form_runs    = true;
@@ -334,17 +346,52 @@ TEST(WireCodec, ReportCarriesEveryStatsField) {
 }
 
 TEST(WireCodec, LeaseFramesSurviveTruncationAndBitFlips) {
-    sweep("lease", kagen::net::encode_lease(8, 12), reencode_lease);
-    sweep("lease done", kagen::net::encode_lease(12, 12), reencode_lease);
+    sweep("lease", kagen::net::encode_lease({8, 12, 5000, 1234}), reencode_lease);
+    sweep("lease done", kagen::net::encode_lease({12, 12, 0}), reencode_lease);
     sweep("lease_done", kagen::net::encode_lease_done(99), reencode_lease_done);
+    // A lease_data payload is as long as its frame says; with one edge every
+    // strict prefix is a torn edge.
+    std::vector<u8> edge(16);
+    for (std::size_t i = 0; i < edge.size(); ++i) edge[i] = static_cast<u8>(i * 7 + 1);
+    sweep("lease_data", lease_data_payload(edge), reencode_lease_data);
+}
+
+// A grant's slots must fit an output file, and lease_data must hold 1 to
+// kLeaseDataEdges whole edges.
+TEST(WireCodec, GrantSlotsAndLeaseDataSizesAreChecked) {
+    const u64 max = kagen::net::kMaxOutputEdges;
+    EXPECT_NO_THROW(kagen::net::decode_lease(kagen::net::encode_lease({0, 1, 5, max - 5}), 4));
+    EXPECT_THROW(kagen::net::decode_lease(kagen::net::encode_lease({0, 1, 6, max - 5}), 4),
+                 std::runtime_error);
+    EXPECT_THROW(kagen::net::decode_lease(kagen::net::encode_lease({0, 1, 0, max + 1}), 4),
+                 std::runtime_error);
+    kagen::net::JobSpec job = rich_job();
+    job.task.first          = {8, 12, max, 1};
+    EXPECT_THROW(kagen::net::decode_job(kagen::net::encode_job(job)), std::runtime_error);
+    job.task.first = {8, 12, 0, 0};
+    job.place      = true; // and want_file: no rank file on a placed job
+    EXPECT_THROW(kagen::net::decode_job(kagen::net::encode_job(job)), std::runtime_error);
+
+    EXPECT_THROW(kagen::net::decode_lease_data(lease_data_payload({})), std::runtime_error);
+    EXPECT_THROW(kagen::net::decode_lease_data(lease_data_payload(std::vector<u8>(17))),
+                 std::runtime_error);
+    const std::vector<u8> full(16 * kagen::net::kLeaseDataEdges);
+    EXPECT_EQ(kagen::net::decode_lease_data(lease_data_payload(full)).edges,
+              kagen::net::kLeaseDataEdges);
+    EXPECT_LE(lease_data_payload(full).size(), kagen::net::kLeaseFrameBytes);
+    EXPECT_THROW(kagen::net::decode_lease_data(
+                     lease_data_payload(std::vector<u8>(full.size() + 16))),
+                 std::runtime_error);
+    EXPECT_THROW(kagen::net::decode_lease_data(kagen::net::encode_lease_done(3)),
+                 std::runtime_error);
 }
 
 TEST(WireCodec, BoolsAreCanonical) {
-    // The job's five flags are its last five words; a report's `ok` is its
+    // The job's six flags are its last six words; a report's `ok` is its
     // third word (after type and rank), `has_degrees` a degree-less report's
     // last.
     const std::vector<u8> job = kagen::net::encode_job(rich_job());
-    for (std::size_t k = 1; k <= 5; ++k) {
+    for (std::size_t k = 1; k <= 6; ++k) {
         std::vector<u8> bad = job;
         bad[bad.size() - 8 * k] = 2;
         EXPECT_THROW(kagen::net::decode_job(bad), std::runtime_error) << "flag " << k;

@@ -2,8 +2,9 @@
 // loopback worker threads, plus what only TCP has — endpoint parsing, the
 // frame layer, the multi-socket poll and message codecs (over socketpairs,
 // no ports needed), a worker that never connects, a torn report frame, a
-// live worker that stalls past the lease deadline, and lease tables that
-// differ from the leases granted — all erroring fast and naming the rank.
+// live worker that stalls past the lease deadline, lease tables that differ
+// from the leases granted, and placed lease data that does not fill its
+// slots exactly — all erroring fast and naming the rank.
 #include <gtest/gtest.h>
 
 #include "obs/trace.hpp"
@@ -136,8 +137,7 @@ TEST(NetCodec, JobAndReportRoundTrip) {
     job.graph             = model_config(Model::GnmUndirected);
     job.task.rank         = 2;
     job.task.num_chunks   = 16;
-    job.task.chunk_begin  = 8;
-    job.task.chunk_end    = 12;
+    job.task.first        = {8, 12, 700, 3000};
     job.task.threads      = 3;
     job.task.degree_stats = true;
     job.task.form_runs    = true;
@@ -149,14 +149,15 @@ TEST(NetCodec, JobAndReportRoundTrip) {
     EXPECT_EQ(back.want_trace, job.want_trace);
     EXPECT_EQ(back.task.rank, job.task.rank);
     EXPECT_EQ(back.task.num_chunks, job.task.num_chunks);
-    EXPECT_EQ(back.task.chunk_begin, job.task.chunk_begin);
-    EXPECT_EQ(back.task.chunk_end, job.task.chunk_end);
+    EXPECT_EQ(back.task.first, job.task.first);
     EXPECT_EQ(back.task.threads, job.task.threads);
     EXPECT_EQ(back.task.degree_stats, job.task.degree_stats);
     EXPECT_EQ(back.task.form_runs, job.task.form_runs);
     EXPECT_EQ(back.task.rank_path, "") << "the worker picks its own rank path";
     EXPECT_EQ(back.want_file, job.want_file);
     EXPECT_EQ(back.send_file, job.send_file);
+    EXPECT_EQ(back.place, job.place);
+    EXPECT_FALSE(back.task.placed.active()) << "the worker sets up its own placement";
     EXPECT_EQ(back.graph.n, job.graph.n);
     EXPECT_EQ(back.graph.seed, job.graph.seed);
 
@@ -173,7 +174,7 @@ TEST(NetCodec, JobAndReportRoundTrip) {
     EXPECT_TRUE(rback.leases.empty());
 
     net::JobSpec bad   = job;
-    bad.task.chunk_end = 99; // past num_chunks
+    bad.task.first.chunk_end = 99; // past num_chunks
     EXPECT_THROW(net::decode_job(net::encode_job(bad)), std::runtime_error);
     net::JobSpec fileless = job;
     fileless.want_file    = false; // runs of a rank file never written
@@ -195,21 +196,46 @@ TEST(NetCodec, JobAndReportRoundTrip) {
 }
 
 TEST(NetCodec, LeaseMessagesRoundTripAndRejectBadRanges) {
-    const dist::Lease lease = net::decode_lease(net::encode_lease(3, 9), 16);
-    EXPECT_EQ(lease.chunk_begin, 3u);
-    EXPECT_EQ(lease.chunk_end, 9u);
-    const dist::Lease done = net::decode_lease(net::encode_lease(5, 5), 16);
+    const dist::Lease grant{3, 9, 41, 120};
+    EXPECT_EQ(net::decode_lease(net::encode_lease(grant), 16), grant)
+        << "a grant carries its range, first slot and edge count";
+    const dist::Lease done = net::decode_lease(net::encode_lease({5, 5, 0}), 16);
     EXPECT_EQ(done.chunk_begin, done.chunk_end) << "done decodes as an empty range";
     EXPECT_EQ(net::decode_lease_done(net::encode_lease_done(77)), 77u);
     EXPECT_EQ(net::peek_type(net::encode_lease_done(1)), net::Msg::lease_done);
     EXPECT_EQ(net::peek_type({}), net::Msg{0});
     // Past C, or reversed: a malformed range never reaches run_chunked.
-    EXPECT_THROW(net::decode_lease(net::encode_lease(3, 17), 16), std::runtime_error);
-    std::vector<u8> reversed = net::encode_lease(3, 9);
+    EXPECT_THROW(net::decode_lease(net::encode_lease({3, 17, 0}), 16), std::runtime_error);
+    std::vector<u8> reversed = net::encode_lease({3, 9, 0});
     reversed[16] = 10; // chunk_begin 10 > chunk_end 9
     EXPECT_THROW(net::decode_lease(reversed, 16), std::runtime_error);
-    EXPECT_THROW(net::decode_lease_done(net::encode_lease(3, 9)), std::runtime_error);
+    EXPECT_THROW(net::decode_lease_done(net::encode_lease({3, 9, 0})), std::runtime_error);
     EXPECT_THROW(net::decode_lease(net::encode_lease_done(3), 16), std::runtime_error);
+}
+
+// lease_data leaves straight from the caller's edges, split into frames the
+// coordinator's 1 MiB receive buffer holds; the frames concatenate to them.
+TEST(NetCodec, LeaseDataSplitsIntoFramesOfAtMostOneMiB) {
+    SocketPair pair;
+    const std::size_t count = net::kLeaseDataEdges + 5;
+    EdgeList edges(count);
+    for (std::size_t i = 0; i < count; ++i) edges[i] = {i, 3 * i + 1};
+    std::thread sender([&] { net::send_lease_data(pair.a, edges.data(), count); });
+    EdgeList got;
+    std::vector<u8> payload;
+    std::vector<u64> frames;
+    while (got.size() < count) {
+        ASSERT_TRUE(pair.b.recv_frame(payload, 2000, net::kLeaseFrameBytes));
+        const net::LeaseData data = net::decode_lease_data(payload);
+        frames.push_back(data.edges);
+        const std::size_t at = got.size();
+        got.resize(at + data.edges);
+        std::memcpy(got.data() + at, data.bytes, 16 * data.edges);
+    }
+    sender.join();
+    EXPECT_EQ(frames, (std::vector<u64>{net::kLeaseDataEdges, 5}));
+    EXPECT_EQ(got, edges);
+    EXPECT_LE(payload.capacity(), net::kLeaseFrameBytes);
 }
 
 TEST(NetFrame, PollReadableReportsOnlyReadySockets) {
@@ -418,7 +444,7 @@ void fake_lease_worker(std::uint16_t port, u64 per_lease,
     const net::JobSpec job = net::decode_job(sock.recv_message(2000, "job"));
     dist::RankReport report;
     report.rank = job.task.rank;
-    dist::Lease lease{job.task.chunk_begin, job.task.chunk_end, per_lease};
+    dist::Lease lease{job.task.first.chunk_begin, job.task.first.chunk_end, per_lease};
     while (lease.chunk_begin < lease.chunk_end) {
         report.leases.push_back(lease);
         report.count.num_edges += per_lease;
@@ -436,14 +462,16 @@ void fake_lease_worker(std::uint16_t port, u64 per_lease,
     }
 }
 
-// The coordinator places every lease segment by the edge counts of the
+// The coordinator places every rank-file segment by the edge counts of the
 // lease_done messages, so a report whose lease table differs from the
 // leases it granted — a gap, an overlap, a lease left out or never granted,
 // a wrong edge count, or edges that do not sum to the rank file's — fails
 // the run naming the rank and the chunk range, with no output left.
 // One worker, C = 4: the leases are [0, 2), [2, 3) and [3, 4), 5 edges each.
+// An unsized model, so the job gathers a rank file (a placed job's grants
+// carry the counts instead: PlacedLeaseDataMustFillExactlyItsSlots).
 TEST(NetFailure, LeaseTablesThatDifferFromTheGrantAreRejected) {
-    Config cfg       = model_config(Model::GnmUndirected);
+    Config cfg       = model_config(Model::Rgg2D);
     cfg.total_chunks = 4;
     struct Case {
         const char* what;
@@ -489,6 +517,103 @@ TEST(NetFailure, LeaseTablesThatDifferFromTheGrantAreRejected) {
     }
 }
 
+/// The first byte of `bytes` outside [begin, end) that is not 0, or npos.
+std::size_t stray_byte(const std::string& bytes, std::size_t begin, std::size_t end) {
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+        if ((i < begin || i >= end) && bytes[i] != 0) return i;
+    }
+    return std::string::npos;
+}
+
+/// What a fake placed worker does wrong on its second lease.
+enum class DataFault { more, fewer, torn };
+
+/// A fake TCP worker on a placed job: streams its first lease honestly
+/// (every byte 0xab), then on its second sends one edge more or fewer than
+/// the grant, or dies in the middle of a lease_data frame.
+void fake_placed_worker(std::uint16_t port, DataFault fault) {
+    net::Socket sock = net::connect_to(
+        net::parse_endpoint("127.0.0.1:" + std::to_string(port)), 2000);
+    sock.send_frame(net::encode_hello());
+    std::vector<u8> payload;
+    ASSERT_TRUE(sock.recv_frame(payload, 2000));
+    const net::JobSpec job = net::decode_job(sock.recv_message(2000, "job"));
+    ASSERT_TRUE(job.place && job.send_file);
+    try {
+        dist::Lease lease = job.task.first;
+        const EdgeList pattern(lease.edges + 1, Edge{0xababababababababULL, 0xababababababababULL});
+        net::send_lease_data(sock, pattern.data(), lease.edges);
+        sock.send_frame(net::encode_lease_done(lease.edges));
+        lease = net::decode_lease(sock.recv_message(2000, "lease"), job.task.num_chunks);
+        if (fault == DataFault::torn) {
+            std::vector<u8> partial;
+            bytes::put_u64(partial, net::kFrameMagic);
+            bytes::put_u64(partial, 8 + 16 * lease.edges);
+            bytes::put_u64(partial, static_cast<u64>(net::Msg::lease_data));
+            partial.resize(partial.size() + 40, u8{0xab});
+            ASSERT_EQ(::send(sock.fd(), partial.data(), partial.size(), MSG_NOSIGNAL),
+                      static_cast<ssize_t>(partial.size()));
+            sock.close();
+            return;
+        }
+        const EdgeList more(lease.edges + 1, pattern.front());
+        net::send_lease_data(sock, more.data(),
+                             fault == DataFault::more ? lease.edges + 1 : lease.edges - 1);
+        sock.send_frame(net::encode_lease_done(lease.edges));
+        (void)sock.recv_frame(payload, 2000); // until the coordinator hangs up
+    } catch (const std::exception&) {
+    }
+}
+
+// The coordinator writes a placed lease's data only into that lease's slots:
+// a rank that sends more edges than its grant, fewer, or a torn frame fails
+// the run naming the rank and the lease, nothing lands outside the slots of
+// the leases it was granted (a link to -o keeps what was written), and no
+// -o is left. One worker, C = 4: its leases are [0, 2), [2, 3) and [3, 4).
+TEST(NetFailure, PlacedLeaseDataMustFillExactlyItsSlots) {
+    Config cfg       = model_config(Model::GnmUndirected);
+    cfg.total_chunks = 4;
+    const std::vector<u64> counts = chunk_edge_counts(cfg, 4);
+    const std::size_t lease0_begin = 8;
+    const std::size_t lease1_begin = 8 + 16 * (counts[0] + counts[1]);
+    const std::size_t lease1_end   = lease1_begin + 16 * counts[2];
+    struct Case {
+        DataFault fault;
+        const char* expect;
+        std::size_t written_end; ///< nothing at or past this offset
+    };
+    for (const Case& c : {Case{DataFault::more, "past the", lease1_begin},
+                          Case{DataFault::fewer, "finished after sending", lease1_end},
+                          Case{DataFault::torn, "torn", lease1_begin}}) {
+        net::Listener listener(net::parse_endpoint("127.0.0.1:0"));
+        net::NetOptions opts;
+        opts.listener       = &listener;
+        opts.expect_workers = 1;
+        opts.output_path    = tmp_path("badplaced.bin");
+        const std::string witness = testing::link_witness(opts.output_path);
+        std::thread worker(fake_placed_worker, listener.port(), c.fault);
+        std::string message;
+        try {
+            net::run_net_coordinator(cfg, opts);
+            ADD_FAILURE() << c.expect << ": the coordinator accepted the lease data";
+        } catch (const std::runtime_error& e) {
+            message = e.what();
+        }
+        worker.join();
+        EXPECT_NE(message.find("rank 0"), std::string::npos) << message;
+        EXPECT_NE(message.find("chunks [2, 3)"), std::string::npos) << message;
+        EXPECT_NE(message.find(c.expect), std::string::npos) << message;
+        EXPECT_FALSE(file_exists(opts.output_path)) << c.expect << ": output left";
+        const std::string written = testing::read_bytes(witness);
+        EXPECT_EQ(stray_byte(written, lease0_begin, c.written_end), std::string::npos)
+            << c.expect << ": a byte outside the granted slots was written";
+        EXPECT_EQ(written.substr(lease0_begin, 16 * (counts[0] + counts[1])),
+                  std::string(16 * (counts[0] + counts[1]), '\xab'))
+            << c.expect << ": the honest first lease is placed";
+        std::remove(witness.c_str());
+    }
+}
+
 /// A fake TCP worker on a dedup job: answers with a report of `edges`
 /// file edges and the run table `runs`, then streams `edges` rank-file
 /// edges and `run_edges` as its runs. Once the coordinator has rejected
@@ -505,7 +630,7 @@ void fake_dedup_worker(std::uint16_t port, u64 edges, std::vector<u64> runs,
     ASSERT_TRUE(job.task.form_runs);
     // One rank: the job's first lease, then the rest; all edges in the first.
     dist::RankReport report;
-    dist::Lease lease{job.task.chunk_begin, job.task.chunk_end, edges};
+    dist::Lease lease{job.task.first.chunk_begin, job.task.first.chunk_end, edges};
     while (lease.chunk_begin < lease.chunk_end) {
         report.leases.push_back(lease);
         sock.send_frame(net::encode_lease_done(lease.edges));

@@ -247,6 +247,17 @@ inline std::string run_failing(Transport transport, const Config& cfg, RunSpec s
     return message;
 }
 
+/// A second name for the output a failing run is about to create. The
+/// coordinator opens -o with O_TRUNC, so the link sees every byte the run
+/// wrote, and keeps them after the coordinator removed -o.
+inline std::string link_witness(const std::string& output_path) {
+    { std::ofstream create(output_path, std::ios::binary); }
+    const std::string witness = output_path + ".witness";
+    std::remove(witness.c_str());
+    EXPECT_EQ(::link(output_path.c_str(), witness.c_str()), 0) << std::strerror(errno);
+    return witness;
+}
+
 /// A fake TCP worker that handshakes, takes its job, then dies without a
 /// report (connection closed, as when its process is killed mid-job) or
 /// sends a torn report frame.
@@ -421,35 +432,40 @@ TEST_P(TransportMatrix, LeasesTileEveryChunkCountAndKeepTheBytes) {
 }
 
 // A rank slowed inside its lease loop pulls fewer chunks than the others,
-// and the bytes of -o and -dedup-out do not change. Rank 3 is the one
-// slowed: its first lease is the smallest (6 of 64 chunks, against 8, 7 and
-// 7), so the others outgrow it even if one of them starts late.
+// and the bytes of -o (and -dedup-out) do not change, whether the ranks
+// place their leases (no dedup) or gather rank files (dedup). Rank 3 is the
+// one slowed: its first lease is the smallest (6 of 64 chunks, against 8, 7
+// and 7), so the others outgrow it even if one of them starts late.
 TEST_P(TransportMatrix, SlowRankPullsFewerChunksAndKeepsTheBytes) {
-    for (const EdgeSemantics semantics :
-         {EdgeSemantics::as_generated, EdgeSemantics::exact_once}) {
-        Config cfg         = model_config(Model::GnmUndirected);
-        cfg.total_chunks   = 64;
-        cfg.edge_semantics = semantics;
-        const auto [ref, ref_dedup] = reference_with_dedup(cfg, 1);
-        RunSpec spec;
-        spec.ranks       = 4;
-        spec.output_path = tmp_path("lease_slow.bin");
-        spec.dedup_path  = tmp_path("lease_slow.dd");
-        spec.lease_hook  = [](u64 rank, const dist::Lease&) {
-            if (rank == 3) std::this_thread::sleep_for(std::chrono::milliseconds(300));
-        };
-        const net::RunResult res = run_backend(GetParam(), cfg, spec);
-        const std::string where  = semantics_name(semantics);
-        EXPECT_EQ(read_bytes(spec.output_path), ref) << where;
-        EXPECT_EQ(read_bytes(spec.dedup_path), ref_dedup) << where;
-        expect_leases_tile(res, where);
-        ASSERT_EQ(res.ranks.size(), 4u);
-        for (u64 r = 0; r < 3; ++r) {
-            EXPECT_LT(res.ranks[3].stats.num_chunks, res.ranks[r].stats.num_chunks)
-                << where << ": the slowed rank 3 against rank " << r;
+    for (const bool dedup : {true, false}) {
+        for (const EdgeSemantics semantics :
+             {EdgeSemantics::as_generated, EdgeSemantics::exact_once}) {
+            Config cfg         = model_config(Model::GnmUndirected);
+            cfg.total_chunks   = 64;
+            cfg.edge_semantics = semantics;
+            const auto [ref, ref_dedup] = reference_with_dedup(cfg, 1);
+            RunSpec spec;
+            spec.ranks       = 4;
+            spec.output_path = tmp_path("lease_slow.bin");
+            if (dedup) spec.dedup_path = tmp_path("lease_slow.dd");
+            spec.lease_hook = [](u64 rank, const dist::Lease&) {
+                if (rank == 3) std::this_thread::sleep_for(std::chrono::milliseconds(300));
+            };
+            const net::RunResult res = run_backend(GetParam(), cfg, spec);
+            const std::string where  = std::string(semantics_name(semantics)) +
+                                      (dedup ? " gathered" : " placed");
+            EXPECT_EQ(read_bytes(spec.output_path), ref) << where;
+            if (dedup) EXPECT_EQ(read_bytes(spec.dedup_path), ref_dedup) << where;
+            EXPECT_EQ(res.placed_bytes, dedup ? 0 : ref.size() - 8) << where;
+            expect_leases_tile(res, where);
+            ASSERT_EQ(res.ranks.size(), 4u);
+            for (u64 r = 0; r < 3; ++r) {
+                EXPECT_LT(res.ranks[3].stats.num_chunks, res.ranks[r].stats.num_chunks)
+                    << where << ": the slowed rank 3 against rank " << r;
+            }
+            std::remove(spec.output_path.c_str());
+            std::remove(spec.dedup_path.c_str());
         }
-        std::remove(spec.output_path.c_str());
-        std::remove(spec.dedup_path.c_str());
     }
 }
 
@@ -770,6 +786,115 @@ TEST_P(TransportMatrix, KeptRankFilesAreListedAndConcatenateToTheOutput) {
     std::remove(spec.output_path.c_str());
 }
 
+// A sized gather places every lease at its final offset while leases run,
+// for directed and undirected G(n,m), both samplers, both semantics and
+// C = 1, W - 1 and 64 (and two threads per rank at C = 64): -o is the
+// in-process bytes, every payload byte was placed and none gathered, and no
+// rank file appears in the scratch dir, during the run (each lease checks)
+// or after it.
+TEST_P(TransportMatrix, PlacedGnmMatchesInProcessAcrossChunkCountsSamplersAndSemantics) {
+    const u64 ranks = 4;
+    const ScratchDir scratch("placed");
+    for (const Model model : {Model::GnmDirected, Model::GnmUndirected}) {
+        for (const SamplerVersion sampler : {SamplerVersion::v1, SamplerVersion::v2}) {
+            for (const EdgeSemantics semantics :
+                 {EdgeSemantics::as_generated, EdgeSemantics::exact_once}) {
+                for (const u64 chunks : {u64{1}, ranks - 1, u64{64}}) {
+                    Config cfg          = model_config(model);
+                    cfg.total_chunks    = chunks;
+                    cfg.sampler_version = sampler;
+                    cfg.edge_semantics  = semantics;
+                    const std::string ref = single_process_bytes(cfg, 1);
+                    for (const u64 threads : {u64{1}, u64{2}}) {
+                        if (threads > 1 && chunks != 64) continue;
+                        const std::string where =
+                            std::string(model_name(model)) + " sampler v" +
+                            std::to_string(sampler == SamplerVersion::v1 ? 1 : 2) +
+                            " " + semantics_name(semantics) + " C=" + std::to_string(chunks) +
+                            " threads=" + std::to_string(threads);
+                        RunSpec spec;
+                        spec.ranks       = ranks;
+                        spec.threads     = threads;
+                        spec.output_path = tmp_path("placed.bin");
+                        spec.scratch_dir = scratch.path();
+                        spec.lease_hook  = [dir = scratch.path()](u64, const dist::Lease&) {
+                            if (!ScratchDir::list(dir).empty()) {
+                                throw std::runtime_error("a rank file appeared while leases ran");
+                            }
+                        };
+                        const net::RunResult res = run_backend(GetParam(), cfg, spec);
+                        EXPECT_EQ(read_bytes(spec.output_path), ref) << where;
+                        EXPECT_EQ(res.edges_written * 16 + 8, ref.size()) << where;
+                        EXPECT_EQ(res.placed_bytes, ref.size() - 8) << where;
+                        EXPECT_EQ(res.gathered_bytes, 0u) << where;
+                        EXPECT_EQ(res.merged_bytes, ref.size() - 8) << where;
+                        EXPECT_TRUE(scratch.entries().empty()) << where;
+                        std::remove(spec.output_path.c_str());
+                    }
+                }
+            }
+        }
+    }
+}
+
+// Where the payload moved: a placed run writes it at its slots while leases
+// run, a rank-file run (unsized, with dedup) moves it after the last lease.
+// Each lease is counted once, by the coordinator.
+TEST_P(TransportMatrix, PayloadCountersShowPlacedAndGatheredBytes) {
+    for (const Model model : {Model::GnmUndirected, Model::Rhg}) {
+        Config cfg           = model_config(model);
+        cfg.total_chunks     = 16;
+        cfg.edge_semantics   = EdgeSemantics::exact_once;
+        cfg.metrics_path     = tmp_path("payload.metrics.json");
+        const bool placed    = model == Model::GnmUndirected;
+        const std::string ref = single_process_bytes(cfg, 1);
+        RunSpec spec;
+        spec.output_path = tmp_path("payload.bin");
+        if (!placed) spec.dedup_path = tmp_path("payload.dd");
+        const net::RunResult res = run_backend(GetParam(), cfg, spec);
+        const u64 payload        = ref.size() - 8;
+        EXPECT_EQ(read_bytes(spec.output_path), ref) << model_name(model);
+        EXPECT_EQ(res.placed_bytes, placed ? payload : 0) << model_name(model);
+        EXPECT_EQ(res.gathered_bytes, placed ? 0 : payload) << model_name(model);
+        const u64 placed_ctr   = metrics_counter(cfg.metrics_path, "coordinator.placed_bytes");
+        const u64 gathered_ctr = metrics_counter(cfg.metrics_path, "coordinator.gathered_bytes");
+        if (GetParam() == Transport::fork) {
+            EXPECT_EQ(placed_ctr, res.placed_bytes) << model_name(model);
+            EXPECT_EQ(gathered_ctr, res.gathered_bytes) << model_name(model);
+        } else {
+            // In-process TCP worker threads share the coordinator's registry,
+            // so their deltas may count its leases once more.
+            EXPECT_GE(placed_ctr, res.placed_bytes) << model_name(model);
+            EXPECT_GE(gathered_ctr, res.gathered_bytes) << model_name(model);
+            EXPECT_EQ(placed ? gathered_ctr : placed_ctr, 0u) << model_name(model);
+        }
+        std::remove(spec.output_path.c_str());
+        std::remove(spec.dedup_path.c_str());
+        std::remove(cfg.metrics_path.c_str());
+    }
+}
+
+// A rank held back before its first lease while the others stream theirs:
+// the coordinator places every frame on arrival, so its one receive buffer
+// never grows past one lease_data frame, and the bytes do not change.
+TEST_P(TransportMatrix, HeldBackRankLeavesTheReceiveBufferAtOneFrame) {
+    Config cfg       = model_config(Model::GnmUndirected);
+    cfg.n            = 50000;
+    cfg.m            = 400000; // 6.4 MB of payload, dozens of frames
+    cfg.total_chunks = 32;
+    const std::string ref = single_process_bytes(cfg, 1);
+    RunSpec spec;
+    spec.output_path = tmp_path("held_back.bin");
+    spec.rank_hook   = [](u64 rank) {
+        if (rank == 0) std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    };
+    const net::RunResult res = run_backend(GetParam(), cfg, spec);
+    EXPECT_EQ(read_bytes(spec.output_path), ref);
+    EXPECT_EQ(res.placed_bytes, ref.size() - 8);
+    EXPECT_LE(res.receive_buffer_bytes, net::kLeaseFrameBytes);
+    std::remove(spec.output_path.c_str());
+}
+
 // Run settings are rank-local: a spill-forcing budget and a spill path in
 // the ranks' own RunOptions leave the merged bytes unchanged on both
 // transports. A TCP coordinator's own spill path is never sent to its
@@ -834,6 +959,10 @@ TEST_P(TransportMatrix, FailureMidLeaseNamesTheLease) {
         spec.lease_hook  = [](u64 rank, const dist::Lease&) {
             if (rank == 1) ::raise(SIGKILL);
         };
+        // A placed run: the ranks write into -o themselves. Whatever they
+        // wrote before the failure is the reference's byte at its offset.
+        const std::string ref     = single_process_bytes(cfg, 4);
+        const std::string witness = link_witness(spec.output_path);
         try {
             run_backend(GetParam(), cfg, spec);
             ADD_FAILURE() << "a killed rank must fail the run";
@@ -841,6 +970,16 @@ TEST_P(TransportMatrix, FailureMidLeaseNamesTheLease) {
             message = e.what();
         }
         EXPECT_FALSE(file_exists(spec.output_path)) << "partial output left";
+        const std::string written = read_bytes(witness);
+        EXPECT_LE(written.size(), ref.size());
+        for (std::size_t i = 0; i < written.size(); ++i) {
+            if (written[i] != 0 && (i < 8 || written[i] != ref[i])) {
+                ADD_FAILURE() << "byte " << i << " of the failed run's output is not the "
+                              << "reference's: written outside a lease's slots";
+                break;
+            }
+        }
+        std::remove(witness.c_str());
         EXPECT_TRUE(scratch.entries().empty())
             << scratch.entries().size() << " rank file(s) left behind, e.g. "
             << (scratch.entries().empty() ? "" : scratch.entries().front());
