@@ -34,15 +34,9 @@ namespace {
 /// stream fully parallel.
 class RankSink final : public EdgeSink {
 public:
-    /// Batch of a streamed lease, and so its lease_data frame: 256 KiB. A
-    /// quarter of the frames of the default 64 KiB batch cut gnm_tcp_v1's
-    /// wall by 5–8% (EXPERIMENTS.md).
-    static constexpr std::size_t kStreamBatchEdges = 16384;
-
     RankSink(BinaryFileSink* file, const Placement& placed, CountingSink& count,
              DegreeStatsSink* degrees)
-        : EdgeSink(placed.send ? kStreamBatchEdges : 0), file_(file), placed_(placed),
-          count_(count), degrees_(degrees) {}
+        : file_(file), placed_(placed), count_(count), degrees_(degrees) {}
 
     bool ordered() const override { return file_ != nullptr || placed_.active(); }
 

@@ -105,32 +105,48 @@ std::string chunks_str(const dist::Lease& lease) {
 
 /// The merged output: created before any rank exists (the forked ranks of a
 /// placed job inherit its descriptor and write into it), its header written
-/// last. Only the coordinator removes it: a run that does not commit it
-/// unlinks it here.
+/// last. Only the
+/// coordinator removes it: a run that does not commit it unlinks it here.
+/// A path that is not a regular file (`/dev/null`, a device) is written
+/// but never removed, and has no size to check.
 class OutputFile {
 public:
     explicit OutputFile(std::string path) : path_(std::move(path)) {
         if (path_.empty()) return;
         fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
         if (fd_ < 0) throw_errno("cannot open output '" + path_ + "'");
+        struct stat st{};
+        if (::fstat(fd_, &st) != 0) {
+            const int err = errno;
+            fileio::close_or_warn(fd_, "merged output (error unwind)");
+            fd_   = -1;
+            errno = err;
+            throw_errno("cannot stat '" + path_ + "'");
+        }
+        regular_ = S_ISREG(st.st_mode);
     }
     ~OutputFile() {
         if (fd_ < 0) return;
         fileio::close_or_warn(fd_, "merged output (error unwind)");
-        fileio::unlink_or_warn(path_.c_str(), "partial output");
+        discard("partial output");
     }
     OutputFile(const OutputFile&)            = delete;
     OutputFile& operator=(const OutputFile&) = delete;
 
     int fd() const { return fd_; }
 
-    /// Writes the header, checks that the file holds exactly `edges` edges
-    /// and closes it.
+    /// Removes the output of a failed run, if it is a regular file.
+    void discard(const char* what) const {
+        if (regular_) fileio::unlink_or_warn(path_.c_str(), what);
+    }
+
+    /// Writes the header, checks that a regular file holds exactly `edges`
+    /// edges and closes it.
     void commit(u64 edges) {
         fileio::pwrite_all(fd_, &edges, sizeof(edges), 0);
         struct stat st{};
         if (::fstat(fd_, &st) != 0) throw_errno("cannot stat '" + path_ + "'");
-        if (static_cast<u64>(st.st_size) != 8 + 16 * edges) {
+        if (regular_ && static_cast<u64>(st.st_size) != 8 + 16 * edges) {
             throw std::runtime_error("coordinator: '" + path_ + "' holds " +
                                      std::to_string(st.st_size) + " bytes, not the " +
                                      std::to_string(8 + 16 * edges) + " of its " +
@@ -141,14 +157,17 @@ public:
         const int fd = fd_;
         fd_          = -1;
         if (::close(fd) != 0) {
-            fileio::unlink_or_warn(path_.c_str(), "output of a failed run");
+            const int err = errno;
+            discard("output of a failed run");
+            errno = err;
             throw_errno("cannot close '" + path_ + "'");
         }
     }
 
 private:
     std::string path_;
-    int fd_ = -1;
+    int fd_       = -1;
+    bool regular_ = false;
 };
 
 /// Option checks shared by both transports; run before any rank exists.
@@ -438,14 +457,16 @@ RunResult coordinate(const Config& cfg, const NetOptions& opt, Fleet& fleet,
         }
     };
 
-    // --- count table, handshake + job fan-out -----------------------------
-    // The count pass runs while the ranks start up; every grant needs it.
-    LeaseBook book(result.num_chunks, W,
-                   placed ? chunk_slots(cfg, result.num_chunks) : std::vector<u64>{});
+    // --- handshake, count table + job fan-out -----------------------------
     for (u64 w = 0; w < W; ++w) {
         decode_hello(recv(w, opt.connect_timeout_ms, "hello"));
         fleet.socks[w].send_frame(encode_hello());
     }
+    // Every grant needs the count table. Its pass (O(C²) for undirected
+    // G(n,m)) runs after the hellos, whose receive has a deadline on the
+    // rank, and before the jobs, whose receive has none.
+    LeaseBook book(result.num_chunks, W,
+                   placed ? chunk_slots(cfg, result.num_chunks) : std::vector<u64>{});
     // Armed only now: after the forks (a forked rank copies the recorder's
     // state, so earlier events would be duplicated into every rank), and
     // before the first lease is counted.
@@ -721,9 +742,10 @@ RunResult coordinate(const Config& cfg, const NetOptions& opt, Fleet& fleet,
         out.commit(result.edges_written);
     }
     if (!gather) result.edges_written = 0;
-    result.merged_bytes         = result.placed_bytes + result.gathered_bytes;
-    result.receive_buffer_bytes = buffer.capacity();
-    obs::Registry& reg = obs::Registry::global();
+    result.merged_bytes = result.placed_bytes + result.gathered_bytes;
+    obs::Registry& reg  = obs::Registry::global();
+    reg.counter("coordinator.receive_buffer_bytes", obs::MergeKind::max)
+        .record_max(buffer.capacity());
     reg.counter(local ? "dist.merged_bytes" : "net.merged_bytes")
         .add(result.merged_bytes);
     if (local) {
@@ -793,7 +815,7 @@ RunResult coordinate(const Config& cfg, const NetOptions& opt, Fleet& fleet,
             }
         }
     } catch (...) {
-        if (gather) fileio::unlink_or_warn(opt.output_path.c_str(), "output of a failed run");
+        if (gather) out.discard("output of a failed run");
         if (listing) fileio::unlink_or_warn(opt.manifest_path.c_str(), "manifest");
         if (dedup) fileio::unlink_or_warn(opt.dedup_path.c_str(), "dedup output");
         throw;

@@ -25,9 +25,10 @@
 /// every line. What differs follows from what the transport can observe:
 ///
 ///  * the gather strategy. A placed gather's forked ranks pwrite their
-///    leases into the output they inherited; its TCP ranks stream each
-///    lease as it runs, and the coordinator pwrites every frame at its
-///    slots on arrival. Otherwise forked ranks share the coordinator's
+///    leases into the output they inherited (which measured faster than
+///    streaming them over the socketpair, EXPERIMENTS.md); its TCP ranks
+///    stream each lease as it runs, and the coordinator pwrites every frame
+///    at its slots on arrival. Otherwise forked ranks share the coordinator's
 ///    filesystem, so their rank files are appended by path (*local merge*,
 ///    copy_file_range). TCP ranks stream their payload back (*stream*, -o)
 ///    or keep it node-local and are named in a manifest (*manifest*) — the
@@ -47,7 +48,8 @@
 /// leases, semantics/n of the summaries, file edge counts); receives carry
 /// deadlines; a dead channel or a torn frame errors naming the rank, and
 /// the chunk range of the lease it held. The coordinator creates the merged
-/// output before any rank exists and is the only process that removes it.
+/// output before any rank exists and is the only process that removes it
+/// (never a path that is not a regular file, such as /dev/null).
 /// Each rank with a file owns it until the coordinator's final verdict —
 /// keep (manifest, keep_rank_files) or discard. A failed run closes every
 /// channel instead, so every rank discards: no rank file and no partial
@@ -150,8 +152,6 @@ struct RunResult {
                                    ///< kernel-side via copy_file_range (local
                                    ///< merge only; the rest went through
                                    ///< read/write)
-    u64 receive_buffer_bytes = 0;  ///< capacity of the coordinator's one
-                                   ///< payload buffer at the end of the run
 
     /// Whether the kernel-side zero-copy path carried the whole gather.
     bool copy_file_range_used() const {

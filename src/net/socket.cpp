@@ -193,14 +193,11 @@ bool Socket::recv_exact(void* data, std::size_t bytes, long long deadline_at_ms,
     char* p          = static_cast<char*>(data);
     std::size_t done = 0;
     while (done < bytes) {
-        // Without a deadline a blocking receive of the whole rest is one
-        // call where poll + recv would be two or more.
-        const bool bounded = deadline_at_ms >= 0;
-        if (bounded && !poll_until(fd_, POLLIN, deadline_at_ms)) {
+        if (!poll_until(fd_, POLLIN, deadline_at_ms)) {
             throw std::runtime_error("net: receive timed out (peer " + peer() +
                                      " sent nothing before the deadline)");
         }
-        const ssize_t n = ::recv(fd_, p + done, bytes - done, bounded ? 0 : MSG_WAITALL);
+        const ssize_t n = ::recv(fd_, p + done, bytes - done, 0);
         if (n < 0) {
             if (errno == EINTR) continue;
             throw_errno("recv failed");

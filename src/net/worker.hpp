@@ -42,8 +42,9 @@ struct NetWorkerOptions {
     int connect_timeout_ms = 10000; ///< connect/accept + handshake deadline
     int io_deadline_ms     = 0;     ///< job-frame receive deadline; 0 = none
                                     ///< (the coordinator sends jobs only
-                                    ///< after every worker connected, so
-                                    ///< this waits on the slowest peer)
+                                    ///< after every worker connected and a
+                                    ///< placed job's count pass, so this
+                                    ///< waits on the slowest peer)
 
     /// Test instrumentation: invoked with the assigned rank after the job
     /// decodes, before any generation. Lets tests inject rank-targeted

@@ -701,6 +701,35 @@ TEST(NetFailure, BadRunTablesAndRunsAreRejectedNamingTheRank) {
     }
 }
 
+// The coordinator answers every hello before its count pass (O(C²) for
+// undirected G(n,m): tens of ms here on four cores), so a worker whose
+// handshake deadline is far shorter than that pass still gets its job,
+// whose receive has no deadline.
+TEST(NetCoordinator, CountPassRunsAfterTheHandshake) {
+    Config cfg       = model_config(Model::GnmUndirected);
+    cfg.n            = 20000;
+    cfg.m            = 100000;
+    cfg.total_chunks = 1024;
+    net::Listener listener(net::parse_endpoint("127.0.0.1:0"));
+    net::NetOptions opts;
+    opts.listener       = &listener;
+    opts.expect_workers = 1;
+    opts.output_path    = tmp_path("count_after_hello.bin");
+    net::NetWorkerOptions wopts;
+    wopts.connect_timeout_ms = 10;
+    testing::WorkerFleet fleet(listener.port(), 1, wopts);
+    try {
+        const net::RunResult res = net::run_net_coordinator(cfg, opts);
+        EXPECT_EQ(res.placed_bytes, 16 * res.count.num_edges);
+        EXPECT_EQ(testing::read_bytes(opts.output_path).size(), 8 + res.placed_bytes);
+    } catch (const std::exception& e) {
+        ADD_FAILURE() << e.what();
+    }
+    fleet.join();
+    EXPECT_EQ(fleet.errors()[0], "");
+    std::remove(opts.output_path.c_str());
+}
+
 TEST(NetCoordinator, RejectsContradictoryOptions) {
     const Config cfg = model_config(Model::GnmUndirected);
     {

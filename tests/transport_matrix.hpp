@@ -6,7 +6,8 @@
 /// in-process chunked engine across models × semantics × ranks × K, lease
 /// schedules (a slowed rank, more ranks than chunks), merged statistics,
 /// the dedup pass, telemetry, kept rank files, ranks spilling under their
-/// own RunOptions, and failure containment (the failing rank and the lease
+/// own RunOptions, outputs that are not regular files, and failure
+/// containment (the failing rank and the lease
 /// it held are named, and no output or rank file survives). test_dist.cpp instantiates the matrix for forked ranks (ctest
 /// label `dist`), test_net.cpp for loopback TCP workers (label `net`). They
 /// stay two executables because the TSan job runs the `net` label and
@@ -17,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <dirent.h>
+#include <fcntl.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -876,12 +878,14 @@ TEST_P(TransportMatrix, PayloadCountersShowPlacedAndGatheredBytes) {
 
 // A rank held back before its first lease while the others stream theirs:
 // the coordinator places every frame on arrival, so its one receive buffer
-// never grows past one lease_data frame, and the bytes do not change.
+// (the coordinator.receive_buffer_bytes gauge) never grows past one
+// lease_data frame, and the bytes do not change.
 TEST_P(TransportMatrix, HeldBackRankLeavesTheReceiveBufferAtOneFrame) {
     Config cfg       = model_config(Model::GnmUndirected);
     cfg.n            = 50000;
     cfg.m            = 400000; // 6.4 MB of payload, dozens of frames
     cfg.total_chunks = 32;
+    cfg.metrics_path = tmp_path("held_back.metrics.json");
     const std::string ref = single_process_bytes(cfg, 1);
     RunSpec spec;
     spec.output_path = tmp_path("held_back.bin");
@@ -891,8 +895,45 @@ TEST_P(TransportMatrix, HeldBackRankLeavesTheReceiveBufferAtOneFrame) {
     const net::RunResult res = run_backend(GetParam(), cfg, spec);
     EXPECT_EQ(read_bytes(spec.output_path), ref);
     EXPECT_EQ(res.placed_bytes, ref.size() - 8);
-    EXPECT_LE(res.receive_buffer_bytes, net::kLeaseFrameBytes);
+    const u64 buffer = metrics_counter(cfg.metrics_path, "coordinator.receive_buffer_bytes");
+    EXPECT_GT(buffer, 0u);
+    EXPECT_LE(buffer, net::kLeaseFrameBytes);
     std::remove(spec.output_path.c_str());
+    std::remove(cfg.metrics_path.c_str());
+}
+
+// An output that is not a regular file is written but never sized or
+// removed. A placed and a rank-file gather into /dev/null succeed and
+// leave it a character device; a gather into a FIFO, which cannot seek,
+// fails and leaves the FIFO where it was.
+TEST_P(TransportMatrix, OutputThatIsNotARegularFileIsNeverRemoved) {
+    const ScratchDir dir("nonregular");
+    const std::string fifo = dir.path() + "/out.fifo";
+    ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0) << std::strerror(errno);
+    // A reader, so that opening the FIFO for writing does not block.
+    const int reader = ::open(fifo.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC);
+    ASSERT_GE(reader, 0) << std::strerror(errno);
+    for (const Model model : {Model::GnmUndirected, Model::Rgg2D}) {
+        const Config cfg = model_config(model);
+        RunSpec spec;
+        spec.output_path         = "/dev/null";
+        const net::RunResult res = run_backend(GetParam(), cfg, spec);
+        EXPECT_EQ(res.edges_written, res.count.num_edges) << model_name(model);
+        struct stat st{};
+        ASSERT_EQ(::stat("/dev/null", &st), 0) << model_name(model);
+        EXPECT_TRUE(S_ISCHR(st.st_mode)) << model_name(model);
+
+        spec.output_path = fifo;
+        try {
+            run_backend(GetParam(), cfg, spec);
+            ADD_FAILURE() << model_name(model) << ": a gather into a FIFO cannot seek";
+        } catch (const std::runtime_error&) {
+        }
+        ASSERT_EQ(::stat(fifo.c_str(), &st), 0) << model_name(model) << ": FIFO removed";
+        EXPECT_TRUE(S_ISFIFO(st.st_mode)) << model_name(model);
+    }
+    ::close(reader);
+    std::remove(fifo.c_str());
 }
 
 // Run settings are rank-local: a spill-forcing budget and a spill path in
