@@ -213,5 +213,74 @@ TEST(Rgg, GiantComponentAtThresholdRadius) {
     EXPECT_LE(components, n / 500) << "expected a giant component plus stragglers";
 }
 
+// The stream bytes at the benchmark's scale, where the fixtures (two rgg2d
+// files at n = 4096) and the brute-force spectrum (sets, not order) do not
+// reach: a 64-bit FNV-1a digest of every chunk's stream, in chunk order, and
+// the edge total, under both semantics. C = 7 gives Morton ranges that are
+// not squares; the last case has r wider than a cell (a halo of 2 cells).
+// Any change to the sweep, the emission order or the point variates that
+// moves one byte changes a digest. At one cell depth the exact_once chunk
+// streams concatenate to the same stream for every C, so those pairs agree.
+struct RggDigestCase {
+    int dim;
+    u64 n;
+    double r;
+    u64 chunks;
+    EdgeSemantics semantics;
+    u64 edges;
+    u64 digest;
+};
+
+template <int D>
+void digest_chunks(const RggDigestCase& c, u64& edges, u64& digest) {
+    const rgg::Params params{c.n, c.r, /*seed=*/1};
+    for (u64 chunk = 0; chunk < c.chunks; ++chunk) {
+        for (const auto& [u, v] : collect([&](EdgeSink& sink) {
+                 rgg::generate<D>(params, chunk, c.chunks, sink, c.semantics);
+             })) {
+            for (const u64 id : {u, v}) {
+                for (int b = 0; b < 64; b += 8) {
+                    digest = (digest ^ ((id >> b) & 0xff)) * 0x100000001b3ull;
+                }
+            }
+            ++edges;
+        }
+    }
+}
+
+TEST(RggDigest, StreamsAtBenchmarkScale) {
+    constexpr u64 n2 = u64{1} << 18;
+    // kagen_tool's default radius for -n 2^18.
+    const double r2 = 0.6 * std::sqrt(std::log(static_cast<double>(n2)) / n2);
+    constexpr auto as_generated = EdgeSemantics::as_generated;
+    constexpr auto exact_once   = EdgeSemantics::exact_once;
+    const RggDigestCase cases[] = {
+        {2, n2, r2, 256, as_generated, 1937962, 0x50c53a63d86f9b25ull},
+        {2, n2, r2, 256, exact_once, 1841858, 0x6649e8b5fc4ce38eull},
+        {2, n2, r2, 7, as_generated, 1855198, 0x2d2e066ff80e31a8ull},
+        {2, n2, r2, 7, exact_once, 1841858, 0x6649e8b5fc4ce38eull},
+        {3, u64{1} << 17, 0.03, 64, as_generated, 1032747, 0x395b889becadf565ull},
+        {3, u64{1} << 17, 0.03, 64, exact_once, 938627, 0xe033ca6de008c934ull},
+        {3, u64{1} << 17, 0.03, 7, as_generated, 968050, 0x69c31338ce7e4e41ull},
+        {3, u64{1} << 17, 0.03, 7, exact_once, 938627, 0xe033ca6de008c934ull},
+        {3, 800, 0.3, 16, as_generated, 39545, 0x36cfcb2b243f981dull},
+        {3, 800, 0.3, 16, exact_once, 25618, 0xb5e1141b3c184793ull},
+    };
+    for (const auto& c : cases) {
+        u64 edges  = 0;
+        u64 digest = 0xcbf29ce484222325ull;
+        if (c.dim == 2) {
+            digest_chunks<2>(c, edges, digest);
+        } else {
+            digest_chunks<3>(c, edges, digest);
+        }
+        SCOPED_TRACE(::testing::Message() << "rgg" << c.dim << "d n=" << c.n
+                                          << " r=" << c.r << " C=" << c.chunks << " "
+                                          << semantics_name(c.semantics));
+        EXPECT_EQ(edges, c.edges);
+        EXPECT_EQ(digest, c.digest) << "digest 0x" << std::hex << digest;
+    }
+}
+
 } // namespace
 } // namespace kagen
