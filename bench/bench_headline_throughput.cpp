@@ -14,6 +14,7 @@
 // 1-chunk-per-PE makespan, the K-chunk makespan, and their ratio — on a
 // multicore host speedup_vs_1chunk > 1 for the skewed workload.
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
@@ -305,15 +306,27 @@ void BoundedDeliveryOverhead(benchmark::State& state) {
     // memory bound is spill-file round-trips for chunks completing ahead
     // of the cursor. Counters record peak resident chunk-buffer bytes and
     // how much actually spilled, so the bound is visible, not asserted.
+    // The second argument picks the model: 0 is undirected G(n,m), which
+    // knows its chunk sizes and writes in place; 1 is exact_once RGG2D
+    // (the rgg2d_exact_spill shape at half its n), which spills.
     const u64 P            = std::max<u64>(2, std::thread::hardware_concurrency());
     const u64 budget_bytes = state.range(0) == 0 ? 0 : u64{1} << 20; // 1 MiB
 
     Config cfg;
-    cfg.model         = Model::GnmUndirected;
-    cfg.n             = u64{1} << 18;
-    cfg.m             = 16 * cfg.n;
     cfg.seed          = 3;
     cfg.chunks_per_pe = 4;
+    if (state.range(1) == 0) {
+        cfg.model = Model::GnmUndirected;
+        cfg.n     = u64{1} << 18;
+        cfg.m     = 16 * cfg.n;
+    } else {
+        cfg.model          = Model::Rgg2D;
+        cfg.n              = u64{1} << 20;
+        cfg.r              = 0.6 * std::sqrt(std::log(static_cast<double>(cfg.n)) /
+                                             static_cast<double>(cfg.n));
+        cfg.edge_semantics = EdgeSemantics::exact_once;
+        cfg.chunks_per_pe  = 16;
+    }
 
     const std::string out = "/tmp/kagen_bench_bounded_delivery.bin";
     {
@@ -344,8 +357,9 @@ void BoundedDeliveryOverhead(benchmark::State& state) {
 }
 
 BENCHMARK(BoundedDeliveryOverhead)
-    ->Arg(0) // unbounded buffering
-    ->Arg(1) // 1 MiB window + disk spill
+    ->Args({0, 0}) // G(n,m), unbounded buffering
+    ->Args({1, 0}) // G(n,m), 1 MiB window + disk spill
+    ->Args({1, 1}) // RGG2D exact_once, 1 MiB window + disk spill
     ->UseManualTime()
     ->Iterations(3)
     ->Unit(benchmark::kMillisecond);

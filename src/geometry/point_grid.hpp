@@ -16,9 +16,15 @@
 ///   * the point set depends only on (seed, n, levels) — NOT on the number
 ///     of PEs — so tests can compare any distributed run against a
 ///     sequential brute-force reference on the identical point set.
+///
+/// Points come out in two shapes from one draw: `cell_points` returns a
+/// cell's `IdPoint`s, and `append_cell_points` appends the same coordinates
+/// to structure-of-arrays columns, as the RGG sweep keeps one flat point
+/// table per chunk (rgg/rgg.hpp).
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <vector>
 
@@ -49,45 +55,75 @@ public:
     u64 num_cells() const { return u64{1} << (static_cast<u64>(levels_) * D); }
     double cell_side() const { return 1.0 / static_cast<double>(cells_per_dim()); }
 
+    /// A cell's point count and the global id of its first point.
+    struct Occupancy {
+        u64 count;
+        u64 first_id;
+    };
+
+    /// Structure-of-arrays point storage: coordinate d of point i is
+    /// `columns[d][i]`.
+    using Columns = std::array<std::vector<double>, static_cast<std::size_t>(D)>;
+
+    /// Walks the Morton prefix tree from the root to `cell`, drawing one
+    /// Binomial(k, 1/2) per level; O(levels) variates.
+    Occupancy occupancy(u64 cell) const {
+        u64 lo     = 0;
+        u64 hi     = num_cells();
+        u64 count  = n_;
+        u64 prefix = 0;
+        while (hi - lo > 1) {
+            const u64 mid = lo + (hi - lo) / 2;
+            Rng rng       = Rng::for_ids(seed_, {kTagSplit, lo, hi});
+            const u64 left = binomial(rng, count, 0.5);
+            if (cell < mid) {
+                hi    = mid;
+                count = left;
+            } else {
+                lo = mid;
+                prefix += left;
+                count -= left;
+            }
+            if (count == 0) break;
+        }
+        return Occupancy{count, prefix};
+    }
+
     /// Number of points in Morton cell `cell`.
-    u64 count_in_cell(u64 cell) const { return descend(cell).count; }
+    u64 count_in_cell(u64 cell) const { return occupancy(cell).count; }
 
     /// Number of points in all cells with Morton index < `cell`
     /// (== the global id of the first point of `cell`).
     u64 first_id(u64 cell) const {
         if (cell == num_cells()) return n_;
-        return descend(cell).prefix;
+        return occupancy(cell).first_id;
     }
 
     /// The points of `cell` with their global ids, in id order.
     /// Bit-identical on every PE that asks.
     std::vector<IdPoint> cell_points(u64 cell) const {
-        const Node node = descend(cell);
-        return cell_points(cell, node.count, node.prefix);
+        const Occupancy occ = occupancy(cell);
+        std::vector<IdPoint> pts(occ.count);
+        for_each_point(cell, occ.count, [&](u64 i, const Vec<D>& pos) {
+            pts[i] = IdPoint{occ.first_id + i, pos};
+        });
+        return pts;
     }
 
-    /// Same, with the occupancy already known (e.g. from
-    /// `for_cells_in_range`) — skips the O(levels) re-descend.
-    std::vector<IdPoint> cell_points(u64 cell, u64 count, u64 first_id) const {
-        std::vector<IdPoint> pts;
-        pts.reserve(count);
-        const auto coords = Morton<D>::decode(cell);
-        const double side = cell_side();
-        Rng rng = Rng::for_ids(seed_, {kTagPoints, cell});
-        for (u64 i = 0; i < count; ++i) {
-            IdPoint p;
-            p.id = first_id + i;
-            for (int d = 0; d < D; ++d) {
-                p.pos[d] = (static_cast<double>(coords[d]) + rng.uniform()) * side;
-            }
-            pts.push_back(p);
-        }
-        return pts;
+    /// Appends the `count` points of `cell` (its occupancy, known to the
+    /// caller) to `columns` in id order: the same variates as `cell_points`,
+    /// written in place with no per-cell vector.
+    void append_cell_points(u64 cell, u64 count, Columns& columns) const {
+        const std::size_t base = columns[0].size();
+        for (auto& column : columns) column.resize(base + count);
+        for_each_point(cell, count, [&](u64 i, const Vec<D>& pos) {
+            for (int d = 0; d < D; ++d) columns[d][base + i] = pos[d];
+        });
     }
 
     /// Enumerates every cell in the Morton range [lo, hi) in one walk down
     /// the split tree: O(hi - lo + levels) binomial variates total, versus
-    /// O((hi - lo) * levels) for per-cell `descend` queries. This is the
+    /// O((hi - lo) * levels) for per-cell `occupancy` queries. This is the
     /// "generate all cells of my chunk" path of the generators; the variates
     /// drawn are identical to per-cell queries (same per-node seeds), so
     /// mixing both access patterns across PEs stays consistent.
@@ -129,33 +165,19 @@ private:
     static constexpr u64 kTagSplit  = 0x5b117;
     static constexpr u64 kTagPoints = 0xb0145;
 
-    struct Node {
-        u64 count;  // points inside the cell
-        u64 prefix; // points in cells strictly before it
-    };
-
-    /// Walks the Morton prefix tree from the root to `cell`, drawing one
-    /// Binomial(k, 1/2) per level; accumulates the prefix along the way.
-    Node descend(u64 cell) const {
-        u64 lo     = 0;
-        u64 hi     = num_cells();
-        u64 count  = n_;
-        u64 prefix = 0;
-        while (hi - lo > 1) {
-            const u64 mid = lo + (hi - lo) / 2;
-            Rng rng       = Rng::for_ids(seed_, {kTagSplit, lo, hi});
-            const u64 left = binomial(rng, count, 0.5);
-            if (cell < mid) {
-                hi    = mid;
-                count = left;
-            } else {
-                lo = mid;
-                prefix += left;
-                count -= left;
+    /// Draws the `count` points of `cell` in id order: `put(i, pos)`.
+    template <typename F>
+    void for_each_point(u64 cell, u64 count, F&& put) const {
+        const auto coords = Morton<D>::decode(cell);
+        const double side = cell_side();
+        Rng rng = Rng::for_ids(seed_, {kTagPoints, cell});
+        for (u64 i = 0; i < count; ++i) {
+            Vec<D> pos;
+            for (int d = 0; d < D; ++d) {
+                pos[d] = (static_cast<double>(coords[d]) + rng.uniform()) * side;
             }
-            if (count == 0) break;
+            put(i, pos);
         }
-        return Node{count, prefix};
     }
 
     template <typename F, typename E>

@@ -113,7 +113,9 @@ class OutputFile {
 public:
     explicit OutputFile(std::string path) : path_(std::move(path)) {
         if (path_.empty()) return;
-        fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+        // No O_TRUNC: an existing file is overwritten in place and cut to
+        // its final size by `commit`, which costs no writeback at close.
+        fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC, 0644);
         if (fd_ < 0) throw_errno("cannot open output '" + path_ + "'");
         struct stat st{};
         if (::fstat(fd_, &st) != 0) {
@@ -140,10 +142,14 @@ public:
         if (regular_) fileio::unlink_or_warn(path_.c_str(), what);
     }
 
-    /// Writes the header, checks that a regular file holds exactly `edges`
-    /// edges and closes it.
+    /// Writes the header, cuts a regular file to `edges` edges (dropping
+    /// what an older, larger file left past them), checks its size and
+    /// closes it.
     void commit(u64 edges) {
         fileio::pwrite_all(fd_, &edges, sizeof(edges), 0);
+        if (regular_ && ::ftruncate(fd_, static_cast<off_t>(8 + 16 * edges)) != 0) {
+            throw_errno("cannot truncate '" + path_ + "'");
+        }
         struct stat st{};
         if (::fstat(fd_, &st) != 0) throw_errno("cannot stat '" + path_ + "'");
         if (regular_ && static_cast<u64>(st.st_size) != 8 + 16 * edges) {

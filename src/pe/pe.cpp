@@ -505,11 +505,15 @@ private:
                     buf.release();
                 } else {
                     obs::Span span(obs::Phase::spill_replay, chunk);
-                    // Replay through a held scratch slab: the replay path
-                    // allocates nothing, and the bounded-memory footprint
-                    // stays budget + one chunk + one slab.
+                    // Replay through the first 64 KiB of a held scratch
+                    // slab: the replay path allocates nothing, touches no
+                    // more of the slab's (decommitted) pages, and the
+                    // bounded-memory footprint stays budget + one chunk + a
+                    // 64 KiB replay window.
                     if (scratch_ == nullptr) scratch_ = arena_.acquire();
-                    parked->replay(sink_, scratch_->edges(), scratch_->capacity);
+                    parked->replay(sink_, scratch_->edges(),
+                                   std::min<std::size_t>(scratch_->capacity,
+                                                         spill::kReplayBatchEdges));
                 }
                 lock.lock();
                 // The bytes leave the count in the critical section that

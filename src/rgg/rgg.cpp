@@ -1,10 +1,13 @@
 #include "rgg/rgg.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <unordered_map>
+#include <vector>
 
 #include "common/math.hpp"
+#include "obs/metrics.hpp"
 
 namespace kagen::rgg {
 namespace {
@@ -56,61 +59,157 @@ std::pair<u64, u64> cell_range(u32 levels, u64 rank, u64 size) {
             block_begin(num_chunks, size, rank + 1) << shift};
 }
 
+namespace {
+
+/// A cell's rows in the chunk's point table: row `begin + i` is the point
+/// with id `first_id + i`.
+struct CellRows {
+    std::size_t begin = 0;
+    u64 count         = 0;
+    u64 first_id      = 0;
+};
+
+/// The pair kernel over the chunk's point table. Every candidate (p, q) is
+/// written to the sink's window and the write position advances by the
+/// distance test's result, so no branch depends on a distance and no call
+/// is made per edge. Candidates come in stream order: p, then q, in id
+/// order. Ids follow Morton cell order, so a pair of cells orients all its
+/// edges alike: (p, q) when q's cell lies above p's, (q, p) below.
+template <int D>
+class PairSweep {
+public:
+    PairSweep(EdgeSink& sink, double r_sq) : sink_(sink), r_sq_(r_sq) {
+        window_ = sink_.window(room_);
+    }
+
+    /// Pairs of two rows of `p` (q after p).
+    void within(const typename PointGrid<D>::Columns& x, const CellRows& p) {
+        for (u64 i = 0; i + 1 < p.count; ++i) {
+            rows<false>(x, p.begin + i, p.first_id + i, p.begin + i + 1,
+                        p.count - i - 1, p.first_id + i + 1);
+        }
+        tests_ += p.count * (p.count - 1) / 2;
+    }
+
+    /// Pairs of a row of `p` and a row of `q`, another cell.
+    void across(const typename PointGrid<D>::Columns& x, const CellRows& p,
+                const CellRows& q, bool q_below) {
+        for (u64 i = 0; i < p.count; ++i) {
+            if (q_below) {
+                rows<true>(x, p.begin + i, p.first_id + i, q.begin, q.count, q.first_id);
+            } else {
+                rows<false>(x, p.begin + i, p.first_id + i, q.begin, q.count, q.first_id);
+            }
+        }
+        tests_ += p.count * q.count;
+    }
+
+    /// Hands the kept prefix of the window to the sink; the last call.
+    void finish() { sink_.commit(written_); }
+
+    u64 tests() const { return tests_; }
+
+private:
+    /// Row `pr` (id `pid`) against the `count` rows from `qr` (ids from
+    /// `qid`). Each pass of the inner loop fits the window, whatever it keeps.
+    template <bool kSwap>
+    void rows(const typename PointGrid<D>::Columns& x, std::size_t pr, u64 pid,
+              std::size_t qr, u64 count, u64 qid) {
+        std::array<double, D> p{};
+        std::array<const double*, D> q{};
+        for (int d = 0; d < D; ++d) {
+            p[d] = x[d][pr];
+            q[d] = x[d].data() + qr;
+        }
+        Edge* window  = window_;
+        std::size_t w = written_;
+        u64 j         = 0;
+        while (j < count) {
+            if (w == room_) {
+                sink_.commit(w);
+                window = window_ = sink_.window(room_);
+                w                = 0;
+            }
+            const u64 stop = std::min<u64>(count, j + (room_ - w));
+            for (; j < stop; ++j) {
+                // The same sum, in the same order, as distance_sq(p, q).
+                double s = 0.0;
+                for (int d = 0; d < D; ++d) {
+                    const double delta = p[d] - q[d][j];
+                    s += delta * delta;
+                }
+                window[w] = kSwap ? Edge{qid + j, pid} : Edge{pid, qid + j};
+                w += s <= r_sq_ ? 1 : 0;
+            }
+        }
+        written_ = w;
+    }
+
+    EdgeSink& sink_;
+    const double r_sq_;
+    Edge* window_        = nullptr;
+    std::size_t room_    = 0;
+    std::size_t written_ = 0; ///< kept edges at the front of the window
+    u64 tests_           = 0;
+};
+
+} // namespace
+
 template <int D>
 void generate(const Params& params, u64 rank, u64 size, EdgeSink& sink,
               EdgeSemantics semantics) {
     const PointGrid<D> grid       = point_grid<D>(params, size);
-    const u32 b                   = chunk_levels<D>(size);
-    const u32 l                   = grid.levels();
-    const u32 shift               = (l - b) * D; // cells per chunk = 2^shift
-    const u64 num_chunks          = u64{1} << (static_cast<u64>(b) * D);
-    const u64 chunk_lo            = block_begin(num_chunks, size, rank);
-    const u64 chunk_hi            = block_begin(num_chunks, size, rank + 1);
-    const auto [cell_lo, cell_hi] = cell_range<D>(l, rank, size);
-    const double r_sq             = params.r * params.r;
+    const auto [cell_lo, cell_hi] = cell_range<D>(grid.levels(), rank, size);
     const bool exact_once         = semantics == EdgeSemantics::exact_once;
-    const u64 per_dim       = grid.cells_per_dim();
+    const u64 per_dim             = grid.cells_per_dim();
     // Halo width in cells: 1 when the cell side is >= r, wider otherwise.
     const auto halo = static_cast<i64>(
         std::ceil(params.r * static_cast<double>(per_dim)));
 
-    auto is_local = [&](u64 cell) {
-        const u64 chunk = cell >> shift;
-        return chunk >= chunk_lo && chunk < chunk_hi;
+    // One flat point table for the chunk. Local cells fill its first rows in
+    // one walk down the split tree, in Morton order, so local cell
+    // `cell_lo + k` owns rows [start[k], start[k + 1]) and row i has id
+    // `local_first + i`. Halo cells are recomputed on first use, once each,
+    // into the rows after them — the "redundantly generated border layers"
+    // of §5.1, through the deterministic PointGrid, no communication.
+    typename PointGrid<D>::Columns x;
+    std::vector<std::size_t> start(cell_hi - cell_lo + 1);
+    std::size_t started = 0; // local cells whose first row is known
+    u64 local_first     = 0;
+    auto start_until = [&](u64 k) {
+        while (started <= k) start[started++] = x[0].size();
     };
+    grid.for_cells_in_range(cell_lo, cell_hi, [&](u64 cell, u64 count, u64 first_id) {
+        if (x[0].empty()) local_first = first_id;
+        start_until(cell - cell_lo);
+        grid.append_cell_points(cell, count, x);
+    });
+    start_until(cell_hi - cell_lo);
 
-    // Cells are recomputed at most once each (local and halo alike) and
-    // memoized, exactly like the "redundantly generated border layers" of
-    // §5.1 — all through the deterministic PointGrid, no communication.
-    std::unordered_map<u64, std::vector<typename PointGrid<D>::IdPoint>> cache;
-    cache.reserve((cell_hi - cell_lo) * 2);
-
-    // Local cells in one walk down the split tree (O(cells) variates, not
-    // O(cells * levels) per-cell descends); empty ranges are memoized too so
-    // neighbour probes of empty cells stay O(1).
-    std::vector<u64> occupied;
-    grid.for_cells_in_range(
-        cell_lo, cell_hi,
-        [&](u64 cell, u64 count, u64 first_id) {
-            cache.emplace(cell, grid.cell_points(cell, count, first_id));
-            occupied.push_back(cell);
-        },
-        [&](u64 lo, u64 hi) {
-            for (u64 cell = lo; cell < hi; ++cell) cache.emplace(cell, 0);
-        });
-
-    auto points_of = [&](u64 cell) -> const auto& {
-        auto it = cache.find(cell);
-        if (it == cache.end()) it = cache.emplace(cell, grid.cell_points(cell)).first;
+    auto local_rows = [&](u64 cell) {
+        const u64 k = cell - cell_lo;
+        return CellRows{start[k], start[k + 1] - start[k], local_first + start[k]};
+    };
+    std::unordered_map<u64, CellRows> halo_rows;
+    auto rows_of = [&](u64 cell) {
+        if (cell >= cell_lo && cell < cell_hi) return local_rows(cell);
+        auto [it, inserted] = halo_rows.try_emplace(cell);
+        if (inserted) {
+            const auto occ = grid.occupancy(cell);
+            it->second     = CellRows{x[0].size(), occ.count, occ.first_id};
+            grid.append_cell_points(cell, occ.count, x);
+        }
         return it->second;
     };
 
+    PairSweep<D> sweep(sink, params.r * params.r);
     std::array<u64, D> nb{};
-    for (const u64 cell : occupied) {
-        const auto& mine = points_of(cell);
+    for (u64 cell = cell_lo; cell < cell_hi; ++cell) {
+        const CellRows mine = local_rows(cell);
+        if (mine.count == 0) continue;
         const auto coords = Morton<D>::decode(cell);
 
-        // Enumerate the Chebyshev-ball of neighbouring cells.
+        // Enumerate the Chebyshev ball of neighbouring cells.
         std::array<i64, D> delta;
         delta.fill(-halo);
         for (;;) {
@@ -129,27 +228,12 @@ void generate(const Params& params, u64 rank, u64 size, EdgeSink& sink,
                 // A halo cell below `cell` lies below the whole local range,
                 // so its ids are lower: exact_once leaves its edges to its
                 // owner; as_generated emits them here too.
-                const bool skip = other < cell && (exact_once || is_local(other));
-                if (!skip) {
-                    const auto& theirs = points_of(other);
-                    if (other == cell) {
-                        for (std::size_t i = 0; i < mine.size(); ++i) {
-                            for (std::size_t j = i + 1; j < mine.size(); ++j) {
-                                if (distance_sq(mine[i].pos, mine[j].pos) <= r_sq) {
-                                    sink.emit(mine[i].id, mine[j].id);
-                                }
-                            }
-                        }
-                    } else if (!theirs.empty()) {
-                        for (const auto& p : mine) {
-                            for (const auto& q : theirs) {
-                                if (distance_sq(p.pos, q.pos) <= r_sq) {
-                                    sink.emit(std::min(p.id, q.id),
-                                              std::max(p.id, q.id));
-                                }
-                            }
-                        }
-                    }
+                const bool below = other < cell;
+                if (other == cell) {
+                    sweep.within(x, mine);
+                } else if (!below || (!exact_once && other < cell_lo)) {
+                    const CellRows theirs = rows_of(other);
+                    if (theirs.count != 0) sweep.across(x, mine, theirs, below);
                 }
             }
             // Next delta (odometer increment).
@@ -161,11 +245,18 @@ void generate(const Params& params, u64 rank, u64 size, EdgeSink& sink,
             if (d == D) break;
         }
     }
-    // A local pair of cells both see the pair (A,B) from A's side only, but
-    // (A,B) and (B,A) cross-cell scans emit each edge once; within-PE
-    // duplicates cannot occur. Cross-PE duplicates are intended (paper §5.1)
-    // unless exact_once skipped them.
+    sweep.finish();
+    // Within a PE each edge appears once: a local pair of cells is swept
+    // from the lower one only. Cross-PE duplicates are intended (paper
+    // §5.1) unless exact_once skipped them.
     sink.flush();
+
+    // Per chunk, never per edge: the distance tests made and the halo cells
+    // recomputed (the §5.1 redundancy; none when one chunk holds the grid).
+    static obs::Counter& tests_ctr = obs::Registry::global().counter("rgg.pair_tests");
+    static obs::Counter& halo_ctr  = obs::Registry::global().counter("rgg.halo_cells");
+    tests_ctr.add(sweep.tests());
+    halo_ctr.add(halo_rows.size());
 }
 
 template <int D>

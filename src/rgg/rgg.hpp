@@ -14,6 +14,14 @@
 /// follow Morton cell order, so a halo cell below the PE's first cell holds
 /// only lower ids, and the PE never scans (or recomputes) it.
 ///
+/// The sweep runs over one flat structure-of-arrays point table per chunk:
+/// local cells indexed by their Morton offset, each halo cell recomputed
+/// once into the same table. Its distance test is branch-free — each
+/// candidate is stored into the sink's inline buffer and kept by advancing
+/// the write position by the test result — and keeps one emission order:
+/// local cells in Morton order, neighbours in odometer order, p then q in
+/// id order. `rgg.pair_tests` and `rgg.halo_cells` count the work per chunk.
+///
 /// Every generator here streams into an `EdgeSink`; the facade
 /// `kagen::generate(cfg, rank, size)` (kagen.hpp) is the one form that
 /// returns an `EdgeList`.

@@ -25,6 +25,7 @@
 /// sinks that accept writes at an edge index make `write_at` thread-safe.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <memory>
 #include <stdexcept>
@@ -48,6 +49,24 @@ public:
     }
 
     void emit(const Edge& e) { emit(e.first, e.second); }
+
+    /// Branch-free emission: the free tail of the inline buffer (at least
+    /// one slot; its length goes to `room`). A caller writes candidate
+    /// edges there in order, advancing its write position only past the
+    /// ones it keeps, then hands the kept prefix over with `commit`; the
+    /// slots after it are scratch. The RGG sweep (rgg/rgg.cpp) emits this
+    /// way, with no per-edge branch or call.
+    Edge* window(std::size_t& room) {
+        assert(fill_ < capacity_);
+        room = capacity_ - fill_;
+        return buffer_ + fill_;
+    }
+
+    /// Emits the first `count` edges of the last `window` (`count <= room`).
+    void commit(std::size_t count) {
+        fill_ += count;
+        if (fill_ == capacity_) flush();
+    }
 
     /// Drains the inline buffer into `consume`. Idempotent.
     void flush() {

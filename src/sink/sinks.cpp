@@ -6,6 +6,7 @@
 #include <type_traits>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/bytes.hpp"
@@ -208,9 +209,12 @@ BinaryFileSink::BinaryFileSink(const std::string& path, std::size_t buffer_edges
     // O_CLOEXEC so a subprocess spawned by any thread of this process (the
     // distributed runner's workers in particular) can never inherit a
     // writable handle onto this output file.
-    const int fd =
-        ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-    file_ = fd >= 0 ? ::fdopen(fd, "wb") : nullptr;
+    // No O_TRUNC: an existing file is overwritten in place and cut to its
+    // final size by finish(), which costs no writeback at close.
+    const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC, 0644);
+    struct stat st{};
+    regular_ = fd >= 0 && ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode);
+    file_    = fd >= 0 ? ::fdopen(fd, "wb") : nullptr;
     if (file_ == nullptr) {
         fileio::close_or_warn(fd, "output file (fdopen failed)");
         throw std::runtime_error("cannot open '" + path + "'");
@@ -240,14 +244,15 @@ BinaryFileSink::~BinaryFileSink() {
     // an abort/exception path where the output is already invalid (header
     // still holds the placeholder count). finish() is where a close error
     // must be (and is) surfaced; here a warning is all a destructor can do.
-    // The file goes too: a 0-edge header reads as a valid empty graph.
+    // The file goes too: a 0-edge header reads as a valid empty graph. A
+    // path that is not a regular file (/dev/null, a FIFO) is never removed.
     if (file_ == nullptr) return;
     if (std::fclose(file_) != 0) {
         std::fprintf(stderr,
                      "kagen: warning: close of abandoned output '%s' failed\n",
                      path_.c_str());
     }
-    fileio::unlink_or_warn(path_.c_str(), "abandoned output");
+    if (regular_) fileio::unlink_or_warn(path_.c_str(), "abandoned output");
 }
 
 void BinaryFileSink::consume(const Edge* edges, std::size_t count) {
@@ -310,6 +315,12 @@ void BinaryFileSink::finish() {
         throw std::runtime_error("cannot patch edge count in '" + path_ + "'");
     }
     bytes_written_ += sizeof(num_edges_);
+    // Cut what an older, larger file left past the last edge.
+    if (regular_ && (std::fflush(file_) != 0 ||
+                     ::ftruncate(::fileno(file_),
+                                 static_cast<off_t>(sizeof(u64) + num_edges_ * sizeof(Edge))) != 0)) {
+        throw std::runtime_error("cannot truncate '" + path_ + "'");
+    }
     if (std::fclose(file_) != 0) {
         file_ = nullptr;
         throw std::runtime_error("cannot close '" + path_ + "'");

@@ -202,9 +202,11 @@ private:
 /// `write_at` is one pwrite(2) at the slots' file offset, so the chunked
 /// engine's workers write their chunks concurrently (DESIGN.md §5).
 ///
-/// A sink destroyed without finish() (an error unwind) removes its file:
-/// the header would still claim 0 edges, which reads as a valid empty
-/// graph.
+/// The file is overwritten in place, not truncated at open: finish() cuts
+/// a regular file to its final size, so rewriting an existing output costs
+/// no writeback at close. A sink destroyed without finish() (an error
+/// unwind) removes a regular file: the header would still claim 0 edges,
+/// which reads as a valid empty graph.
 ///
 /// The descriptor is opened with O_CLOEXEC: the distributed runner (dist/)
 /// forks workers out of a process that may hold open output sinks, and a
@@ -247,6 +249,7 @@ private:
     u64 num_edges_     = 0;
     u64 bytes_written_ = 0;
     bool finished_     = false;
+    bool regular_      = false; ///< a regular file: sized by finish()
 };
 
 } // namespace kagen

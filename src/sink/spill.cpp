@@ -121,8 +121,7 @@ std::size_t SpillFile::read(const Segment& seg, u64 first, Edge* out,
 }
 
 void SpillFile::replay(const Segment& seg, EdgeSink& sink) const {
-    constexpr std::size_t kBatch = 4096; // 64 KiB of edges per read
-    std::vector<Edge> buf(std::min<u64>(std::max<u64>(seg.count, 1), kBatch));
+    std::vector<Edge> buf(std::min<u64>(std::max<u64>(seg.count, 1), kReplayBatchEdges));
     replay(seg, sink, buf.data(), buf.size());
 }
 

@@ -32,6 +32,9 @@
 
 namespace kagen::spill {
 
+/// Edges per replay read: 64 KiB.
+inline constexpr std::size_t kReplayBatchEdges = 4096;
+
 /// Shared append-only scratch file of raw `Edge` segments. Anonymous by
 /// default (created under $TMPDIR and unlinked immediately, so the space is
 /// reclaimed even on crash); a named path keeps the file visible while the
@@ -66,9 +69,10 @@ public:
     void replay(const Segment& seg, EdgeSink& sink) const;
 
     /// Same, through a caller-owned scratch buffer — the ordered-delivery
-    /// drainer replays through an arena slab (pe/arena.hpp), so the replay
-    /// path allocates nothing and the bounded-memory footprint stays
-    /// budget + one chunk + one slab.
+    /// drainer replays through the first `kReplayBatchEdges` of an arena
+    /// slab (pe/arena.hpp), so the replay path allocates nothing and the
+    /// bounded-memory footprint stays budget + one chunk + a 64 KiB replay
+    /// window.
     void replay(const Segment& seg, EdgeSink& sink, Edge* scratch,
                 std::size_t scratch_cap) const;
 

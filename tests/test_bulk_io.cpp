@@ -113,6 +113,35 @@ TEST_F(BulkIoTest, BytesWrittenAccountsHeaderPayloadAndBackpatch) {
     EXPECT_EQ(sink.buffer_capacity(), EdgeSink::kDefaultBufferEdges);
 }
 
+TEST_F(BulkIoTest, RunIntoALargerExistingFileMatchesAFreshOne) {
+    // The sink overwrites an existing file in place and finish() cuts it to
+    // its final size: the in-place G(n,m) path (positional writes) and the
+    // ordered RGG path leave the bytes of a run into a fresh path.
+    for (const Model model : {Model::GnmUndirected, Model::Rgg2D}) {
+        SCOPED_TRACE(model_name(model));
+        Config cfg;
+        cfg.model        = model;
+        cfg.n            = 3000;
+        cfg.m            = 20000;
+        cfg.r            = 0.04;
+        cfg.total_chunks = 16;
+        const auto run = [&](const std::string& p) {
+            BinaryFileSink sink(p);
+            pe::ThreadPool pool(3);
+            generate_chunked(cfg, 4, sink, 4, &pool);
+            sink.finish();
+            return slurp(p);
+        };
+        const std::string fresh = run(track(path("fresh.bin")));
+        const auto stale        = track(path("stale.bin"));
+        {
+            std::ofstream out(stale, std::ios::binary | std::ios::trunc);
+            out << std::string(2 * fresh.size() + 4096, '\x5a');
+        }
+        EXPECT_EQ(run(stale), fresh);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // fileio::copy_bytes — kernel path and forced fallback
 // ---------------------------------------------------------------------------

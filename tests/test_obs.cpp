@@ -345,6 +345,10 @@ TEST(ObsEndToEnd, ChunkedOutputByteIdenticalWithTelemetryOn) {
         if (model == Model::Rhg) {
             EXPECT_NE(metrics.find("\"rhg.candidates\""), std::string::npos);
         }
+        if (model == Model::Rgg2D) {
+            EXPECT_NE(metrics.find("\"rgg.pair_tests\""), std::string::npos);
+            EXPECT_NE(metrics.find("\"rgg.halo_cells\""), std::string::npos);
+        }
         remove_quiet(off);
         remove_quiet(on);
         remove_quiet(cfg.trace_path);
@@ -353,7 +357,7 @@ TEST(ObsEndToEnd, ChunkedOutputByteIdenticalWithTelemetryOn) {
 }
 
 TEST(ObsEndToEnd, DistributedOutputByteIdenticalWithTelemetryOn) {
-    for (const Model model : {Model::GnmUndirected, Model::Rhg}) {
+    for (const Model model : {Model::GnmUndirected, Model::Rgg2D, Model::Rhg}) {
         SCOPED_TRACE(model_name(model));
         Config cfg = sweep_config(model);
         dist::DistOptions opts;
@@ -388,6 +392,10 @@ TEST(ObsEndToEnd, DistributedOutputByteIdenticalWithTelemetryOn) {
         if (model == Model::Rhg) {
             EXPECT_NE(metrics.find("\"rhg.queries\""), std::string::npos);
             EXPECT_NE(metrics.find("\"rhg.points_recomputed\""), std::string::npos);
+        }
+        if (model == Model::Rgg2D) {
+            EXPECT_NE(metrics.find("\"rgg.pair_tests\""), std::string::npos);
+            EXPECT_NE(metrics.find("\"rgg.halo_cells\""), std::string::npos);
         }
 
         remove_quiet(tmp_path("dist_off.bin"));

@@ -8,6 +8,8 @@
 
 #include "common/math.hpp"
 #include "graph/stats.hpp"
+#include "kagen.hpp"
+#include "obs/metrics.hpp"
 #include "pe/pe.hpp"
 #include "rgg/rgg.hpp"
 #include "testing.hpp"
@@ -279,6 +281,67 @@ TEST(RggDigest, StreamsAtBenchmarkScale) {
                                           << semantics_name(c.semantics));
         EXPECT_EQ(edges, c.edges);
         EXPECT_EQ(digest, c.digest) << "digest 0x" << std::hex << digest;
+    }
+}
+
+TEST(RggCounters, CountPairTestsAndHaloCells) {
+    // The live §5.1 cost counters, added once per chunk: the distance tests
+    // made and the halo cells recomputed. Both depend on the chunk
+    // decomposition alone, so a pinned C gives the same counts at any PE or
+    // thread count; exact_once never scans the cells below a chunk, so it
+    // tests no more pairs; and one chunk holding the whole grid recomputes
+    // no cell.
+    for (const Model model : {Model::Rgg2D, Model::Rgg3D}) {
+        Config cfg;
+        cfg.model = model;
+        cfg.n     = 4000;
+        cfg.r     = model == Model::Rgg2D ? 0.03 : 0.08;
+        cfg.seed  = 9;
+        for (const u64 C : {u64{1}, u64{16}}) {
+            cfg.total_chunks = C;
+            u64 tests[2]     = {0, 0};
+            u64 halo[2]      = {0, 0};
+            for (const EdgeSemantics semantics :
+                 {EdgeSemantics::as_generated, EdgeSemantics::exact_once}) {
+                cfg.edge_semantics = semantics;
+                const int s        = semantics == EdgeSemantics::exact_once;
+                for (const u64 pes : {u64{1}, u64{4}}) {
+                    SCOPED_TRACE(::testing::Message() << model_name(model) << " C=" << C
+                                                      << " " << semantics_name(semantics)
+                                                      << " pes=" << pes);
+                    obs::Registry& reg       = obs::Registry::global();
+                    const obs::Snapshot base = reg.snapshot();
+                    CountingSink sink;
+                    if (pes == 1) {
+                        generate_chunked(cfg, 1, sink, 1);
+                    } else {
+                        pe::ThreadPool pool(pes - 1);
+                        generate_chunked(cfg, pes, sink, pes, &pool);
+                    }
+                    const obs::Snapshot delta = reg.snapshot().subtract(base);
+                    const u64 t = delta.counter_or("rgg.pair_tests");
+                    const u64 h = delta.counter_or("rgg.halo_cells");
+                    EXPECT_GE(t, sink.num_edges());
+                    if (pes == 1) {
+                        tests[s] = t;
+                        halo[s]  = h;
+                    } else {
+                        EXPECT_EQ(t, tests[s]);
+                        EXPECT_EQ(h, halo[s]);
+                    }
+                }
+            }
+            SCOPED_TRACE(::testing::Message() << model_name(model) << " C=" << C);
+            EXPECT_LE(tests[1], tests[0]);
+            EXPECT_LE(halo[1], halo[0]);
+            if (C == 1) {
+                EXPECT_EQ(halo[0], 0u);
+                EXPECT_EQ(halo[1], 0u);
+            } else {
+                EXPECT_GT(halo[1], 0u);
+                EXPECT_LT(tests[1], tests[0]);
+            }
+        }
     }
 }
 

@@ -249,8 +249,8 @@ inline std::string run_failing(Transport transport, const Config& cfg, RunSpec s
     return message;
 }
 
-/// A second name for the output a failing run is about to create. The
-/// coordinator opens -o with O_TRUNC, so the link sees every byte the run
+/// A second name for the output a failing run is about to create, empty.
+/// The coordinator writes -o in place, so the link sees every byte the run
 /// wrote, and keeps them after the coordinator removed -o.
 inline std::string link_witness(const std::string& output_path) {
     { std::ofstream create(output_path, std::ios::binary); }
@@ -934,6 +934,32 @@ TEST_P(TransportMatrix, OutputThatIsNotARegularFileIsNeverRemoved) {
     }
     ::close(reader);
     std::remove(fifo.c_str());
+}
+
+// -o is overwritten in place, not truncated at open, and cut to its final
+// size at the end: a run into an existing, larger file leaves the bytes of
+// a run into a fresh path, placed (G(n,m)) and gathered (RGG) alike.
+TEST_P(TransportMatrix, OutputOverALargerFileMatchesAFreshOne) {
+    for (const Model model : {Model::GnmUndirected, Model::Rgg2D}) {
+        SCOPED_TRACE(model_name(model));
+        const Config cfg = model_config(model);
+        RunSpec spec;
+        spec.output_path = tmp_path("fresh.bin");
+        std::remove(spec.output_path.c_str());
+        run_backend(GetParam(), cfg, spec);
+        const std::string fresh = read_bytes(spec.output_path);
+        ASSERT_FALSE(fresh.empty());
+
+        spec.output_path = tmp_path("stale.bin");
+        {
+            std::ofstream stale(spec.output_path, std::ios::binary | std::ios::trunc);
+            stale << std::string(2 * fresh.size() + 4096, '\x5a');
+        }
+        run_backend(GetParam(), cfg, spec);
+        EXPECT_EQ(read_bytes(spec.output_path), fresh);
+        std::remove(tmp_path("fresh.bin").c_str());
+        std::remove(spec.output_path.c_str());
+    }
 }
 
 // Run settings are rank-local: a spill-forcing budget and a spill path in
