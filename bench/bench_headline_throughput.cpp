@@ -308,7 +308,10 @@ void BoundedDeliveryOverhead(benchmark::State& state) {
     // how much actually spilled, so the bound is visible, not asserted.
     // The second argument picks the model: 0 is undirected G(n,m), which
     // knows its chunk sizes and writes in place; 1 is exact_once RGG2D
-    // (the rgg2d_exact_spill shape at half its n), which spills.
+    // (the rgg2d_exact_spill shape at half its n) through ordered
+    // delivery. Its spilled chunk count swings with thread timing (1 to
+    // over 200 of 256 in rgg2d_exact_spill runs), so the RGG row that the
+    // telemetry overhead gate times runs unbounded.
     const u64 P            = std::max<u64>(2, std::thread::hardware_concurrency());
     const u64 budget_bytes = state.range(0) == 0 ? 0 : u64{1} << 20; // 1 MiB
 
@@ -359,7 +362,7 @@ void BoundedDeliveryOverhead(benchmark::State& state) {
 BENCHMARK(BoundedDeliveryOverhead)
     ->Args({0, 0}) // G(n,m), unbounded buffering
     ->Args({1, 0}) // G(n,m), 1 MiB window + disk spill
-    ->Args({1, 1}) // RGG2D exact_once, 1 MiB window + disk spill
+    ->Args({0, 1}) // RGG2D exact_once, unbounded buffering
     ->UseManualTime()
     ->Iterations(3)
     ->Unit(benchmark::kMillisecond);
