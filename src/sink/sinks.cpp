@@ -316,9 +316,8 @@ void BinaryFileSink::finish() {
     }
     bytes_written_ += sizeof(num_edges_);
     // Cut what an older, larger file left past the last edge.
-    if (regular_ && (std::fflush(file_) != 0 ||
-                     ::ftruncate(::fileno(file_),
-                                 static_cast<off_t>(sizeof(u64) + num_edges_ * sizeof(Edge))) != 0)) {
+    const auto size = static_cast<off_t>(sizeof(u64) + num_edges_ * sizeof(Edge));
+    if (regular_ && (std::fflush(file_) != 0 || ::ftruncate(::fileno(file_), size) != 0)) {
         throw std::runtime_error("cannot truncate '" + path_ + "'");
     }
     if (std::fclose(file_) != 0) {
